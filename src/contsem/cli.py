@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import ContsemError
+from .errors import ContsemError, DepthLimitExceeded
 from . import terms as tm
 from .discourse import (
     InitialArgs, compose, default_initial_args, has_symbolic_leaves,
@@ -67,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the unsimplified formula (default on)")
     run.add_argument("--trace", action="store_true",
                      help="print the reduction sequence")
-    run.add_argument("--max-steps", type=int, default=100_000, dest="max_steps")
+    run.add_argument("--max-steps", type=int, default=100_000, dest="max_steps",
+                     metavar="N", help="fail after N beta contractions, each a "
+                     "closure application (--trace: a normal-order step); "
+                     "default %(default)s")
     run.add_argument("--format", choices=["text", "json"], default="text",
                      dest="output")
     run.add_argument("--connective", choices=["and", "or"], default="and",
@@ -105,7 +108,9 @@ def run(config: RunConfig) -> int:
         if config.mode == "term-eval":
             return _run_term(config, text)
         return _run_discourse(config, text)
-    except ContsemError as exc:
+    except (ContsemError, RecursionError) as exc:
+        if isinstance(exc, RecursionError):
+            exc = DepthLimitExceeded()
         print(f"contsem: {exc}", file=sys.stderr)
         return 1
 

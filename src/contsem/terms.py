@@ -7,7 +7,7 @@ makes typechecking decidable without inference.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ContsemError
 
@@ -275,43 +275,69 @@ def _typecheck(term, ctx, path):
 
 
 # ---------------------------------------------------------------------------
-# Normalization (normal order: leftmost-outermost)
+# Normalization by evaluation (Berger & Schwichtenberg 1991)
+
+@dataclass(slots=True)
+class _Closure:
+    """A lambda value: its binder type and the body awaiting an argument."""
+    ty: SemType
+    fn: Callable
+
+
+@dataclass(slots=True)
+class _Neutral:
+    """A head applied to a spine of argument values.  The head is a Const or
+    a variable's De Bruijn level: 0 for the outermost binder, -1 - i for the
+    term's free index i, so open terms read back unchanged."""
+    head: Union[Const, int]
+    spine: tuple = ()
+
 
 def normalize(term: Term, max_steps: int = 100_000) -> Term:
-    """Beta-normal form of a well-typed term.
+    """Beta-normal form of a well-typed term, by normalization by evaluation.
 
-    Normal-order reduction guarantees the normal form is reached; by
-    confluence the strategy does not affect the result.  The step budget is
-    defensive only: well-typed terms always terminate.
+    Lambdas evaluate to closures over a linked environment, arguments before
+    the call, and the value is read back as a De Bruijn term.  Each closure
+    application is one beta contraction; more than `max_steps` of them raise
+    StepBudgetExceeded.  By confluence the result is normal order's (`trace`).
     """
     steps = 0
 
-    def spend():
+    def ev(t, env):
         nonlocal steps
-        steps += 1
-        if steps > max_steps:
-            raise StepBudgetExceeded(max_steps)
+        kind = type(t)
+        if kind is App:
+            fn, arg = ev(t.fn, env), ev(t.arg, env)
+            if type(fn) is _Neutral:
+                return _Neutral(fn.head, fn.spine + (arg,))
+            steps += 1
+            if steps > max_steps:
+                raise StepBudgetExceeded(max_steps)
+            return fn.fn(arg)
+        if kind is Lam:
+            return _Closure(t.ty, lambda v, body=t.body, env=env: ev(body, (v, env)))
+        if kind is Var:
+            i = t.index
+            while env is not None:
+                if i == 0:
+                    return env[0]
+                i, env = i - 1, env[1]
+            return _Neutral(-1 - i)
+        return _Neutral(t)
 
-    def whnf(t):
-        while isinstance(t, App):
-            fn = whnf(t.fn)
-            if isinstance(fn, Lam):
-                spend()
-                t = beta(fn, t.arg)
-            else:
-                return App(fn, t.arg)
-        return t
+    def quote(v, lvl):
+        if type(v) is _Closure:
+            return Lam(v.ty, quote(v.fn(_Neutral(lvl)), lvl + 1))
+        out = v.head if type(v.head) is Const else Var(lvl - v.head - 1)
+        for arg in v.spine:
+            out = App(out, quote(arg, lvl))
+        return out
 
-    def nf(t):
-        t = whnf(t)
-        if isinstance(t, Lam):
-            return Lam(t.ty, nf(t.body))
-        if isinstance(t, App):
-            return App(nf(t.fn), nf(t.arg))
-        return t
+    return quote(ev(term, None), 0)
 
-    return nf(term)
 
+# ---------------------------------------------------------------------------
+# Normal-order reduction, one step at a time (for --trace)
 
 def reduce_once(term: Term) -> Optional[tuple[Term, tuple[str, ...]]]:
     """One leftmost-outermost beta step, or None if the term is normal.

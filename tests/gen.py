@@ -1,13 +1,14 @@
-"""Random generators shared by the property and acceptance suites, plus an
-applicative-order reducer used to cross-check the normal-order normalizer."""
+"""Random generators shared by the property and acceptance suites, plus two
+substitution-based reducers (applicative order and normal order) used to
+cross-check the library's normalization-by-evaluation normalizer."""
 from __future__ import annotations
 
 import random
 
 from contsem.logic import And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or, Top
 from contsem.terms import (
-    App, Arrow, Base, Const, E, G, Lam, SemType, T, Term, Var,
-    arrow, beta,
+    App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
+    Var, arrow, beta,
 )
 
 # Signature for generated terms: every base type is inhabited by a constant,
@@ -81,8 +82,8 @@ def random_closed_term(rng: random.Random, fuel: int = 26, max_size: int = 30) -
 def applicative_normalize(term: Term, budget: int = 200_000) -> Term:
     """Innermost-first (applicative-order) full beta reduction.
 
-    An alternative strategy to the library's normal-order normalizer; on
-    well-typed terms both terminate, and by confluence they must agree.
+    An alternative strategy to the library's normalizer; on well-typed terms
+    both terminate, and by confluence they must agree.
     """
     counter = [0]
 
@@ -101,6 +102,38 @@ def applicative_normalize(term: Term, budget: int = 200_000) -> Term:
         return t
 
     return go(term)
+
+
+def substitution_normalize(term: Term, max_steps: int = 100_000) -> Term:
+    """Normal-order (leftmost-outermost) full beta reduction by substitution.
+
+    Each contraction rebuilds the redex body through `beta` and counts one
+    step, as each closure application does in `normalize`; more than
+    `max_steps` steps raise StepBudgetExceeded.
+    """
+    steps = 0
+
+    def whnf(t):
+        nonlocal steps
+        while isinstance(t, App):
+            fn = whnf(t.fn)
+            if not isinstance(fn, Lam):
+                return App(fn, t.arg)
+            steps += 1
+            if steps > max_steps:
+                raise StepBudgetExceeded(max_steps)
+            t = beta(fn, t.arg)
+        return t
+
+    def nf(t):
+        t = whnf(t)
+        if isinstance(t, Lam):
+            return Lam(t.ty, nf(t.body))
+        if isinstance(t, App):
+            return App(nf(t.fn), nf(t.arg))
+        return t
+
+    return nf(term)
 
 
 # ---------------------------------------------------------------------------

@@ -105,3 +105,21 @@ def test_max_steps_flag(tmp_path, capsys):
     f = tmp_path / "term.lam"
     f.write_text(r"(\x:e. x) j")
     assert main(["run", str(f), "--mode", "term-eval", "--max-steps", "0"]) == 1
+
+
+def test_deeply_nested_term_is_pipeline_error(tmp_path, capsys):
+    f = tmp_path / "deep.lam"
+    f.write_text("~ " * 3000 + "top")
+    assert main(["run", str(f), "--mode", "term-eval"]) == 1
+    assert "contsem: input nested too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_discourse_is_pipeline_error(tmp_path, capsys):
+    expr = "s0"
+    for i in range(1, 512):
+        expr = f"({expr} . s{i % 2})"
+    f = tmp_path / "deep.dsc"
+    f.write_text("profile A\nsentence s0 = john loves (a woman)\n"
+                 f"sentence s1 = it is red\ndiscourse = {expr}\n")
+    assert main(["run", str(f)]) == 1
+    assert "contsem: input nested too deeply" in capsys.readouterr().err
