@@ -148,10 +148,12 @@ def _run_discourse(config: RunConfig, text: str) -> int:
         return 2
 
     composed = compose(parsed.tree, lexicon, profile)
-    lines = [f"composed: {pretty(composed)}"]
+    composed_text = pretty(composed)
+    lines = [f"composed: {composed_text}"]
+    json_out = config.output == "json"
     doc: dict = {
         "profile": profile.value,
-        "composed_term": pretty(composed),
+        "composed_term": composed_text,
         "normal_form": None,
         "raw_formula": None,
         "simplified_formula": None,
@@ -163,8 +165,8 @@ def _run_discourse(config: RunConfig, text: str) -> int:
         expanded = normalize(composed, config.max_steps)
         if config.trace:
             lines.extend(_trace_lines(composed, config.max_steps))
-        lines.append(f"expanded: {pretty(expanded)}")
         doc["normal_form"] = pretty(expanded)
+        lines.append(f"expanded: {doc['normal_form']}")
         return _emit(config, lines, doc)
 
     init = default_initial_args(profile)
@@ -174,33 +176,39 @@ def _run_discourse(config: RunConfig, text: str) -> int:
     if config.trace:
         lines.extend(_trace_lines(applied, config.max_steps))
     nf = normalize(applied, config.max_steps)
-    lines.append(f"normal: {pretty(nf)}")
     doc["normal_form"] = pretty(nf)
+    lines.append(f"normal: {doc['normal_form']}")
+
+    def formula_doc(f, text):
+        return {"text": text, "tree": formula_json(f)} if json_out else None
 
     raw = reify(nf)
     simplified = simplify(raw)
-    if config.show_raw:
-        lines.append(f"raw: {formula_text(raw)}")
-    doc["raw_formula"] = {"text": formula_text(raw), "tree": formula_json(raw)}
-    lines.append(f"simplified: {formula_text(simplified)}")
-    doc["simplified_formula"] = {"text": formula_text(simplified),
-                                 "tree": formula_json(simplified)}
+    if config.show_raw or json_out:
+        raw_text = formula_text(raw)
+        if config.show_raw:
+            lines.append(f"raw: {raw_text}")
+        doc["raw_formula"] = formula_doc(raw, raw_text)
+    simplified_text = formula_text(simplified)
+    lines.append(f"simplified: {simplified_text}")
+    doc["simplified_formula"] = formula_doc(simplified, simplified_text)
 
     reports = report(simplified)
     for r in reports:
         lines.append(report_line(r))
-    doc["access_reports"] = [
-        {"site": r.site_id,
-         "env": env_json(r.env),
-         "candidates": [entity_json(c) for c in r.candidates]}
-        for r in reports
-    ]
+    if json_out:
+        doc["access_reports"] = [
+            {"site": r.site_id,
+             "env": env_json(r.env),
+             "candidates": [entity_json(c) for c in r.candidates]}
+            for r in reports
+        ]
 
     if config.resolve_strategy == "recency":
         resolved = resolve(simplified, "recency")
-        lines.append(f"resolved: {formula_text(resolved)}")
-        doc["resolved_formula"] = {"text": formula_text(resolved),
-                                   "tree": formula_json(resolved)}
+        resolved_text = formula_text(resolved)
+        lines.append(f"resolved: {resolved_text}")
+        doc["resolved_formula"] = formula_doc(resolved, resolved_text)
     return _emit(config, lines, doc)
 
 
@@ -208,12 +216,12 @@ def _run_term(config: RunConfig, text: str) -> int:
     lexicon = default_lexicon()
     term = parse_term(text.strip(), lexicon.signature())
     ty = typecheck(term)
-    lines = [f"term: {pretty(term)}", f"type: {tm.type_text(ty)}"]
+    doc = {"term": pretty(term), "type": tm.type_text(ty), "normal_form": None}
+    lines = [f"term: {doc['term']}", f"type: {doc['type']}"]
     if config.trace:
         lines.extend(_trace_lines(term, config.max_steps))
-    nf = normalize(term, config.max_steps)
-    lines.append(f"normal: {pretty(nf)}")
-    doc = {"term": pretty(term), "type": tm.type_text(ty), "normal_form": pretty(nf)}
+    doc["normal_form"] = pretty(normalize(term, config.max_steps))
+    lines.append(f"normal: {doc['normal_form']}")
     return _emit(config, lines, doc)
 
 

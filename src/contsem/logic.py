@@ -125,14 +125,15 @@ def env_entries(env: EnvExpr) -> tuple[EntityTerm, ...]:
     carries the more recently introduced referents.  A referent present on
     both sides keeps the position of its left-operand (older) occurrence.
     """
-    def flat(e):
-        if isinstance(e, NilE):
-            return []
+    entries = []
+    stack = [env]
+    while stack:
+        e = stack.pop()
         if isinstance(e, ConsE):
-            return [e.head] + flat(e.tail)
-        return flat(e.right) + flat(e.left)
-
-    entries = flat(env)
+            entries.append(e.head)
+            stack.append(e.tail)
+        elif isinstance(e, UnionE):
+            stack += (e.left, e.right)
     keep_last: dict[EntityTerm, None] = dict.fromkeys(reversed(entries))
     return tuple(reversed(keep_last))
 
@@ -166,6 +167,9 @@ def reify(term: Term) -> Formula:
             if name not in const_names:
                 return name
 
+    def fail(path, reason):
+        return NotReifiable(tm.path_steps(path), reason)
+
     def spine(t):
         args = []
         while isinstance(t, App):
@@ -180,27 +184,27 @@ def reify(term: Term) -> Formula:
         if head == tm.BOT and not args:
             return Bot()
         if head == tm.NOT and len(args) == 1:
-            return Not(go(args[0], bound, path + ("arg",)))
+            return Not(go(args[0], bound, (path, "arg")))
         if head in (tm.AND, tm.OR) and len(args) == 2:
             ctor = And if head == tm.AND else Or
-            return ctor(go(args[0], bound, path + ("fn", "arg")),
-                        go(args[1], bound, path + ("arg",)))
+            return ctor(go(args[0], bound, ((path, "fn"), "arg")),
+                        go(args[1], bound, (path, "arg")))
         if head == tm.EXISTS and len(args) == 1:
             body = args[0]
             if not isinstance(body, Lam) or body.ty != tm.E:
-                raise NotReifiable(path, "quantifier not applied to an entity property")
+                raise fail(path, "quantifier not applied to an entity property")
             name = fresh_var()
-            return Exists(name, go(body.body, (name,) + bound, path + ("arg", "body")))
+            return Exists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
         if isinstance(head, Const) and head.name not in tm.BUILTINS:
-            ent_args = tuple(entity(a, bound, path + ("arg",)) for a in args)
+            ent_args = tuple(entity(a, bound, (path, "arg")) for a in args)
             if _pred_arity_ok(head.ty, len(args)):
                 return Atom(head.name, ent_args)
-        raise NotReifiable(path, "not in the reifiable fragment")
+        raise fail(path, "not in the reifiable fragment")
 
     def entity(t, bound, path) -> EntityTerm:
         if isinstance(t, Var):
             if t.index >= len(bound):
-                raise NotReifiable(path, "entity variable escapes its quantifier")
+                raise fail(path, "entity variable escapes its quantifier")
             return EntVar(bound[t.index])
         if isinstance(t, Const) and t.ty == tm.E and t.name not in tm.BUILTINS:
             return EntConst(t.name)
@@ -208,24 +212,24 @@ def reify(term: Term) -> Formula:
         if head == tm.SEL and len(args) == 1:
             site = site_counter[0]
             site_counter[0] += 1
-            return SelOf(environment(args[0], bound, path + ("arg",)), site)
-        raise NotReifiable(path, "not an entity term")
+            return SelOf(environment(args[0], bound, (path, "arg")), site)
+        raise fail(path, "not an entity term")
 
     def environment(t, bound, path) -> EnvExpr:
         if t == tm.NIL:
             return NIL_E
         head, args = spine(t)
         if head == tm.CONS and len(args) == 2:
-            h = entity(args[0], bound, path + ("fn", "arg"))
+            h = entity(args[0], bound, ((path, "fn"), "arg"))
             if isinstance(h, SelOf):
-                raise NotReifiable(path, "selection result used as an environment entry")
-            return ConsE(h, environment(args[1], bound, path + ("arg",)))
+                raise fail(path, "selection result used as an environment entry")
+            return ConsE(h, environment(args[1], bound, (path, "arg")))
         if head == tm.UNION and len(args) == 2:
-            return UnionE(environment(args[0], bound, path + ("fn", "arg")),
-                          environment(args[1], bound, path + ("arg",)))
-        raise NotReifiable(path, "not an environment expression")
+            return UnionE(environment(args[0], bound, ((path, "fn"), "arg")),
+                          environment(args[1], bound, (path, "arg")))
+        raise fail(path, "not an environment expression")
 
-    return go(term, (), ())
+    return go(term, (), None)
 
 
 def _pred_arity_ok(ty, n):

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 from .errors import ContsemError
 from .terms import (
     AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
-    App, Arrow, Base, Const, Lam, SemType, Term, Var, type_text,
+    G, App, Arrow, Base, Const, Lam, SemType, Term, Var, constants, type_text,
 )
 
 
@@ -250,67 +250,70 @@ _LAM, _DISJ, _CONJ, _NEG, _UNION, _CONS, _APP, _ATOM = range(8)
 _WORDLIKE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
+# Infix constants by name: (constant, operator, own level, left level,
+# right level).  `&`, `|` and `::` associate to the right, `++` to the left.
+_INFIX = {row[0].name: row for row in (
+    (AND, " & ", _CONJ, _CONJ + 1, _CONJ),
+    (OR, " | ", _DISJ, _DISJ + 1, _DISJ),
+    (CONS, "::", _CONS, _CONS + 1, _CONS),
+    (UNION, "++", _UNION, _UNION, _UNION + 1),
+)}
+
+
 def pretty(term: Term) -> str:
     """Named rendering with canonical fresh names (x1, x2, ... in binder
-    order).  Round-trips through parse_term for closed terms."""
-    used = set()
+    order).  Round-trips through parse_term for closed terms.
 
-    def collect(t):
-        if isinstance(t, Const):
-            used.add(t.name)
-        elif isinstance(t, Lam):
-            collect(t.body)
-        elif isinstance(t, App):
-            collect(t.fn)
-            collect(t.arg)
-
-    collect(term)
-    counter = [0]
-
-    def fresh():
-        while True:
-            counter[0] += 1
-            name = f"x{counter[0]}"
-            if name not in used and name not in _RESERVED:
-                return name
-
-    def render(t, level, env):
-        if t == COORD:
-            return "Coord"
-        if t == SUB:
-            return "Sub"
-        if isinstance(t, Var):
-            if t.index < len(env):
-                return env[t.index]
-            return f"#{t.index}"  # free variable; not re-parseable
-        if isinstance(t, Const):
-            if _WORDLIKE.match(t.name):
-                return t.name
-            return f"({t.name})"
-        if isinstance(t, Lam):
-            name = fresh()
-            body = render(t.body, _LAM, [name] + env)
-            text = f"\\{name}:{type_text(t.ty)}. {body}"
-            return f"({text})" if level > _LAM else text
-        # Applications, with infix/prefix sugar for the logical constants.
-        if isinstance(t.fn, App):
-            head, left, right = t.fn.fn, t.fn.arg, t.arg
-            if head == AND:
-                text = f"{render(left, _CONJ + 1, env)} & {render(right, _CONJ, env)}"
-                return f"({text})" if level > _CONJ else text
-            if head == OR:
-                text = f"{render(left, _DISJ + 1, env)} | {render(right, _DISJ, env)}"
-                return f"({text})" if level > _DISJ else text
-            if head == CONS:
-                text = f"{render(left, _CONS + 1, env)}::{render(right, _CONS, env)}"
-                return f"({text})" if level > _CONS else text
-            if head == UNION:
-                text = f"{render(left, _UNION, env)}++{render(right, _UNION + 1, env)}"
-                return f"({text})" if level > _UNION else text
-        if t.fn == NOT:
-            text = f"~ {render(t.arg, _NEG, env)}"
-            return f"({text})" if level > _NEG else text
-        text = f"{render(t.fn, _APP, env)} {render(t.arg, _ATOM, env)}"
-        return f"({text})" if level > _APP else text
-
-    return render(term, _LAM, [])
+    One left-to-right pass over an explicit stack: linear in the term's size,
+    and its depth is not limited by Python's recursion limit.
+    """
+    used = constants(term)
+    counter = 0
+    names: list[str] = []   # names[d]: the binder at depth d, outermost first
+    ty_texts: dict[int, str] = {}   # by id: hashing a type walks all of it
+    out: list[str] = []
+    stack: list = [(term, _LAM, 0)]   # pending text, or (term, level, depth)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, level, depth = item
+        kind = type(t)
+        if kind is Var:  # a free variable renders as #i, which does not re-parse
+            out.append(names[depth - 1 - t.index] if t.index < depth else f"#{t.index}")
+            continue
+        if kind is Const:
+            out.append(t.name if _WORDLIKE.match(t.name) else f"({t.name})")
+            continue
+        if kind is Lam:
+            if t.ty == G and (t == COORD or t == SUB):
+                out.append("Coord" if t == COORD else "Sub")
+                continue
+            while True:
+                counter += 1
+                name = f"x{counter}"
+                if name not in used and name not in _RESERVED:
+                    break
+            names[depth:] = [name]
+            ty = ty_texts.get(id(t.ty))
+            if ty is None:
+                ty = ty_texts[id(t.ty)] = type_text(t.ty)
+            own, parts = _LAM, ((t.body, _LAM, depth + 1), f"\\{name}:{ty}. ")
+        else:
+            # Applications, with infix/prefix sugar for the logical constants.
+            fn = t.fn
+            head = fn.fn if type(fn) is App else None
+            infix = _INFIX.get(head.name) if type(head) is Const else None
+            if infix is not None and head == infix[0]:
+                _, op, own, left, right = infix
+                parts = ((t.arg, right, depth), op, (fn.arg, left, depth))
+            elif type(fn) is Const and fn.name == NOT.name and fn == NOT:
+                own, parts = _NEG, ((t.arg, _NEG, depth), "~ ")
+            else:
+                own, parts = _APP, ((t.arg, _ATOM, depth), " ", (fn, _APP, depth))
+        if level > own:
+            out.append("(")
+            stack.append(")")
+        stack += parts   # listed last piece first, as the stack pops them
+    return "".join(out)

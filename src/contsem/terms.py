@@ -160,6 +160,17 @@ def _path_text(path: tuple) -> str:
     return ".".join(path) if path else "root"
 
 
+def path_steps(path) -> tuple[str, ...]:
+    """The steps, root first, of a path linked as (parent, step) pairs that
+    end in None.  Traversals extend a path in O(1) per node this way and
+    flatten it only for an error."""
+    steps = []
+    while path is not None:
+        path, step = path
+        steps.append(step)
+    return tuple(reversed(steps))
+
+
 def _ty_or_desc(x) -> str:
     if isinstance(x, (Base, Arrow)):
         return type_text(x)
@@ -210,19 +221,7 @@ def subst_consts(term: Term, mapping: dict[str, Term]) -> Term:
 
 def constants(term: Term) -> dict[str, SemType]:
     """All constants occurring in the term, by name."""
-    out: dict[str, SemType] = {}
-
-    def go(t):
-        if isinstance(t, Const):
-            out[t.name] = t.ty
-        elif isinstance(t, Lam):
-            go(t.body)
-        elif isinstance(t, App):
-            go(t.fn)
-            go(t.arg)
-
-    go(term)
-    return out
+    return {t.name: t.ty for t in subterms(term) if isinstance(t, Const)}
 
 
 def is_closed(term: Term, depth: int = 0) -> bool:
@@ -252,25 +251,25 @@ def typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
     Raises UnboundVariable or TypeMismatch; positions are paths of
     'fn'/'arg'/'body' steps from the root.
     """
-    return _typecheck(term, tuple(ctx), ())
+    return _typecheck(term, tuple(ctx), None)
 
 
 def _typecheck(term, ctx, path):
     if isinstance(term, Var):
         if term.index < 0 or term.index >= len(ctx):
-            raise UnboundVariable(term.index, path)
+            raise UnboundVariable(term.index, path_steps(path))
         return ctx[term.index]
     if isinstance(term, Const):
         return term.ty
     if isinstance(term, Lam):
-        body_ty = _typecheck(term.body, (term.ty,) + ctx, path + ("body",))
+        body_ty = _typecheck(term.body, (term.ty,) + ctx, (path, "body"))
         return Arrow(term.ty, body_ty)
-    fn_ty = _typecheck(term.fn, ctx, path + ("fn",))
-    arg_ty = _typecheck(term.arg, ctx, path + ("arg",))
+    fn_ty = _typecheck(term.fn, ctx, (path, "fn"))
+    arg_ty = _typecheck(term.arg, ctx, (path, "arg"))
     if not isinstance(fn_ty, Arrow):
-        raise TypeMismatch("a function type", fn_ty, path + ("fn",))
+        raise TypeMismatch("a function type", fn_ty, path_steps((path, "fn")))
     if fn_ty.dom != arg_ty:
-        raise TypeMismatch(fn_ty.dom, arg_ty, path + ("arg",))
+        raise TypeMismatch(fn_ty.dom, arg_ty, path_steps((path, "arg")))
     return fn_ty.cod
 
 

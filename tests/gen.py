@@ -1,14 +1,26 @@
-"""Random generators shared by the property and acceptance suites, plus two
-substitution-based reducers (applicative order and normal order) used to
-cross-check the library's normalization-by-evaluation normalizer."""
+"""Random generators (terms, discourses, formulas) shared by the test
+suites, plus reference implementations the library is checked against: two
+substitution-based reducers (applicative order and normal order) for the
+normalization-by-evaluation normalizer, the recursive pretty-printer for
+`syntax.pretty`, and the recursive environment flattener for
+`logic.env_entries`."""
 from __future__ import annotations
 
 import random
 
-from contsem.logic import And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or, Top
+from contsem.discourse import CoordN, Leaf, Seq, SubN, parse_sentence_words
+from contsem.lexicon import Lexicon, Profile
+from contsem.logic import (
+    And, Atom, Bot, ConsE, EntConst, EntVar, EnvExpr, Exists, Formula, NilE, Not,
+    Or, Top,
+)
+from contsem.syntax import (
+    _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _RESERVED, _UNION, _WORDLIKE,
+)
 from contsem.terms import (
+    AND, CONS, COORD, NOT, OR, SUB, UNION,
     App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
-    Var, arrow, beta,
+    Var, arrow, beta, type_text,
 )
 
 # Signature for generated terms: every base type is inhabited by a constant,
@@ -134,6 +146,130 @@ def substitution_normalize(term: Term, max_steps: int = 100_000) -> Term:
         return t
 
     return nf(term)
+
+
+# ---------------------------------------------------------------------------
+# Discourses
+
+SENTENCES = {
+    Profile.A: ("john loves (a woman)", "it is red", "(a woman) loves it",
+                "john doesnt own it"),
+    Profile.B: ("john doesnt own (a car)", "it is red", "john owns (a car)",
+                "john owns it"),
+    Profile.C: ("john owns (a car)", "it is red", "mary walks", "(a man) loves it"),
+}
+
+
+def random_discourse(rng: random.Random, lex: Lexicon, profile: Profile, n: int):
+    """A randomly bracketed discourse of n sentences; the first one names a
+    referent so later pronouns have a candidate."""
+    pool = [parse_sentence_words(w, lex) for w in SENTENCES[profile]]
+    leaves = [Leaf(pool[0])] + [Leaf(rng.choice(pool)) for _ in range(n - 1)]
+    while len(leaves) > 1:
+        i = rng.randrange(len(leaves) - 1)
+        node = Seq if profile != Profile.C else rng.choice((CoordN, SubN))
+        leaves[i:i + 2] = [node(leaves[i], leaves[i + 1])]
+    return leaves[0]
+
+
+def baseline_discourse(lex: Lexicon, profile: Profile, n: int):
+    """The left-nested baseline discourses of ROADMAP.md: the profile's first
+    two (B: three) sentences in turn, and in profile C `.c` and `.s` in
+    turn, starting with `.c`."""
+    pool = [parse_sentence_words(w, lex) for w in SENTENCES[profile][:3]]
+    if profile != Profile.B:
+        pool = pool[:2]
+    tree = Leaf(pool[0])
+    for i in range(1, n):
+        node = Seq if profile != Profile.C else (CoordN if i % 2 else SubN)
+        tree = node(tree, Leaf(pool[i % len(pool)]))
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# Rendering and environment references
+
+def recursive_pretty(term: Term) -> str:
+    """`syntax.pretty` as it was before it became an explicit-stack pass:
+    one Python call per node, copying the binder-name list at every lambda.
+    Limited by the recursion limit; kept as the reference `pretty` must
+    match byte for byte."""
+    used = set()
+
+    def collect(t):
+        if isinstance(t, Const):
+            used.add(t.name)
+        elif isinstance(t, Lam):
+            collect(t.body)
+        elif isinstance(t, App):
+            collect(t.fn)
+            collect(t.arg)
+
+    collect(term)
+    counter = [0]
+
+    def fresh():
+        while True:
+            counter[0] += 1
+            name = f"x{counter[0]}"
+            if name not in used and name not in _RESERVED:
+                return name
+
+    def render(t, level, env):
+        if t == COORD:
+            return "Coord"
+        if t == SUB:
+            return "Sub"
+        if isinstance(t, Var):
+            if t.index < len(env):
+                return env[t.index]
+            return f"#{t.index}"  # free variable; not re-parseable
+        if isinstance(t, Const):
+            if _WORDLIKE.match(t.name):
+                return t.name
+            return f"({t.name})"
+        if isinstance(t, Lam):
+            name = fresh()
+            body = render(t.body, _LAM, [name] + env)
+            text = f"\\{name}:{type_text(t.ty)}. {body}"
+            return f"({text})" if level > _LAM else text
+        # Applications, with infix/prefix sugar for the logical constants.
+        if isinstance(t.fn, App):
+            head, left, right = t.fn.fn, t.fn.arg, t.arg
+            if head == AND:
+                text = f"{render(left, _CONJ + 1, env)} & {render(right, _CONJ, env)}"
+                return f"({text})" if level > _CONJ else text
+            if head == OR:
+                text = f"{render(left, _DISJ + 1, env)} | {render(right, _DISJ, env)}"
+                return f"({text})" if level > _DISJ else text
+            if head == CONS:
+                text = f"{render(left, _CONS + 1, env)}::{render(right, _CONS, env)}"
+                return f"({text})" if level > _CONS else text
+            if head == UNION:
+                text = f"{render(left, _UNION, env)}++{render(right, _UNION + 1, env)}"
+                return f"({text})" if level > _UNION else text
+        if t.fn == NOT:
+            text = f"~ {render(t.arg, _NEG, env)}"
+            return f"({text})" if level > _NEG else text
+        text = f"{render(t.fn, _APP, env)} {render(t.arg, _ATOM, env)}"
+        return f"({text})" if level > _APP else text
+
+    return render(term, _LAM, [])
+
+
+def recursive_env_entries(env: EnvExpr) -> tuple:
+    """`logic.env_entries` as it was before it used an explicit stack: each
+    cons copies the list of the entries below it."""
+    def flat(e):
+        if isinstance(e, NilE):
+            return []
+        if isinstance(e, ConsE):
+            return [e.head] + flat(e.tail)
+        return flat(e.right) + flat(e.left)
+
+    entries = flat(env)
+    keep_last = dict.fromkeys(reversed(entries))
+    return tuple(reversed(keep_last))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from contsem import cli
 from contsem.cli import main
 
 SAMPLES = Path(__file__).parent.parent / "samples"
@@ -123,3 +124,59 @@ def test_deeply_nested_discourse_is_pipeline_error(tmp_path, capsys):
                  f"sentence s1 = it is red\ndiscourse = {expr}\n")
     assert main(["run", str(f)]) == 1
     assert "contsem: input nested too deeply" in capsys.readouterr().err
+
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function where `cli` looks it up; count the calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+_GOLDEN_LINES = (GOLDEN / "doesnt_own_car.out").read_text().splitlines()
+_RESOLVED = "resolved: (~ Ex y. (car y & own j y)) & red j"
+
+
+@pytest.mark.parametrize("flags,lines,formulas", [
+    ([], _GOLDEN_LINES, 2),                                        # raw, simplified
+    (["--no-raw"], [x for x in _GOLDEN_LINES if not x.startswith("raw:")], 1),
+    (["--resolve", "recency"], _GOLDEN_LINES + [_RESOLVED], 3),    # and resolved
+])
+def test_text_mode_renders_each_artifact_once(flags, lines, formulas, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "pretty", "formula_text", "formula_json")
+    assert main(["run", str(SAMPLES / "doesnt_own_car.dsc"), *flags]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": 0}
+
+
+@pytest.mark.parametrize("flags,formulas", [
+    ([], 2),
+    (["--no-raw"], 2),                 # the JSON doc keeps the raw formula
+    (["--resolve", "recency"], 3),
+])
+def test_json_mode_renders_each_formula_once(flags, formulas, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "pretty", "formula_text", "formula_json")
+    sample = str(SAMPLES / "doesnt_own_car.dsc")
+    assert main(["run", sample, "--format", "json", *flags]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": formulas}
+    golden = dict(line.split(": ", 1) for line in _GOLDEN_LINES if ": " in line)
+    assert doc["composed_term"] == golden["composed"]
+    assert doc["normal_form"] == golden["normal"]
+    assert doc["raw_formula"]["text"] == golden["raw"]
+    assert doc["simplified_formula"]["text"] == golden["simplified"]
+    assert doc["raw_formula"]["tree"]["node"] == "not"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_term_eval_renders_each_term_once(fmt, tmp_path, monkeypatch, capsys):
+    f = tmp_path / "term.lam"
+    f.write_text(r"(\x:e. x) j")
+    calls = _count_calls(monkeypatch, "pretty")
+    assert main(["run", str(f), "--mode", "term-eval", "--format", fmt]) == 0
+    assert calls == {"pretty": 2}

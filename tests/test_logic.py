@@ -9,11 +9,11 @@ from contsem.logic import (
     reify, simplify,
 )
 from contsem.terms import (
-    AND, CONS, EXISTS, NIL, NOT, SEL, TOP,
+    AND, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
     App, Const, E, Lam, T, Var, app, arrow,
 )
 
-from gen import random_formula
+from gen import random_formula, recursive_env_entries
 
 J = EntConst("j")
 Y = EntVar("y")
@@ -53,6 +53,29 @@ def test_reify_rejects_foreign_heads():
     weird = Const("f", arrow(T, T))
     with pytest.raises(NotReifiable):
         reify(App(weird, TOP))
+
+
+OWN = Const("own", arrow(E, E, T))
+
+
+@pytest.mark.parametrize("term,message", [
+    (app(AND, App(NOT, TOP), App(EXISTS, Lam(T, TOP))),
+     "at arg: quantifier not applied to an entity property"),
+    (app(OR, TOP, App(EXISTS, Lam(E, app(AND, App(CAR, Var(0)), App(CAR, Var(1)))))),
+     "at arg.arg.body.arg.arg: entity variable escapes its quantifier"),
+    (app(AND, TOP, App(EXISTS, Lam(E, App(CAR, App(SEL, app(CONS, App(SEL, NIL), NIL)))))),
+     "at arg.arg.body.arg.arg: selection result used as an environment entry"),
+    (App(EXISTS, Lam(E, App(CAR, App(SEL, app(UNION, app(CONS, Var(0), NIL),
+                                            app(CONS, JC, TOP)))))),
+     "at arg.body.arg.arg.arg.arg: not an environment expression"),
+    (App(NOT, App(NOT, app(OWN, JC, App(CAR, JC)))), "at arg.arg.arg: not an entity term"),
+    (App(NOT, Var(0)), "at arg: not in the reifiable fragment"),
+])
+def test_reify_error_positions(term, message):
+    with pytest.raises(NotReifiable) as exc:
+        reify(term)
+    assert str(exc.value) == f"term is not reifiable {message}"
+    assert ".".join(exc.value.position) == message[3:message.index(":")]
 
 
 def test_reify_nullary_atoms():
@@ -106,6 +129,33 @@ def test_fusion_ignores_site_ids():
 def test_env_normalization_inside_sel():
     f = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE()), 0),))
     assert simplify(f) == Atom("red", (SelOf(ConsE(J, NilE()), 0),))
+
+
+def _random_env(rng, depth=5):
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return NilE()
+    if roll < 0.65:
+        head = rng.choice((J, EntConst("m"), Y, EntVar("y1"), EntVar("y2")))
+        return ConsE(head, _random_env(rng, depth - 1))
+    return UnionE(_random_env(rng, depth - 1), _random_env(rng, depth - 1))
+
+
+def test_env_entries_match_recursive_flattening():
+    rng = random.Random(31)
+    for _ in range(2000):
+        env = _random_env(rng)
+        assert env_entries(env) == recursive_env_entries(env)
+    # The union's right operand comes first; the older left occurrence of j wins.
+    env = UnionE(ConsE(J, NilE()), ConsE(Y, ConsE(J, NilE())))
+    assert env_entries(env) == (Y, J) == recursive_env_entries(env)
+
+
+def test_env_entries_of_long_cons_chain():
+    env = NilE()
+    for i in range(20_000):
+        env = ConsE(EntVar(f"y{i}"), env)
+    assert env_entries(env) == tuple(EntVar(f"y{i}") for i in reversed(range(20_000)))
 
 
 def test_scope_shrinking_keeps_dependent_parts_inside():

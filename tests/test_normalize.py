@@ -10,57 +10,25 @@ import pytest
 
 from contsem import terms
 from contsem.discourse import (
-    CoordN, Leaf, Seq, SubN, compose, default_initial_args, has_symbolic_leaves,
-    parse_discourse, parse_sentence_words,
+    compose, default_initial_args, has_symbolic_leaves, parse_discourse,
 )
 from contsem.lexicon import Profile, default_lexicon
 from contsem.terms import (
     App, E, G, Lam, StepBudgetExceeded, T, Var, app, arrow, normalize, typecheck,
 )
 
-from gen import GEN_SIG, random_closed_term, random_term, random_type, substitution_normalize
+from gen import (
+    GEN_SIG, baseline_discourse, random_closed_term, random_discourse, random_term,
+    random_type, substitution_normalize,
+)
 
 LEX = default_lexicon()
 SAMPLES = Path(__file__).parent.parent / "samples"
 SEED = 20261018
 
-SENTENCES = {
-    Profile.A: ("john loves (a woman)", "it is red", "(a woman) loves it",
-                "john doesnt own it"),
-    Profile.B: ("john doesnt own (a car)", "it is red", "john owns (a car)",
-                "john owns it"),
-    Profile.C: ("john owns (a car)", "it is red", "mary walks", "(a man) loves it"),
-}
-
 
 def _applied(tree, profile):
     return app(compose(tree, LEX, profile), *default_initial_args(profile).args)
-
-
-def _discourse(rng, profile, n):
-    """A randomly bracketed discourse of n sentences; the first one names a
-    referent so later pronouns have a candidate."""
-    pool = [parse_sentence_words(w, LEX) for w in SENTENCES[profile]]
-    leaves = [Leaf(pool[0])] + [Leaf(rng.choice(pool)) for _ in range(n - 1)]
-    while len(leaves) > 1:
-        i = rng.randrange(len(leaves) - 1)
-        node = Seq if profile != Profile.C else rng.choice((CoordN, SubN))
-        leaves[i:i + 2] = [node(leaves[i], leaves[i + 1])]
-    return leaves[0]
-
-
-def _baseline(profile, n):
-    """The left-nested baseline discourses of ROADMAP.md: the profile's first
-    two (B: three) sentences in turn, and in profile C `.c` and `.s` in
-    turn, starting with `.c`."""
-    pool = [parse_sentence_words(w, LEX) for w in SENTENCES[profile][:3]]
-    if profile != Profile.B:
-        pool = pool[:2]
-    tree = Leaf(pool[0])
-    for i in range(1, n):
-        node = Seq if profile != Profile.C else (CoordN if i % 2 else SubN)
-        tree = node(tree, Leaf(pool[i % len(pool)]))
-    return tree
 
 
 def _steps(normalizer, term):
@@ -123,7 +91,7 @@ def test_sample_terms_match_substitution(sample):
 def test_discourses_match_substitution(profile, lengths):
     rng = random.Random(SEED + len(profile.value))
     for n in lengths:
-        t = _applied(_discourse(rng, profile, n), profile)
+        t = _applied(random_discourse(rng, LEX, profile, n), profile)
         assert normalize(t) == substitution_normalize(t), n
 
 
@@ -131,7 +99,7 @@ def test_discourses_match_substitution(profile, lengths):
 def test_baseline_discourses_match_substitution(profile, n):
     # Random bracketing puts the substitution normalizer past several seconds
     # on some B6 discourses; the left-nested shape keeps it near one.
-    t = _applied(_baseline(profile, n), profile)
+    t = _applied(baseline_discourse(LEX, profile, n), profile)
     assert normalize(t) == substitution_normalize(t)
 
 
@@ -154,7 +122,7 @@ def test_step_budget_is_exact():
 def test_step_counts_against_normal_order(profile, n, ours, normal_order):
     # Arguments are evaluated before the call, so an argument that `Coord`
     # discards is still evaluated: profile C counts a few more steps.
-    t = _applied(_baseline(profile, n), profile)
+    t = _applied(baseline_discourse(LEX, profile, n), profile)
     assert _steps(normalize, t) == ours
     substitution_normalize(t, normal_order)
     with pytest.raises(StepBudgetExceeded):

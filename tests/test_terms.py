@@ -44,6 +44,29 @@ def test_typecheck_unbound_variable():
         typecheck(Lam(E, Var(3)))
 
 
+@pytest.mark.parametrize("source,message", [
+    (r"\x:e. own (own x j j) j",
+     "type mismatch at body.fn.arg.fn: expected a function type, found t"),
+    (r"\x:e. own x p", "type mismatch at body.arg: expected e, found t"),
+    (r"\e:g. \x:e. ~ (car (sel (x::e)) & own x (sel (x::p)))",
+     "type mismatch at body.body.arg.arg.arg.arg.arg: expected g, found t"),
+])
+def test_typecheck_error_positions(source, message):
+    sig = {"j": E, "car": arrow(E, T), "own": arrow(E, E, T), "p": T}
+    with pytest.raises(TypeMismatch) as exc:
+        typecheck(parse_term(source, sig))
+    assert str(exc.value) == message
+    assert ".".join(exc.value.position) == message.split()[3][:-1]
+
+
+def test_unbound_variable_position():
+    own = Const("own", arrow(E, E, T))
+    with pytest.raises(UnboundVariable) as exc:
+        typecheck(Lam(E, App(App(own, Var(0)), Lam(E, Var(4)))))
+    assert str(exc.value) == "unbound variable #4 at body.arg.body"
+    assert exc.value.position == ("body", "arg", "body")
+
+
 def test_normalize_identity_redex():
     assert normalize(App(Lam(E, Var(0)), J)) == J
 
