@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Union
 
 from .errors import ContsemError
 from . import terms as tm
@@ -243,83 +243,102 @@ def _pred_arity_ok(ty, n):
 # ---------------------------------------------------------------------------
 # Formula utilities
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Exists):
-        return free_vars(f.body) - {f.var}
-    return frozenset(itertools.chain.from_iterable(_ent_vars(a) for a in f.args))
+def iter_atoms(f: Formula) -> Iterator[Atom]:
+    """The atoms of a formula, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Not, Exists)):
+            stack.append(g.body)
+        elif isinstance(g, (And, Or)):
+            stack += (g.right, g.left)
+        elif isinstance(g, Atom):
+            yield g
 
 
-def _ent_vars(e: EntityTerm):
-    if isinstance(e, EntVar):
-        yield e.name
-    elif isinstance(e, SelOf):
-        yield from _env_vars(e.env)
+def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
+    """The formula with each atom replaced by fn(atom), called left to right;
+    rebuilt bottom-up over an explicit stack."""
+    done: list[Formula] = []
+    work: list = [f]
+    while work:
+        g = work.pop()
+        if isinstance(g, tuple):            # (class, bound name): rebuild
+            kind, var = g
+            right = done.pop()
+            if kind is Exists:
+                done.append(Exists(var, right))
+            else:
+                done.append(Not(right) if kind is Not else kind(done.pop(), right))
+        elif isinstance(g, (And, Or)):
+            work += ((type(g), None), g.right, g.left)
+        elif isinstance(g, (Not, Exists)):
+            work += ((type(g), g.var if isinstance(g, Exists) else None), g.body)
+        else:
+            done.append(fn(g) if isinstance(g, Atom) else g)
+    return done[0]
 
 
-def _env_vars(env: EnvExpr):
-    if isinstance(env, ConsE):
-        yield from _ent_vars(env.head)
-        yield from _env_vars(env.tail)
-    elif isinstance(env, UnionE):
-        yield from _env_vars(env.left)
-        yield from _env_vars(env.right)
+# The parts of each inner node that `alpha_eq` compares pairwise.
+_PARTS = {Not: ("body",), And: ("left", "right"), Or: ("left", "right"),
+          SelOf: ("env",), ConsE: ("head", "tail"), UnionE: ("left", "right")}
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
     """Equality up to renaming of bound variables and selection site ids."""
-    return _aeq(f1, f2, {})
+    ren: dict[str, str] = {}
+    stack: list = [(f1, f2)]
+    while stack:
+        a, b = stack.pop()
+        if a is None:                   # leaving a binder: b is (var, shadowed)
+            var, shadowed = b
+            if shadowed is None:
+                del ren[var]
+            else:
+                ren[var] = shadowed
+        elif type(a) is not type(b):
+            return False
+        elif isinstance(a, Exists):
+            stack.append((None, (a.var, ren.get(a.var))))
+            ren[a.var] = b.var
+            stack.append((a.body, b.body))
+        elif isinstance(a, Atom):
+            if a.pred != b.pred or len(a.args) != len(b.args):
+                return False
+            stack += zip(a.args, b.args)
+        elif isinstance(a, EntVar):
+            if ren.get(a.name, a.name) != b.name:
+                return False
+        elif isinstance(a, EntConst):
+            if a.name != b.name:
+                return False
+        else:
+            stack += [(getattr(a, k), getattr(b, k)) for k in _PARTS.get(type(a), ())]
+    return True
 
 
-def _aeq(f1, f2, ren):
-    if type(f1) is not type(f2):
-        return False
-    if isinstance(f1, (Top, Bot)):
-        return True
-    if isinstance(f1, Not):
-        return _aeq(f1.body, f2.body, ren)
-    if isinstance(f1, (And, Or)):
-        return _aeq(f1.left, f2.left, ren) and _aeq(f1.right, f2.right, ren)
-    if isinstance(f1, Exists):
-        return _aeq(f1.body, f2.body, {**ren, f1.var: f2.var})
-    return f1.pred == f2.pred and len(f1.args) == len(f2.args) and all(
-        _ent_aeq(a, b, ren) for a, b in zip(f1.args, f2.args)
-    )
-
-
-def _ent_aeq(a, b, ren):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, EntConst):
-        return a.name == b.name
-    if isinstance(a, EntVar):
-        return ren.get(a.name, a.name) == b.name
-    return _env_aeq(a.env, b.env, ren)
-
-
-def _env_aeq(a, b, ren):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, NilE):
-        return True
-    if isinstance(a, ConsE):
-        return _ent_aeq(a.head, b.head, ren) and _env_aeq(a.tail, b.tail, ren)
-    return _env_aeq(a.left, b.left, ren) and _env_aeq(a.right, b.right, ren)
+def _atom_vars(f: Atom) -> frozenset[str]:
+    names = []
+    stack: list = list(f.args)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, EntVar):
+            names.append(e.name)
+        elif isinstance(e, SelOf):
+            stack += env_entries(e.env)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
 # Simplification
 
-_SIMPLIFY_PASS_CAP = 1000
+# `simplify`'s work-stack instructions, besides the connective classes that
+# rebuild a node from simplified operands: visit an input node, push a result.
+_VISIT, _PUSH = object(), object()
 
 
 def simplify(f: Formula) -> Formula:
-    """Apply the cleanup rewrites to a fixed point, innermost first.
+    """Apply the cleanup rewrites in one bottom-up pass.
 
     Rules: connective unit laws (including ~top / ~bot), double negation,
     De Morgan on negated conjunctions/disjunctions (negation is never pushed
@@ -327,82 +346,101 @@ def simplify(f: Formula) -> Formula:
     disjuncts out of an existential's scope, fusion of a shared continuation
     tail (A op K) and (B op K) into (A and B) op K, and evaluation of union
     environments under selection sites.  Every rule preserves logical
-    equivalence; the result is a fixed point of the rule set.
+    equivalence.  Each node is rebuilt from its simplified children by the
+    rules at that node; the nodes a rule builds go back on the work stack,
+    so the result is a fixed point of the rule set and deep formulas do not
+    recurse.  Free variables are computed only where extraction asks.
     """
-    for _ in range(_SIMPLIFY_PASS_CAP):
-        nxt = _simplify_pass(f)
-        if nxt == f:
-            return f
-        f = nxt
-    raise RuntimeError("simplify failed to reach a fixed point")
+    free: dict[int, tuple[Formula, frozenset[str]]] = {}   # id -> (node, vars)
 
+    def free_vars(g: Formula) -> frozenset[str]:
+        todo, stack = [], [g]
+        while stack:                        # nodes not yet known, parents first
+            h = stack.pop()
+            if id(h) not in free:
+                todo.append(h)
+                if isinstance(h, (Not, Exists)):
+                    stack.append(h.body)
+                elif isinstance(h, (And, Or)):
+                    stack += (h.left, h.right)
+        for h in reversed(todo):
+            if isinstance(h, (And, Or)):
+                names = free[id(h.left)][1] | free[id(h.right)][1]
+            elif isinstance(h, Not):
+                names = free[id(h.body)][1]
+            elif isinstance(h, Exists):
+                names = free[id(h.body)][1] - {h.var}
+            else:
+                names = _atom_vars(h) if isinstance(h, Atom) else frozenset()
+            free[id(h)] = (h, names)
+        return free[id(g)][1]
 
-def _simplify_pass(f: Formula) -> Formula:
-    if isinstance(f, Not):
-        body = _simplify_pass(f.body)
-        if isinstance(body, Top):
-            return Bot()
-        if isinstance(body, Bot):
-            return Top()
-        if isinstance(body, Not):
-            return body.body
-        if isinstance(body, And):
-            return Or(Not(body.left), Not(body.right))
-        if isinstance(body, Or):
-            return And(Not(body.left), Not(body.right))
-        return Not(body)
-    if isinstance(f, And):
-        left = _simplify_pass(f.left)
-        right = _simplify_pass(f.right)
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        if isinstance(left, Bot) or isinstance(right, Bot):
-            return Bot()
-        fused = _fuse(left, right)
-        if fused is not None:
-            return fused
-        return And(left, right)
-    if isinstance(f, Or):
-        left = _simplify_pass(f.left)
-        right = _simplify_pass(f.right)
-        if isinstance(left, Bot):
-            return right
-        if isinstance(right, Bot):
-            return left
-        if isinstance(left, Top) or isinstance(right, Top):
-            return Top()
-        return Or(left, right)
-    if isinstance(f, Exists):
-        body = _simplify_pass(f.body)
-        if isinstance(body, (And, Or)):
-            ctor = type(body)
-            if f.var not in free_vars(body.right):
-                return ctor(Exists(f.var, body.left), body.right)
-            if f.var not in free_vars(body.left):
-                return ctor(body.left, Exists(f.var, body.right))
-        return Exists(f.var, body)
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_simplify_entity(a) for a in f.args))
-    return f
-
-
-def _fuse(left: Formula, right: Formula) -> Optional[Formula]:
-    # (A op K) and (B op K) == (A and B) op K when the two tails agree up to
-    # bound renaming and selection site ids.
-    for ctor in (Or, And):
-        if isinstance(left, ctor) and isinstance(right, ctor):
-            if alpha_eq(left.right, right.right):
-                return ctor(And(left.left, right.left), left.right)
-    return None
-
-
-def _simplify_entity(e: EntityTerm) -> EntityTerm:
-    if isinstance(e, SelOf):
-        canonical = env_from_entries(env_entries(e.env))
-        return SelOf(canonical, e.site_id)
-    return e
+    done: list[Formula] = []
+    work: list = [(_VISIT, f)]
+    while work:
+        op, arg = work.pop()
+        if op is _VISIT:
+            kind = type(arg)
+            if kind is Not:
+                if type(arg.body) is Not:           # double negation
+                    work.append((_VISIT, arg.body.body))
+                else:
+                    work += ((Not, None), (_VISIT, arg.body))
+            elif kind is And or kind is Or:
+                work += ((kind, None), (_VISIT, arg.right), (_VISIT, arg.left))
+            elif kind is Exists:
+                work += ((Exists, arg.var), (_VISIT, arg.body))
+            elif kind is Atom and any(type(a) is SelOf for a in arg.args):
+                done.append(Atom(arg.pred, tuple(
+                    SelOf(env_from_entries(env_entries(a.env)), a.site_id)
+                    if type(a) is SelOf else a for a in arg.args)))
+            else:
+                done.append(arg)
+        elif op is _PUSH:
+            done.append(arg)
+        elif op is Not:
+            body = done.pop()
+            kind = type(body)
+            if kind is And or kind is Or:           # De Morgan
+                work += ((Or if kind is And else And, None),
+                         (Not, None), (_PUSH, body.right),
+                         (Not, None), (_PUSH, body.left))
+            else:
+                done.append(Bot() if kind is Top else Top() if kind is Bot
+                            else body.body if kind is Not else Not(body))
+        elif op is Exists:
+            body = done.pop()
+            kind = type(body)
+            if kind is not And and kind is not Or:
+                done.append(Exists(arg, body))
+            elif arg not in free_vars(body.right):
+                work += ((kind, None), (_PUSH, body.right),
+                         (Exists, arg), (_PUSH, body.left))
+            elif arg not in free_vars(body.left):
+                work += ((kind, None), (Exists, arg),
+                         (_PUSH, body.right), (_PUSH, body.left))
+            else:
+                done.append(Exists(arg, body))
+        else:                                       # And or Or
+            right = done.pop()
+            left = done.pop()
+            unit, zero = (Top, Bot) if op is And else (Bot, Top)
+            kind = type(left)
+            if kind is unit:
+                done.append(right)
+            elif type(right) is unit:
+                done.append(left)
+            elif kind is zero or type(right) is zero:
+                done.append(zero())
+            elif (op is And and kind is type(right) and (kind is And or kind is Or)
+                  and alpha_eq(left.right, right.right)):
+                # (A op K) and (B op K) == (A and B) op K when the two tails
+                # agree up to bound renaming and selection site ids.
+                work += ((kind, None), (_PUSH, left.right), (And, None),
+                         (_PUSH, right.left), (_PUSH, left.left))
+            else:
+                done.append(op(left, right))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +525,6 @@ def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
 
 
 def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
-    def fm(g):
-        if isinstance(g, Not):
-            return Not(fm(g.body))
-        if isinstance(g, (And, Or)):
-            return type(g)(fm(g.left), fm(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, fm(g.body))
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(ent(a) for a in g.args))
-        return g
-
     def ent(a):
         if isinstance(a, SelOf):
             key = env_entries(a.env)
@@ -506,23 +533,16 @@ def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
             return EntConst(frozen[key])
         return a
 
-    return fm(f)
+    return map_atoms(f, lambda g: Atom(g.pred, tuple(ent(a) for a in g.args)))
 
 
 def _signature(f, preds, consts, atoms):
-    if isinstance(f, Not):
-        _signature(f.body, preds, consts, atoms)
-    elif isinstance(f, (And, Or)):
-        _signature(f.left, preds, consts, atoms)
-        _signature(f.right, preds, consts, atoms)
-    elif isinstance(f, Exists):
-        _signature(f.body, preds, consts, atoms)
-    elif isinstance(f, Atom):
-        arity = len(f.args)
-        if preds.setdefault(f.pred, arity) != arity:
-            raise ValueError(f"predicate {f.pred!r} used at inconsistent arities")
-        atoms.add((f.pred, f.args))
-        for a in f.args:
+    for g in iter_atoms(f):
+        arity = len(g.args)
+        if preds.setdefault(g.pred, arity) != arity:
+            raise ValueError(f"predicate {g.pred!r} used at inconsistent arities")
+        atoms.add((g.pred, g.args))
+        for a in g.args:
             if isinstance(a, EntConst):
                 consts.add(a.name)
             elif isinstance(a, SelOf):

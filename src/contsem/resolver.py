@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 from .errors import ContsemError
 from .logic import (
-    And, Atom, EntityTerm, EnvExpr, Exists, Formula, Not, Or, SelOf,
-    entity_text, env_entries, env_text,
+    Atom, EntityTerm, EnvExpr, Formula, SelOf, entity_text, env_entries,
+    env_text, iter_atoms, map_atoms,
 )
 
 
@@ -31,22 +31,7 @@ def eval_env(env: EnvExpr) -> list[EntityTerm]:
 
 def report(f: Formula) -> list[AccessReport]:
     """One AccessReport per selection site, in site id order."""
-    sites: list[SelOf] = []
-
-    def walk(g):
-        if isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Exists):
-            walk(g.body)
-        elif isinstance(g, Atom):
-            for a in g.args:
-                if isinstance(a, SelOf):
-                    sites.append(a)
-
-    walk(f)
+    sites = [a for g in iter_atoms(f) for a in g.args if isinstance(a, SelOf)]
     sites.sort(key=lambda s: s.site_id)
     return [AccessReport(s.site_id, s.env, env_entries(s.env)) for s in sites]
 
@@ -62,26 +47,18 @@ def resolve(f: Formula, strategy: str) -> Formula:
     if strategy != "recency":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def walk(g):
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(pick(a) for a in g.args))
-        return g
+    # Sites are picked left to right, so an empty environment is reported
+    # at the first one in reading order.
+    return map_atoms(f, lambda g: Atom(g.pred, tuple(_pick(a) for a in g.args)))
 
-    def pick(a):
-        if isinstance(a, SelOf):
-            candidates = env_entries(a.env)
-            if not candidates:
-                raise EmptyEnvironment(a.site_id)
-            return candidates[0]
-        return a
 
-    return walk(f)
+def _pick(a: EntityTerm) -> EntityTerm:
+    if isinstance(a, SelOf):
+        candidates = env_entries(a.env)
+        if not candidates:
+            raise EmptyEnvironment(a.site_id)
+        return candidates[0]
+    return a
 
 
 def report_line(r: AccessReport) -> str:

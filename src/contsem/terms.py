@@ -7,7 +7,7 @@ makes typechecking decidable without inference.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import ContsemError
 
@@ -220,8 +220,19 @@ def subst_consts(term: Term, mapping: dict[str, Term]) -> Term:
 
 
 def constants(term: Term) -> dict[str, SemType]:
-    """All constants occurring in the term, by name."""
-    return {t.name: t.ty for t in subterms(term) if isinstance(t, Const)}
+    """All constants occurring in the term, by name, in preorder of first
+    occurrence (a name used at two types keeps its last type)."""
+    out: dict[str, SemType] = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is App:
+            stack += (t.arg, t.fn)
+        elif type(t) is Lam:
+            stack.append(t.body)
+        elif type(t) is Const:
+            out[t.name] = t.ty
+    return out
 
 
 def is_closed(term: Term, depth: int = 0) -> bool:
@@ -395,16 +406,3 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     """With De Bruijn terms alpha-equivalence is structural equality,
     including binder type annotations."""
     return t1 == t2
-
-
-def subterms(term: Term) -> Iterator[Term]:
-    """All subterms, preorder."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        yield t
-        if isinstance(t, Lam):
-            stack.append(t.body)
-        elif isinstance(t, App):
-            stack.append(t.arg)
-            stack.append(t.fn)

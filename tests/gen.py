@@ -2,17 +2,20 @@
 suites, plus reference implementations the library is checked against: two
 substitution-based reducers (applicative order and normal order) for the
 normalization-by-evaluation normalizer, the recursive pretty-printer for
-`syntax.pretty`, and the recursive environment flattener for
-`logic.env_entries`."""
+`syntax.pretty`, the recursive environment flattener for
+`logic.env_entries`, and the fixed-point simplifier and recursive formula
+`alpha_eq` for `logic.simplify` and `logic.alpha_eq`."""
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator, Optional
 
 from contsem.discourse import CoordN, Leaf, Seq, SubN, parse_sentence_words
 from contsem.lexicon import Lexicon, Profile
 from contsem.logic import (
-    And, Atom, Bot, ConsE, EntConst, EntVar, EnvExpr, Exists, Formula, NilE, Not,
-    Or, Top,
+    And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar, EnvExpr, Exists,
+    Formula, NilE, Not, Or, SelOf, Top, UnionE, env_entries, env_from_entries,
 )
 from contsem.syntax import (
     _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _RESERVED, _UNION, _WORDLIKE,
@@ -36,6 +39,18 @@ GEN_SIG = {
 }
 
 _BASES = (E, T, G)
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """All subterms, preorder."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Lam):
+            stack.append(t.body)
+        elif isinstance(t, App):
+            stack += (t.arg, t.fn)
 
 
 def random_type(rng: random.Random, depth: int = 2) -> SemType:
@@ -186,6 +201,21 @@ def baseline_discourse(lex: Lexicon, profile: Profile, n: int):
     return tree
 
 
+def flat_discourse_text(profile: Profile, n: int) -> str:
+    """`baseline_discourse(lex, profile, n)` as a discourse file whose
+    expression is written flat, `s0 . s1 . s0 ...` with no parentheses (the
+    parser nests it to the left)."""
+    words = SENTENCES[profile][:3 if profile == Profile.B else 2]
+    lines = [f"profile {profile.value}"]
+    lines += [f"sentence s{i} = {w}" for i, w in enumerate(words)]
+    expr = ["s0"]
+    for i in range(1, n):
+        expr.append("." if profile != Profile.C else ".c" if i % 2 else ".s")
+        expr.append(f"s{i % len(words)}")
+    lines.append("discourse = " + " ".join(expr))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Rendering and environment references
 
@@ -305,3 +335,176 @@ def random_formula(rng: random.Random) -> Formula:
         return atom(vars_)
 
     return go(4, ())
+
+
+# ---------------------------------------------------------------------------
+# Simplification references
+
+def fixpoint_simplify(f: Formula) -> Formula:
+    """`logic.simplify` as it was before it became one bottom-up pass: a
+    recursive rewriting pass repeated until nothing changes, recomputing free
+    variables at every existential.  Limited by the recursion limit; kept as
+    the reference `simplify` must match exactly."""
+    for _ in range(1000):
+        nxt = _simplify_pass(f)
+        if nxt == f:
+            return f
+        f = nxt
+    raise RuntimeError("simplify failed to reach a fixed point")
+
+
+def _simplify_pass(f: Formula) -> Formula:
+    if isinstance(f, Not):
+        body = _simplify_pass(f.body)
+        if isinstance(body, Top):
+            return Bot()
+        if isinstance(body, Bot):
+            return Top()
+        if isinstance(body, Not):
+            return body.body
+        if isinstance(body, And):
+            return Or(Not(body.left), Not(body.right))
+        if isinstance(body, Or):
+            return And(Not(body.left), Not(body.right))
+        return Not(body)
+    if isinstance(f, And):
+        left = _simplify_pass(f.left)
+        right = _simplify_pass(f.right)
+        if isinstance(left, Top):
+            return right
+        if isinstance(right, Top):
+            return left
+        if isinstance(left, Bot) or isinstance(right, Bot):
+            return Bot()
+        fused = _fuse(left, right)
+        if fused is not None:
+            return fused
+        return And(left, right)
+    if isinstance(f, Or):
+        left = _simplify_pass(f.left)
+        right = _simplify_pass(f.right)
+        if isinstance(left, Bot):
+            return right
+        if isinstance(right, Bot):
+            return left
+        if isinstance(left, Top) or isinstance(right, Top):
+            return Top()
+        return Or(left, right)
+    if isinstance(f, Exists):
+        body = _simplify_pass(f.body)
+        if isinstance(body, (And, Or)):
+            ctor = type(body)
+            if f.var not in free_vars(body.right):
+                return ctor(Exists(f.var, body.left), body.right)
+            if f.var not in free_vars(body.left):
+                return ctor(body.left, Exists(f.var, body.right))
+        return Exists(f.var, body)
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(_simplify_entity(a) for a in f.args))
+    return f
+
+
+def _fuse(left: Formula, right: Formula) -> Optional[Formula]:
+    # (A op K) and (B op K) == (A and B) op K when the two tails agree up to
+    # bound renaming and selection site ids.
+    for ctor in (Or, And):
+        if isinstance(left, ctor) and isinstance(right, ctor):
+            if recursive_alpha_eq(left.right, right.right):
+                return ctor(And(left.left, right.left), left.right)
+    return None
+
+
+def _simplify_entity(e: EntityTerm) -> EntityTerm:
+    if isinstance(e, SelOf):
+        canonical = env_from_entries(env_entries(e.env))
+        return SelOf(canonical, e.site_id)
+    return e
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    if isinstance(f, (Top, Bot)):
+        return frozenset()
+    if isinstance(f, Not):
+        return free_vars(f.body)
+    if isinstance(f, (And, Or)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, Exists):
+        return free_vars(f.body) - {f.var}
+    return frozenset(itertools.chain.from_iterable(_ent_vars(a) for a in f.args))
+
+
+def _ent_vars(e: EntityTerm):
+    if isinstance(e, EntVar):
+        yield e.name
+    elif isinstance(e, SelOf):
+        yield from _env_vars(e.env)
+
+
+def _env_vars(env: EnvExpr):
+    if isinstance(env, ConsE):
+        yield from _ent_vars(env.head)
+        yield from _env_vars(env.tail)
+    elif isinstance(env, UnionE):
+        yield from _env_vars(env.left)
+        yield from _env_vars(env.right)
+
+
+def recursive_alpha_eq(f1: Formula, f2: Formula) -> bool:
+    """`logic.alpha_eq` as it was before it used an explicit stack."""
+    return _aeq(f1, f2, {})
+
+
+def _aeq(f1, f2, ren):
+    if type(f1) is not type(f2):
+        return False
+    if isinstance(f1, (Top, Bot)):
+        return True
+    if isinstance(f1, Not):
+        return _aeq(f1.body, f2.body, ren)
+    if isinstance(f1, (And, Or)):
+        return _aeq(f1.left, f2.left, ren) and _aeq(f1.right, f2.right, ren)
+    if isinstance(f1, Exists):
+        return _aeq(f1.body, f2.body, {**ren, f1.var: f2.var})
+    return f1.pred == f2.pred and len(f1.args) == len(f2.args) and all(
+        _ent_aeq(a, b, ren) for a, b in zip(f1.args, f2.args)
+    )
+
+
+def _ent_aeq(a, b, ren):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, EntConst):
+        return a.name == b.name
+    if isinstance(a, EntVar):
+        return ren.get(a.name, a.name) == b.name
+    return _env_aeq(a.env, b.env, ren)
+
+
+def _env_aeq(a, b, ren):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, NilE):
+        return True
+    if isinstance(a, ConsE):
+        return _ent_aeq(a.head, b.head, ren) and _env_aeq(a.tail, b.tail, ren)
+    return _env_aeq(a.left, b.left, ren) and _env_aeq(a.right, b.right, ren)
+
+
+def formula_preorder(f: Formula) -> list:
+    """The nodes of a formula in preorder, connectives reduced to their class
+    (and bound name); atoms are kept whole.  Two formulas are equal exactly
+    when these lists are, and building them does not recurse, so deep
+    formulas can be compared."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (And, Or)):
+            out.append(type(g))
+            stack += (g.right, g.left)
+        elif isinstance(g, (Not, Exists)):
+            out.append((type(g), getattr(g, "var", None)))
+            stack.append(g.body)
+        else:
+            out.append(g)
+    return out

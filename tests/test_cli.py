@@ -5,6 +5,9 @@ import pytest
 
 from contsem import cli
 from contsem.cli import main
+from contsem.lexicon import Profile
+
+from gen import flat_discourse_text
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 GOLDEN = SAMPLES / "golden"
@@ -113,6 +116,15 @@ def test_deeply_nested_term_is_pipeline_error(tmp_path, capsys):
     f.write_text("~ " * 3000 + "top")
     assert main(["run", str(f), "--mode", "term-eval"]) == 1
     assert "contsem: input nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.C])
+def test_flat_256_sentence_discourse_runs(profile, tmp_path, capsys):
+    f = tmp_path / "flat.dsc"
+    f.write_text(flat_discourse_text(profile, 256))
+    assert main(["run", str(f)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("sel#") for line in out) == 128   # one per `it`
 
 
 def test_deeply_nested_discourse_is_pipeline_error(tmp_path, capsys):

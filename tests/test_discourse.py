@@ -14,10 +14,10 @@ from contsem.resolver import report
 from contsem.syntax import parse_term
 from contsem.terms import (
     COORD, NIL, SENT_C, SUB,
-    Const, E, G, alpha_eq, app, arrow, normalize, subterms, typecheck,
+    Const, E, G, alpha_eq, app, arrow, normalize, typecheck,
 )
 
-from gen import random_closed_term
+from gen import random_closed_term, subterms
 
 LEX = default_lexicon()
 KC = "g>g>g"

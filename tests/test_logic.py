@@ -195,6 +195,26 @@ def test_formula_alpha_eq_renames_bound_vars():
     assert not alpha_eq(a, Exists("z", Atom("p", (EntConst("z"),))))
 
 
+def _binder_chain(names, depth, last_ref=None):
+    """Ex n0. (q n0 & Ex n1. (q2 n1 n0 & ...)), built without recursing; the
+    innermost atom refers to `last_ref` (default: the enclosing binder)."""
+    ref = names[depth - 2] if last_ref is None else last_ref
+    f = Exists(names[depth - 1], Atom("q2", (EntVar(names[depth - 1]), EntVar(ref))))
+    for i in reversed(range(1, depth - 1)):
+        f = Exists(names[i], And(Atom("q2", (EntVar(names[i]), EntVar(names[i - 1]))), f))
+    return Exists(names[0], And(Atom("q", (EntVar(names[0]),)), f))
+
+
+def test_formula_alpha_eq_on_deep_chains():
+    depth = 10_000
+    xs = [f"x{i}" for i in range(depth)]
+    ys = [f"y{i}" for i in range(depth)]
+    assert alpha_eq(_binder_chain(xs, depth), _binder_chain(ys, depth))
+    # The innermost reference skips a binder on one side only.
+    assert not alpha_eq(_binder_chain(xs, depth),
+                        _binder_chain(ys, depth, last_ref=ys[depth - 3]))
+
+
 # ---------------------------------------------------------------------------
 # logically_equiv
 

@@ -15,12 +15,12 @@ from contsem.discourse import (
 from contsem.lexicon import Profile, default_lexicon
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (
-    NOT, TOP, App, E, Lam, Var, app, constants, normalize, subterms,
+    NOT, TOP, App, E, Lam, Var, app, constants, normalize,
 )
 
 from gen import (
     baseline_discourse, random_closed_term, random_discourse, random_term,
-    random_type, recursive_pretty,
+    random_type, recursive_pretty, subterms,
 )
 
 LEX = default_lexicon()

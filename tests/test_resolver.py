@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 from contsem.discourse import Det, Leaf, ProperN, Pron, Sentence, Seq, Verb, CopulaAdj, interpret
 from contsem.lexicon import Category, Profile, default_lexicon, make_entry
 from contsem.logic import (
-    And, Atom, ConsE, EntConst, EntVar, Exists, NilE, Not, SelOf, UnionE,
+    And, Atom, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, UnionE,
 )
 from contsem.resolver import (
     AccessReport, EmptyEnvironment, eval_env, report, report_line, resolve,
 )
+
+from gen import formula_preorder
 
 J = EntConst("j")
 Y = EntVar("y")
@@ -19,6 +21,45 @@ def cons(*entries):
     for e in reversed(entries):
         env = ConsE(e, env)
     return env
+
+
+def _deep_formula(n, empty=()):
+    """n atoms `red(sel(...))` under a cycle of &, ~, |, Ex, site ids counting
+    down in reading order; the sites at the reading positions in `empty`
+    have no referents.  Returns the formula and, when nothing is empty, its
+    recency resolution; both built without recursing."""
+    def atoms(i):
+        env = NilE() if i in empty else cons(J)
+        return Atom("red", (SelOf(env, n - 1 - i),)), Atom("red", (J,))
+
+    f, g = atoms(n - 1)
+    for i in reversed(range(n - 1)):
+        a, b = atoms(i)
+        step = i % 4
+        if step == 0:
+            f, g = And(a, f), And(b, g)
+        elif step == 1:
+            f, g = Or(a, Not(f)), Or(b, Not(g))
+        else:
+            f, g = Exists("y", And(a, f)), Exists("y", And(b, g))
+    return f, g
+
+
+def test_report_and_resolve_on_deep_formula():
+    n = 10_000
+    f, resolved = _deep_formula(n)
+    reports = report(f)
+    assert [r.site_id for r in reports] == list(range(n))
+    assert all(r.candidates == (J,) for r in reports)
+    assert formula_preorder(resolve(f, "recency")) == formula_preorder(resolved)
+
+
+def test_resolve_reports_first_empty_site_in_reading_order():
+    n = 10_000
+    f, _ = _deep_formula(n, empty=(5000, 7000))
+    with pytest.raises(EmptyEnvironment) as info:
+        resolve(f, "recency")
+    assert info.value.site_id == n - 1 - 5000
 
 
 def test_eval_union_with_nil():

@@ -6,12 +6,12 @@ from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
     StepBudgetExceeded, TypeMismatch, UnboundVariable,
-    alpha_eq, app, arrow, is_closed, normalize, reduce_once, size, trace,
-    typecheck, type_text,
+    alpha_eq, app, arrow, constants, is_closed, normalize, reduce_once, size,
+    trace, typecheck, type_text,
 )
 from contsem.syntax import parse_term
 
-from gen import GEN_SIG, applicative_normalize, random_closed_term
+from gen import GEN_SIG, applicative_normalize, random_closed_term, subterms
 
 J = Const("j", E)
 
@@ -165,3 +165,11 @@ def test_alpha_eq_is_an_equivalence_on_generated_terms():
 def test_app_helper_left_associates():
     f = GEN_SIG["q2"]
     assert app(f, J, J) == App(App(f, J), J)
+
+
+def test_constants_in_preorder_of_first_occurrence():
+    rng = random.Random(4)
+    for _ in range(1000):
+        t = random_closed_term(rng)
+        expected = {s.name: s.ty for s in subterms(t) if isinstance(s, Const)}
+        assert list(constants(t).items()) == list(expected.items())
