@@ -24,10 +24,10 @@ def cons(*entries):
 
 
 def _deep_formula(n, empty=()):
-    """n atoms `red(sel(...))` under a cycle of &, ~, |, Ex, site ids counting
-    down in reading order; the sites at the reading positions in `empty`
-    have no referents.  Returns the formula and, when nothing is empty, its
-    recency resolution; both built without recursing."""
+    """n atoms `red(sel(...))` nested in turn under `&`, `| ~` and two
+    `Ex`, site ids counting down in reading order; the sites at the reading
+    positions in `empty` have no referents.  Returns the formula and, when
+    nothing is empty, its recency resolution; both built without recursing."""
     def atoms(i):
         env = NilE() if i in empty else cons(J)
         return Atom("red", (SelOf(env, n - 1 - i),)), Atom("red", (J,))
