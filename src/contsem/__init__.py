@@ -22,10 +22,10 @@ from .lexicon import (
     default_lexicon, load_word_file, make_entry, negation_variant,
 )
 from .discourse import (
-    CopulaAdj, CoordN, Det, DiscourseTree, InitialArgs, Leaf, Pron, ProperN,
-    Seq, Sentence, SubN, SymLeaf, Verb,
+    CopulaAdj, CoordN, Det, DiscourseTree, InitialArgs, Interpretation, Leaf,
+    Pron, ProperN, Seq, Sentence, SubN, SymLeaf, Verb,
     build_sentence, compose, default_initial_args, expand_symbolic,
-    interpret, parse_discourse, parse_sentence_words,
+    interpret, parse_discourse, parse_sentence_words, run_pipeline,
 )
 from .resolver import AccessReport, eval_env, report, report_line, resolve
 

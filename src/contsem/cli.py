@@ -16,34 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import ContsemError, DepthLimitExceeded
 from . import terms as tm
 from .discourse import (
-    InitialArgs, compose, default_initial_args, has_symbolic_leaves,
-    parse_discourse,
+    InitialArgs, default_initial_args, has_symbolic_leaves, parse_discourse,
+    run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import entity_json, env_json, formula_json, formula_text, reify, simplify
+from .logic import entity_json, env_json, formula_json, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
-from .terms import app, normalize, trace, typecheck
-
-
-@dataclass
-class RunConfig:
-    input: Path
-    profile: Optional[Profile] = None
-    mode: str = "interpret"            # interpret | symbolic-expand | term-eval
-    resolve_strategy: str = "symbolic"  # symbolic | recency
-    show_raw: bool = True
-    trace: bool = False
-    max_steps: int = 100_000
-    output: str = "text"               # text | json
-    connective: str = "and"            # initial connective, profile B only
+from .terms import normalize, trace, typecheck
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the pipeline on a discourse file")
-    run.add_argument("file", type=Path)
+    run.add_argument("input", type=Path, metavar="file")
     run.add_argument("--profile", choices=["A", "B", "C"])
     run.add_argument("--mode", choices=["interpret", "symbolic-expand", "term-eval"],
                      default="interpret")
@@ -84,30 +70,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(
-        input=ns.file,
-        profile=Profile(ns.profile) if ns.profile else None,
-        mode="symbolic-expand" if ns.symbolic else ns.mode,
-        resolve_strategy=ns.resolve_strategy,
-        show_raw=ns.show_raw,
-        trace=ns.trace,
-        max_steps=ns.max_steps,
-        output=ns.output,
-        connective=ns.connective,
-    )
-    return run(config)
+    if ns.symbolic:
+        ns.mode = "symbolic-expand"
+    return run(ns)
 
 
-def run(config: RunConfig) -> int:
-    if not config.input.exists():
-        print(f"contsem: no such file: {config.input}", file=sys.stderr)
+def run(ns: argparse.Namespace) -> int:
+    if not ns.input.exists():
+        print(f"contsem: no such file: {ns.input}", file=sys.stderr)
         print("usage: contsem run <file> [options]", file=sys.stderr)
         return 2
     try:
-        text = config.input.read_text()
-        if config.mode == "term-eval":
-            return _run_term(config, text)
-        return _run_discourse(config, text)
+        text = ns.input.read_text()
+        if ns.mode == "term-eval":
+            return _run_term(ns, text)
+        return _run_discourse(ns, text)
     except (ContsemError, RecursionError) as exc:
         if isinstance(exc, RecursionError):
             exc = DepthLimitExceeded()
@@ -115,8 +92,8 @@ def run(config: RunConfig) -> int:
         return 1
 
 
-def _emit(config: RunConfig, lines: list[str], doc: dict) -> int:
-    if config.output == "json":
+def _emit(ns: argparse.Namespace, lines: list[str], doc: dict) -> int:
+    if ns.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         for line in lines:
@@ -132,61 +109,51 @@ def _trace_lines(term, max_steps):
     return out
 
 
-def _run_discourse(config: RunConfig, text: str) -> int:
+def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     lexicon = default_lexicon()
     parsed = parse_discourse(text, lexicon)
-    profile = config.profile or parsed.profile
+    profile = Profile(ns.profile) if ns.profile else parsed.profile
     if profile is None:
         print("contsem: no profile given (add a `profile` line or --profile)",
               file=sys.stderr)
         return 2
-    mode = config.mode
-    if mode == "interpret" and parsed.symbolic and has_symbolic_leaves(parsed.tree):
-        mode = "symbolic-expand"
-    if mode == "symbolic-expand" and profile != Profile.C:
+    symbolic = ns.mode == "symbolic-expand" or (
+        ns.mode == "interpret" and parsed.symbolic
+        and has_symbolic_leaves(parsed.tree))
+    if symbolic and profile != Profile.C:
         print("contsem: symbolic expansion requires profile C", file=sys.stderr)
         return 2
 
-    composed = compose(parsed.tree, lexicon, profile)
-    composed_text = pretty(composed)
+    init = None if symbolic else default_initial_args(profile)
+    if profile == Profile.B and ns.connective == "or":
+        init = InitialArgs(profile, (tm.OR,) + init.args[1:])
+    result = run_pipeline(parsed.tree, lexicon, profile, init, ns.max_steps)
+    composed_text, normal_text = pretty(result.composed), pretty(result.normal)
     lines = [f"composed: {composed_text}"]
-    json_out = config.output == "json"
+    if ns.trace:
+        lines.extend(_trace_lines(result.composed if symbolic else result.applied,
+                                  ns.max_steps))
+    lines.append(f"{'expanded' if symbolic else 'normal'}: {normal_text}")
+    json_out = ns.output == "json"
     doc: dict = {
         "profile": profile.value,
         "composed_term": composed_text,
-        "normal_form": None,
+        "normal_form": normal_text,
         "raw_formula": None,
         "simplified_formula": None,
         "access_reports": [],
         "resolved_formula": None,
     }
-
-    if mode == "symbolic-expand":
-        expanded = normalize(composed, config.max_steps)
-        if config.trace:
-            lines.extend(_trace_lines(composed, config.max_steps))
-        doc["normal_form"] = pretty(expanded)
-        lines.append(f"expanded: {doc['normal_form']}")
-        return _emit(config, lines, doc)
-
-    init = default_initial_args(profile)
-    if profile == Profile.B and config.connective == "or":
-        init = InitialArgs(profile, (tm.OR,) + init.args[1:])
-    applied = app(composed, *init.args)
-    if config.trace:
-        lines.extend(_trace_lines(applied, config.max_steps))
-    nf = normalize(applied, config.max_steps)
-    doc["normal_form"] = pretty(nf)
-    lines.append(f"normal: {doc['normal_form']}")
+    if symbolic:
+        return _emit(ns, lines, doc)
 
     def formula_doc(f, text):
         return {"text": text, "tree": formula_json(f)} if json_out else None
 
-    raw = reify(nf)
-    simplified = simplify(raw)
-    if config.show_raw or json_out:
+    raw, simplified = result.raw, result.simplified
+    if ns.show_raw or json_out:
         raw_text = formula_text(raw)
-        if config.show_raw:
+        if ns.show_raw:
             lines.append(f"raw: {raw_text}")
         doc["raw_formula"] = formula_doc(raw, raw_text)
     simplified_text = formula_text(simplified)
@@ -204,25 +171,25 @@ def _run_discourse(config: RunConfig, text: str) -> int:
             for r in reports
         ]
 
-    if config.resolve_strategy == "recency":
+    if ns.resolve_strategy == "recency":
         resolved = resolve(simplified, "recency")
         resolved_text = formula_text(resolved)
         lines.append(f"resolved: {resolved_text}")
         doc["resolved_formula"] = formula_doc(resolved, resolved_text)
-    return _emit(config, lines, doc)
+    return _emit(ns, lines, doc)
 
 
-def _run_term(config: RunConfig, text: str) -> int:
+def _run_term(ns: argparse.Namespace, text: str) -> int:
     lexicon = default_lexicon()
     term = parse_term(text.strip(), lexicon.signature())
     ty = typecheck(term)
     doc = {"term": pretty(term), "type": tm.type_text(ty), "normal_form": None}
     lines = [f"term: {doc['term']}", f"type: {doc['type']}"]
-    if config.trace:
-        lines.extend(_trace_lines(term, config.max_steps))
-    doc["normal_form"] = pretty(normalize(term, config.max_steps))
+    if ns.trace:
+        lines.extend(_trace_lines(term, ns.max_steps))
+    doc["normal_form"] = pretty(normalize(term, ns.max_steps))
     lines.append(f"normal: {doc['normal_form']}")
-    return _emit(config, lines, doc)
+    return _emit(ns, lines, doc)
 
 
 if __name__ == "__main__":

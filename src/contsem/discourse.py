@@ -111,44 +111,57 @@ class DiscourseError(ContsemError):
 # ---------------------------------------------------------------------------
 # Sentence interpretation
 
+def _require(found: Category, word: str, wanted: Category) -> None:
+    """The category check that makes a built sentence well typed."""
+    if found != wanted:
+        raise ArityMismatch(f"{word!r} has category {found.value}, not {wanted.value}")
+
+
 def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
     """Closed term of the profile's sentence type for one sentence."""
     if profile == Profile.C:
         return _build_leaf_c(ast, lexicon)
     np_ty = tm.arrow(tm.arrow(tm.E, profile.sentence_type), profile.sentence_type)
 
+    def entry(word: str, category: Category) -> Term:
+        found = lexicon.lex_entry(word, profile)
+        _require(found.category, word, category)
+        return found.term
+
     def np_term(np: NP) -> Term:
-        if isinstance(np, ProperN) or isinstance(np, Pron):
-            return lexicon.entry(np.word, profile)
-        return app(lexicon.entry(np.word, profile),
-                   lexicon.entry(np.noun, profile))
+        if isinstance(np, ProperN):
+            return entry(np.word, Category.PROPER_NOUN)
+        if isinstance(np, Pron):
+            return entry(np.word, Category.PRONOUN)
+        return app(entry(np.word, Category.DETERMINER),
+                   entry(np.noun, Category.COMMON_NOUN))
 
     subject = np_term(ast.subject)
     if isinstance(ast.predicate, CopulaAdj):
         if ast.negated:
             raise ArityMismatch("the copula cannot be negated")
-        return app(lexicon.entry("is", profile),
-                   lexicon.entry(ast.predicate.word, profile), subject)
+        return app(entry("is", Category.COPULA),
+                   entry(ast.predicate.word, Category.ADJECTIVE), subject)
 
     category = lexicon.category(ast.predicate.word)
     if category == Category.TRANSITIVE_VERB:
         if ast.predicate.obj is None:
             raise ArityMismatch(
                 f"transitive verb {ast.predicate.word!r} needs an object")
-        vp_applied = app(lexicon.entry(ast.predicate.word, profile),
+        vp_applied = app(entry(ast.predicate.word, category),
                          np_term(ast.predicate.obj))
     elif category == Category.INTRANSITIVE_VERB:
         if ast.predicate.obj is not None:
             raise ArityMismatch(
                 f"intransitive verb {ast.predicate.word!r} takes no object")
-        vp_applied = lexicon.entry(ast.predicate.word, profile)
+        vp_applied = entry(ast.predicate.word, category)
     else:
         raise ArityMismatch(f"{ast.predicate.word!r} is not a verb")
 
     if ast.negated:
         # (doesn't VP) S: the negation takes the verb phrase, then the subject.
         vp = Lam(np_ty, App(vp_applied, Var(0)))
-        return app(lexicon.entry("doesnt", profile), vp, subject)
+        return app(entry("doesnt", Category.NEGATION_AUX), vp, subject)
     return app(vp_applied, subject)
 
 
@@ -172,15 +185,14 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon) -> Term:
     def np_entity(np: NP):
         nonlocal ex_count
         if isinstance(np, ProperN):
-            if lexicon.category(np.word) != Category.PROPER_NOUN:
-                raise ArityMismatch(f"{np.word!r} is not a proper noun")
+            _require(lexicon.category(np.word), np.word, Category.PROPER_NOUN)
             const = Const(lexicon.symbol(np.word), tm.E)
             ref = lambda k, c=const: c
             refs.append(ref)
             return ref
         if isinstance(np, Det):
-            if lexicon.category(np.noun) != Category.COMMON_NOUN:
-                raise ArityMismatch(f"{np.noun!r} is not a noun")
+            _require(lexicon.category(np.word), np.word, Category.DETERMINER)
+            _require(lexicon.category(np.noun), np.noun, Category.COMMON_NOUN)
             slot = ex_count
             ex_count += 1
             # with k binders total, the slot-th introduced var has index k-1-slot
@@ -195,8 +207,8 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon) -> Term:
 
     subject = np_entity(ast.subject)
     if isinstance(ast.predicate, CopulaAdj):
-        if lexicon.category(ast.predicate.word) != Category.ADJECTIVE:
-            raise ArityMismatch(f"{ast.predicate.word!r} is not an adjective")
+        _require(lexicon.category(ast.predicate.word), ast.predicate.word,
+                 Category.ADJECTIVE)
         pred = lexicon.symbol(ast.predicate.word)
         main = lambda k: App(Const(pred, tm.arrow(tm.E, tm.T)), subject(k))
     else:
@@ -285,20 +297,18 @@ def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
                         {"LHS_": left, "RHS_": right})
 
 
+def _leaves(tree: DiscourseTree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Leaf, SymLeaf)):
+            yield node
+        else:
+            stack += (node.right, node.left)
+
+
 def has_symbolic_leaves(tree: DiscourseTree) -> bool:
-    if isinstance(tree, SymLeaf):
-        return True
-    if isinstance(tree, Leaf):
-        return False
-    return has_symbolic_leaves(tree.left) or has_symbolic_leaves(tree.right)
-
-
-def _all_symbolic(tree: DiscourseTree) -> bool:
-    if isinstance(tree, SymLeaf):
-        return True
-    if isinstance(tree, Leaf):
-        return False
-    return _all_symbolic(tree.left) and _all_symbolic(tree.right)
+    return any(isinstance(leaf, SymLeaf) for leaf in _leaves(tree))
 
 
 def expand_symbolic(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
@@ -310,9 +320,9 @@ def expand_symbolic(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
     """
     if profile != Profile.C:
         raise ProfileMismatch("symbolic expansion", profile)
-    if not _all_symbolic(tree):
+    if not all(isinstance(leaf, SymLeaf) for leaf in _leaves(tree)):
         raise ProfileMismatch("symbolic expansion of concrete sentences", profile)
-    return normalize(compose(tree, lexicon or default_lexicon(), profile))
+    return run_pipeline(tree, lexicon or default_lexicon(), profile, None).normal
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +334,21 @@ class InitialArgs:
     args: tuple[Term, ...]
 
     def __post_init__(self):
-        expected = _initial_types(self.profile)
+        expected = []                 # the sentence type's domains, down to t
+        ty = self.profile.sentence_type
+        while isinstance(ty, tm.Arrow):
+            expected.append(ty.dom)
+            ty = ty.cod
         if len(self.args) != len(expected):
-            raise ValueError(
+            raise DiscourseError(
                 f"profile {self.profile.value} takes {len(expected)} initial "
                 f"arguments, got {len(self.args)}")
         for i, (arg, ty) in enumerate(zip(self.args, expected)):
             found = typecheck(arg)
             if found != ty:
-                raise ValueError(
+                raise DiscourseError(
                     f"initial argument {i} must have type {tm.type_text(ty)}, "
                     f"found {tm.type_text(found)}")
-
-
-def _initial_types(profile: Profile) -> tuple:
-    if profile == Profile.A:
-        return (tm.G, tm.CONT_A)
-    if profile == Profile.B:
-        return (tm.KAPPA_B, tm.G, tm.G, tm.CONT_B)
-    return (tm.KAPPA_C, tm.G, tm.G, tm.CONT_C)
 
 
 # Empty continuations: profile A always returns truth; profile B returns
@@ -366,26 +372,47 @@ def default_initial_args(profile: Profile) -> InitialArgs:
 # ---------------------------------------------------------------------------
 # Full pipeline
 
+@dataclass(frozen=True)
+class Interpretation:
+    """Every artifact of one pipeline run; in symbolic expansion only
+    `composed` and its normal form `normal` are set."""
+    composed: Term
+    applied: Optional[Term]
+    normal: Term
+    raw: Optional[Formula]
+    simplified: Optional[Formula]
+
+
+def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
+                 init: Optional[InitialArgs],
+                 max_steps: int = 100_000) -> Interpretation:
+    """Compose, apply `init`, normalize, reify and simplify; with init=None,
+    compose and normalize only (symbolic expansion).  The applied term has
+    type t by construction: Lexicon typechecks its entries, build_sentence
+    checks word categories and InitialArgs checks the initial arguments."""
+    if init is not None and init.profile != profile:
+        raise DiscourseError("initial arguments built for a different profile")
+    composed = compose(tree, lexicon, profile)
+    if init is None:
+        return Interpretation(composed, None, normalize(composed, max_steps),
+                              None, None)
+    applied = app(composed, *init.args)
+    normal = normalize(applied, max_steps)
+    raw = reify(normal)
+    return Interpretation(composed, applied, normal, raw, simplify(raw))
+
+
 def interpret(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
               profile: Profile = Profile.B,
               init: Optional[InitialArgs] = None,
               max_steps: int = 100_000) -> tuple[Formula, Formula]:
-    """Compose, apply the initial arguments, normalize, reify, simplify.
-
-    Returns (raw, simplified) formulas.
-    """
+    """The (raw, simplified) formulas of a concrete discourse, run from
+    `init`, by default the profile's empty initial arguments."""
     if has_symbolic_leaves(tree):
         raise DiscourseError("cannot interpret a discourse with symbolic leaves")
-    lexicon = lexicon or default_lexicon()
-    init = init or default_initial_args(profile)
-    if init.profile != profile:
-        raise ValueError("initial arguments built for a different profile")
-    composed = compose(tree, lexicon, profile)
-    applied = app(composed, *init.args)
-    if typecheck(applied) != tm.T:
-        raise TypeError("interpretation did not produce a proposition")
-    raw = reify(normalize(applied, max_steps))
-    return raw, simplify(raw)
+    result = run_pipeline(tree, lexicon or default_lexicon(), profile,
+                          init or default_initial_args(profile), max_steps)
+    return result.raw, result.simplified
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from .errors import ContsemError
 from .syntax import parse_term
 from .terms import (
-    E, T, SemType, Term, arrow,
+    E, T, SemType, Term, TypeMismatch, arrow, typecheck,
     CONT_A, CONT_B, CONT_C, KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
 )
 
@@ -60,10 +60,11 @@ class Category(Enum):
 
 
 class UnknownWord(ContsemError):
-    def __init__(self, word: str, profile: Profile):
+    def __init__(self, word: str, profile: Optional[Profile] = None):
         self.word = word
         self.profile = profile
-        super().__init__(f"no entry for {word!r} in profile {profile.value}")
+        where = f" in profile {profile.value}" if profile else ""
+        super().__init__(f"no entry for {word!r}{where}")
 
 
 class UnsupportedCategory(ContsemError):
@@ -269,7 +270,7 @@ def _build_term(category: Category, profile: Profile, symbol: str,
 
 
 class Lexicon:
-    """Immutable store of entries plus the shared word registry."""
+    """Immutable store of typechecked entries plus the shared word registry."""
 
     def __init__(self, words: dict[str, tuple[Category, str]],
                  entries: dict[tuple[str, Profile], LexEntry],
@@ -277,6 +278,13 @@ class Lexicon:
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
+        for entry in self._entries.values():
+            expected = CATEGORY_TYPES.get(entry.profile, {}).get(entry.category)
+            if expected is None:
+                raise UnsupportedCategory(entry.category, entry.profile)
+            found = typecheck(entry.term)
+            if found != expected:
+                raise TypeMismatch(expected, found)
 
     def canonical(self, word: str) -> str:
         word = word.lower().replace("'", "")
@@ -288,21 +296,18 @@ class Lexicon:
     def category(self, word: str) -> Category:
         key = self.canonical(word)
         if key not in self._words:
-            raise UnknownWord(word, Profile.C)
+            raise UnknownWord(word)
         return self._words[key][0]
 
     def symbol(self, word: str) -> str:
         """Content constant for the word (entity name or predicate)."""
         key = self.canonical(word)
         if key not in self._words:
-            raise UnknownWord(word, Profile.C)
+            raise UnknownWord(word)
         return self._words[key][1]
 
     def entry(self, word: str, profile: Profile) -> Term:
-        key = (self.canonical(word), profile)
-        if key not in self._entries:
-            raise UnknownWord(word, profile)
-        return self._entries[key].term
+        return self.lex_entry(word, profile).term
 
     def lex_entry(self, word: str, profile: Profile) -> LexEntry:
         key = (self.canonical(word), profile)

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 from typing import Iterator, Optional
 
-from contsem.discourse import CoordN, Leaf, Seq, SubN, parse_sentence_words
+from contsem.discourse import (
+    CopulaAdj, CoordN, Det, Leaf, Seq, SubN, has_symbolic_leaves,
+    parse_discourse, parse_sentence_words,
+)
 from contsem.lexicon import Lexicon, Profile
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar, EnvExpr, Exists,
@@ -214,6 +218,51 @@ def flat_discourse_text(profile: Profile, n: int) -> str:
         expr.append(f"s{i % len(words)}")
     lines.append("discourse = " + " ".join(expr))
     return "\n".join(lines) + "\n"
+
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+
+
+def pipeline_cases(lex: Lexicon):
+    """(tree, profile) for every non-symbolic sample, then seeded random
+    discourses: A and C of 1 to 12 sentences, B of 1 to 4."""
+    for path in sorted(SAMPLES.glob("*.dsc")):
+        parsed = parse_discourse(path.read_text(), lex)
+        if not has_symbolic_leaves(parsed.tree):
+            yield parsed.tree, parsed.profile
+    rng = random.Random(7)
+    for profile, most in ((Profile.A, 12), (Profile.C, 12), (Profile.B, 4)):
+        for n in range(1, most + 1):
+            yield random_discourse(rng, lex, profile, n), profile
+
+
+def sentence_words(s) -> str:
+    """The words of a sentence AST, as `parse_sentence_words` reads them."""
+    def np(x):
+        return f"({x.word} {x.noun})" if isinstance(x, Det) else x.word
+    words = [np(s.subject)] + (["doesnt"] if s.negated else [])
+    if isinstance(s.predicate, CopulaAdj):
+        return " ".join(words + ["is", s.predicate.word])
+    obj = [np(s.predicate.obj)] if s.predicate.obj is not None else []
+    return " ".join(words + [s.predicate.word] + obj)
+
+
+def discourse_file(tree, profile: Profile) -> str:
+    """A discourse file for `tree`: one `sentence` line per leaf and the
+    expression fully parenthesized."""
+    sentences: list[str] = []
+
+    def expr(node) -> str:
+        if isinstance(node, Leaf):
+            sentences.append(sentence_words(node.sentence))
+            return f"s{len(sentences) - 1}"
+        op = {Seq: ".", CoordN: ".c", SubN: ".s"}[type(node)]
+        return f"({expr(node.left)} {op} {expr(node.right)})"
+
+    body = expr(tree)
+    lines = [f"profile {profile.value}"]
+    lines += [f"sentence s{i} = {w}" for i, w in enumerate(sentences)]
+    return "\n".join(lines + [f"discourse = {body}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------

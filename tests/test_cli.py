@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from contsem import cli
+from contsem import cli, discourse
 from contsem.cli import main
-from contsem.lexicon import Profile
+from contsem.discourse import default_initial_args, interpret
+from contsem.lexicon import Profile, default_lexicon
+from contsem.logic import formula_text
 
-from gen import flat_discourse_text
+from gen import discourse_file, flat_discourse_text, pipeline_cases
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 GOLDEN = SAMPLES / "golden"
@@ -192,3 +194,40 @@ def test_term_eval_renders_each_term_once(fmt, tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, "pretty")
     assert main(["run", str(f), "--mode", "term-eval", "--format", fmt]) == 0
     assert calls == {"pretty": 2}
+
+
+def test_library_and_cli_give_the_same_formulas(tmp_path, capsys):
+    lex = default_lexicon()
+    f = tmp_path / "d.dsc"
+    for tree, profile in pipeline_cases(lex):
+        f.write_text(discourse_file(tree, profile))
+        assert main(["run", str(f), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        raw, simplified = interpret(tree, lex, profile)
+        assert doc["raw_formula"]["text"] == formula_text(raw)
+        assert doc["simplified_formula"]["text"] == formula_text(simplified)
+
+
+def test_cli_runs_each_stage_once(monkeypatch, capsys):
+    """One discourse, one call of each stage (a stage's calls to itself,
+    such as compose's recursion, are not counted), and no typecheck beyond
+    the initial arguments'."""
+    init_args = list(default_initial_args(Profile.B).args)
+    calls = dict.fromkeys(["compose", "normalize", "reify", "simplify"], 0)
+    active = dict.fromkeys(calls, False)
+    for name in calls:
+        def counted(*args, _fn=getattr(discourse, name), _name=name):
+            calls[_name] += not active[_name]
+            outer, active[_name] = active[_name], True
+            try:
+                return _fn(*args)
+            finally:
+                active[_name] = outer
+        monkeypatch.setattr(discourse, name, counted)
+    typechecked = []
+    monkeypatch.setattr(discourse, "typecheck",
+                        lambda t, _fn=discourse.typecheck: typechecked.append(t) or _fn(t))
+    assert main(["run", str(SAMPLES / "doesnt_own_car.dsc")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "doesnt_own_car.out").read_text()
+    assert calls == dict.fromkeys(calls, 1)
+    assert typechecked == init_args

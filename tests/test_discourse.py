@@ -3,21 +3,22 @@ import random
 import pytest
 
 from contsem.discourse import (
-    ArityMismatch, CoordN, Det, DiscourseError, Leaf, ProfileMismatch, Pron,
-    ProperN, Sentence, Seq, SubN, SymLeaf, Verb, CopulaAdj,
-    build_sentence, compose, default_initial_args, expand_symbolic,
-    interpret, parse_discourse, parse_sentence_words,
+    ArityMismatch, CoordN, Det, DiscourseError, InitialArgs, Leaf,
+    ProfileMismatch, Pron, ProperN, Sentence, Seq, SubN, SymLeaf, Verb,
+    CopulaAdj, build_sentence, compose, default_initial_args, expand_symbolic,
+    has_symbolic_leaves, interpret, parse_discourse, parse_sentence_words,
+    run_pipeline,
 )
 from contsem.lexicon import Profile, UnknownWord, default_lexicon
 from contsem.logic import formula_text, logically_equiv
 from contsem.resolver import report
 from contsem.syntax import parse_term
 from contsem.terms import (
-    COORD, NIL, SENT_C, SUB,
+    AND, COORD, NIL, SENT_C, SUB, T,
     Const, E, G, alpha_eq, app, arrow, normalize, typecheck,
 )
 
-from gen import random_closed_term, subterms
+from gen import pipeline_cases, random_closed_term, subterms
 
 LEX = default_lexicon()
 KC = "g>g>g"
@@ -83,6 +84,17 @@ def test_unknown_word_propagates():
     ast = Sentence(ProperN("zorp"), Verb("own", Det("a", "car")), False)
     with pytest.raises(UnknownWord):
         build_sentence(ast, LEX, Profile.B)
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.B, Profile.C])
+@pytest.mark.parametrize("ast", [
+    Sentence(ProperN("car"), CopulaAdj("red")),
+    Sentence(ProperN("john"), CopulaAdj("car")),
+    Sentence(Det("john", "car"), CopulaAdj("red")),
+])
+def test_ill_categorized_words_are_rejected(ast, profile):
+    with pytest.raises(ArityMismatch):
+        build_sentence(ast, LEX, profile)
 
 
 def test_profile_c_rejects_negation():
@@ -158,6 +170,17 @@ def test_symbolic_expansions(key):
     assert alpha_eq(expand_symbolic(tree, LEX), expected)
 
 
+def test_leaf_walk_is_stack_safe():
+    concrete, symbolic = Leaf(S_RED), SymLeaf("s0")
+    for _ in range(5000):
+        concrete = Seq(concrete, Leaf(S_RED))
+        symbolic = CoordN(symbolic, SymLeaf("s1"))
+    assert not has_symbolic_leaves(concrete)
+    assert has_symbolic_leaves(Seq(concrete, SymLeaf("s1")))
+    with pytest.raises(ProfileMismatch):     # found before anything composes
+        expand_symbolic(CoordN(symbolic, Leaf(S_RED)), LEX)
+
+
 def test_expand_symbolic_requires_profile_c_and_symbolic_leaves():
     tree = CoordN(SymLeaf("s1"), SymLeaf("s2"))
     with pytest.raises(ProfileMismatch):
@@ -192,6 +215,31 @@ def test_interpret_profile_a_loves_woman():
 def test_interpret_rejects_symbolic_leaves():
     with pytest.raises(DiscourseError):
         interpret(Seq(SymLeaf("s1"), Leaf(S_RED)), LEX, Profile.B)
+
+
+@pytest.mark.parametrize("args", [
+    (AND, NIL, NIL),                                         # wrong arity
+    (AND, NIL, Const("j", E), default_initial_args(Profile.B).args[3]),  # wrong type
+])
+def test_initial_args_are_checked(args):
+    with pytest.raises(DiscourseError):
+        InitialArgs(Profile.B, args)
+
+
+def test_initial_args_of_another_profile_are_rejected():
+    tree = Seq(Leaf(S_POS), Leaf(S_RED))
+    with pytest.raises(DiscourseError):
+        interpret(tree, LEX, Profile.B, default_initial_args(Profile.A))
+    with pytest.raises(DiscourseError):
+        run_pipeline(tree, LEX, Profile.B, default_initial_args(Profile.C))
+
+
+def test_applied_term_is_a_proposition():
+    # The pipeline does not typecheck the applied term; the checks where
+    # input enters (entries, word categories, initial arguments) make it t.
+    for tree, profile in pipeline_cases(LEX):
+        result = run_pipeline(tree, LEX, profile, default_initial_args(profile))
+        assert typecheck(result.applied) == T
 
 
 def test_b_threading_positive_vs_negated():

@@ -1,15 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contsem.discourse import Leaf, ProperN, Sentence, Verb, interpret
 from contsem.lexicon import (
-    CATEGORY_TYPES, Category, Lexicon, Profile, UnknownWord,
+    CATEGORY_TYPES, Category, LexEntry, Lexicon, Profile, UnknownWord,
     UnsupportedCategory, default_lexicon, load_word_file, make_entry,
     negation_variant,
 )
 from contsem.syntax import parse_term
 from contsem.terms import (
-    App, Const, E, Lam, T, Var, alpha_eq, arrow, is_closed, subst_consts,
-    typecheck,
+    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, is_closed,
+    subst_consts, typecheck,
 )
 
 LEX = default_lexicon()
@@ -58,6 +59,27 @@ def test_unknown_word():
         LEX.entry("unicorn", Profile.B)
     with pytest.raises(UnknownWord):
         LEX.entry("mary", Profile.B)  # registry word without a B term
+
+
+def test_registry_miss_names_no_profile():
+    for lookup in (LEX.category, LEX.symbol):
+        with pytest.raises(UnknownWord) as exc:
+            lookup("frobs")
+        assert str(exc.value) == "no entry for 'frobs'"
+    with pytest.raises(UnknownWord) as exc:
+        interpret(Leaf(Sentence(ProperN("john"), Verb("frobs"))), LEX, Profile.A)
+    assert str(exc.value) == "no entry for 'frobs'"
+    # A registered word without a term in the profile still names it.
+    with pytest.raises(UnknownWord, match="in profile B"):
+        LEX.entry("mary", Profile.B)
+
+
+def test_lexicon_typechecks_entries_on_construction():
+    johns_term = LEX.entry("john", Profile.B)
+    with pytest.raises(TypeMismatch):
+        LEX.extended([LexEntry("car2", Category.COMMON_NOUN, Profile.B, johns_term)])
+    with pytest.raises(UnsupportedCategory):
+        LEX.extended([LexEntry("car2", Category.COMMON_NOUN, Profile.C, johns_term)])
 
 
 def test_make_entry_common_noun_shapes_like_car():
