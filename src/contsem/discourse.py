@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import ContsemError
 from . import terms as tm
 from .logic import Formula, reify, simplify
-from .lexicon import Category, Lexicon, Profile, default_lexicon
+from .lexicon import Category, Lexicon, Profile, content_type, default_lexicon
 from .syntax import parse_term
 from .terms import App, Const, Lam, Term, Var, app, normalize, subst_consts, typecheck
 
@@ -117,56 +117,85 @@ def _require(found: Category, word: str, wanted: Category) -> None:
         raise ArityMismatch(f"{word!r} has category {found.value}, not {wanted.value}")
 
 
+def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Category:
+    """Check a sentence's shape against the word registry, in reading order
+    (the copula `is` and the negation `doesnt` included), and return its
+    predicate's category.  In the profiles with stored entries (A, B) each
+    word must also have one, reported missing where the walk reaches it."""
+    stored = profile != Profile.C
+
+    def require(word: str, wanted: Category) -> None:
+        if stored:
+            lexicon.entry(word, profile)
+        _require(lexicon.category(word), word, wanted)
+
+    def check_np(np: NP) -> None:
+        if isinstance(np, ProperN):
+            require(np.word, Category.PROPER_NOUN)
+        elif isinstance(np, Pron):
+            require(np.word, Category.PRONOUN)
+        else:
+            require(np.word, Category.DETERMINER)
+            require(np.noun, Category.COMMON_NOUN)
+
+    check_np(ast.subject)
+    predicate = ast.predicate
+    if ast.negated:
+        if isinstance(predicate, CopulaAdj):
+            raise ArityMismatch("the copula cannot be negated")
+        if not stored:
+            raise ProfileMismatch("negation", profile)
+    if isinstance(predicate, CopulaAdj):
+        require("is", Category.COPULA)
+        require(predicate.word, Category.ADJECTIVE)
+        return Category.ADJECTIVE
+    category = lexicon.category(predicate.word)
+    transitive = category == Category.TRANSITIVE_VERB
+    if not transitive and category != Category.INTRANSITIVE_VERB:
+        raise ArityMismatch(f"{predicate.word!r} is not a verb")
+    if transitive == (predicate.obj is None):
+        raise ArityMismatch(
+            f"transitive verb {predicate.word!r} needs an object" if transitive
+            else f"intransitive verb {predicate.word!r} takes no object")
+    require(predicate.word, category)
+    if transitive:
+        check_np(predicate.obj)
+    if ast.negated:
+        require("doesnt", Category.NEGATION_AUX)
+    return category
+
+
 def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
     """Closed term of the profile's sentence type for one sentence."""
+    category = _check_sentence(ast, lexicon, profile)
     if profile == Profile.C:
-        return _build_leaf_c(ast, lexicon)
-    np_ty = tm.arrow(tm.arrow(tm.E, profile.sentence_type), profile.sentence_type)
+        return _build_leaf_c(ast, lexicon, category)
 
-    def entry(word: str, category: Category) -> Term:
-        found = lexicon.lex_entry(word, profile)
-        _require(found.category, word, category)
-        return found.term
+    def entry(word: str) -> Term:
+        return lexicon.entry(word, profile)
 
     def np_term(np: NP) -> Term:
-        if isinstance(np, ProperN):
-            return entry(np.word, Category.PROPER_NOUN)
-        if isinstance(np, Pron):
-            return entry(np.word, Category.PRONOUN)
-        return app(entry(np.word, Category.DETERMINER),
-                   entry(np.noun, Category.COMMON_NOUN))
+        if isinstance(np, Det):
+            return app(entry(np.word), entry(np.noun))
+        return entry(np.word)
 
     subject = np_term(ast.subject)
-    if isinstance(ast.predicate, CopulaAdj):
-        if ast.negated:
-            raise ArityMismatch("the copula cannot be negated")
-        return app(entry("is", Category.COPULA),
-                   entry(ast.predicate.word, Category.ADJECTIVE), subject)
-
-    category = lexicon.category(ast.predicate.word)
-    if category == Category.TRANSITIVE_VERB:
-        if ast.predicate.obj is None:
-            raise ArityMismatch(
-                f"transitive verb {ast.predicate.word!r} needs an object")
-        vp_applied = app(entry(ast.predicate.word, category),
-                         np_term(ast.predicate.obj))
-    elif category == Category.INTRANSITIVE_VERB:
-        if ast.predicate.obj is not None:
-            raise ArityMismatch(
-                f"intransitive verb {ast.predicate.word!r} takes no object")
-        vp_applied = entry(ast.predicate.word, category)
-    else:
-        raise ArityMismatch(f"{ast.predicate.word!r} is not a verb")
-
+    predicate = ast.predicate
+    if isinstance(predicate, CopulaAdj):
+        return app(entry("is"), entry(predicate.word), subject)
+    vp_applied = entry(predicate.word)
+    if predicate.obj is not None:
+        vp_applied = app(vp_applied, np_term(predicate.obj))
     if ast.negated:
         # (doesn't VP) S: the negation takes the verb phrase, then the subject.
+        np_ty = tm.arrow(tm.arrow(tm.E, profile.sentence_type), profile.sentence_type)
         vp = Lam(np_ty, App(vp_applied, Var(0)))
-        return app(entry("doesnt", Category.NEGATION_AUX), vp, subject)
+        return app(entry("doesnt"), vp, subject)
     return app(vp_applied, subject)
 
 
-def _build_leaf_c(ast: Sentence, lexicon: Lexicon) -> Term:
-    """Profile C leaf.
+def _build_leaf_c(ast: Sentence, lexicon: Lexicon, category: Category) -> Term:
+    """Profile C leaf of a checked sentence whose predicate has `category`.
 
     A leaf introducing referents r1..rk with proposition P becomes
         \\c e1 e2 phi. Ex r1..rk. P & phi c (rk::...::r1::nil) e2
@@ -175,65 +204,36 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon) -> Term:
     select from the inherited frontier plus the previous unit's referents,
     newest first: sel(e2 ++ e1).
     """
-    if ast.negated:
-        raise ProfileMismatch("negation", Profile.C)
-
     ex_count = 0          # existential binders, innermost = most recent
     refs: list = []       # entity term builders, in introduction order
-    restrictions: list = []
+    restrictions: list = []  # (noun constant, its variable's builder)
 
     def np_entity(np: NP):
         nonlocal ex_count
         if isinstance(np, ProperN):
-            _require(lexicon.category(np.word), np.word, Category.PROPER_NOUN)
-            const = Const(lexicon.symbol(np.word), tm.E)
-            ref = lambda k, c=const: c
-            refs.append(ref)
-            return ref
+            refs.append(lambda k, c=Const(lexicon.symbol(np.word), tm.E): c)
+            return refs[-1]
         if isinstance(np, Det):
-            _require(lexicon.category(np.word), np.word, Category.DETERMINER)
-            _require(lexicon.category(np.noun), np.noun, Category.COMMON_NOUN)
             slot = ex_count
             ex_count += 1
             # with k binders total, the slot-th introduced var has index k-1-slot
             var = lambda k, s=slot: Var(k - 1 - s)
-            pred = lexicon.symbol(np.noun)
-            restrictions.append(lambda k, p=pred, v=var:
-                                App(Const(p, tm.arrow(tm.E, tm.T)), v(k)))
+            noun = Const(lexicon.symbol(np.noun), tm.arrow(tm.E, tm.T))
+            restrictions.append((noun, var))
             refs.append(var)
             return var
         # Pronoun: sel over the accessible frontier, newest entries first.
         return lambda k: App(tm.SEL, app(tm.UNION, Var(k + 1), Var(k + 2)))
 
-    subject = np_entity(ast.subject)
-    if isinstance(ast.predicate, CopulaAdj):
-        _require(lexicon.category(ast.predicate.word), ast.predicate.word,
-                 Category.ADJECTIVE)
-        pred = lexicon.symbol(ast.predicate.word)
-        main = lambda k: App(Const(pred, tm.arrow(tm.E, tm.T)), subject(k))
-    else:
-        category = lexicon.category(ast.predicate.word)
-        pred = lexicon.symbol(ast.predicate.word)
-        if category == Category.TRANSITIVE_VERB:
-            if ast.predicate.obj is None:
-                raise ArityMismatch(
-                    f"transitive verb {ast.predicate.word!r} needs an object")
-            obj = np_entity(ast.predicate.obj)
-            main = lambda k: app(Const(pred, tm.arrow(tm.E, tm.E, tm.T)),
-                                 subject(k), obj(k))
-        elif category == Category.INTRANSITIVE_VERB:
-            if ast.predicate.obj is not None:
-                raise ArityMismatch(
-                    f"intransitive verb {ast.predicate.word!r} takes no object")
-            main = lambda k: App(Const(pred, tm.arrow(tm.E, tm.T)), subject(k))
-        else:
-            raise ArityMismatch(f"{ast.predicate.word!r} is not a verb")
+    entities = [np_entity(ast.subject)]
+    if isinstance(ast.predicate, Verb) and ast.predicate.obj is not None:
+        entities.append(np_entity(ast.predicate.obj))
+    pred = Const(lexicon.symbol(ast.predicate.word), content_type(category))
 
     k = ex_count
-    conjuncts = [r(k) for r in restrictions] + [main(k)]
-    prop = conjuncts[-1]
-    for c in reversed(conjuncts[:-1]):
-        prop = app(tm.AND, c, prop)
+    prop = app(pred, *(entity(k) for entity in entities))
+    for noun, var in reversed(restrictions):
+        prop = app(tm.AND, App(noun, var(k)), prop)
 
     own_env: Term = tm.NIL
     for ref in refs:
@@ -251,26 +251,28 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon) -> Term:
 # Composition
 
 _SEQ_A = r"\e:g. \phi:g>t. LHS_ e (\e':g. RHS_ e' phi)"
-_SEQ_B = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
-          r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ c' e1' e2' phi)")
-_COORD_C = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
-            r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ Coord e1' (c e1 e2) phi)")
-_SUB_C = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
-          r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ Sub e1' (c e1 e2) phi)")
+# Profiles B and C: the right unit's leading arguments are filled in per node.
+_CONNECTIVE = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
+               r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
+
+# Discourse node -> (its name in diagnostics, the profiles that have it, the
+# right unit's arguments before phi in the connective template).
+_NODES = {
+    Seq: ("plain sequencing (.)", (Profile.A, Profile.B), "c' e1' e2'"),
+    CoordN: ("coordination (.c)", (Profile.C,), "Coord e1' (c e1 e2)"),
+    SubN: ("subordination (.s)", (Profile.C,), "Sub e1' (c e1 e2)"),
+}
 
 
 @lru_cache(maxsize=None)
-def _binary_template(kind: str, profile: Profile) -> Term:
+def _binary_template(right: str, profile: Profile) -> Term:
     sent = profile.sentence_type
-    sig = {"LHS_": sent, "RHS_": sent}
-    if profile == Profile.A:
-        source = _SEQ_A
-    else:
-        k = tm.type_text(profile.connective_type)
-        phi = tm.type_text(profile.continuation_type)
-        base = {"seq": _SEQ_B, "coord": _COORD_C, "sub": _SUB_C}[kind]
-        source = base.format(K=f"({k})", PHI=f"({phi})")
-    return parse_term(source, sig)
+    source = _SEQ_A
+    if profile.connective_type is not None:
+        source = _CONNECTIVE.format(
+            K=f"({tm.type_text(profile.connective_type)})",
+            PHI=f"({tm.type_text(profile.continuation_type)})", RIGHT=right)
+    return parse_term(source, {"LHS_": sent, "RHS_": sent})
 
 
 def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
@@ -279,22 +281,13 @@ def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
         return build_sentence(tree.sentence, lexicon, profile)
     if isinstance(tree, SymLeaf):
         return Const(tree.name, profile.sentence_type)
-    if isinstance(tree, Seq):
-        if profile == Profile.C:
-            raise ProfileMismatch("plain sequencing (.)", profile)
-        kind = "seq"
-    elif isinstance(tree, CoordN):
-        if profile != Profile.C:
-            raise ProfileMismatch("coordination (.c)", profile)
-        kind = "coord"
-    else:
-        if profile != Profile.C:
-            raise ProfileMismatch("subordination (.s)", profile)
-        kind = "sub"
+    name, profiles, right = _NODES[type(tree)]
+    if profile not in profiles:
+        raise ProfileMismatch(name, profile)
     left = compose(tree.left, lexicon, profile)
-    right = compose(tree.right, lexicon, profile)
-    return subst_consts(_binary_template(kind, profile),
-                        {"LHS_": left, "RHS_": right})
+    right_term = compose(tree.right, lexicon, profile)
+    return subst_consts(_binary_template(right, profile),
+                        {"LHS_": left, "RHS_": right_term})
 
 
 def _leaves(tree: DiscourseTree):
@@ -359,14 +352,17 @@ PHI_B = parse_term(r"\c:t>t>t. \e1:g. \e2:g. ~(c top bot)")
 PHI_C = parse_term(r"\c:g>g>g. \e1:g. \e2:g. top")
 
 
+# A discourse-initial segment in profile C has no prior right frontier:
+# coordination with empty environments makes the inherited frontier empty.
+_INITIAL_ARGS = {
+    Profile.A: (tm.NIL, PHI_A),
+    Profile.B: (tm.AND, tm.NIL, tm.NIL, PHI_B),
+    Profile.C: (tm.COORD, tm.NIL, tm.NIL, PHI_C),
+}
+
+
 def default_initial_args(profile: Profile) -> InitialArgs:
-    if profile == Profile.A:
-        return InitialArgs(profile, (tm.NIL, PHI_A))
-    if profile == Profile.B:
-        return InitialArgs(profile, (tm.AND, tm.NIL, tm.NIL, PHI_B))
-    # A discourse-initial segment has no prior right frontier: coordination
-    # with empty environments makes the inherited frontier empty.
-    return InitialArgs(profile, (tm.COORD, tm.NIL, tm.NIL, PHI_C))
+    return InitialArgs(profile, _INITIAL_ARGS[profile])
 
 
 # ---------------------------------------------------------------------------

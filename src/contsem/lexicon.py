@@ -13,6 +13,10 @@ Three calculi ("profiles") share one word registry:
 Entries are authored in the concrete term syntax and parsed once.  Content
 words follow category templates, so new nouns/verbs/names can be minted
 without touching the core entries.
+
+The registry row is the only source of a word's category: a Lexicon rejects
+an entry whose word has no row (UnknownWord) or whose category differs from
+its row, and `extended` adds rows for new words but never rewrites one.
 """
 from __future__ import annotations
 
@@ -175,38 +179,31 @@ _TEMPLATES: dict[Profile, dict[Category, str]] = {
     },
 }
 
-# Word-specific entries that have no content slot.
-_FIXED: dict[Profile, dict[str, tuple[Category, str]]] = {
+# Word-specific entries that have no content slot; their categories are in
+# the registry.
+_FIXED: dict[Profile, dict[str, str]] = {
     Profile.A: {
-        "a": (Category.DETERMINER,
-              rf"\P:e>{_SA}. \Q:e>{_SA}. \e:g. \phi:g>t."
+        "a": (rf"\P:e>{_SA}. \Q:e>{_SA}. \e:g. \phi:g>t."
               rf" Ex (\x:e. P x e (\e':g. Q x (x::e') phi))"),
-        "it": (Category.PRONOUN,
-               rf"\P:e>{_SA}. \e:g. \phi:g>t. P (sel e) e phi"),
-        "is": (Category.COPULA,
-               rf"\A:{_ADJA}. \S:{_NPA}."
+        "it": rf"\P:e>{_SA}. \e:g. \phi:g>t. P (sel e) e phi",
+        "is": (rf"\A:{_ADJA}. \S:{_NPA}."
                rf" S (\x:e. \e:g. \phi:g>t."
                rf" (A (\y:e. \e0:g. \phi0:g>t. top) x e phi) & phi e)"),
-        "doesnt": (Category.NEGATION_AUX,
-                   rf"\V:{_VPA}. \S:{_NPA}. \e:g. \phi:g>t."
+        "doesnt": (rf"\V:{_VPA}. \S:{_NPA}. \e:g. \phi:g>t."
                    rf" ~(V S e (\e':g. top)) & phi e"),
     },
     Profile.B: {
-        "a": (Category.DETERMINER,
-              rf"\P:e>{_SB}. \Q:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
+        "a": (rf"\P:e>{_SB}. \Q:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
               rf" Ex (\x:e."
               rf" (\phi':{_PHIB}. (P x c e1 e2 phi') & (Q x c e1 e2 phi'))"
               rf" (\c':{_KB}. \e1':g. \e2':g. phi c e1' (x::e2')))"),
-        "it": (Category.PRONOUN,
-               rf"\P:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
+        "it": (rf"\P:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
                rf" P (sel (e1 ++ e2)) c e1 e2 phi"),
-        "is": (Category.COPULA,
-               rf"\A:{_ADJB}. \S:{_NPB}."
+        "is": (rf"\A:{_ADJB}. \S:{_NPB}."
                rf" S (\x:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
                rf" c (A (\y:e. \c0:{_KB}. \f1:g. \f2:g. \psi:{_PHIB}. top)"
                rf" x c e1 e2 phi) (phi c e1 e2))"),
-        "doesnt": (Category.NEGATION_AUX,
-                   rf"\V:{_VPB}. \S:{_NPB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
+        "doesnt": (rf"\V:{_VPB}. \S:{_NPB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
                    rf" ~(V S (\a:t. \b:t. ~(c (~a) (~b))) e1 e2"
                    rf" (\c':{_KB}. \e1':g. \e2':g. ~(phi c' e1' e2)))"),
     },
@@ -279,6 +276,13 @@ class Lexicon:
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
         for entry in self._entries.values():
+            if entry.word not in self._words:
+                raise UnknownWord(entry.word)
+            registered = self._words[entry.word][0]
+            if registered != entry.category:
+                raise ContsemError(
+                    f"{entry.word!r} is registered as {registered.value}; its "
+                    f"profile {entry.profile.value} entry says {entry.category.value}")
             expected = CATEGORY_TYPES.get(entry.profile, {}).get(entry.category)
             if expected is None:
                 raise UnsupportedCategory(entry.category, entry.profile)
@@ -293,27 +297,24 @@ class Lexicon:
     def knows(self, word: str) -> bool:
         return self.canonical(word) in self._words
 
-    def category(self, word: str) -> Category:
+    def _row(self, word: str) -> tuple[Category, str]:
         key = self.canonical(word)
         if key not in self._words:
             raise UnknownWord(word)
-        return self._words[key][0]
+        return self._words[key]
+
+    def category(self, word: str) -> Category:
+        return self._row(word)[0]
 
     def symbol(self, word: str) -> str:
         """Content constant for the word (entity name or predicate)."""
-        key = self.canonical(word)
-        if key not in self._words:
-            raise UnknownWord(word)
-        return self._words[key][1]
+        return self._row(word)[1]
 
     def entry(self, word: str, profile: Profile) -> Term:
-        return self.lex_entry(word, profile).term
-
-    def lex_entry(self, word: str, profile: Profile) -> LexEntry:
         key = (self.canonical(word), profile)
         if key not in self._entries:
             raise UnknownWord(word, profile)
-        return self._entries[key]
+        return self._entries[key].term
 
     def entries(self, profile: Optional[Profile] = None) -> list[LexEntry]:
         out = [e for e in self._entries.values()
@@ -325,23 +326,21 @@ class Lexicon:
         return _base_signature(self._words)
 
     def extended(self, new_entries: Iterable[LexEntry]) -> "Lexicon":
-        """New lexicon with extra entries; registry rows are added for any
-        new words."""
+        """New lexicon with extra entries.  A new word gets a registry row
+        (its category, the word as content symbol); an existing row is never
+        changed, so an entry of another category is rejected."""
         words = dict(self._words)
         entries = dict(self._entries)
         for entry in new_entries:
-            symbol = words.get(entry.word, (entry.category, entry.word))[1]
-            words[entry.word] = (entry.category, symbol or entry.word)
+            words.setdefault(entry.word, (entry.category, entry.word))
             entries[(entry.word, entry.profile)] = entry
         return Lexicon(words, entries, self._aliases)
 
     def with_rejected_negation(self) -> "Lexicon":
         """Variant lexicon whose profile-A negation is the rejected entry."""
-        entries = dict(self._entries)
-        entries[("doesnt", Profile.A)] = LexEntry(
+        return self.extended([LexEntry(
             "doesnt", Category.NEGATION_AUX, Profile.A,
-            negation_variant(Profile.A, rejected=True))
-        return Lexicon(self._words, entries, self._aliases)
+            negation_variant(Profile.A, rejected=True))])
 
 
 def make_entry(category: Category, word: str, profile: Profile,
@@ -364,11 +363,11 @@ def negation_variant(profile: Profile, rejected: bool = False) -> Term:
     """
     if rejected:
         if profile != Profile.A:
-            raise ValueError("the rejected negation variant exists only for profile A")
+            raise ContsemError("the rejected negation variant exists only for profile A")
         return parse_term(_REJECTED_NEGATION_A, {})
     if profile not in _FIXED:
         raise UnknownWord("doesnt", profile)
-    return parse_term(_FIXED[profile]["doesnt"][1], {})
+    return parse_term(_FIXED[profile]["doesnt"], {})
 
 
 @lru_cache(maxsize=1)
@@ -379,7 +378,7 @@ def default_lexicon() -> Lexicon:
         for word in words:
             category, symbol = _DEFAULT_WORDS[word]
             if word in _FIXED[profile]:
-                term = parse_term(_FIXED[profile][word][1], sig)
+                term = parse_term(_FIXED[profile][word], sig)
             else:
                 term = _build_term(category, profile, symbol, sig)
             entries[(word, profile)] = LexEntry(word, category, profile, term)

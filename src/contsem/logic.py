@@ -466,9 +466,9 @@ def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
     SignatureTooLarge beyond those bounds; method='sampled' always samples.
     """
     if not 1 <= domain_size <= 4:
-        raise ValueError("domain_size must be between 1 and 4")
+        raise ContsemError("domain_size must be between 1 and 4")
     if method not in ("auto", "exhaustive", "sampled"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ContsemError(f"unknown method {method!r}")
 
     frozen: dict[tuple, str] = {}
     f1 = _freeze_sels(f1, frozen)
@@ -540,7 +540,7 @@ def _signature(f, preds, consts, atoms):
     for g in iter_atoms(f):
         arity = len(g.args)
         if preds.setdefault(g.pred, arity) != arity:
-            raise ValueError(f"predicate {g.pred!r} used at inconsistent arities")
+            raise ContsemError(f"predicate {g.pred!r} used at inconsistent arities")
         atoms.add((g.pred, g.args))
         for a in g.args:
             if isinstance(a, EntConst):
@@ -580,7 +580,7 @@ def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
             arg_fns.append(lambda C, V, ci=ci: C[ci])
         elif isinstance(a, EntVar):
             if a.name not in venv:
-                raise ValueError(f"free entity variable {a.name!r}")
+                raise ContsemError(f"free entity variable {a.name!r}")
             slot = venv[a.name]
             arg_fns.append(lambda C, V, slot=slot: V[slot])
         else:

@@ -45,7 +45,7 @@ def resolve(f: Formula, strategy: str) -> Formula:
     if strategy == "symbolic":
         return f
     if strategy != "recency":
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ContsemError(f"unknown strategy {strategy!r}")
 
     # Sites are picked left to right, so an empty environment is reported
     # at the first one in reading order.

@@ -231,3 +231,38 @@ def test_cli_runs_each_stage_once(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / "doesnt_own_car.out").read_text()
     assert calls == dict.fromkeys(calls, 1)
     assert typechecked == init_args
+
+
+_RED = "sentence s1 = it is red\n"
+
+
+@pytest.mark.parametrize("profile,text,expr,err", [
+    ("C", "john doesnt own (a car)", "s0",
+     "negation is not available in profile C"),
+    ("C", "john doesnt own", "s0", "negation is not available in profile C"),
+    ("A", "john is car", "s0",
+     "cannot parse sentence 'john is car': 'car' is not an adjective"),
+    ("A", "john owns", "s0", "transitive verb 'own' needs an object"),
+    ("C", "john owns", "s0", "transitive verb 'own' needs an object"),
+    ("A", "john doesnt loves", "s0", "transitive verb 'loves' needs an object"),
+    ("C", "mary walks (a dog)", "s0", "intransitive verb 'walks' takes no object"),
+    ("A", "john doesnt walk (a car)", "s0",
+     "intransitive verb 'walks' takes no object"),
+    # A word with a registry row but no entry in the profile is reported
+    # where the walk reaches it, before a later arity error.
+    ("A", "mary walks (a dog)", "s0", "no entry for 'mary' in profile A"),
+    ("B", "mary walks", "s0", "no entry for 'mary' in profile B"),
+    ("B", "john doesnt walk", "s0", "no entry for 'walks' in profile B"),
+    ("B", "it is happy", "s0", "no entry for 'happy' in profile B"),
+    ("A", "john owns (a car)\n" + _RED, "s0 .c s1",
+     "coordination (.c) is not available in profile A"),
+    ("B", "john owns (a car)\n" + _RED, "s0 .s s1",
+     "subordination (.s) is not available in profile B"),
+    ("C", "john owns (a car)\n" + _RED, "s0 . s1",
+     "plain sequencing (.) is not available in profile C"),
+])
+def test_ill_formed_discourse_diagnostics(profile, text, expr, err, tmp_path, capsys):
+    f = tmp_path / "bad.dsc"
+    f.write_text(f"profile {profile}\nsentence s0 = {text}\ndiscourse = {expr}\n")
+    assert main(["run", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"contsem: {err}\n")

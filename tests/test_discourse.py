@@ -102,6 +102,23 @@ def test_profile_c_rejects_negation():
         build_sentence(S_NEG, LEX, Profile.C)
 
 
+@pytest.mark.parametrize("profile", [Profile.A, Profile.B, Profile.C])
+@pytest.mark.parametrize("ast,message", [
+    (Sentence(ProperN("john"), Verb("own", None)),
+     "transitive verb 'own' needs an object"),
+    (Sentence(ProperN("john"), Verb("walks", Det("a", "car"))),
+     "intransitive verb 'walks' takes no object"),
+    (Sentence(ProperN("john"), CopulaAdj("red"), True),
+     "the copula cannot be negated"),
+    (Sentence(ProperN("john"), Verb("red", None)), "'red' is not a verb"),
+    (Sentence(Pron("john"), CopulaAdj("red")), "'john' has category pnoun, not pron"),
+])
+def test_shape_errors_agree_across_profiles(ast, message, profile):
+    with pytest.raises(ArityMismatch) as exc:
+        build_sentence(ast, LEX, profile)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # compose
 
@@ -122,6 +139,22 @@ def test_coordination_only_in_profile_c():
         compose(CoordN(Leaf(S_POS), Leaf(S_RED)), LEX, Profile.B)
     with pytest.raises(ProfileMismatch):
         compose(Seq(SymLeaf("s1"), SymLeaf("s2")), LEX, Profile.C)
+
+
+@pytest.mark.parametrize("node,composes,name", [
+    (Seq, (Profile.A, Profile.B), "plain sequencing (.)"),
+    (CoordN, (Profile.C,), "coordination (.c)"),
+    (SubN, (Profile.C,), "subordination (.s)"),
+])
+@pytest.mark.parametrize("profile", [Profile.A, Profile.B, Profile.C])
+def test_connective_profile_matrix(node, composes, name, profile):
+    tree = node(SymLeaf("s1"), SymLeaf("s2"))
+    if profile in composes:
+        assert typecheck(compose(tree, LEX, profile)) == profile.sentence_type
+        return
+    with pytest.raises(ProfileMismatch) as exc:
+        compose(tree, LEX, profile)
+    assert str(exc.value) == f"{name} is not available in profile {profile.value}"
 
 
 def test_coord_sub_definitional_laws():

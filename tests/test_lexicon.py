@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contsem.discourse import Leaf, ProperN, Sentence, Verb, interpret
+from contsem.errors import ContsemError
 from contsem.lexicon import (
     CATEGORY_TYPES, Category, LexEntry, Lexicon, Profile, UnknownWord,
     UnsupportedCategory, default_lexicon, load_word_file, make_entry,
@@ -82,6 +83,33 @@ def test_lexicon_typechecks_entries_on_construction():
         LEX.extended([LexEntry("car2", Category.COMMON_NOUN, Profile.C, johns_term)])
 
 
+def test_extended_never_recategorizes_a_registered_word():
+    with pytest.raises(ContsemError) as exc:
+        LEX.extended([make_entry(Category.COMMON_NOUN, "john", Profile.B)])
+    assert str(exc.value) == \
+        "'john' is registered as pnoun; its profile B entry says noun"
+    assert LEX.category("john") == Category.PROPER_NOUN
+    assert typecheck(LEX.entry("john", Profile.B)) == \
+        CATEGORY_TYPES[Profile.B][Category.PROPER_NOUN]
+
+
+def test_extended_keeps_a_registered_words_row():
+    lex = LEX.extended([make_entry(Category.PROPER_NOUN, "mary", Profile.B)])
+    assert (lex.category("mary"), lex.symbol("mary")) == (Category.PROPER_NOUN, "mary")
+    lex = LEX.extended([LexEntry("it", Category.PRONOUN, Profile.A,
+                                 LEX.entry("it", Profile.A))])
+    assert (lex.category("it"), lex.symbol("it")) == (Category.PRONOUN, "")
+
+
+def test_lexicon_entries_need_a_registry_row():
+    entry = make_entry(Category.COMMON_NOUN, "cat", Profile.A)
+    with pytest.raises(UnknownWord) as exc:
+        Lexicon({}, {("cat", Profile.A): entry})
+    assert str(exc.value) == "no entry for 'cat'"
+    lex = Lexicon({"cat": (Category.COMMON_NOUN, "cat")}, {("cat", Profile.A): entry})
+    assert lex.entry("cat", Profile.A) == entry.term
+
+
 def test_make_entry_common_noun_shapes_like_car():
     dog = make_entry(Category.COMMON_NOUN, "dog", Profile.B)
     renamed = subst_consts(LEX.entry("car", Profile.B),
@@ -139,7 +167,7 @@ def test_negation_variant_rejected_is_profile_a_only():
         r" \S:(e>g>(g>t)>t)>g>(g>t)>t."
         r" \e:g. \phi:g>t. ~(V S e (\e':g. phi e'))")
     assert alpha_eq(rejected, expected)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContsemError, match="only for profile A"):
         negation_variant(Profile.B, rejected=True)
 
 

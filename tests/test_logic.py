@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from contsem.errors import ContsemError
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, NotReifiable,
     Or, SelOf, SignatureTooLarge, Top, UnionE,
@@ -239,6 +240,20 @@ def test_exhaustive_bound_raises():
     f = Atom("big", args)
     with pytest.raises(SignatureTooLarge):
         logically_equiv(f, f, 2, method="exhaustive")
+
+
+@pytest.mark.parametrize("f1,f2,kwargs,message", [
+    (P, P, {"domain_size": 0}, "domain_size must be between 1 and 4"),
+    (P, P, {"domain_size": 5}, "domain_size must be between 1 and 4"),
+    (P, P, {"domain_size": 2, "method": "guess"}, "unknown method 'guess'"),
+    (Atom("p", (J,)), Atom("p", (J, J)), {"domain_size": 2},
+     "predicate 'p' used at inconsistent arities"),
+    (Atom("q", (Y,)), P, {"domain_size": 2}, "free entity variable 'y'"),
+], ids=["domain-0", "domain-5", "method", "arity", "free-variable"])
+def test_logically_equiv_rejects_bad_arguments(f1, f2, kwargs, message):
+    with pytest.raises(ContsemError) as exc:
+        logically_equiv(f1, f2, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_sampled_mode_on_large_signature():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contsem.errors import ContsemError
 from contsem.discourse import Det, Leaf, ProperN, Pron, Sentence, Seq, Verb, CopulaAdj, interpret
 from contsem.lexicon import Category, Profile, default_lexicon, make_entry
 from contsem.logic import (
@@ -160,3 +161,9 @@ def test_negation_blocks_indefinites_over_template_lexicon(words):
     (r,) = report(simp)
     assert EntConst(pn) in r.candidates
     assert any(isinstance(c, EntVar) for c in r.candidates)
+
+
+def test_resolve_rejects_unknown_strategy():
+    with pytest.raises(ContsemError) as exc:
+        resolve(Atom("red", (J,)), "nearest")
+    assert str(exc.value) == "unknown strategy 'nearest'"
