@@ -10,11 +10,11 @@ licenses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import ContsemError
+from .node import Node
 from . import terms as tm
 from .logic import Formula, reify, simplify
 from .lexicon import Category, Lexicon, Profile, content_type, default_lexicon
@@ -25,69 +25,54 @@ from .terms import App, Const, Lam, Term, Var, app, normalize, subst_consts, typ
 # ---------------------------------------------------------------------------
 # Sentence ASTs
 
-@dataclass(frozen=True)
-class ProperN:
-    word: str
+class ProperN(Node):
+    __slots__ = {"word": "str"}
 
 
-@dataclass(frozen=True)
-class Det:
-    word: str
-    noun: str
+class Det(Node):
+    __slots__ = {"word": "str", "noun": "str"}
 
 
-@dataclass(frozen=True)
-class Pron:
-    word: str
+class Pron(Node):
+    __slots__ = {"word": "str"}
 
 
 NP = Union[ProperN, Det, Pron]
 
 
-@dataclass(frozen=True)
-class Verb:
-    word: str
-    obj: Optional[NP] = None
+class Verb(Node):
+    __slots__ = {"word": "str", "obj": "Optional[NP]"}
+    _defaults = {"obj": None}
 
 
-@dataclass(frozen=True)
-class CopulaAdj:
-    word: str
+class CopulaAdj(Node):
+    __slots__ = {"word": "str"}
 
 
-@dataclass(frozen=True)
-class Sentence:
-    subject: NP
-    predicate: Union[Verb, CopulaAdj]
-    negated: bool = False
+class Sentence(Node):
+    __slots__ = {"subject": "NP", "predicate": "Union[Verb, CopulaAdj]",
+                 "negated": "bool"}
+    _defaults = {"negated": False}
 
 
-@dataclass(frozen=True)
-class Leaf:
-    sentence: Sentence
+class Leaf(Node):
+    __slots__ = {"sentence": "Sentence"}
 
 
-@dataclass(frozen=True)
-class SymLeaf:
-    name: str
+class SymLeaf(Node):
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: "DiscourseTree"
-    right: "DiscourseTree"
+class Seq(Node):
+    __slots__ = {"left": "DiscourseTree", "right": "DiscourseTree"}
 
 
-@dataclass(frozen=True)
-class CoordN:
-    left: "DiscourseTree"
-    right: "DiscourseTree"
+class CoordN(Node):
+    __slots__ = {"left": "DiscourseTree", "right": "DiscourseTree"}
 
 
-@dataclass(frozen=True)
-class SubN:
-    left: "DiscourseTree"
-    right: "DiscourseTree"
+class SubN(Node):
+    __slots__ = {"left": "DiscourseTree", "right": "DiscourseTree"}
 
 
 DiscourseTree = Union[Leaf, SymLeaf, Seq, CoordN, SubN]
@@ -321,27 +306,27 @@ def expand_symbolic(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
 # ---------------------------------------------------------------------------
 # Initial arguments
 
-@dataclass(frozen=True)
-class InitialArgs:
-    profile: Profile
-    args: tuple[Term, ...]
+class InitialArgs(Node):
+    __slots__ = {"profile": "Profile", "args": "tuple[Term, ...]"}
 
-    def __post_init__(self):
+    def __init__(self, profile: Profile, args: tuple[Term, ...]):
         expected = []                 # the sentence type's domains, down to t
-        ty = self.profile.sentence_type
+        ty = profile.sentence_type
         while isinstance(ty, tm.Arrow):
             expected.append(ty.dom)
             ty = ty.cod
-        if len(self.args) != len(expected):
+        if len(args) != len(expected):
             raise DiscourseError(
-                f"profile {self.profile.value} takes {len(expected)} initial "
-                f"arguments, got {len(self.args)}")
-        for i, (arg, ty) in enumerate(zip(self.args, expected)):
+                f"profile {profile.value} takes {len(expected)} initial "
+                f"arguments, got {len(args)}")
+        for i, (arg, ty) in enumerate(zip(args, expected)):
             found = typecheck(arg)
             if found != ty:
                 raise DiscourseError(
                     f"initial argument {i} must have type {tm.type_text(ty)}, "
                     f"found {tm.type_text(found)}")
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "args", args)
 
 
 # Empty continuations: profile A always returns truth; profile B returns
@@ -368,15 +353,11 @@ def default_initial_args(profile: Profile) -> InitialArgs:
 # ---------------------------------------------------------------------------
 # Full pipeline
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Node):
     """Every artifact of one pipeline run; in symbolic expansion only
     `composed` and its normal form `normal` are set."""
-    composed: Term
-    applied: Optional[Term]
-    normal: Term
-    raw: Optional[Formula]
-    simplified: Optional[Formula]
+    __slots__ = {"composed": "Term", "applied": "Optional[Term]", "normal": "Term",
+                 "raw": "Optional[Formula]", "simplified": "Optional[Formula]"}
 
 
 def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
@@ -422,12 +403,9 @@ def interpret(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
 # `#` starts a comment.  With the `symbolic` flag, undefined sentence ids
 # become symbolic leaves.
 
-@dataclass(frozen=True)
-class DiscourseFile:
-    profile: Optional[Profile]
-    tree: DiscourseTree
-    symbolic: bool
-    sentences: dict[str, Sentence]
+class DiscourseFile(Node):
+    __slots__ = {"profile": "Optional[Profile]", "tree": "DiscourseTree",
+                 "symbolic": "bool", "sentences": "dict[str, Sentence]"}
 
 
 def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:

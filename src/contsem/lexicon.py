@@ -20,12 +20,12 @@ its row, and `extended` adds rows for new words but never rewrites one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import ContsemError
+from .node import Node
 from .syntax import parse_term
 from .terms import (
     E, T, SemType, Term, TypeMismatch, arrow, typecheck,
@@ -80,12 +80,9 @@ class UnsupportedCategory(ContsemError):
         )
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    word: str
-    category: Category
-    profile: Profile
-    term: Term
+class LexEntry(Node):
+    __slots__ = {"word": "str", "category": "Category", "profile": "Profile",
+                 "term": "Term"}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +272,10 @@ class Lexicon:
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
+        for word in [*self._words, *(e.word for e in self._entries.values())]:
+            if word in self._aliases:
+                raise ContsemError(
+                    f"{word!r} is an inflection of {self._aliases[word]!r}")
         for entry in self._entries.values():
             if entry.word not in self._words:
                 raise UnknownWord(entry.word)

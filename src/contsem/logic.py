@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .errors import ContsemError
+from .node import Node
 from . import terms as tm
 from .terms import App, Const, Lam, Term, Var
 
@@ -19,82 +19,63 @@ from .terms import App, Const, Lam, Term, Var
 # ---------------------------------------------------------------------------
 # Formula syntax
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+class Bot(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Node):
+    __slots__ = {"body": "Formula"}
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Node):
+    __slots__ = {"left": "Formula", "right": "Formula"}
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Node):
+    __slots__ = {"left": "Formula", "right": "Formula"}
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Node):
+    __slots__ = {"var": "str", "body": "Formula"}
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple["EntityTerm", ...] = ()
+class Atom(Node):
+    __slots__ = {"pred": "str", "args": "tuple[EntityTerm, ...]"}
+    _defaults = {"args": ()}
 
 
 Formula = Union[Top, Bot, Not, And, Or, Exists, Atom]
 
 
-@dataclass(frozen=True)
-class EntConst:
-    name: str
+class EntConst(Node):
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True)
-class EntVar:
-    name: str
+class EntVar(Node):
+    __slots__ = {"name": "str"}
 
 
-@dataclass(frozen=True)
-class NilE:
-    pass
+class NilE(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConsE:
-    head: "EntityTerm"
-    tail: "EnvExpr"
+class ConsE(Node):
+    __slots__ = {"head": "EntityTerm", "tail": "EnvExpr"}
 
 
-@dataclass(frozen=True)
-class UnionE:
-    left: "EnvExpr"
-    right: "EnvExpr"
+class UnionE(Node):
+    __slots__ = {"left": "EnvExpr", "right": "EnvExpr"}
 
 
 EnvExpr = Union[NilE, ConsE, UnionE]
 
 
-@dataclass(frozen=True)
-class SelOf:
-    env: EnvExpr
-    site_id: int
+class SelOf(Node):
+    __slots__ = {"env": "EnvExpr", "site_id": "int"}
 
 
 EntityTerm = Union[EntConst, EntVar, SelOf]

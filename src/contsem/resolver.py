@@ -1,13 +1,12 @@
 """Referent accessibility: evaluate environments at selection sites."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContsemError
 from .logic import (
     Atom, EntityTerm, EnvExpr, Formula, SelOf, entity_text, env_entries,
     env_text, iter_atoms, map_atoms,
 )
+from .node import Node
 
 
 class EmptyEnvironment(ContsemError):
@@ -16,11 +15,9 @@ class EmptyEnvironment(ContsemError):
         super().__init__(f"selection site #{site_id} has no accessible referents")
 
 
-@dataclass(frozen=True)
-class AccessReport:
-    site_id: int
-    env: EnvExpr
-    candidates: tuple[EntityTerm, ...]
+class AccessReport(Node):
+    __slots__ = {"site_id": "int", "env": "EnvExpr",
+                 "candidates": "tuple[EntityTerm, ...]"}
 
 
 def eval_env(env: EnvExpr) -> list[EntityTerm]:

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 from .errors import ContsemError
 from .terms import (
     AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
-    G, App, Arrow, Base, Const, Lam, SemType, Term, Var, constants, type_text,
+    G, App, Arrow, Base, Const, Lam, SemType, Term, Var, constants,
 )
 
 
@@ -270,7 +270,6 @@ def pretty(term: Term) -> str:
     used = constants(term)
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
-    ty_texts: dict[int, str] = {}   # by id: hashing a type walks all of it
     out: list[str] = []
     stack: list = [(term, _LAM, 0)]   # pending text, or (term, level, depth)
     while stack:
@@ -296,10 +295,7 @@ def pretty(term: Term) -> str:
                 if name not in used and name not in _RESERVED:
                     break
             names[depth:] = [name]
-            ty = ty_texts.get(id(t.ty))
-            if ty is None:
-                ty = ty_texts[id(t.ty)] = type_text(t.ty)
-            own, parts = _LAM, ((t.body, _LAM, depth + 1), f"\\{name}:{ty}. ")
+            own, parts = _LAM, ((t.body, _LAM, depth + 1), f"\\{name}:{t.ty.text}. ")
         else:
             # Applications, with infix/prefix sugar for the logical constants.
             fn = t.fn

@@ -6,27 +6,35 @@ makes typechecking decidable without inference.  All values are immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ContsemError
+from .node import Node
 
 
 # ---------------------------------------------------------------------------
 # Semantic types
 
-@dataclass(frozen=True)
-class Base:
-    name: str
+# A type's `text` is its concrete syntax (`>` is right-associative), built
+# once with the type.
+
+class Base(Node):
+    __slots__ = {"name": "str"}
+    text = property(lambda self: self.name)
 
     def __repr__(self):
         return f"Base({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "SemType"
-    cod: "SemType"
+class Arrow(Node):
+    __slots__ = {"dom": "SemType", "cod": "SemType", "text": "str"}
+    _fields = ("dom", "cod")
+
+    def __init__(self, dom: SemType, cod: SemType):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        dom_text = f"({dom.text})" if type(dom) is Arrow else dom.text
+        object.__setattr__(self, "text", f"{dom_text}>{cod.text}")
 
     def __repr__(self):
         return f"Arrow({self.dom!r}, {self.cod!r})"
@@ -51,12 +59,7 @@ def arrow(*types: SemType) -> SemType:
 
 def type_text(ty: SemType) -> str:
     """Render a type in the concrete syntax (`>` is right-associative)."""
-    if isinstance(ty, Base):
-        return ty.name
-    dom = type_text(ty.dom)
-    if isinstance(ty.dom, Arrow):
-        dom = f"({dom})"
-    return f"{dom}>{type_text(ty.cod)}"
+    return ty.text
 
 
 # Connective type used by the dual-environment calculus (profile B) and the
@@ -76,27 +79,20 @@ SENT_C = arrow(KAPPA_C, G, G, CONT_C, T)
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(Node):
+    __slots__ = {"index": "int"}
 
 
-@dataclass(frozen=True)
-class Lam:
-    ty: SemType
-    body: "Term"
+class Lam(Node):
+    __slots__ = {"ty": "SemType", "body": "Term"}
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Node):
+    __slots__ = {"fn": "Term", "arg": "Term"}
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    ty: SemType
+class Const(Node):
+    __slots__ = {"name": "str", "ty": "SemType"}
 
 
 Term = Union[Var, Lam, App, Const]
@@ -146,7 +142,8 @@ class TypeMismatch(ContsemError):
         self.position = position
         super().__init__(
             f"type mismatch at {_path_text(position)}: expected "
-            f"{_ty_or_desc(expected)}, found {_ty_or_desc(found)}"
+            f"{getattr(expected, 'text', expected)}, "
+            f"found {getattr(found, 'text', found)}"
         )
 
 
@@ -169,12 +166,6 @@ def path_steps(path) -> tuple[str, ...]:
         path, step = path
         steps.append(step)
     return tuple(reversed(steps))
-
-
-def _ty_or_desc(x) -> str:
-    if isinstance(x, (Base, Arrow)):
-        return type_text(x)
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +278,17 @@ def _typecheck(term, ctx, path):
 # ---------------------------------------------------------------------------
 # Normalization by evaluation (Berger & Schwichtenberg 1991)
 
-@dataclass(slots=True)
-class _Closure:
+class _Closure(Node):
     """A lambda value: its binder type and the body awaiting an argument."""
-    ty: SemType
-    fn: Callable
+    __slots__ = {"ty": "SemType", "fn": "Callable"}
 
 
-@dataclass(slots=True)
-class _Neutral:
+class _Neutral(Node):
     """A head applied to a spine of argument values.  The head is a Const or
     a variable's De Bruijn level: 0 for the outermost binder, -1 - i for the
     term's free index i, so open terms read back unchanged."""
-    head: Union[Const, int]
-    spine: tuple = ()
+    __slots__ = {"head": "Union[Const, int]", "spine": "tuple"}
+    _defaults = {"spine": ()}
 
 
 def normalize(term: Term, max_steps: int = 100_000) -> Term:
@@ -377,11 +365,8 @@ def _step(t, path):
     return None
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    position: tuple[str, ...]
-    term: Term
+class TraceStep(Node):
+    __slots__ = {"step": "int", "position": "tuple[str, ...]", "term": "Term"}
 
 
 def trace(term: Term, max_steps: int = 100_000) -> list[TraceStep]:

@@ -2,9 +2,10 @@
 suites, plus reference implementations the library is checked against: two
 substitution-based reducers (applicative order and normal order) for the
 normalization-by-evaluation normalizer, the recursive pretty-printer for
-`syntax.pretty`, the recursive environment flattener for
-`logic.env_entries`, and the fixed-point simplifier and recursive formula
-`alpha_eq` for `logic.simplify` and `logic.alpha_eq`."""
+`syntax.pretty`, the recursive type renderer for `terms.type_text`, the
+recursive environment flattener for `logic.env_entries`, and the fixed-point
+simplifier and recursive formula `alpha_eq` for `logic.simplify` and
+`logic.alpha_eq`."""
 from __future__ import annotations
 
 import itertools
@@ -27,7 +28,7 @@ from contsem.syntax import (
 from contsem.terms import (
     AND, CONS, COORD, NOT, OR, SUB, UNION,
     App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
-    Var, arrow, beta, type_text,
+    Var, arrow, beta,
 )
 
 # Signature for generated terms: every base type is inhabited by a constant,
@@ -268,6 +269,18 @@ def discourse_file(tree, profile: Profile) -> str:
 # ---------------------------------------------------------------------------
 # Rendering and environment references
 
+def recursive_type_text(ty: SemType) -> str:
+    """`terms.type_text` as it was before types carried their text: rendered
+    again, recursively, on every call.  Kept as the reference the text built
+    with each type must match."""
+    if isinstance(ty, Base):
+        return ty.name
+    dom = recursive_type_text(ty.dom)
+    if isinstance(ty.dom, Arrow):
+        dom = f"({dom})"
+    return f"{dom}>{recursive_type_text(ty.cod)}"
+
+
 def recursive_pretty(term: Term) -> str:
     """`syntax.pretty` as it was before it became an explicit-stack pass:
     one Python call per node, copying the binder-name list at every lambda.
@@ -310,7 +323,7 @@ def recursive_pretty(term: Term) -> str:
         if isinstance(t, Lam):
             name = fresh()
             body = render(t.body, _LAM, [name] + env)
-            text = f"\\{name}:{type_text(t.ty)}. {body}"
+            text = f"\\{name}:{recursive_type_text(t.ty)}. {body}"
             return f"({text})" if level > _LAM else text
         # Applications, with infix/prefix sugar for the logical constants.
         if isinstance(t.fn, App):

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -266,3 +270,100 @@ def test_ill_formed_discourse_diagnostics(profile, text, expr, err, tmp_path, ca
     f.write_text(f"profile {profile}\nsentence s0 = {text}\ndiscourse = {expr}\n")
     assert main(["run", str(f)]) == 1
     assert capsys.readouterr() == ("", f"contsem: {err}\n")
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+def _alone(argv):
+    """(exit status, stdout, stderr) of `argv` run in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys; from contsem.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src),
+                                          "COLUMNS": "80"})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_print_what_they_print_alone(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["run", str(SAMPLES / "rfc_coord_sub.dsc"), "--symbolic", "--format", "json"],
+        ["run", str(SAMPLES / "owns_car.dsc")],
+        ["run", str(SAMPLES / "owns_car.dsc"), "--format", "yaml"],
+        ["run", str(SAMPLES / "loves_woman.dsc"), "--no-raw", "--resolve", "recency"],
+    ]
+    together = []
+    for argv in calls:
+        code = main(argv)
+        together.append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in together] == [0, 0, 2, 0]
+    assert together[1][1] == (GOLDEN / "owns_car.out").read_text()
+    assert "invalid choice: 'yaml'" in together[2][2]
+    assert together == [_alone(argv) for argv in calls]
+
+
+_HELP = """\
+usage: contsem [-h] {run} ...
+
+Interpret discourses as first-order logical forms and report which referents
+each pronoun can reach.
+
+positional arguments:
+  {run}
+    run       run the pipeline on a discourse file
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+_RUN_HELP = """\
+usage: contsem run [-h] [--profile {A,B,C}]
+                   [--mode {interpret,symbolic-expand,term-eval}] [--symbolic]
+                   [--resolve {symbolic,recency}] [--raw | --no-raw] [--trace]
+                   [--max-steps N] [--format {text,json}]
+                   [--connective {and,or}]
+                   file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --profile {A,B,C}
+  --mode {interpret,symbolic-expand,term-eval}
+  --symbolic            shorthand for --mode symbolic-expand
+  --resolve {symbolic,recency}
+  --raw, --no-raw       print the unsimplified formula (default on)
+  --trace               print the reduction sequence
+  --max-steps N         fail after N beta contractions, each a closure
+                        application (--trace: a normal-order step); default
+                        100000
+  --format {text,json}
+  --connective {and,or}
+                        initial connective for profile B (default: and)
+"""
+if sys.version_info < (3, 11):      # argparse added the default itself then
+    _RUN_HELP = _RUN_HELP.replace(
+        "(default on)\n", "(default on) (default:\n                        True)\n")
+
+
+@pytest.mark.parametrize("argv,text", [(["--help"], _HELP), (["run", "--help"], _RUN_HELP)])
+def test_help_text_is_unchanged(argv, text, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (text, "")
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    cli._parser.cache_clear()
+    for argv in (["run", str(SAMPLES / "owns_car.dsc")], ["run", "--bogus"],
+                 ["run", str(SAMPLES / "owns_car.dsc"), "--format", "json"], ["--help"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 2          # `contsem` and its `run` subparser

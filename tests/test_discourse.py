@@ -372,3 +372,47 @@ def test_parse_discourse_undefined_id_without_symbolic():
 def test_parse_discourse_requires_tree():
     with pytest.raises(DiscourseError):
         parse_discourse("profile B\n", LEX)
+
+
+# ---------------------------------------------------------------------------
+# Node classes
+
+def test_discourse_nodes_cannot_be_assigned_or_deleted():
+    init = default_initial_args(Profile.A)
+    for attempt in (lambda: setattr(S_NEG, "negated", False),
+                    lambda: delattr(S_NEG.subject, "word"),
+                    lambda: setattr(init, "args", ())):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert S_NEG.negated and init == default_initial_args(Profile.A)
+
+
+def test_discourse_nodes_of_different_classes_differ():
+    a, b = SymLeaf("a"), SymLeaf("b")
+    assert Seq(a, b) != CoordN(a, b) and CoordN(a, b) != SubN(a, b)
+    assert Seq(a, b) != SubN(a, b) and ProperN("it") != Pron("it")
+    assert len({Seq(a, b), CoordN(a, b), SubN(a, b), Seq(a, b)}) == 3
+
+
+def test_equal_discourse_trees_hash_equally():
+    one = parse_discourse("profile A\nsentence s0 = john owns (a car)\n"
+                          "sentence s1 = it is red\ndiscourse = s0 . s1\n").tree
+    two = Seq(Leaf(S_POS), Leaf(S_RED))
+    assert one == two and hash(one) == hash(two)
+
+
+def test_discourse_nodes_take_keywords_and_defaults():
+    assert Verb(word="walks") == Verb("walks", None) and Verb("walks").obj is None
+    s = Sentence(subject=ProperN("john"), predicate=CopulaAdj("red"))
+    assert s == Sentence(ProperN("john"), CopulaAdj("red"), False) and not s.negated
+    assert InitialArgs(profile=Profile.A, args=default_initial_args(Profile.A).args) \
+        == default_initial_args(Profile.A)
+
+
+def test_discourse_repr_keeps_its_text():
+    assert repr(S_NEG) == (
+        "Sentence(subject=ProperN(word='john'), predicate=Verb(word='own', "
+        "obj=Det(word='a', noun='car')), negated=True)")
+    assert repr(CoordN(SymLeaf("a"), Leaf(Sentence(Pron("it"), CopulaAdj("red"))))) == (
+        "CoordN(left=SymLeaf(name='a'), right=Leaf(sentence=Sentence("
+        "subject=Pron(word='it'), predicate=CopulaAdj(word='red'), negated=False)))")

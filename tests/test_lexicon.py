@@ -55,6 +55,22 @@ def test_inflection_aliases():
     assert LEX.canonical("Doesn't") == "doesnt"
 
 
+def test_entries_keyed_by_an_inflection_are_rejected():
+    """Every lookup folds `owns` onto `own`, so an entry or registry row
+    under `owns` could never be reached."""
+    with pytest.raises(ContsemError, match="'owns' is an inflection of 'own'"):
+        LEX.extended([make_entry(Category.COMMON_NOUN, "owns", Profile.A)])
+    with pytest.raises(ContsemError, match="'walk' is an inflection of 'walks'"):
+        load_word_file(["iverb walk"])
+    row = (Category.TRANSITIVE_VERB, "own")
+    entry = LexEntry("owns", row[0], Profile.B, LEX.entry("own", Profile.B))
+    for words, entries in (({"owns": row}, {}),                          # a row
+                           ({"own": row}, {("owns", Profile.B): entry})):  # an entry
+        with pytest.raises(ContsemError, match="'owns' is an inflection of 'own'"):
+            Lexicon(words, entries, {"owns": "own"})
+    assert LEX.extended([make_entry(Category.COMMON_NOUN, "bus", Profile.A)]).knows("bus")
+
+
 def test_unknown_word():
     with pytest.raises(UnknownWord):
         LEX.entry("unicorn", Profile.B)

@@ -297,3 +297,48 @@ def test_formula_json_tags():
     assert atom["args"][0]["entity"] == "sel"
     assert atom["args"][0]["site"] == 3
     assert atom["args"][0]["env"]["env"] == "cons"
+
+
+# ---------------------------------------------------------------------------
+# Node classes
+
+def test_formula_fields_cannot_be_assigned_or_deleted():
+    f = And(Atom("p", (J,)), Top())
+    for attempt in (lambda: setattr(f, "left", Top()), lambda: delattr(f, "right"),
+                    lambda: setattr(J, "name", "k"), lambda: setattr(Top(), "x", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert f == And(Atom("p", (EntConst("j"),)), Top())
+
+
+def test_formula_nodes_of_different_classes_differ():
+    assert And(Top(), Bot()) != Or(Top(), Bot())
+    assert NilE() != Top() and NilE() != Bot() and Top() != Bot()
+    assert EntConst("y") != EntVar("y")
+    assert ConsE(J, NilE()) != UnionE(J, NilE())
+    assert Top() == Top() and NilE() == NilE()
+
+
+def test_equal_formulas_hash_equally():
+    def build():
+        env = UnionE(ConsE(J, NilE()), ConsE(Y, NilE()))
+        return Exists("y", Or(Atom("red", (SelOf(env, 0),)), Not(Bot())))
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, Top(), Top(), Bot()}) == 3
+
+
+def test_formula_nodes_take_keywords_and_defaults():
+    assert Atom(pred="p") == Atom("p", ()) and Atom("p").args == ()
+    assert SelOf(site_id=2, env=NilE()) == SelOf(NilE(), 2)
+    with pytest.raises(TypeError):
+        Top(1)
+
+
+def test_formula_repr_keeps_its_text():
+    f = Exists("y", And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(J, NilE()), 0),))))
+    assert repr(f) == (
+        "Exists(var='y', body=And(left=Atom(pred='car', args=(EntVar(name='y'),)), "
+        "right=Atom(pred='red', args=(SelOf(env=ConsE(head=EntConst(name='j'), "
+        "tail=NilE()), site_id=0),))))")
+    assert repr(Or(Not(Top()), Bot())) == "Or(left=Not(body=Top()), right=Bot())"

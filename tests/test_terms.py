@@ -1,17 +1,28 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contsem
+from contsem.lexicon import CATEGORY_TYPES, default_lexicon
 from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
-    StepBudgetExceeded, TypeMismatch, UnboundVariable,
+    StepBudgetExceeded, TypeMismatch, UnboundVariable, _Neutral,
     alpha_eq, app, arrow, constants, is_closed, normalize, reduce_once, size,
     trace, typecheck, type_text,
 )
-from contsem.syntax import parse_term
+from contsem.syntax import parse_term, parse_type
 
-from gen import GEN_SIG, applicative_normalize, random_closed_term, subterms
+from gen import (
+    GEN_SIG, applicative_normalize, random_closed_term, random_type,
+    recursive_type_text, subterms,
+)
 
 J = Const("j", E)
 
@@ -173,3 +184,73 @@ def test_constants_in_preorder_of_first_occurrence():
         t = random_closed_term(rng)
         expected = {s.name: s.ty for s in subterms(t) if isinstance(s, Const)}
         assert list(constants(t).items()) == list(expected.items())
+
+
+# ---------------------------------------------------------------------------
+# Node classes and type text
+
+def test_term_fields_cannot_be_assigned_or_deleted():
+    lam = Lam(arrow(E, T), Var(0))
+    attempts = [lambda: setattr(lam, "ty", E), lambda: delattr(lam, "body"),
+                lambda: setattr(lam, "extra", 1), lambda: setattr(E, "name", "t"),
+                lambda: setattr(lam.ty, "text", "t"), lambda: delattr(lam.ty, "text")]
+    for attempt in attempts:
+        with pytest.raises(AttributeError):
+            attempt()
+    assert lam == Lam(arrow(E, T), Var(0)) and type_text(lam.ty) == "e>t"
+
+
+def test_equal_terms_are_equal_across_classes_only_by_fields():
+    a, b = (App(Lam(E, Var(0)), Const("j", E)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, App(Lam(E, Var(0)), Const("k", E))}) == 2
+    assert Var(0) != Base("e") and Const("e", E) != Base("e")
+    assert Arrow(E, T) != Arrow(T, E) and hash(Arrow(E, T)) == hash(arrow(E, T))
+
+
+def test_terms_take_keywords_and_defaults():
+    assert Lam(ty=E, body=Var(index=0)) == Lam(E, Var(0))
+    assert _Neutral(head=2) == _Neutral(2, ()) and _Neutral(2).spine == ()
+    assert Arrow(dom=E, cod=T).text == "e>t"
+    with pytest.raises(TypeError):
+        App(Var(0))
+
+
+def test_terms_copy_and_pickle():
+    t = Lam(arrow(arrow(E, T), T), App(Var(0), Const("j", E)))
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and twin.ty.text == "(e>t)>t"
+
+
+def test_term_repr_keeps_its_text():
+    t = Lam(arrow(E, T), App(Const("p", arrow(E, T)), Var(0)))
+    assert repr(t) == (
+        "Lam(ty=Arrow(Base('e'), Base('t')), body=App(fn=Const(name='p', "
+        "ty=Arrow(Base('e'), Base('t'))), arg=Var(index=0)))")
+    assert repr(_Neutral(3)) == "_Neutral(head=3, spine=())"
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    """`dataclasses` pulls in `inspect` and friends, a fixed cost of every
+    run; -S keeps site hooks from loading it first."""
+    src = Path(contsem.__file__).resolve().parent.parent
+    code = ("import sys, contsem.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_type_text_matches_the_recursive_rendering():
+    lex = default_lexicon()
+    types = [typecheck(e.term) for e in lex.entries()]
+    types += [s.ty for e in lex.entries() for s in subterms(e.term)
+              if isinstance(s, Lam)]
+    types += [ty for row in CATEGORY_TYPES.values() for ty in row.values()]
+    rng = random.Random(11)
+    types += [random_type(rng, 4) for _ in range(2000)]
+    assert sum(isinstance(ty, Arrow) and isinstance(ty.dom, Arrow) for ty in types) > 300
+    for ty in types:
+        assert type_text(ty) == recursive_type_text(ty)
+        assert parse_type(type_text(ty)) == ty
