@@ -17,8 +17,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from pathlib import Path
-from typing import Optional
 
 from .errors import ContsemError, DepthLimitExceeded
 from . import terms as tm
@@ -43,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the pipeline on a discourse file")
-    run.add_argument("input", type=Path, metavar="file")
+    run.add_argument("input", metavar="file")
     run.add_argument("--profile", choices=["A", "B", "C"])
     run.add_argument("--mode", choices=["interpret", "symbolic-expand", "term-eval"],
                      default="interpret")
@@ -67,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -78,12 +76,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run(ns: argparse.Namespace) -> int:
-    if not ns.input.exists():
-        print(f"contsem: no such file: {ns.input}", file=sys.stderr)
+    try:
+        with open(ns.input, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        reason = (f"no such file: {ns.input}" if isinstance(exc, FileNotFoundError)
+                  else f"cannot read {ns.input}: {exc.strerror}")
+        print(f"contsem: {reason}", file=sys.stderr)
         print("usage: contsem run <file> [options]", file=sys.stderr)
         return 2
+    except UnicodeDecodeError:
+        print(f"contsem: {ns.input} is not UTF-8 text", file=sys.stderr)
+        return 1
     try:
-        text = ns.input.read_text()
         if ns.mode == "term-eval":
             return _run_term(ns, text)
         return _run_discourse(ns, text)

@@ -10,8 +10,8 @@ licenses.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-from typing import Optional, Union
 
 from .errors import ContsemError
 from .node import Node
@@ -37,11 +37,11 @@ class Pron(Node):
     __slots__ = {"word": "str"}
 
 
-NP = Union[ProperN, Det, Pron]
+NP = ProperN | Det | Pron
 
 
 class Verb(Node):
-    __slots__ = {"word": "str", "obj": "Optional[NP]"}
+    __slots__ = {"word": "str", "obj": "NP | None"}
     _defaults = {"obj": None}
 
 
@@ -50,7 +50,7 @@ class CopulaAdj(Node):
 
 
 class Sentence(Node):
-    __slots__ = {"subject": "NP", "predicate": "Union[Verb, CopulaAdj]",
+    __slots__ = {"subject": "NP", "predicate": "Verb | CopulaAdj",
                  "negated": "bool"}
     _defaults = {"negated": False}
 
@@ -75,7 +75,7 @@ class SubN(Node):
     __slots__ = {"left": "DiscourseTree", "right": "DiscourseTree"}
 
 
-DiscourseTree = Union[Leaf, SymLeaf, Seq, CoordN, SubN]
+DiscourseTree = Leaf | SymLeaf | Seq | CoordN | SubN
 
 
 class ProfileMismatch(ContsemError):
@@ -261,18 +261,29 @@ def _binary_template(right: str, profile: Profile) -> Term:
 
 
 def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
-    """Structural interpretation of a discourse tree (not normalized)."""
-    if isinstance(tree, Leaf):
-        return build_sentence(tree.sentence, lexicon, profile)
-    if isinstance(tree, SymLeaf):
-        return Const(tree.name, profile.sentence_type)
-    name, profiles, right = _NODES[type(tree)]
-    if profile not in profiles:
-        raise ProfileMismatch(name, profile)
-    left = compose(tree.left, lexicon, profile)
-    right_term = compose(tree.right, lexicon, profile)
-    return subst_consts(_binary_template(right, profile),
-                        {"LHS_": left, "RHS_": right_term})
+    """Structural interpretation of a discourse tree (not normalized).  Leaves
+    are built and connectives checked in preorder, so the first error is the
+    leftmost one; then each connective's template takes its two subtrees'."""
+    stack, preorder = [tree], []    # leaf terms, and each connective's `right`
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            preorder.append(build_sentence(node.sentence, lexicon, profile))
+        elif isinstance(node, SymLeaf):
+            preorder.append(Const(node.name, profile.sentence_type))
+        else:
+            name, profiles, right = _NODES[type(node)]
+            if profile not in profiles:
+                raise ProfileMismatch(name, profile)
+            preorder.append(right)
+            stack += (node.right, node.left)
+    done: list[Term] = []           # composed subtrees, the leftmost on top
+    for item in reversed(preorder):
+        if isinstance(item, str):
+            item = subst_consts(_binary_template(item, profile),
+                                {"LHS_": done.pop(), "RHS_": done.pop()})
+        done.append(item)
+    return done[0]
 
 
 def _leaves(tree: DiscourseTree):
@@ -289,7 +300,7 @@ def has_symbolic_leaves(tree: DiscourseTree) -> bool:
     return any(isinstance(leaf, SymLeaf) for leaf in _leaves(tree))
 
 
-def expand_symbolic(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
+def expand_symbolic(tree: DiscourseTree, lexicon: Lexicon | None = None,
                     profile: Profile = Profile.C) -> Term:
     """Normalized interpretation of an all-symbolic discourse tree.
 
@@ -356,12 +367,12 @@ def default_initial_args(profile: Profile) -> InitialArgs:
 class Interpretation(Node):
     """Every artifact of one pipeline run; in symbolic expansion only
     `composed` and its normal form `normal` are set."""
-    __slots__ = {"composed": "Term", "applied": "Optional[Term]", "normal": "Term",
-                 "raw": "Optional[Formula]", "simplified": "Optional[Formula]"}
+    __slots__ = {"composed": "Term", "applied": "Term | None", "normal": "Term",
+                 "raw": "Formula | None", "simplified": "Formula | None"}
 
 
 def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
-                 init: Optional[InitialArgs],
+                 init: InitialArgs | None,
                  max_steps: int = 100_000) -> Interpretation:
     """Compose, apply `init`, normalize, reify and simplify; with init=None,
     compose and normalize only (symbolic expansion).  The applied term has
@@ -379,9 +390,9 @@ def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
     return Interpretation(composed, applied, normal, raw, simplify(raw))
 
 
-def interpret(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
+def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,
               profile: Profile = Profile.B,
-              init: Optional[InitialArgs] = None,
+              init: InitialArgs | None = None,
               max_steps: int = 100_000) -> tuple[Formula, Formula]:
     """The (raw, simplified) formulas of a concrete discourse, run from
     `init`, by default the profile's empty initial arguments."""
@@ -404,7 +415,7 @@ def interpret(tree: DiscourseTree, lexicon: Optional[Lexicon] = None,
 # become symbolic leaves.
 
 class DiscourseFile(Node):
-    __slots__ = {"profile": "Optional[Profile]", "tree": "DiscourseTree",
+    __slots__ = {"profile": "Profile | None", "tree": "DiscourseTree",
                  "symbolic": "bool", "sentences": "dict[str, Sentence]"}
 
 
@@ -464,7 +475,7 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
         adj = next_tok()
         if category_of(adj) != Category.ADJECTIVE:
             fail(f"{adj!r} is not an adjective")
-        predicate: Union[Verb, CopulaAdj] = CopulaAdj(lexicon.canonical(adj))
+        predicate: Verb | CopulaAdj = CopulaAdj(lexicon.canonical(adj))
     elif cat in (Category.TRANSITIVE_VERB, Category.INTRANSITIVE_VERB):
         obj = parse_np() if peek() is not None else None
         predicate = Verb(lexicon.canonical(tok), obj)
@@ -475,91 +486,67 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
     return Sentence(subject, predicate, negated)
 
 
+_EXPR_TOKEN = re.compile(r"\.[cs]|[().]|\w+|\S")
+_CONNECTIVES = {".": Seq, ".c": CoordN, ".s": SubN}
+
+
 def _parse_tree_expr(text: str, sentences: dict[str, Sentence],
                      symbolic: bool) -> DiscourseTree:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith(".c", i):
-            tokens.append(".c")
-            i += 2
-        elif text.startswith(".s", i):
-            tokens.append(".s")
-            i += 2
-        elif ch in "().":
-            tokens.append(ch)
-            i += 1
+    """Read a discourse expression.  The connectives are left-associative
+    and bind equally tightly, so one loop reads it: `enclosing` holds the
+    (tree so far, pending connective) of each open `(`."""
+    tokens = _EXPR_TOKEN.findall(text)
+    for tok in tokens:
+        if not (tok[0].isalnum() or tok[0] in "_()."):
+            raise DiscourseError(f"bad character {tok!r} in discourse expression")
+    enclosing, tree, op = [], None, None
+    for tok in tokens + [None]:
+        if tree is None or op is not None:              # an operand is due
+            if tok == "(":
+                enclosing.append((tree, op))
+                tree, op = None, None
+                continue
+            if tok in (None, ")") or tok in _CONNECTIVES:
+                found = "end of expression" if tok is None else repr(tok)
+                raise DiscourseError(f"expected a sentence id, found {found}")
+            if tok not in sentences and not symbolic:
+                raise DiscourseError(f"undefined sentence id {tok!r}")
+            operand = Leaf(sentences[tok]) if tok in sentences else SymLeaf(tok)
+        elif tok in _CONNECTIVES:
+            op = _CONNECTIVES[tok]
+            continue
+        elif tok == ")" and enclosing:
+            operand = tree
+            tree, op = enclosing.pop()
+        elif enclosing:
+            raise DiscourseError("missing `)` in discourse expression")
+        elif tok is None:
+            return tree
         else:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i:
-                raise DiscourseError(f"bad character {ch!r} in discourse expression")
-            tokens.append(text[i:j])
-            i = j
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def atom() -> DiscourseTree:
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            pos += 1
-            node = expr()
-            if peek() != ")":
-                raise DiscourseError("missing `)` in discourse expression")
-            pos += 1
-            return node
-        if tok is None or tok in (".", ".c", ".s", ")"):
-            raise DiscourseError(f"expected a sentence id, found {tok!r}")
-        pos += 1
-        if tok in sentences:
-            return Leaf(sentences[tok])
-        if symbolic:
-            return SymLeaf(tok)
-        raise DiscourseError(f"undefined sentence id {tok!r}")
-
-    def expr() -> DiscourseTree:
-        nonlocal pos
-        node = atom()
-        while peek() in (".", ".c", ".s"):
-            op = tokens[pos]
-            pos += 1
-            right = atom()
-            node = {".": Seq, ".c": CoordN, ".s": SubN}[op](node, right)
-        return node
-
-    tree = expr()
-    if pos != len(tokens):
-        raise DiscourseError(f"unexpected trailing {tokens[pos]!r}")
-    return tree
+            raise DiscourseError(f"unexpected trailing {tok!r}")
+        tree = operand if tree is None else op(tree, operand)
+        op = None
 
 
-def parse_discourse(text: str, lexicon: Optional[Lexicon] = None) -> DiscourseFile:
+def parse_discourse(text: str, lexicon: Lexicon | None = None) -> DiscourseFile:
     lexicon = lexicon or default_lexicon()
-    profile: Optional[Profile] = None
+    profile: Profile | None = None
     symbolic = False
     sentences: dict[str, Sentence] = {}
-    tree_text: Optional[str] = None
+    tree_text: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("profile"):
-            name = line[len("profile"):].strip()
+        keyword, rest = re.match(r"(\w*)\s*(.*)", line).groups()
+        if keyword == "profile":
             try:
-                profile = Profile(name)
+                profile = Profile(rest)
             except ValueError:
-                raise DiscourseError(f"line {lineno}: unknown profile {name!r}")
-        elif line == "symbolic":
+                raise DiscourseError(f"line {lineno}: unknown profile {rest!r}")
+        elif keyword == "symbolic" and not rest:
             symbolic = True
-        elif line.startswith("sentence"):
-            rest = line[len("sentence"):].strip()
+        elif keyword == "sentence":
             if "=" not in rest:
                 raise DiscourseError(f"line {lineno}: expected `sentence <id> = <words>`")
             ident, words = rest.split("=", 1)
@@ -567,8 +554,7 @@ def parse_discourse(text: str, lexicon: Optional[Lexicon] = None) -> DiscourseFi
             if not ident.isidentifier():
                 raise DiscourseError(f"line {lineno}: bad sentence id {ident!r}")
             sentences[ident] = parse_sentence_words(words.strip(), lexicon)
-        elif line.startswith("discourse"):
-            rest = line[len("discourse"):].strip()
+        elif keyword == "discourse":
             if not rest.startswith("="):
                 raise DiscourseError(f"line {lineno}: expected `discourse = <expr>`")
             tree_text = rest[1:].strip()

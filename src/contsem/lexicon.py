@@ -20,9 +20,9 @@ its row, and `extended` adds rows for new words but never rewrites one.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional
 
 from .errors import ContsemError
 from .node import Node
@@ -47,7 +47,7 @@ class Profile(Enum):
         return {Profile.A: CONT_A, Profile.B: CONT_B, Profile.C: CONT_C}[self]
 
     @property
-    def connective_type(self) -> Optional[SemType]:
+    def connective_type(self) -> SemType | None:
         return {Profile.A: None, Profile.B: KAPPA_B, Profile.C: KAPPA_C}[self]
 
 
@@ -64,7 +64,7 @@ class Category(Enum):
 
 
 class UnknownWord(ContsemError):
-    def __init__(self, word: str, profile: Optional[Profile] = None):
+    def __init__(self, word: str, profile: Profile | None = None):
         self.word = word
         self.profile = profile
         where = f" in profile {profile.value}" if profile else ""
@@ -244,23 +244,12 @@ _STORED_WORDS = {
 }
 
 
-def _base_signature(words: dict[str, tuple[Category, str]]) -> dict[str, SemType]:
-    sig: dict[str, SemType] = {}
-    for category, symbol in words.values():
-        if symbol:
-            sig[symbol] = content_type(category)
-    return sig
-
-
-def _build_term(category: Category, profile: Profile, symbol: str,
-                extra_sig: Optional[dict] = None) -> Term:
+def _build_term(category: Category, profile: Profile, symbol: str) -> Term:
     templates = _TEMPLATES.get(profile, {})
     if category not in templates:
         raise UnsupportedCategory(category, profile)
     source = templates[category].format(p=symbol)
-    sig = dict(extra_sig or {})
-    sig[symbol] = content_type(category)
-    return parse_term(source, sig)
+    return parse_term(source, {symbol: content_type(category)})
 
 
 class Lexicon:
@@ -268,7 +257,7 @@ class Lexicon:
 
     def __init__(self, words: dict[str, tuple[Category, str]],
                  entries: dict[tuple[str, Profile], LexEntry],
-                 aliases: Optional[dict[str, str]] = None):
+                 aliases: dict[str, str] | None = None):
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
@@ -317,14 +306,15 @@ class Lexicon:
             raise UnknownWord(word, profile)
         return self._entries[key].term
 
-    def entries(self, profile: Optional[Profile] = None) -> list[LexEntry]:
+    def entries(self, profile: Profile | None = None) -> list[LexEntry]:
         out = [e for e in self._entries.values()
                if profile is None or e.profile == profile]
         return sorted(out, key=lambda e: (e.profile.value, e.word))
 
     def signature(self) -> dict[str, SemType]:
         """Content constants of all registered words, for the term parser."""
-        return _base_signature(self._words)
+        return {symbol: content_type(category)
+                for category, symbol in self._words.values() if symbol}
 
     def extended(self, new_entries: Iterable[LexEntry]) -> "Lexicon":
         """New lexicon with extra entries.  A new word gets a registry row
@@ -345,7 +335,7 @@ class Lexicon:
 
 
 def make_entry(category: Category, word: str, profile: Profile,
-               symbol: Optional[str] = None) -> LexEntry:
+               symbol: str | None = None) -> LexEntry:
     """Instantiate the category's template for a new content word.
 
     The entry is shaped exactly like the corresponding core entry with the
@@ -373,15 +363,14 @@ def negation_variant(profile: Profile, rejected: bool = False) -> Term:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
-    sig = _base_signature(_DEFAULT_WORDS)
     entries: dict[tuple[str, Profile], LexEntry] = {}
     for profile, words in _STORED_WORDS.items():
         for word in words:
             category, symbol = _DEFAULT_WORDS[word]
             if word in _FIXED[profile]:
-                term = parse_term(_FIXED[profile][word], sig)
+                term = parse_term(_FIXED[profile][word])
             else:
-                term = _build_term(category, profile, symbol, sig)
+                term = _build_term(category, profile, symbol)
             entries[(word, profile)] = LexEntry(word, category, profile, term)
     return Lexicon(_DEFAULT_WORDS, entries, _ALIASES)
 
@@ -392,7 +381,7 @@ _FILE_CATEGORIES = {c.value: c for c in Category
                              Category.INTRANSITIVE_VERB, Category.ADJECTIVE)}
 
 
-def load_word_file(lines: Iterable[str], base: Optional[Lexicon] = None) -> Lexicon:
+def load_word_file(lines: Iterable[str], base: Lexicon | None = None) -> Lexicon:
     """Extend a lexicon from `category word` lines (e.g. `noun dog`,
     `tverb sees`, `pnoun mary`).  Blank lines and `#` comments are skipped."""
     base = base or default_lexicon()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterator, Union
+from collections.abc import Callable, Iterator
 
 from .errors import ContsemError
 from .node import Node
@@ -48,7 +48,7 @@ class Atom(Node):
     _defaults = {"args": ()}
 
 
-Formula = Union[Top, Bot, Not, And, Or, Exists, Atom]
+Formula = Top | Bot | Not | And | Or | Exists | Atom
 
 
 class EntConst(Node):
@@ -71,14 +71,14 @@ class UnionE(Node):
     __slots__ = {"left": "EnvExpr", "right": "EnvExpr"}
 
 
-EnvExpr = Union[NilE, ConsE, UnionE]
+EnvExpr = NilE | ConsE | UnionE
 
 
 class SelOf(Node):
     __slots__ = {"env": "EnvExpr", "site_id": "int"}
 
 
-EntityTerm = Union[EntConst, EntVar, SelOf]
+EntityTerm = EntConst | EntVar | SelOf
 
 NIL_E = NilE()
 

@@ -24,7 +24,7 @@ parse_term(pretty(t)) is alpha-equivalent to t for every closed t.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .errors import ContsemError
 from .terms import (
@@ -223,7 +223,7 @@ class _Parser:
         self.lex._fail(f"expected a type, found {value!r}", pos)
 
 
-def parse_term(text: str, constants: Optional[Mapping[str, SemType]] = None) -> Term:
+def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Term:
     """Parse the named lambda syntax into a De Bruijn term.
 
     `constants` declares non-builtin constants (content words, entity names).

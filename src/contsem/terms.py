@@ -6,8 +6,6 @@ makes typechecking decidable without inference.  All values are immutable.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .errors import ContsemError
 from .node import Node
 
@@ -40,7 +38,7 @@ class Arrow(Node):
         return f"Arrow({self.dom!r}, {self.cod!r})"
 
 
-SemType = Union[Base, Arrow]
+SemType = Base | Arrow
 
 E = Base("e")   # entities
 T = Base("t")   # propositions
@@ -95,7 +93,7 @@ class Const(Node):
     __slots__ = {"name": "str", "ty": "SemType"}
 
 
-Term = Union[Var, Lam, App, Const]
+Term = Var | Lam | App | Const
 
 
 def app(fn: Term, *args: Term) -> Term:
@@ -287,7 +285,7 @@ class _Neutral(Node):
     """A head applied to a spine of argument values.  The head is a Const or
     a variable's De Bruijn level: 0 for the outermost binder, -1 - i for the
     term's free index i, so open terms read back unchanged."""
-    __slots__ = {"head": "Union[Const, int]", "spine": "tuple"}
+    __slots__ = {"head": "Const | int", "spine": "tuple"}
     _defaults = {"spine": ()}
 
 
@@ -337,7 +335,7 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
 # ---------------------------------------------------------------------------
 # Normal-order reduction, one step at a time (for --trace)
 
-def reduce_once(term: Term) -> Optional[tuple[Term, tuple[str, ...]]]:
+def reduce_once(term: Term) -> tuple[Term, tuple[str, ...]] | None:
     """One leftmost-outermost beta step, or None if the term is normal.
 
     Returns the reduced term together with the redex position (a path of

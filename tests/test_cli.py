@@ -35,11 +35,27 @@ def test_key_golden_lines(capsys):
     assert "sel#0 env=j::nil candidates=[j]" in out
 
 
+_USAGE = "usage: contsem run <file> [options]\n"
+
+
 def test_missing_file_is_usage_error(capsys):
-    code = main(["run", "no/such/file.dsc"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "usage" in err
+    assert main(["run", "no/such/file.dsc"]) == 2
+    assert capsys.readouterr() == ("", f"contsem: no such file: no/such/file.dsc\n{_USAGE}")
+
+
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    first, usage = err.splitlines(keepends=True)
+    assert out == "" and usage == _USAGE
+    assert first.startswith(f"contsem: cannot read {tmp_path}: ")
+
+
+def test_non_utf8_input_is_pipeline_error(tmp_path, capsys):
+    f = tmp_path / "latin1.dsc"
+    f.write_bytes(b"profile A\nsentence s = j\xf6hn walks\ndiscourse = s\n")
+    assert main(["run", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"contsem: {f} is not UTF-8 text\n")
 
 
 def test_symbolic_requires_profile_c(capsys):
@@ -213,9 +229,8 @@ def test_library_and_cli_give_the_same_formulas(tmp_path, capsys):
 
 
 def test_cli_runs_each_stage_once(monkeypatch, capsys):
-    """One discourse, one call of each stage (a stage's calls to itself,
-    such as compose's recursion, are not counted), and no typecheck beyond
-    the initial arguments'."""
+    """One discourse, one call of each stage (a stage's calls to itself
+    are not counted), and no typecheck beyond the initial arguments'."""
     init_args = list(default_initial_args(Profile.B).args)
     calls = dict.fromkeys(["compose", "normalize", "reify", "simplify"], 0)
     active = dict.fromkeys(calls, False)

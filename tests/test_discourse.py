@@ -18,7 +18,7 @@ from contsem.terms import (
     Const, E, G, alpha_eq, app, arrow, normalize, typecheck,
 )
 
-from gen import pipeline_cases, random_closed_term, subterms
+from gen import flat_discourse_text, pipeline_cases, random_closed_term, subterms
 
 LEX = default_lexicon()
 KC = "g>g>g"
@@ -214,6 +214,45 @@ def test_leaf_walk_is_stack_safe():
         expand_symbolic(CoordN(symbolic, Leaf(S_RED)), LEX)
 
 
+def _count_consts(term, name):
+    return sum(isinstance(t, Const) and t.name == name for t in subterms(term))
+
+
+def test_compose_is_stack_safe():
+    concrete, symbolic = Leaf(S_RED), SymLeaf("s0")
+    for _ in range(5000):
+        concrete = Seq(concrete, Leaf(S_RED))
+        symbolic = CoordN(symbolic, SymLeaf("s1"))
+    for profile in (Profile.A, Profile.B):
+        assert _count_consts(compose(concrete, LEX, profile), "red") == 5001
+    assert _count_consts(compose(symbolic, LEX, Profile.C), "s1") == 5000
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.C])
+def test_flat_1000_sentence_discourses_compose(profile):
+    tree = parse_discourse(flat_discourse_text(profile, 1000), LEX).tree
+    assert _count_consts(compose(tree, LEX, profile), "red") == 500   # one per `it is red`
+
+
+def test_deep_discourse_expressions_are_read():
+    depth = 5000
+    head = "profile A\nsentence s0 = john loves (a woman)\nsentence s1 = it is red\n"
+    leaves = [Leaf(parse_sentence_words("john loves (a woman)", LEX)), Leaf(S_RED)]
+    nested_left = "(" * (depth - 1) + "s0" + "".join(
+        f" . s{i % 2})" for i in range(1, depth))
+    nested_right = " . (".join(f"s{i % 2}" for i in range(depth)) + ")" * (depth - 1)
+    node = parse_discourse(f"{head}discourse = {nested_left}\n", LEX).tree
+    for i in reversed(range(1, depth)):      # trees this deep cannot use ==
+        assert type(node) is Seq and node.right == leaves[i % 2]
+        node = node.left
+    assert node == leaves[0]
+    node = parse_discourse(f"{head}discourse = {nested_right}\n", LEX).tree
+    for i in range(depth - 1):
+        assert type(node) is Seq and node.left == leaves[i % 2]
+        node = node.right
+    assert node == leaves[(depth - 1) % 2]
+
+
 def test_expand_symbolic_requires_profile_c_and_symbolic_leaves():
     tree = CoordN(SymLeaf("s1"), SymLeaf("s2"))
     with pytest.raises(ProfileMismatch):
@@ -372,6 +411,54 @@ def test_parse_discourse_undefined_id_without_symbolic():
 def test_parse_discourse_requires_tree():
     with pytest.raises(DiscourseError):
         parse_discourse("profile B\n", LEX)
+
+
+@pytest.mark.parametrize("expr,err", [
+    ("", "expected a sentence id, found end of expression"),
+    ("s .", "expected a sentence id, found end of expression"),
+    (". s", "expected a sentence id, found '.'"),
+    ("s . . s", "expected a sentence id, found '.'"),
+    ("()", "expected a sentence id, found ')'"),
+    ("(s", "missing `)` in discourse expression"),
+    ("s)", "unexpected trailing ')'"),
+    ("s s", "unexpected trailing 's'"),
+    ("s (s)", "unexpected trailing '('"),
+    ("(s (s))", "missing `)` in discourse expression"),
+    ("s $", "bad character '$' in discourse expression"),
+    ("$ (", "bad character '$' in discourse expression"),    # before syntax
+    ("s . x", "undefined sentence id 'x'"),
+    ("x )", "undefined sentence id 'x'"),                     # before syntax
+    ("s.s1", "undefined sentence id '1'"),                    # read `s .s 1`
+])
+def test_discourse_expression_diagnostics(expr, err):
+    with pytest.raises(DiscourseError) as exc:
+        parse_discourse(f"profile A\nsentence s = john walks\ndiscourse = {expr}\n", LEX)
+    assert str(exc.value) == err
+
+
+@pytest.mark.parametrize("line", [
+    "profileA", "profileX A", "sentences1 = john walks", "discourses = s",
+    "symbolicX", "symbolic A", "= s",
+])
+def test_directive_keywords_are_whole_words(line):
+    with pytest.raises(DiscourseError) as exc:
+        parse_discourse(f"sentence s = john walks\n{line}\ndiscourse = s\n", LEX)
+    assert str(exc.value) == f"line 2: unrecognized directive {line!r}"
+
+
+def test_directive_keywords_may_touch_their_arguments():
+    parsed = parse_discourse("profile\tA\nsentence s= john walks\ndiscourse=s\n", LEX)
+    assert parsed.profile == Profile.A
+    assert parsed.tree == Leaf(parse_sentence_words("john walks", LEX))
+    with pytest.raises(DiscourseError, match="line 1: unknown profile 'X A'"):
+        parse_discourse("profile X A\ndiscourse = s\n", LEX)
+
+
+def test_undefined_ids_are_symbolic_leaves_under_symbolic():
+    parsed = parse_discourse("profile C\nsymbolic\nsentence s = john walks\n"
+                             "discourse = (s .c x) .s (y)\n", LEX)
+    s = Leaf(parse_sentence_words("john walks", LEX))
+    assert parsed.tree == SubN(CoordN(s, SymLeaf("x")), SymLeaf("y"))
 
 
 # ---------------------------------------------------------------------------

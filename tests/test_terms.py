@@ -231,11 +231,13 @@ def test_term_repr_keeps_its_text():
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
-    """`dataclasses` pulls in `inspect` and friends, a fixed cost of every
-    run; -S keeps site hooks from loading it first."""
+    """`dataclasses` pulls in `inspect` and friends, `typing` is as costly,
+    and `pathlib` brings `urllib.parse` and `ipaddress`: each is a fixed cost
+    of every run.  -S keeps site hooks from loading them first."""
     src = Path(contsem.__file__).resolve().parent.parent
     code = ("import sys, contsem.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
                          check=True)
