@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import ContsemError, DepthLimitExceeded
 from . import terms as tm
@@ -99,9 +100,34 @@ def run(ns: argparse.Namespace) -> int:
         return 1
 
 
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)` for dicts, lists, str, int, bool and None,
+    from an explicit stack: json's encoder with `indent` is pure Python and recurses."""
+    out, stack = [], [(doc, "\n")]    # pending text, or (value, its line start)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, newline = item
+        if type(value) is str:
+            out.append(encode_basestring_ascii(value))
+        elif not value or not isinstance(value, (dict, list)):
+            out.append(json.dumps(value))   # the same text with or without indent
+        else:
+            inner, brackets = newline + "  ", "{}" if type(value) is dict else "[]"
+            pairs = ([(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]
+                     if brackets == "{}" else [("", v) for v in value])
+            out.append(brackets[0])
+            stack.append(newline + brackets[1])
+            for i in range(len(pairs) - 1, -1, -1):
+                stack += (pairs[i][1], inner), ("," if i else "") + inner + pairs[i][0]
+    return "".join(out)
+
+
 def _emit(ns: argparse.Namespace, lines: list[str], doc: dict) -> int:
     if ns.output == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         for line in lines:
             print(line)

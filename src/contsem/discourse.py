@@ -529,6 +529,7 @@ def _parse_tree_expr(text: str, sentences: dict[str, Sentence],
 
 
 def parse_discourse(text: str, lexicon: Lexicon | None = None) -> DiscourseFile:
+    """Read a discourse file; a repeated profile, discourse or sentence id is an error."""
     lexicon = lexicon or default_lexicon()
     profile: Profile | None = None
     symbolic = False
@@ -540,6 +541,8 @@ def parse_discourse(text: str, lexicon: Lexicon | None = None) -> DiscourseFile:
             continue
         keyword, rest = re.match(r"(\w*)\s*(.*)", line).groups()
         if keyword == "profile":
+            if profile is not None:
+                raise DiscourseError(f"line {lineno}: duplicate profile line")
             try:
                 profile = Profile(rest)
             except ValueError:
@@ -553,10 +556,14 @@ def parse_discourse(text: str, lexicon: Lexicon | None = None) -> DiscourseFile:
             ident = ident.strip()
             if not ident.isidentifier():
                 raise DiscourseError(f"line {lineno}: bad sentence id {ident!r}")
+            if ident in sentences:
+                raise DiscourseError(f"line {lineno}: duplicate sentence id {ident!r}")
             sentences[ident] = parse_sentence_words(words.strip(), lexicon)
         elif keyword == "discourse":
             if not rest.startswith("="):
                 raise DiscourseError(f"line {lineno}: expected `discourse = <expr>`")
+            if tree_text is not None:
+                raise DiscourseError(f"line {lineno}: duplicate discourse line")
             tree_text = rest[1:].strip()
         else:
             raise DiscourseError(f"line {lineno}: unrecognized directive {line!r}")

@@ -132,11 +132,12 @@ def env_from_entries(entries) -> EnvExpr:
 def reify(term: Term) -> Formula:
     """Read a closed beta-normal term of type t as a Formula.
 
-    Quantified variables get fresh names (y, y1, y2, ... in textual order)
-    and every occurrence of the selection operator gets a fresh site id,
-    numbered left to right.
+    Quantified variables get fresh names (y, y1, y2, ... in textual order,
+    skipping constants' names) and every occurrence of the selection operator
+    gets a fresh site id, numbered left to right.  A second walk runs only
+    when a name the first chose turns out to be a constant's.
     """
-    const_names = set(tm.constants(term))
+    avoid, used = (), set()
     fresh_counter = [0]
     site_counter = [0]
 
@@ -145,80 +146,80 @@ def reify(term: Term) -> Formula:
             n = fresh_counter[0]
             fresh_counter[0] += 1
             name = "y" if n == 0 else f"y{n}"
-            if name not in const_names:
+            if name not in avoid:
                 return name
 
     def fail(path, reason):
         return NotReifiable(tm.path_steps(path), reason)
 
     def spine(t):
+        # Head, the builtin it is (by class and name before `==`), arguments.
         args = []
-        while isinstance(t, App):
+        while type(t) is App:
             args.append(t.arg)
             t = t.fn
-        return t, list(reversed(args))
+        b = tm.BUILTINS.get(t.name) if type(t) is Const else None
+        return t, (b if b is not None and (t is b or t == b) else None), args[::-1]
 
     def go(t, bound, path) -> Formula:
-        head, args = spine(t)
-        if head == tm.TOP and not args:
+        head, builtin, args = spine(t)
+        if builtin is tm.TOP and not args:
             return Top()
-        if head == tm.BOT and not args:
+        if builtin is tm.BOT and not args:
             return Bot()
-        if head == tm.NOT and len(args) == 1:
+        if builtin is tm.NOT and len(args) == 1:
             return Not(go(args[0], bound, (path, "arg")))
-        if head in (tm.AND, tm.OR) and len(args) == 2:
-            ctor = And if head == tm.AND else Or
+        if (builtin is tm.AND or builtin is tm.OR) and len(args) == 2:
+            ctor = And if builtin is tm.AND else Or
             return ctor(go(args[0], bound, ((path, "fn"), "arg")),
                         go(args[1], bound, (path, "arg")))
-        if head == tm.EXISTS and len(args) == 1:
+        if builtin is tm.EXISTS and len(args) == 1:
             body = args[0]
-            if not isinstance(body, Lam) or body.ty != tm.E:
+            if type(body) is not Lam or body.ty.text != "e":
                 raise fail(path, "quantifier not applied to an entity property")
             name = fresh_var()
             return Exists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
-        if isinstance(head, Const) and head.name not in tm.BUILTINS:
+        if type(head) is Const and head.name not in tm.BUILTINS:
             ent_args = tuple(entity(a, bound, (path, "arg")) for a in args)
-            if _pred_arity_ok(head.ty, len(args)):
+            if head.ty.text == "e>" * len(args) + "t":     # one `e` per argument
+                used.add(head.name)
                 return Atom(head.name, ent_args)
         raise fail(path, "not in the reifiable fragment")
 
     def entity(t, bound, path) -> EntityTerm:
-        if isinstance(t, Var):
+        if type(t) is Var:
             if t.index >= len(bound):
                 raise fail(path, "entity variable escapes its quantifier")
             return EntVar(bound[t.index])
-        if isinstance(t, Const) and t.ty == tm.E and t.name not in tm.BUILTINS:
+        if type(t) is Const and t.ty.text == "e" and t.name not in tm.BUILTINS:
+            used.add(t.name)
             return EntConst(t.name)
-        head, args = spine(t)
-        if head == tm.SEL and len(args) == 1:
+        head, builtin, args = spine(t)
+        if builtin is tm.SEL and len(args) == 1:
             site = site_counter[0]
             site_counter[0] += 1
             return SelOf(environment(args[0], bound, (path, "arg")), site)
         raise fail(path, "not an entity term")
 
     def environment(t, bound, path) -> EnvExpr:
-        if t == tm.NIL:
+        head, builtin, args = spine(t)
+        if builtin is tm.NIL and not args:
             return NIL_E
-        head, args = spine(t)
-        if head == tm.CONS and len(args) == 2:
+        if builtin is tm.CONS and len(args) == 2:
             h = entity(args[0], bound, ((path, "fn"), "arg"))
             if isinstance(h, SelOf):
                 raise fail(path, "selection result used as an environment entry")
             return ConsE(h, environment(args[1], bound, (path, "arg")))
-        if head == tm.UNION and len(args) == 2:
+        if builtin is tm.UNION and len(args) == 2:
             return UnionE(environment(args[0], bound, ((path, "fn"), "arg")),
                           environment(args[1], bound, (path, "arg")))
         raise fail(path, "not an environment expression")
 
+    formula = go(term, (), None)
+    if used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh_counter[0])):
+        return formula
+    avoid, fresh_counter[0], site_counter[0] = used, 0, 0
     return go(term, (), None)
-
-
-def _pred_arity_ok(ty, n):
-    for _ in range(n):
-        if not (isinstance(ty, tm.Arrow) and ty.dom == tm.E):
-            return False
-        ty = ty.cod
-    return ty == tm.T
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from .errors import ContsemError
 from .terms import (
     AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
-    G, App, Arrow, Base, Const, Lam, SemType, Term, Var, constants,
+    App, Arrow, Base, Const, Lam, SemType, Term, Var,
 )
 
 
@@ -258,16 +258,27 @@ _INFIX = {row[0].name: row for row in (
     (CONS, "::", _CONS, _CONS + 1, _CONS),
     (UNION, "++", _UNION, _UNION, _UNION + 1),
 )}
+_COMBINATORS = {Var: ("Coord", COORD), App: ("Sub", SUB)}   # by innermost body class
 
 
 def pretty(term: Term) -> str:
     """Named rendering with canonical fresh names (x1, x2, ... in binder
-    order).  Round-trips through parse_term for closed terms.
+    order, skipping constants' names).  Round-trips through parse_term for
+    closed terms.
 
     One left-to-right pass over an explicit stack: linear in the term's size,
-    and its depth is not limited by Python's recursion limit.
+    and its depth is not limited by Python's recursion limit.  A second pass
+    runs only when a name the first chose turns out to be a constant's.
     """
-    used = constants(term)
+    text, used, count = _render(term, ())
+    if not used.isdisjoint(f"x{i}" for i in range(1, count + 1)):
+        text = _render(term, used)[0]
+    return text
+
+
+def _render(term: Term, avoid) -> tuple[str, set[str], int]:
+    """pretty's pass: the text, the constants' names, the names tried."""
+    used: set[str] = set()
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
     out: list[str] = []
@@ -283,28 +294,31 @@ def pretty(term: Term) -> str:
             out.append(names[depth - 1 - t.index] if t.index < depth else f"#{t.index}")
             continue
         if kind is Const:
+            used.add(t.name)
             out.append(t.name if _WORDLIKE.match(t.name) else f"({t.name})")
             continue
         if kind is Lam:
-            if t.ty == G and (t == COORD or t == SUB):
-                out.append("Coord" if t == COORD else "Sub")
+            body = t.body   # Coord and Sub by shape before `==`
+            combinator = _COMBINATORS.get(type(body.body)) if type(body) is Lam else None
+            if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
+                out.append(combinator[0])
                 continue
             while True:
                 counter += 1
                 name = f"x{counter}"
-                if name not in used and name not in _RESERVED:
+                if name not in avoid:
                     break
             names[depth:] = [name]
-            own, parts = _LAM, ((t.body, _LAM, depth + 1), f"\\{name}:{t.ty.text}. ")
+            own, parts = _LAM, ((body, _LAM, depth + 1), f"\\{name}:{t.ty.text}. ")
         else:
-            # Applications, with infix/prefix sugar for the logical constants.
+            # Applications, with sugar for the logical constants (by name first).
             fn = t.fn
             head = fn.fn if type(fn) is App else None
             infix = _INFIX.get(head.name) if type(head) is Const else None
-            if infix is not None and head == infix[0]:
+            if infix is not None and (head is infix[0] or head == infix[0]):
                 _, op, own, left, right = infix
                 parts = ((t.arg, right, depth), op, (fn.arg, left, depth))
-            elif type(fn) is Const and fn.name == NOT.name and fn == NOT:
+            elif type(fn) is Const and fn.name == "~" and (fn is NOT or fn == NOT):
                 own, parts = _NEG, ((t.arg, _NEG, depth), "~ ")
             else:
                 own, parts = _APP, ((t.arg, _ATOM, depth), " ", (fn, _APP, depth))
@@ -312,4 +326,4 @@ def pretty(term: Term) -> str:
             out.append("(")
             stack.append(")")
         stack += parts   # listed last piece first, as the stack pops them
-    return "".join(out)
+    return "".join(out), used, counter

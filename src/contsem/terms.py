@@ -6,6 +6,8 @@ makes typechecking decidable without inference.  All values are immutable.
 """
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import ContsemError
 from .node import Node
 
@@ -18,7 +20,7 @@ from .node import Node
 
 class Base(Node):
     __slots__ = {"name": "str"}
-    text = property(lambda self: self.name)
+    text = property(attrgetter("name"))
 
     def __repr__(self):
         return f"Base({self.name!r})"
@@ -276,19 +278,6 @@ def _typecheck(term, ctx, path):
 # ---------------------------------------------------------------------------
 # Normalization by evaluation (Berger & Schwichtenberg 1991)
 
-class _Closure(Node):
-    """A lambda value: its binder type and the body awaiting an argument."""
-    __slots__ = {"ty": "SemType", "fn": "Callable"}
-
-
-class _Neutral(Node):
-    """A head applied to a spine of argument values.  The head is a Const or
-    a variable's De Bruijn level: 0 for the outermost binder, -1 - i for the
-    term's free index i, so open terms read back unchanged."""
-    __slots__ = {"head": "Const | int", "spine": "tuple"}
-    _defaults = {"spine": ()}
-
-
 def normalize(term: Term, max_steps: int = 100_000) -> Term:
     """Beta-normal form of a well-typed term, by normalization by evaluation.
 
@@ -296,6 +285,9 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
     the call, and the value is read back as a De Bruijn term.  Each closure
     application is one beta contraction; more than `max_steps` of them raise
     StepBudgetExceeded.  By confluence the result is normal order's (`trace`).
+    Closures are (binder type, function) tuples, neutrals [head, *spine]
+    lists; a head is a Const or a De Bruijn level: 0 for the outermost binder,
+    -1 - i for the free index i, so open terms read back unchanged.
     """
     steps = 0
 
@@ -304,28 +296,28 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
         kind = type(t)
         if kind is App:
             fn, arg = ev(t.fn, env), ev(t.arg, env)
-            if type(fn) is _Neutral:
-                return _Neutral(fn.head, fn.spine + (arg,))
+            if type(fn) is list:
+                return fn + [arg]
             steps += 1
             if steps > max_steps:
                 raise StepBudgetExceeded(max_steps)
-            return fn.fn(arg)
+            return fn[1](arg)
         if kind is Lam:
-            return _Closure(t.ty, lambda v, body=t.body, env=env: ev(body, (v, env)))
+            return t.ty, lambda v, body=t.body, env=env: ev(body, (v, env))
         if kind is Var:
             i = t.index
             while env is not None:
                 if i == 0:
                     return env[0]
                 i, env = i - 1, env[1]
-            return _Neutral(-1 - i)
-        return _Neutral(t)
+            return [-1 - i]
+        return [t]
 
     def quote(v, lvl):
-        if type(v) is _Closure:
-            return Lam(v.ty, quote(v.fn(_Neutral(lvl)), lvl + 1))
-        out = v.head if type(v.head) is Const else Var(lvl - v.head - 1)
-        for arg in v.spine:
+        if type(v) is tuple:
+            return Lam(v[0], quote(v[1]([lvl]), lvl + 1))
+        out = v[0] if type(v[0]) is Const else Var(lvl - v[0] - 1)
+        for arg in v[1:]:
             out = App(out, quote(arg, lvl))
         return out
 

@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contsem import cli, discourse
+from contsem import cli, discourse, terms
 from contsem.cli import main
 from contsem.discourse import default_initial_args, interpret
-from contsem.lexicon import Profile, default_lexicon
+from contsem.lexicon import Profile, default_lexicon, load_word_file
 from contsem.logic import formula_text
 
 from gen import discourse_file, flat_discourse_text, pipeline_cases
@@ -279,12 +280,81 @@ _RED = "sentence s1 = it is red\n"
      "subordination (.s) is not available in profile B"),
     ("C", "john owns (a car)\n" + _RED, "s0 . s1",
      "plain sequencing (.) is not available in profile C"),
+    # Each directive, and each sentence id, appears once.
+    ("A", "john owns (a car)\nprofile A", "s0", "line 3: duplicate profile line"),
+    ("A", "john owns (a car)\nsentence s0 = it is red", "s0",
+     "line 3: duplicate sentence id 's0'"),
+    ("A", "john owns (a car)", "s0\ndiscourse = s0 . s0", "line 4: duplicate discourse line"),
 ])
 def test_ill_formed_discourse_diagnostics(profile, text, expr, err, tmp_path, capsys):
     f = tmp_path / "bad.dsc"
     f.write_text(f"profile {profile}\nsentence s0 = {text}\ndiscourse = {expr}\n")
     assert main(["run", str(f)]) == 1
     assert capsys.readouterr() == ("", f"contsem: {err}\n")
+
+
+def test_quantified_names_skip_constants_of_a_word_file(tmp_path, monkeypatch, capsys):
+    """A noun `y` and a name `y1` hold the first two quantifier names, so
+    the two indefinites are bound as y2 and y3."""
+    monkeypatch.setattr(cli, "default_lexicon",
+                        lambda: load_word_file(["noun y", "pnoun y1"]))
+    f = tmp_path / "y.dsc"
+    f.write_text("profile A\nsentence s0 = y1 loves (a y)\n"
+                 "sentence s1 = (a y) loves it\ndiscourse = s0 . s1\n")
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "normal: Ex (\\x1:e. y x1 & love y1 x1 & Ex (\\x2:e. y x2 & "
+        "love x2 (sel (x2::x1::nil)) & top))",
+        "raw: Ex y2. (y y2 & love y1 y2 & Ex y3. (y y3 & love y3(sel(y3::y2::nil)) & top))",
+        "simplified: Ex y2. (y y2 & love y1 y2 & Ex y3. (y y3 & love y3(sel(y3::y2::nil))))",
+        "sel#0 env=y3::y2::nil candidates=[y3, y2]",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_run_collects_no_constants_beforehand(fmt, capsys):
+    """`pretty` and `reify` learn the constants' names during their own
+    walks: no `terms.constants` pre-walk runs, whichever name it is bound to."""
+    code, calls = terms.constants.__code__, []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is code
+                   and calls.append(frame))
+    try:
+        assert main(["run", str(SAMPLES / "loves_woman.dsc"), "--format", fmt]) == 0
+    finally:
+        sys.setprofile(None)
+    assert capsys.readouterr().out and calls == []
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "é"]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JSON, max_size=3) | st.dictionaries(_TEXT, _JSON, max_size=3))
+def test_json_text_is_json_dumps_with_indent(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_renders_nesting_the_stdlib_cannot():
+    """The stdlib's indenting encoder recurses once per level.  The depth is
+    a few times the recursion limit, not more: with indent 2 the text of a
+    d-deep list grows with d squared (about 18 MB at 3000)."""
+    depth = 3 * sys.getrecursionlimit()
+    doc: list = []
+    for _ in range(depth):
+        doc = [doc]
+    with pytest.raises(RecursionError):
+        json.dumps(doc, indent=2)
+    text = cli._json_text(doc)
+    assert text == ("".join(f"[\n{'  ' * (i + 1)}" for i in range(depth)) + "[]"
+                    + "".join(f"\n{'  ' * i}]" for i in reversed(range(depth))))
 
 
 # ---------------------------------------------------------------------------

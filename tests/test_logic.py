@@ -9,12 +9,13 @@ from contsem.logic import (
     alpha_eq, env_entries, formula_json, formula_text, logically_equiv,
     reify, simplify,
 )
+from contsem.syntax import parse_type
 from contsem.terms import (
-    AND, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
-    App, Const, E, Lam, T, Var, app, arrow,
+    AND, BOT, BUILTINS, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
+    App, Const, E, G, Lam, T, Var, app, arrow, subst_consts,
 )
 
-from gen import random_formula, recursive_env_entries
+from gen import random_formula, recursive_env_entries, subterms
 
 J = EntConst("j")
 Y = EntVar("y")
@@ -81,6 +82,46 @@ def test_reify_error_positions(term, message):
 
 def test_reify_nullary_atoms():
     assert reify(Const("p", T)) == Atom("p", ())
+
+
+def test_reify_recognises_builtins_by_structure():
+    """Builtins equal to, but not the same objects as, the `terms`
+    singletons reify as the singletons do."""
+    t = app(OR, App(NOT, BOT), App(EXISTS, Lam(E, app(
+        AND, App(CAR, Var(0)),
+        App(CAR, App(SEL, app(UNION, app(CONS, Var(0), NIL), app(CONS, JC, NIL))))))))
+    fresh = {b.name: Const(b.name, parse_type(b.ty.text)) for b in BUILTINS.values()}
+    copy = subst_consts(t, fresh)
+    assert copy == t
+    assert not any(s is b for s in subterms(copy) for b in BUILTINS.values())
+    assert reify(copy) == reify(t) == Or(Not(Bot()), Exists("y", And(
+        Atom("car", (Y,)),
+        Atom("car", (SelOf(UnionE(ConsE(Y, NilE()), ConsE(J, NilE())), 0),)))))
+
+
+@pytest.mark.parametrize("term", [
+    app(Const("&", arrow(E, E, T)), JC, JC),
+    app(Const("|", arrow(T, T, E)), TOP, TOP),
+    App(Const("~", arrow(E, T)), JC),
+    App(Const("Ex", arrow(E, T)), JC),
+    App(Const("Ex", arrow(arrow(E, E), T)), Lam(E, Var(0))),
+    App(CAR, App(Const("sel", arrow(E, E)), JC)),
+    App(CAR, App(SEL, app(Const("::", arrow(E, G, E)), JC, NIL))),
+    App(CAR, App(SEL, Const("nil", E))),
+    Const("top", arrow(E, T)),
+])
+def test_reify_rejects_a_builtin_name_at_another_type(term):
+    with pytest.raises(NotReifiable):
+        reify(term)
+
+
+def test_quantified_names_skip_constants_met_after_the_binder():
+    """`reify` learns the constants' names during its walk; a quantified
+    name that turns out to be one of them is chosen again."""
+    y, y1 = Const("y", arrow(E, T)), Const("y1", E)
+    t = app(AND, App(EXISTS, Lam(E, App(CAR, Var(0)))), App(y, y1))
+    assert reify(t) == And(Exists("y2", Atom("car", (EntVar("y2"),))),
+                           Atom("y", (EntConst("y1"),)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from contsem.discourse import (
     compose, default_initial_args, has_symbolic_leaves, parse_discourse,
 )
 from contsem.lexicon import Profile, default_lexicon
-from contsem.syntax import parse_term, pretty
+from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
-    NOT, TOP, App, E, Lam, Var, app, constants, normalize,
+    BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, constants,
+    normalize, subst_consts,
 )
 
 from gen import (
@@ -106,3 +107,66 @@ def test_flat_a256_discourse_renders():
     assert f"\\x{lams}:" in text and f"\\x{lams + 1}:" not in text
     assert pretty(nf) == recursive_pretty(nf)
     assert pretty(nf).count("Ex ") == 128
+
+
+# ---------------------------------------------------------------------------
+# Fresh names and constants of the same name
+
+def test_constants_named_like_fresh_names_match_recursive():
+    """`pretty` learns the constants' names during its pass; a binder name
+    that turns out to be one of them must still be skipped."""
+    rng = random.Random(SEED + 3)
+    rename = {"ce": Const("x1", E), "p1": Const("x2", arrow(E, T)),
+              "ct": Const("x3", T)}
+    clashes = 0
+    for _ in range(1000):
+        t = subst_consts(random_closed_term(rng), rename)
+        for term in (t, normalize(t)):
+            text = pretty(term)
+            assert text == recursive_pretty(term)
+            assert parse_term(text, constants(term)) == term
+            clashes += "x1" in constants(term) and any(type(s) is Lam for s in subterms(term))
+    assert clashes > 100
+    # x1 and x2 appear only after the binder that would first be named x1.
+    late = App(Lam(E, App(Const("x2", arrow(E, T)), Var(0))), Const("x1", E))
+    assert pretty(late) == recursive_pretty(late) == "(\\x3:e. x2 x3) x1"
+
+
+def _fresh(c: Const) -> Const:
+    """A constant equal to `c` that shares no object with it."""
+    return Const(c.name, parse_type(c.ty.text))
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_builtins_are_recognised_by_structure(profile):
+    """A builtin or combinator equal to, but not the same object as, the
+    `terms` singleton renders as the singleton does."""
+    fresh = {b.name: _fresh(b) for b in BUILTINS.values()}
+    rng = random.Random(SEED + 4)
+    for n in (1, 2, 3, 5):
+        for term in _composed_and_normal(random_discourse(rng, LEX, profile, n), profile):
+            copy = subst_consts(term, fresh)
+            assert copy == term
+            assert not any(s is b for s in subterms(copy) for b in BUILTINS.values())
+            assert pretty(copy) == pretty(term)
+    coord, sub = parse_term(r"\a:g. \b:g. b"), parse_term(r"\a:g. \b:g. a ++ b")
+    assert pretty(subst_consts(sub, fresh)) == "Sub" and pretty(coord) == "Coord"
+
+
+J = Const("j", E)
+
+
+@pytest.mark.parametrize("term,text", [
+    (app(Const("&", arrow(E, E, T)), J, J), "(&) j j"),
+    (app(Const("|", arrow(E, T, T)), J, TOP), "(|) j top"),
+    (App(Const("~", arrow(E, T)), J), "(~) j"),
+    (app(Const("::", arrow(E, E, E)), J, J), "(::) j j"),
+    (app(Const("++", arrow(E, G, G)), J, Const("nil", G)), "(++) j nil"),
+    (App(Const("Ex", arrow(E, T)), J), "Ex j"),
+    (Lam(E, Lam(E, Var(0))), "\\x1:e. \\x2:e. x2"),                # Coord's shape
+    (Lam(G, Lam(G, Var(1))), "\\x1:g. \\x2:g. x1"),
+    (Lam(G, Lam(G, app(Const("++", arrow(G, G, T)), Var(1), Var(0)))),
+     "\\x1:g. \\x2:g. (++) x1 x2"),                             # Sub's, not its type
+])
+def test_a_builtin_name_at_another_type_renders_in_prefix_form(term, text):
+    assert pretty(term) == recursive_pretty(term) == text

@@ -10,10 +10,11 @@ import pytest
 
 import contsem
 from contsem.lexicon import CATEGORY_TYPES, default_lexicon
+from contsem.logic import Atom
 from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
-    StepBudgetExceeded, TypeMismatch, UnboundVariable, _Neutral,
+    StepBudgetExceeded, TypeMismatch, UnboundVariable,
     alpha_eq, app, arrow, constants, is_closed, normalize, reduce_once, size,
     trace, typecheck, type_text,
 )
@@ -210,7 +211,7 @@ def test_equal_terms_are_equal_across_classes_only_by_fields():
 
 def test_terms_take_keywords_and_defaults():
     assert Lam(ty=E, body=Var(index=0)) == Lam(E, Var(0))
-    assert _Neutral(head=2) == _Neutral(2, ()) and _Neutral(2).spine == ()
+    assert Atom(pred="p") == Atom("p", ()) and Atom("p").args == ()
     assert Arrow(dom=E, cod=T).text == "e>t"
     with pytest.raises(TypeError):
         App(Var(0))
@@ -227,7 +228,7 @@ def test_term_repr_keeps_its_text():
     assert repr(t) == (
         "Lam(ty=Arrow(Base('e'), Base('t')), body=App(fn=Const(name='p', "
         "ty=Arrow(Base('e'), Base('t'))), arg=Var(index=0)))")
-    assert repr(_Neutral(3)) == "_Neutral(head=3, spine=())"
+    assert repr(Atom("p")) == "Atom(pred='p', args=())"
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
