@@ -332,7 +332,7 @@ class InitialArgs(Node):
                 f"arguments, got {len(args)}")
         for i, (arg, ty) in enumerate(zip(args, expected)):
             found = typecheck(arg)
-            if found != ty:
+            if found.text != ty.text:
                 raise DiscourseError(
                     f"initial argument {i} must have type {tm.type_text(ty)}, "
                     f"found {tm.type_text(found)}")

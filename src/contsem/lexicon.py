@@ -277,7 +277,7 @@ class Lexicon:
             if expected is None:
                 raise UnsupportedCategory(entry.category, entry.profile)
             found = typecheck(entry.term)
-            if found != expected:
+            if found.text != expected.text:
                 raise TypeMismatch(expected, found)
 
     def canonical(self, word: str) -> str:

@@ -527,8 +527,6 @@ def _signature(f, preds, consts, atoms):
         for a in g.args:
             if isinstance(a, EntConst):
                 consts.add(a.name)
-            elif isinstance(a, SelOf):
-                raise ValueError("selection sites must be frozen before evaluation")
 
 
 def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
@@ -565,8 +563,6 @@ def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
                 raise ContsemError(f"free entity variable {a.name!r}")
             slot = venv[a.name]
             arg_fns.append(lambda C, V, slot=slot: V[slot])
-        else:
-            raise ValueError("selection sites must be frozen before evaluation")
 
     def atom(C, M, V):
         idx = 0

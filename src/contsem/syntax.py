@@ -20,6 +20,11 @@ combinators.  Unknown identifiers resolve against a caller-supplied constant
 signature.  Bound names are erased: `parse_term` produces De Bruijn terms,
 and `pretty` re-invents names (x1, x2, ... in binder order), so
 parse_term(pretty(t)) is alpha-equivalent to t for every closed t.
+
+The grammar is written once, as the operator table `_OPS` and the levels
+below: `parse_term` is one operator-precedence loop over it and `pretty`
+parenthesizes by it.  Neither recurses, so the depth of a term is not
+limited by Python's recursion limit.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from collections.abc import Mapping
 from .errors import ContsemError
 from .terms import (
     AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
-    App, Arrow, Base, Const, Lam, SemType, Term, Var,
+    App, Arrow, Const, E, G, Lam, SemType, T, Term, Var,
 )
 
 
@@ -48,179 +53,72 @@ class UnknownIdentifier(ContsemError):
         super().__init__(f"unknown identifier {name!r}")
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<cons>::)"
-    r"|(?P<union>\+\+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<op>[\\.():>&|~])"
-)
+# Precedence levels, loosest first.  A construct is parenthesized when it
+# appears in a context demanding a tighter level than its own, and an operand
+# due at a level can start with `\` only at _LAM and with `~` only up to _NEG.
+_LAM, _DISJ, _CONJ, _NEG, _UNION, _CONS, _APP, _ATOM = range(8)
 
-# Words with a fixed meaning in term syntax; they cannot be binder names.
-_RESERVED = {"nil", "top", "bot", "sel", "Ex", "Coord", "Sub"}
+# Operators by token, which is their constant's name: (constant, printed
+# text, own level, left operand level or None for the prefix `~`, right
+# operand level).  `&`, `|` and `::` associate to the right, `++` to the
+# left.  Each one in parentheses, like `(&)`, is a section: the bare constant.
+_OPS = {row[0].name: row for row in (
+    (OR, " | ", _DISJ, _DISJ + 1, _DISJ),
+    (AND, " & ", _CONJ, _CONJ + 1, _CONJ),
+    (NOT, "~ ", _NEG, None, _NEG),
+    (UNION, "++", _UNION, _UNION, _UNION + 1),
+    (CONS, "::", _CONS, _CONS + 1, _CONS),
+)}
+_APPLY = (None, " ", _APP, _APP, _ATOM)     # juxtaposition, left-associative
 
-_SUGAR = {"Coord": COORD, "Sub": SUB}
+# Words with a fixed meaning, which cannot be bound: the builtins named by a
+# word and the environment combinators.
+_COMBINATORS = {"Coord": COORD, "Sub": SUB}
+_WORDS = {name: c for name, c in BUILTINS.items() if name not in _OPS} | _COMBINATORS
+_BASES = {"e": E, "t": T, "g": G}   # type names; in a term, ordinary names
 
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                self._fail(f"unexpected character {text[pos]!r}", pos)
-            pos = m.end()
-            if m.lastgroup == "ws":
-                continue
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "op":
-                kind = value
-            self.tokens.append((kind, value, m.start()))
-        self.tokens.append(("eof", "", len(text)))
-        self.index = 0
-
-    def _fail(self, message, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        raise ParseError(message, pos, line, column)
-
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        if tok[0] != kind:
-            self._fail(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return self.next()
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_WORD = re.compile(_IDENT)
+# One token per match: an identifier, punctuation or the end of the text
+# (empty), else a character that starts no token.
+_TOKEN = re.compile(rf"\s*(?:({_IDENT})|(::|\+\+|[\\.():>&|~]|\Z)|(\S))")
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Mapping[str, SemType]):
-        self.lex = _Lexer(text)
-        self.sig = sig
+def _error(text: str, message: str, pos: int) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, pos, line, pos - text.rfind("\n", 0, pos))
 
-    def parse(self) -> Term:
-        term = self.term([])
-        tok = self.lex.peek()
-        if tok[0] != "eof":
-            self.lex._fail(f"unexpected {tok[1]!r} after term", tok[2])
-        return term
 
-    # -- terms ------------------------------------------------------------
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, up to the end of the text (kind
+    '').  A token's kind is 'ident' or the token itself."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m[3]:
+            raise _error(text, f"unexpected character {m[3]!r}", m.start(3))
+        toks.append(("ident" if m[1] else m[2], m[m.lastindex], m.start(m.lastindex)))
+    return toks
 
-    def term(self, env: list[str]) -> Term:
-        if self.lex.peek()[0] == "\\":
-            self.lex.next()
-            kind, name, pos = self.lex.expect("ident")
-            if name in _RESERVED:
-                self.lex._fail(f"{name!r} is reserved and cannot be bound", pos)
-            self.lex.expect(":")
-            ty = self.type_()
-            self.lex.expect(".")
-            body = self.term([name] + env)
-            return Lam(ty, body)
-        return self.disj(env)
 
-    def disj(self, env) -> Term:
-        left = self.conj(env)
-        if self.lex.peek()[0] == "|":
-            self.lex.next()
-            return App(App(OR, left), self.disj(env))
-        return left
+def _expect(text: str, toks: list, i: int, kind: str) -> int:
+    """The index after token i, which must be of this kind."""
+    if toks[i][0] != kind:
+        raise _error(text, f"expected {kind!r}, found {toks[i][1]!r}", toks[i][2])
+    return i + 1
 
-    def conj(self, env) -> Term:
-        left = self.neg(env)
-        if self.lex.peek()[0] == "&":
-            self.lex.next()
-            return App(App(AND, left), self.conj(env))
-        return left
 
-    def neg(self, env) -> Term:
-        if self.lex.peek()[0] == "~":
-            self.lex.next()
-            return App(NOT, self.neg(env))
-        return self.union(env)
-
-    def union(self, env) -> Term:
-        left = self.cons(env)
-        while self.lex.peek()[0] == "union":
-            self.lex.next()
-            left = App(App(UNION, left), self.cons(env))
-        return left
-
-    def cons(self, env) -> Term:
-        head = self.application(env)
-        if self.lex.peek()[0] == "cons":
-            self.lex.next()
-            return App(App(CONS, head), self.cons(env))
-        return head
-
-    _ATOM_STARTS = ("ident", "(")
-
-    def application(self, env) -> Term:
-        term = self.atom(env)
-        while self.lex.peek()[0] in self._ATOM_STARTS:
-            term = App(term, self.atom(env))
-        return term
-
-    _SECTIONS = {"&": AND, "|": OR, "~": NOT, "cons": CONS, "union": UNION}
-
-    def atom(self, env) -> Term:
-        kind, value, pos = self.lex.peek()
-        if kind == "(":
-            # `(&)`-style sections expose operator constants unapplied.
-            nxt, nval, _ = self.lex.peek(1)
-            if nxt in self._SECTIONS and self.lex.peek(2)[0] == ")":
-                self.lex.next()
-                self.lex.next()
-                self.lex.next()
-                return self._SECTIONS[nxt]
-            self.lex.next()
-            term = self.term(env)
-            self.lex.expect(")")
-            return term
-        if kind == "ident":
-            self.lex.next()
-            if value in env:
-                return Var(env.index(value))
-            if value in _SUGAR:
-                return _SUGAR[value]
-            if value in BUILTINS:
-                return BUILTINS[value]
-            if value in self.sig:
-                return Const(value, self.sig[value])
-            raise UnknownIdentifier(value, pos)
-        self.lex._fail(f"expected a term, found {value!r}", pos)
-
-    # -- types ------------------------------------------------------------
-
-    def type_(self) -> SemType:
-        left = self.btype()
-        if self.lex.peek()[0] == ">":
-            self.lex.next()
-            return Arrow(left, self.type_())
-        return left
-
-    def btype(self) -> SemType:
-        kind, value, pos = self.lex.peek()
-        if kind == "(":
-            self.lex.next()
-            ty = self.type_()
-            self.lex.expect(")")
-            return ty
-        if kind == "ident" and value in ("e", "t", "g"):
-            self.lex.next()
-            return Base(value)
-        self.lex._fail(f"expected a type, found {value!r}", pos)
+def _reduce(op, vals: list[Term], names: list[str]) -> None:
+    """Apply a pending operator to the operands on top of `vals`."""
+    right = vals.pop()
+    if type(op) is not tuple:       # a binder's type: its body is complete
+        names.pop()
+        vals.append(Lam(op, right))
+    elif op[3] is None:             # `~`
+        vals.append(App(op[0], right))
+    elif op is _APPLY:
+        vals[-1] = App(vals[-1], right)
+    else:
+        vals[-1] = App(App(op[0], vals[-1]), right)
 
 
 def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Term:
@@ -228,37 +126,101 @@ def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Ter
 
     `constants` declares non-builtin constants (content words, entity names).
     """
-    return _Parser(text, dict(constants or {})).parse()
+    sig = constants or {}
+    toks = _tokens(text)
+    names: list[str] = []   # the binders in scope, innermost last
+    vals: list[Term] = []   # operands
+    ops: list = []          # pending: a row, a binder's type, or None for `(`
+    i, due = 0, _LAM        # the level of the operand due next; None after one
+    while True:
+        kind, value, pos = toks[i]
+        if due is not None:
+            row = _OPS.get(kind)
+            if kind == "(" and toks[i + 1][0] in _OPS and toks[i + 2][0] == ")":
+                vals.append(_OPS[toks[i + 1][0]][0])
+                i, due = i + 3, None
+            elif kind == "(":
+                ops.append(None)
+                i, due = i + 1, _LAM
+            elif kind == "ident":
+                if value in names:
+                    vals.append(Var(names[::-1].index(value)))
+                elif value in _WORDS:
+                    vals.append(_WORDS[value])
+                elif value in sig:
+                    vals.append(Const(value, sig[value]))
+                else:
+                    raise UnknownIdentifier(value, pos)
+                i, due = i + 1, None
+            elif kind == "\\" and due == _LAM:
+                _, name, at = toks[i + 1]
+                _expect(text, toks, i + 1, "ident")
+                if name in _WORDS:
+                    raise _error(text, f"{name!r} is reserved and cannot be bound", at)
+                ty, i = _type(text, toks, _expect(text, toks, i + 2, ":"))
+                i = _expect(text, toks, i, ".")
+                ops.append(ty)
+                names.append(name)
+            elif row and row[3] is None and due <= row[2]:
+                ops.append(row)
+                i, due = i + 1, row[4]
+            else:
+                raise _error(text, f"expected a term, found {value!r}", pos)
+            continue
+        row = _APPLY if kind in ("ident", "(") else _OPS.get(kind)
+        if row and row[3] is not None:      # an infix operator, or application
+            while ops and type(ops[-1]) is tuple and ops[-1][2] >= row[3]:
+                _reduce(ops.pop(), vals, names)
+            ops.append(row)
+            i, due = i + (row is not _APPLY), row[4]
+            continue
+        while ops and ops[-1] is not None:
+            _reduce(ops.pop(), vals, names)
+        if kind == ")" and ops:
+            ops.pop()
+            i += 1
+        elif kind or ops:
+            raise _error(text, f"expected ')', found {value!r}" if ops
+                         else f"unexpected {value!r} after term", pos)
+        else:
+            return vals[0]
+
+
+def _type(text: str, toks: list, i: int) -> tuple[SemType, int]:
+    """The type that starts at token i, and the index after it."""
+    chains: list[list[SemType]] = [[]]  # per open `(`, the domains read so far
+    while True:
+        kind, value, pos = toks[i]
+        if kind == "(":
+            chains.append([])
+            i += 1
+            continue
+        if value not in _BASES:
+            raise _error(text, f"expected a type, found {value!r}", pos)
+        ty, i = _BASES[value], i + 1
+        while toks[i][0] != ">":        # the chain ends; `>` groups to the right
+            for dom in reversed(chains.pop()):
+                ty = Arrow(dom, ty)
+            if not chains:
+                return ty, i
+            i = _expect(text, toks, i, ")")
+        chains[-1].append(ty)
+        i += 1
 
 
 def parse_type(text: str) -> SemType:
-    parser = _Parser(text, {})
-    ty = parser.type_()
-    tok = parser.lex.peek()
-    if tok[0] != "eof":
-        parser.lex._fail(f"unexpected {tok[1]!r} after type", tok[2])
+    toks = _tokens(text)
+    ty, i = _type(text, toks, 0)
+    if toks[i][0]:
+        raise _error(text, f"unexpected {toks[i][1]!r} after type", toks[i][2])
     return ty
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-# Precedence levels, loosest first.  A construct is parenthesized when it
-# appears in a context demanding a tighter level than its own.
-_LAM, _DISJ, _CONJ, _NEG, _UNION, _CONS, _APP, _ATOM = range(8)
-
-_WORDLIKE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
-
-
-# Infix constants by name: (constant, operator, own level, left level,
-# right level).  `&`, `|` and `::` associate to the right, `++` to the left.
-_INFIX = {row[0].name: row for row in (
-    (AND, " & ", _CONJ, _CONJ + 1, _CONJ),
-    (OR, " | ", _DISJ, _DISJ + 1, _DISJ),
-    (CONS, "::", _CONS, _CONS + 1, _CONS),
-    (UNION, "++", _UNION, _UNION, _UNION + 1),
-)}
-_COMBINATORS = {Var: ("Coord", COORD), App: ("Sub", SUB)}   # by innermost body class
+# Coord and Sub by the class of their innermost body.
+_SHAPES = {type(c.body.body): (name, c) for name, c in _COMBINATORS.items()}
 
 
 def pretty(term: Term) -> str:
@@ -295,11 +257,11 @@ def _render(term: Term, avoid) -> tuple[str, set[str], int]:
             continue
         if kind is Const:
             used.add(t.name)
-            out.append(t.name if _WORDLIKE.match(t.name) else f"({t.name})")
+            out.append(t.name if _WORD.fullmatch(t.name) else f"({t.name})")
             continue
         if kind is Lam:
             body = t.body   # Coord and Sub by shape before `==`
-            combinator = _COMBINATORS.get(type(body.body)) if type(body) is Lam else None
+            combinator = _SHAPES.get(type(body.body)) if type(body) is Lam else None
             if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
                 out.append(combinator[0])
                 continue
@@ -311,17 +273,17 @@ def _render(term: Term, avoid) -> tuple[str, set[str], int]:
             names[depth:] = [name]
             own, parts = _LAM, ((body, _LAM, depth + 1), f"\\{name}:{t.ty.text}. ")
         else:
-            # Applications, with sugar for the logical constants (by name first).
+            # Applications, with sugar for the operator constants (by name
+            # first): an infix one applied to two arguments, `~` to one.
             fn = t.fn
-            head = fn.fn if type(fn) is App else None
-            infix = _INFIX.get(head.name) if type(head) is Const else None
-            if infix is not None and (head is infix[0] or head == infix[0]):
-                _, op, own, left, right = infix
-                parts = ((t.arg, right, depth), op, (fn.arg, left, depth))
-            elif type(fn) is Const and fn.name == "~" and (fn is NOT or fn == NOT):
-                own, parts = _NEG, ((t.arg, _NEG, depth), "~ ")
+            head = fn.fn if type(fn) is App else fn
+            row = _OPS.get(head.name) if type(head) is Const else None
+            if (row and (row[3] is None) == (head is fn)
+                    and (head is row[0] or head == row[0])):
+                left = () if head is fn else ((fn.arg, row[3], depth),)
             else:
-                own, parts = _APP, ((t.arg, _ATOM, depth), " ", (fn, _APP, depth))
+                row, left = _APPLY, ((fn, _APP, depth),)
+            own, parts = row[2], ((t.arg, row[4], depth), row[1], *left)
         if level > own:
             out.append("(")
             stack.append(")")

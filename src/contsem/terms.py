@@ -226,24 +226,6 @@ def constants(term: Term) -> dict[str, SemType]:
     return out
 
 
-def is_closed(term: Term, depth: int = 0) -> bool:
-    if isinstance(term, Var):
-        return term.index < depth
-    if isinstance(term, Lam):
-        return is_closed(term.body, depth + 1)
-    if isinstance(term, App):
-        return is_closed(term.fn, depth) and is_closed(term.arg, depth)
-    return True
-
-
-def size(term: Term) -> int:
-    if isinstance(term, Lam):
-        return 1 + size(term.body)
-    if isinstance(term, App):
-        return 1 + size(term.fn) + size(term.arg)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Typechecking
 
@@ -270,7 +252,7 @@ def _typecheck(term, ctx, path):
     arg_ty = _typecheck(term.arg, ctx, (path, "arg"))
     if not isinstance(fn_ty, Arrow):
         raise TypeMismatch("a function type", fn_ty, path_steps((path, "fn")))
-    if fn_ty.dom != arg_ty:
+    if fn_ty.dom.text != arg_ty.text:
         raise TypeMismatch(fn_ty.dom, arg_ty, path_steps((path, "arg")))
     return fn_ty.cod
 

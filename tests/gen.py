@@ -2,14 +2,18 @@
 suites, plus reference implementations the library is checked against: two
 substitution-based reducers (applicative order and normal order) for the
 normalization-by-evaluation normalizer, the recursive pretty-printer for
-`syntax.pretty`, the recursive type renderer for `terms.type_text`, the
+`syntax.pretty`, the recursive-descent parser for `syntax.parse_term` and
+`parse_type`, the recursive type renderer for `terms.type_text`, the
 recursive environment flattener for `logic.env_entries`, and the fixed-point
 simplifier and recursive formula `alpha_eq` for `logic.simplify` and
-`logic.alpha_eq`."""
+`logic.alpha_eq`.  `is_closed` and `size` are recursive term measures only
+the tests use."""
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -23,10 +27,11 @@ from contsem.logic import (
     Formula, NilE, Not, Or, SelOf, Top, UnionE, env_entries, env_from_entries,
 )
 from contsem.syntax import (
-    _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _RESERVED, _UNION, _WORDLIKE,
+    _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _UNION, ParseError,
+    UnknownIdentifier,
 )
 from contsem.terms import (
-    AND, CONS, COORD, NOT, OR, SUB, UNION,
+    AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
     App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
     Var, arrow, beta,
 )
@@ -56,6 +61,19 @@ def subterms(term: Term) -> Iterator[Term]:
             stack.append(t.body)
         elif isinstance(t, App):
             stack += (t.arg, t.fn)
+
+
+def term_preorder(term: Term) -> list:
+    """The nodes of a term in preorder, each reduced to its class and its
+    own field (index, binder type text, or name and type text).  Two terms
+    are equal exactly when these lists are, and building them does not
+    recurse, so deep terms can be compared."""
+    out = []
+    for t in subterms(term):
+        kind = type(t)
+        out.append((kind, t.index) if kind is Var else (kind, t.ty.text) if kind is Lam
+                   else (kind, t.name, t.ty.text) if kind is Const else kind)
+    return out
 
 
 def random_type(rng: random.Random, depth: int = 2) -> SemType:
@@ -103,8 +121,25 @@ def _ground(ty: SemType) -> Term:
     return Lam(ty.dom, _ground(ty.cod))
 
 
+def is_closed(term: Term, depth: int = 0) -> bool:
+    if isinstance(term, Var):
+        return term.index < depth
+    if isinstance(term, Lam):
+        return is_closed(term.body, depth + 1)
+    if isinstance(term, App):
+        return is_closed(term.fn, depth) and is_closed(term.arg, depth)
+    return True
+
+
+def size(term: Term) -> int:
+    if isinstance(term, Lam):
+        return 1 + size(term.body)
+    if isinstance(term, App):
+        return 1 + size(term.fn) + size(term.arg)
+    return 1
+
+
 def random_closed_term(rng: random.Random, fuel: int = 26, max_size: int = 30) -> Term:
-    from contsem.terms import size
     while True:
         t = random_term(rng, random_type(rng, 2), (), fuel)
         if size(t) <= max_size:
@@ -281,6 +316,9 @@ def recursive_type_text(ty: SemType) -> str:
     return f"{dom}>{recursive_type_text(ty.cod)}"
 
 
+_WORDLIKE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+
+
 def recursive_pretty(term: Term) -> str:
     """`syntax.pretty` as it was before it became an explicit-stack pass:
     one Python call per node, copying the binder-name list at every lambda.
@@ -362,6 +400,202 @@ def recursive_env_entries(env: EnvExpr) -> tuple:
     entries = flat(env)
     keep_last = dict.fromkeys(reversed(entries))
     return tuple(reversed(keep_last))
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent term parser
+
+# `syntax.parse_term`/`parse_type` as they were before they became one loop
+# over the operator table: a lexer class and one method per grammar level.
+# Limited by the recursion limit; kept as the reference the loop must match
+# result for result and diagnostic for diagnostic.
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<cons>::)"
+    r"|(?P<union>\+\+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<op>[\\.():>&|~])"
+)
+
+# Words with a fixed meaning in term syntax; they cannot be binder names.
+_RESERVED = {"nil", "top", "bot", "sel", "Ex", "Coord", "Sub"}
+
+_SUGAR = {"Coord": COORD, "Sub": SUB}
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                self._fail(f"unexpected character {text[pos]!r}", pos)
+            pos = m.end()
+            if m.lastgroup == "ws":
+                continue
+            kind = m.lastgroup
+            value = m.group()
+            if kind == "op":
+                kind = value
+            self.tokens.append((kind, value, m.start()))
+        self.tokens.append(("eof", "", len(text)))
+        self.index = 0
+
+    def _fail(self, message, pos):
+        line = self.text.count("\n", 0, pos) + 1
+        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
+        raise ParseError(message, pos, line, column)
+
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        if tok[0] != "eof":
+            self.index += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        if tok[0] != kind:
+            self._fail(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return self.next()
+
+
+class _Parser:
+    def __init__(self, text: str, sig: Mapping[str, SemType]):
+        self.lex = _Lexer(text)
+        self.sig = sig
+
+    def parse(self) -> Term:
+        term = self.term([])
+        tok = self.lex.peek()
+        if tok[0] != "eof":
+            self.lex._fail(f"unexpected {tok[1]!r} after term", tok[2])
+        return term
+
+    # -- terms ------------------------------------------------------------
+
+    def term(self, env: list[str]) -> Term:
+        if self.lex.peek()[0] == "\\":
+            self.lex.next()
+            kind, name, pos = self.lex.expect("ident")
+            if name in _RESERVED:
+                self.lex._fail(f"{name!r} is reserved and cannot be bound", pos)
+            self.lex.expect(":")
+            ty = self.type_()
+            self.lex.expect(".")
+            body = self.term([name] + env)
+            return Lam(ty, body)
+        return self.disj(env)
+
+    def disj(self, env) -> Term:
+        left = self.conj(env)
+        if self.lex.peek()[0] == "|":
+            self.lex.next()
+            return App(App(OR, left), self.disj(env))
+        return left
+
+    def conj(self, env) -> Term:
+        left = self.neg(env)
+        if self.lex.peek()[0] == "&":
+            self.lex.next()
+            return App(App(AND, left), self.conj(env))
+        return left
+
+    def neg(self, env) -> Term:
+        if self.lex.peek()[0] == "~":
+            self.lex.next()
+            return App(NOT, self.neg(env))
+        return self.union(env)
+
+    def union(self, env) -> Term:
+        left = self.cons(env)
+        while self.lex.peek()[0] == "union":
+            self.lex.next()
+            left = App(App(UNION, left), self.cons(env))
+        return left
+
+    def cons(self, env) -> Term:
+        head = self.application(env)
+        if self.lex.peek()[0] == "cons":
+            self.lex.next()
+            return App(App(CONS, head), self.cons(env))
+        return head
+
+    _ATOM_STARTS = ("ident", "(")
+
+    def application(self, env) -> Term:
+        term = self.atom(env)
+        while self.lex.peek()[0] in self._ATOM_STARTS:
+            term = App(term, self.atom(env))
+        return term
+
+    _SECTIONS = {"&": AND, "|": OR, "~": NOT, "cons": CONS, "union": UNION}
+
+    def atom(self, env) -> Term:
+        kind, value, pos = self.lex.peek()
+        if kind == "(":
+            # `(&)`-style sections expose operator constants unapplied.
+            nxt, nval, _ = self.lex.peek(1)
+            if nxt in self._SECTIONS and self.lex.peek(2)[0] == ")":
+                self.lex.next()
+                self.lex.next()
+                self.lex.next()
+                return self._SECTIONS[nxt]
+            self.lex.next()
+            term = self.term(env)
+            self.lex.expect(")")
+            return term
+        if kind == "ident":
+            self.lex.next()
+            if value in env:
+                return Var(env.index(value))
+            if value in _SUGAR:
+                return _SUGAR[value]
+            if value in BUILTINS:
+                return BUILTINS[value]
+            if value in self.sig:
+                return Const(value, self.sig[value])
+            raise UnknownIdentifier(value, pos)
+        self.lex._fail(f"expected a term, found {value!r}", pos)
+
+    # -- types ------------------------------------------------------------
+
+    def type_(self) -> SemType:
+        left = self.btype()
+        if self.lex.peek()[0] == ">":
+            self.lex.next()
+            return Arrow(left, self.type_())
+        return left
+
+    def btype(self) -> SemType:
+        kind, value, pos = self.lex.peek()
+        if kind == "(":
+            self.lex.next()
+            ty = self.type_()
+            self.lex.expect(")")
+            return ty
+        if kind == "ident" and value in ("e", "t", "g"):
+            self.lex.next()
+            return Base(value)
+        self.lex._fail(f"expected a type, found {value!r}", pos)
+
+
+def recursive_parse_term(text: str, constants=None) -> Term:
+    return _Parser(text, dict(constants or {})).parse()
+
+
+def recursive_parse_type(text: str) -> SemType:
+    parser = _Parser(text, {})
+    ty = parser.type_()
+    tok = parser.lex.peek()
+    if tok[0] != "eof":
+        parser.lex._fail(f"unexpected {tok[1]!r} after type", tok[2])
+    return ty
 
 
 # ---------------------------------------------------------------------------

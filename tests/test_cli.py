@@ -134,6 +134,41 @@ def test_max_steps_flag(tmp_path, capsys):
     assert main(["run", str(f), "--mode", "term-eval", "--max-steps", "0"]) == 1
 
 
+TERMS = SAMPLES / "terms"
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in TERMS.glob("*.lam")))
+def test_term_samples_match_committed_goldens(sample, capsys):
+    assert main(["run", str(TERMS / sample), "--mode", "term-eval"]) == 0
+    golden = (TERMS / "golden" / sample.replace(".lam", ".out")).read_text()
+    assert capsys.readouterr() == (golden, "")
+
+
+@pytest.mark.parametrize("text,err", [
+    ("love j $ mary", "unexpected character '$' (line 1, column 8)"),
+    (r"\nil:g. nil", "'nil' is reserved and cannot be bound (line 1, column 2)"),
+    (r"\x e. x", "expected ':', found 'e' (line 1, column 4)"),
+    (r"\x:e x", "expected '.', found 'x' (line 1, column 6)"),
+    (r"\x:e>q. x", "expected a type, found 'q' (line 1, column 6)"),
+    ("\\x:(e>t. x\n", "expected ')', found '.' (line 1, column 8)"),
+    (r"top & \x:e. red x", r"expected a term, found '\\' (line 1, column 7)"),
+    ("nil ++ ~ top", "expected a term, found '~' (line 1, column 8)"),
+    ("(& top", "expected a term, found '&' (line 1, column 2)"),
+    ("(top & bot", "expected ')', found '' (line 1, column 11)"),
+    ("(\\x:e.\n   red x\n   & walk x ~)\n", "expected ')', found '~' (line 3, column 13)"),
+    ("top & bot)", "unexpected ')' after term (line 1, column 10)"),
+    ("red j .", "unexpected '.' after term (line 1, column 7)"),
+    ("red mystery", "unknown identifier 'mystery'"),
+    ("top |", "expected a term, found '' (line 1, column 6)"),
+    ("", "expected a term, found '' (line 1, column 1)"),
+])
+def test_malformed_term_diagnostics(text, err, tmp_path, capsys):
+    f = tmp_path / "bad.lam"
+    f.write_text(text)
+    assert main(["run", str(f), "--mode", "term-eval"]) == 1
+    assert capsys.readouterr() == ("", f"contsem: {err}\n")
+
+
 def test_deeply_nested_term_is_pipeline_error(tmp_path, capsys):
     f = tmp_path / "deep.lam"
     f.write_text("~ " * 3000 + "top")

@@ -10,9 +10,11 @@ from contsem.lexicon import (
 )
 from contsem.syntax import parse_term
 from contsem.terms import (
-    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, is_closed,
-    subst_consts, typecheck,
+    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, subst_consts,
+    typecheck,
 )
+
+from gen import is_closed
 
 LEX = default_lexicon()
 

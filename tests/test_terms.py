@@ -15,14 +15,14 @@ from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
     StepBudgetExceeded, TypeMismatch, UnboundVariable,
-    alpha_eq, app, arrow, constants, is_closed, normalize, reduce_once, size,
+    alpha_eq, app, arrow, constants, normalize, reduce_once,
     trace, typecheck, type_text,
 )
 from contsem.syntax import parse_term, parse_type
 
 from gen import (
-    GEN_SIG, applicative_normalize, random_closed_term, random_type,
-    recursive_type_text, subterms,
+    GEN_SIG, applicative_normalize, is_closed, random_closed_term, random_type,
+    recursive_type_text, size, subterms,
 )
 
 J = Const("j", E)
@@ -257,3 +257,32 @@ def test_type_text_matches_the_recursive_rendering():
     for ty in types:
         assert type_text(ty) == recursive_type_text(ty)
         assert parse_type(type_text(ty)) == ty
+
+
+def test_type_checks_compare_texts_not_nodes():
+    """The type checks where input enters (lexicon entries, initial
+    arguments) and typecheck's argument check compare the types' texts: no
+    generated `__eq__` of a type or term runs under them."""
+    from contsem import discourse, lexicon, terms
+    eqs = {cls.__eq__.__code__ for cls in (Base, Arrow, Var, Lam, App, Const)}
+    checks = {lexicon.Lexicon.__init__.__code__, discourse.InitialArgs.__init__.__code__,
+              terms._typecheck.__code__}
+    seen = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in eqs:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in checks:
+                caller = caller.f_back
+            if caller is not None:
+                seen.append(caller.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        lex = default_lexicon.__wrapped__()
+        for profile in lexicon.Profile:
+            discourse.default_initial_args(profile)
+    finally:
+        sys.setprofile(None)
+    assert len(lex.entries()) == 18
+    assert seen == []
