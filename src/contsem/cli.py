@@ -26,7 +26,7 @@ from .discourse import (
     run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import entity_json, env_json, formula_json, formula_text
+from .logic import formula_json, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, trace, typecheck
@@ -199,8 +199,8 @@ def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     if json_out:
         doc["access_reports"] = [
             {"site": r.site_id,
-             "env": env_json(r.env),
-             "candidates": [entity_json(c) for c in r.candidates]}
+             "env": formula_json(r.env),
+             "candidates": [formula_json(c) for c in r.candidates]}
             for r in reports
         ]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Iterator
+from operator import attrgetter
 
 from .errors import ContsemError
 from .node import Node
@@ -81,6 +82,43 @@ class SelOf(Node):
 EntityTerm = EntConst | EntVar | SelOf
 
 NIL_E = NilE()
+
+_OPEN = object()     # see `_FORMS`
+
+
+def _form(tag_key: str, tag: str, *pieces, **scalars) -> tuple:
+    """A row of `_FORMS`: the tag key and tag, the scalars and the children
+    as (JSON key, getter), and the text pieces last first, as a stack takes
+    them: literal text, a scalar's getter, or (getter, classes, open?)."""
+    kids = [p for p in pieces if type(p) is tuple and p[0] not in scalars.values()]
+    text = [p if type(p) is str else attrgetter(p[0]) if p not in kids
+            else (attrgetter(p[0]), frozenset(p[1:]) - {_OPEN}, _OPEN in p) for p in pieces]
+    return (tag_key, tag, [(k, attrgetter(f)) for k, f in scalars.items()],
+            [(p[0], attrgetter(p[0])) for p in kids], text[::-1])
+
+
+# The syntax of formulas, entity terms and environments, read by
+# `formula_text`, `formula_json` and `alpha_eq`.  Per class: the JSON tag key
+# and tag, the text pieces in order, and the scalar fields by JSON key.  A
+# piece is literal text or a field.  A scalar field prints its value; a child
+# prints in parentheses when its class is listed with the field, or, with
+# _OPEN, when its text is right-open.  Of an atom's `args`, each prints
+# after a space, but a selection is glued on in parentheses.
+_FORMS = {
+    Top: _form("node", "top", "top"),
+    Bot: _form("node", "bot", "bot"),
+    Not: _form("node", "not", "~ ", ("body", And, Or)),
+    And: _form("node", "and", ("left", And, Or, _OPEN), " & ", ("right", Or)),
+    Or: _form("node", "or", ("left", Or, _OPEN), " | ", ("right",)),
+    Exists: _form("node", "exists", "Ex ", ("var",), ". ", ("body", And, Or), var="var"),
+    Atom: _form("node", "atom", ("pred",), ("args",), pred="pred"),
+    EntConst: _form("entity", "const", ("name",), name="name"),
+    EntVar: _form("entity", "var", ("name",), name="name"),
+    SelOf: _form("entity", "sel", "sel(", ("env",), ")", site="site_id"),
+    NilE: _form("env", "nil", "nil"),
+    ConsE: _form("env", "cons", ("head",), "::", ("tail",)),
+    UnionE: _form("env", "union", ("left", ConsE, UnionE), "++", ("right", ConsE, UnionE)),
+}
 
 
 class NotReifiable(ContsemError):
@@ -261,11 +299,6 @@ def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
     return done[0]
 
 
-# The parts of each inner node that `alpha_eq` compares pairwise.
-_PARTS = {Not: ("body",), And: ("left", "right"), Or: ("left", "right"),
-          SelOf: ("env",), ConsE: ("head", "tail"), UnionE: ("left", "right")}
-
-
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
     """Equality up to renaming of bound variables and selection site ids."""
     ren: dict[str, str] = {}
@@ -294,8 +327,8 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
         elif isinstance(a, EntConst):
             if a.name != b.name:
                 return False
-        else:
-            stack += [(getattr(a, k), getattr(b, k)) for k in _PARTS.get(type(a), ())]
+        else:                           # children only: site ids are ignored
+            stack += [(get(a), get(b)) for _, get in _FORMS[type(a)][3]]
     return True
 
 
@@ -576,107 +609,65 @@ def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def formula_text(f: Formula) -> str:
-    """Concrete rendering: `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`."""
-    return _ftext(f)
+def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
+    """Concrete rendering of a formula, entity term or environment: `~`,
+    `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass over an explicit
+    stack, so depth is not limited by Python's recursion limit."""
+    out: list[str] = []
+    stack: list = [x]       # pending text, or a node
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is EntConst or kind is EntVar:    # leaves: their one piece
+            out.append(node.name)
+        else:
+            for piece in _FORMS[kind][4]:
+                if type(piece) is not tuple:        # literal text, or a scalar's
+                    stack.append(piece if type(piece) is str else piece(node))
+                    continue
+                get, parens, open_ = piece
+                child = get(node)
+                if type(child) is tuple:            # an atom's arguments
+                    for a in reversed(child):
+                        stack += (")", a, "(") if type(a) is SelOf else (a, " ")
+                elif type(child) in parens or open_ and _right_open(child):
+                    stack += (")", child, "(")
+                else:
+                    stack.append(child)
+    return "".join(out)
 
 
 def _right_open(f: Formula) -> bool:
-    # Renders with an unbounded right edge (an existential body), so it needs
-    # parentheses anywhere more input follows on the same level.
-    if isinstance(f, Exists):
-        return True
-    if isinstance(f, Not):
-        return _right_open(f.body)
-    if isinstance(f, (And, Or)):
-        return _right_open(f.right)
-    return False
+    # Whether the text ends in an existential's body.  Only left operands
+    # are asked, and a node is on the right spine of at most one of them.
+    while type(f) is Not or type(f) is And or type(f) is Or:
+        f = f.body if type(f) is Not else f.right
+    return type(f) is Exists
 
 
-def _ftext(f: Formula) -> str:
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Atom):
-        parts = [f.pred]
-        for a in f.args:
-            if isinstance(a, SelOf):
-                parts[-1] = parts[-1] + f"({entity_text(a)})"
+def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
+    """Structured rendering of a formula, entity term or environment, with
+    explicit node tags and selection site ids.  Built over explicit stacks:
+    a child's dict is made empty under its key when the parent is filled,
+    and gets its own keys, in table order, when its node is taken."""
+    root: dict = {}
+    nodes, docs = [x], [root]       # each pending node, and the dict it fills
+    while nodes:
+        node, doc = nodes.pop(), docs.pop()
+        tag_key, tag, scalars, children, _ = _FORMS[type(node)]
+        doc[tag_key] = tag
+        for key, get in scalars:
+            doc[key] = get(node)
+        for key, get in children:
+            child = get(node)
+            if type(child) is tuple:                # an atom's arguments
+                doc[key] = args = [{} for _ in child]
+                nodes += child
+                docs += args
             else:
-                parts.append(entity_text(a))
-        return " ".join(parts)
-    if isinstance(f, Not):
-        body = _ftext(f.body)
-        if isinstance(f.body, (And, Or)):
-            body = f"({body})"
-        return f"~ {body}"
-    if isinstance(f, Exists):
-        body = _ftext(f.body)
-        if isinstance(f.body, (And, Or)):
-            body = f"({body})"
-        return f"Ex {f.var}. {body}"
-    op = "&" if isinstance(f, And) else "|"
-    left = _ftext(f.left)
-    if isinstance(f.left, type(f)) or isinstance(f.left, Or) or _right_open(f.left):
-        left = f"({left})"
-    right = _ftext(f.right)
-    if isinstance(f, And) and isinstance(f.right, Or):
-        right = f"({right})"
-    return f"{left} {op} {right}"
-
-
-def entity_text(e: EntityTerm) -> str:
-    if isinstance(e, EntConst) or isinstance(e, EntVar):
-        return e.name
-    return f"sel({env_text(e.env)})"
-
-
-def env_text(env: EnvExpr) -> str:
-    if isinstance(env, NilE):
-        return "nil"
-    if isinstance(env, ConsE):
-        return f"{entity_text(env.head)}::{env_text(env.tail)}"
-    left = env_text(env.left)
-    if isinstance(env.left, (ConsE, UnionE)):
-        left = f"({left})"
-    right = env_text(env.right)
-    if isinstance(env.right, (ConsE, UnionE)):
-        right = f"({right})"
-    return f"{left}++{right}"
-
-
-def formula_json(f: Formula) -> dict:
-    """Structured rendering with explicit node tags and selection site ids."""
-    if isinstance(f, Top):
-        return {"node": "top"}
-    if isinstance(f, Bot):
-        return {"node": "bot"}
-    if isinstance(f, Not):
-        return {"node": "not", "body": formula_json(f.body)}
-    if isinstance(f, (And, Or)):
-        tag = "and" if isinstance(f, And) else "or"
-        return {"node": tag, "left": formula_json(f.left),
-                "right": formula_json(f.right)}
-    if isinstance(f, Exists):
-        return {"node": "exists", "var": f.var, "body": formula_json(f.body)}
-    return {"node": "atom", "pred": f.pred,
-            "args": [entity_json(a) for a in f.args]}
-
-
-def entity_json(e: EntityTerm) -> dict:
-    if isinstance(e, EntConst):
-        return {"entity": "const", "name": e.name}
-    if isinstance(e, EntVar):
-        return {"entity": "var", "name": e.name}
-    return {"entity": "sel", "site": e.site_id, "env": env_json(e.env)}
-
-
-def env_json(env: EnvExpr) -> dict:
-    if isinstance(env, NilE):
-        return {"env": "nil"}
-    if isinstance(env, ConsE):
-        return {"env": "cons", "head": entity_json(env.head),
-                "tail": env_json(env.tail)}
-    return {"env": "union", "left": env_json(env.left),
-            "right": env_json(env.right)}
+                doc[key] = sub = {}
+                nodes.append(child)
+                docs.append(sub)
+    return root

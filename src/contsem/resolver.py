@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from .errors import ContsemError
 from .logic import (
-    Atom, EntityTerm, EnvExpr, Formula, SelOf, entity_text, env_entries,
-    env_text, iter_atoms, map_atoms,
+    Atom, EntityTerm, EnvExpr, Formula, SelOf, env_entries, formula_text,
+    iter_atoms, map_atoms,
 )
 from .node import Node
 
@@ -59,5 +59,5 @@ def _pick(a: EntityTerm) -> EntityTerm:
 
 
 def report_line(r: AccessReport) -> str:
-    names = ", ".join(entity_text(c) for c in r.candidates)
-    return f"sel#{r.site_id} env={env_text(r.env)} candidates=[{names}]"
+    names = ", ".join(formula_text(c) for c in r.candidates)
+    return f"sel#{r.site_id} env={formula_text(r.env)} candidates=[{names}]"

@@ -4,10 +4,12 @@ substitution-based reducers (applicative order and normal order) for the
 normalization-by-evaluation normalizer, the recursive pretty-printer for
 `syntax.pretty`, the recursive-descent parser for `syntax.parse_term` and
 `parse_type`, the recursive type renderer for `terms.type_text`, the
-recursive environment flattener for `logic.env_entries`, and the fixed-point
-simplifier and recursive formula `alpha_eq` for `logic.simplify` and
-`logic.alpha_eq`.  `is_closed` and `size` are recursive term measures only
-the tests use."""
+recursive environment flattener for `logic.env_entries`, the recursive
+formula renderers `recursive_formula_text`/`recursive_formula_json` (with
+their entity and environment helpers) for `logic.formula_text` and
+`logic.formula_json`, and the fixed-point simplifier and recursive formula
+`alpha_eq` for `logic.simplify` and `logic.alpha_eq`.  `is_closed` and
+`size` are recursive term measures only the tests use."""
 from __future__ import annotations
 
 import itertools
@@ -402,6 +404,117 @@ def recursive_env_entries(env: EnvExpr) -> tuple:
     return tuple(reversed(keep_last))
 
 
+# `logic.formula_text` and `logic.formula_json` as they were before they
+# became two loops over one table: one recursive function per syntactic
+# class (formula, entity term, environment).  Limited by the recursion
+# limit; kept as the references the loops must match byte for byte.
+
+def recursive_formula_text(f: Formula) -> str:
+    """Concrete rendering: `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`."""
+    return _ftext(f)
+
+
+def _right_open(f: Formula) -> bool:
+    # Renders with an unbounded right edge (an existential body), so it needs
+    # parentheses anywhere more input follows on the same level.
+    if isinstance(f, Exists):
+        return True
+    if isinstance(f, Not):
+        return _right_open(f.body)
+    if isinstance(f, (And, Or)):
+        return _right_open(f.right)
+    return False
+
+
+def _ftext(f: Formula) -> str:
+    if isinstance(f, Top):
+        return "top"
+    if isinstance(f, Bot):
+        return "bot"
+    if isinstance(f, Atom):
+        parts = [f.pred]
+        for a in f.args:
+            if isinstance(a, SelOf):
+                parts[-1] = parts[-1] + f"({recursive_entity_text(a)})"
+            else:
+                parts.append(recursive_entity_text(a))
+        return " ".join(parts)
+    if isinstance(f, Not):
+        body = _ftext(f.body)
+        if isinstance(f.body, (And, Or)):
+            body = f"({body})"
+        return f"~ {body}"
+    if isinstance(f, Exists):
+        body = _ftext(f.body)
+        if isinstance(f.body, (And, Or)):
+            body = f"({body})"
+        return f"Ex {f.var}. {body}"
+    op = "&" if isinstance(f, And) else "|"
+    left = _ftext(f.left)
+    if isinstance(f.left, type(f)) or isinstance(f.left, Or) or _right_open(f.left):
+        left = f"({left})"
+    right = _ftext(f.right)
+    if isinstance(f, And) and isinstance(f.right, Or):
+        right = f"({right})"
+    return f"{left} {op} {right}"
+
+
+def recursive_entity_text(e: EntityTerm) -> str:
+    if isinstance(e, EntConst) or isinstance(e, EntVar):
+        return e.name
+    return f"sel({recursive_env_text(e.env)})"
+
+
+def recursive_env_text(env: EnvExpr) -> str:
+    if isinstance(env, NilE):
+        return "nil"
+    if isinstance(env, ConsE):
+        return f"{recursive_entity_text(env.head)}::{recursive_env_text(env.tail)}"
+    left = recursive_env_text(env.left)
+    if isinstance(env.left, (ConsE, UnionE)):
+        left = f"({left})"
+    right = recursive_env_text(env.right)
+    if isinstance(env.right, (ConsE, UnionE)):
+        right = f"({right})"
+    return f"{left}++{right}"
+
+
+def recursive_formula_json(f: Formula) -> dict:
+    """Structured rendering with explicit node tags and selection site ids."""
+    if isinstance(f, Top):
+        return {"node": "top"}
+    if isinstance(f, Bot):
+        return {"node": "bot"}
+    if isinstance(f, Not):
+        return {"node": "not", "body": recursive_formula_json(f.body)}
+    if isinstance(f, (And, Or)):
+        tag = "and" if isinstance(f, And) else "or"
+        return {"node": tag, "left": recursive_formula_json(f.left),
+                "right": recursive_formula_json(f.right)}
+    if isinstance(f, Exists):
+        return {"node": "exists", "var": f.var, "body": recursive_formula_json(f.body)}
+    return {"node": "atom", "pred": f.pred,
+            "args": [recursive_entity_json(a) for a in f.args]}
+
+
+def recursive_entity_json(e: EntityTerm) -> dict:
+    if isinstance(e, EntConst):
+        return {"entity": "const", "name": e.name}
+    if isinstance(e, EntVar):
+        return {"entity": "var", "name": e.name}
+    return {"entity": "sel", "site": e.site_id, "env": recursive_env_json(e.env)}
+
+
+def recursive_env_json(env: EnvExpr) -> dict:
+    if isinstance(env, NilE):
+        return {"env": "nil"}
+    if isinstance(env, ConsE):
+        return {"env": "cons", "head": recursive_entity_json(env.head),
+                "tail": recursive_env_json(env.tail)}
+    return {"env": "union", "left": recursive_env_json(env.left),
+            "right": recursive_env_json(env.right)}
+
+
 # ---------------------------------------------------------------------------
 # The recursive-descent term parser
 
@@ -631,6 +744,54 @@ def random_formula(rng: random.Random) -> Formula:
         return atom(vars_)
 
     return go(4, ())
+
+
+def stacked_negation_formula(rng: random.Random) -> Formula:
+    """A formula that stacks negations and quantifiers over subformulas it
+    repeats: the shape on which the order of `simplify`'s rules shows.
+    Atoms take constants, bound variables and selection sites over small
+    environments; a repeated subformula is reused only where the variables
+    it mentions are bound."""
+    made: list[tuple[Formula, tuple[str, ...]]] = []
+    sites = itertools.count()
+
+    def entity(vars_):
+        return rng.choice([EntConst("a"), EntConst("b")] + [EntVar(v) for v in vars_])
+
+    def env(vars_, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.25:
+            return NilE()
+        if roll < 0.7:
+            return ConsE(entity(vars_), env(vars_, depth - 1))
+        return UnionE(env(vars_, depth - 1), env(vars_, depth - 1))
+
+    def atom(vars_):
+        roll = rng.random()
+        if roll < 0.15:
+            return Atom("r", ())
+        if roll < 0.3:
+            return Atom("s", (entity(vars_), SelOf(env(vars_, 3), next(sites))))
+        return Atom(rng.choice(("p", "q")), (entity(vars_),))
+
+    def go(depth, vars_):
+        roll = rng.random()
+        reusable = [f for f, needs in made if set(needs) <= set(vars_)]
+        if depth == 0 or roll < 0.15:
+            f = rng.choice([atom(vars_), atom(vars_), Top(), Bot()])
+        elif roll < 0.3 and reusable:
+            f = rng.choice(reusable)
+        elif roll < 0.45:
+            v = f"v{len(vars_) + 1}"
+            f = Exists(v, go(depth - 1, vars_ + (v,)))
+        else:
+            f = rng.choice((And, Or))(go(depth - 1, vars_), go(depth - 1, vars_))
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            f = Not(f)
+        made.append((f, vars_))
+        return f
+
+    return go(5, ())
 
 
 # ---------------------------------------------------------------------------

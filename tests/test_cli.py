@@ -29,6 +29,14 @@ def test_samples_match_committed_goldens(sample, capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.dsc")))
+def test_samples_match_committed_json_goldens(sample, capsys):
+    code = main(["run", str(SAMPLES / sample), "--format", "json", "--resolve", "recency"])
+    golden = (GOLDEN / sample.replace(".dsc", ".json")).read_text()
+    assert code == 0
+    assert capsys.readouterr() == (golden, "")
+
+
 def test_key_golden_lines(capsys):
     main(["run", str(SAMPLES / "doesnt_own_car.dsc")])
     out = capsys.readouterr().out.splitlines()
@@ -234,7 +242,9 @@ def test_json_mode_renders_each_formula_once(flags, formulas, monkeypatch, capsy
     sample = str(SAMPLES / "doesnt_own_car.dsc")
     assert main(["run", sample, "--format", "json", *flags]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": formulas}
+    # The sample's one access report renders its environment and its one
+    # candidate through `formula_json` too.
+    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": formulas + 2}
     golden = dict(line.split(": ", 1) for line in _GOLDEN_LINES if ": " in line)
     assert doc["composed_term"] == golden["composed"]
     assert doc["normal_form"] == golden["normal"]

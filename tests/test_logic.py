@@ -2,20 +2,28 @@ import random
 
 import pytest
 
+from contsem.discourse import interpret
 from contsem.errors import ContsemError
+from contsem.lexicon import default_lexicon
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, NotReifiable,
     Or, SelOf, SignatureTooLarge, Top, UnionE,
     alpha_eq, env_entries, formula_json, formula_text, logically_equiv,
     reify, simplify,
 )
+from contsem.resolver import EmptyEnvironment, resolve
 from contsem.syntax import parse_type
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
     App, Const, E, G, Lam, T, Var, app, arrow, subst_consts,
 )
 
-from gen import random_formula, recursive_env_entries, subterms
+from gen import (
+    pipeline_cases, random_formula, recursive_entity_json, recursive_entity_text,
+    recursive_env_entries, recursive_env_json, recursive_env_text,
+    recursive_formula_json, recursive_formula_text, stacked_negation_formula,
+    subterms,
+)
 
 J = EntConst("j")
 Y = EntVar("y")
@@ -237,6 +245,16 @@ def test_formula_alpha_eq_renames_bound_vars():
     assert not alpha_eq(a, Exists("z", Atom("p", (EntConst("z"),))))
 
 
+def test_formula_alpha_eq_compares_environments_and_ignores_site_ids():
+    def red(var, left, right, site):
+        env = UnionE(ConsE(left, NilE()), ConsE(right, NilE()))
+        return Exists(var, Atom("red", (SelOf(env, site),)))
+    z = EntVar("z")
+    assert alpha_eq(red("y", Y, J, 0), red("z", z, J, 5))
+    assert not alpha_eq(red("y", Y, J, 0), red("z", J, z, 0))
+    assert not alpha_eq(red("y", Y, J, 0), red("z", z, EntConst("m"), 0))
+
+
 def _binder_chain(names, depth, last_ref=None):
     """Ex n0. (q n0 & Ex n1. (q2 n1 n0 & ...)), built without recursing; the
     innermost atom refers to `last_ref` (default: the enclosing binder)."""
@@ -338,6 +356,175 @@ def test_formula_json_tags():
     assert atom["args"][0]["entity"] == "sel"
     assert atom["args"][0]["site"] == 3
     assert atom["args"][0]["env"]["env"] == "cons"
+    f = Exists("y", Atom("own", (J, SelOf(UnionE(ConsE(Y, NilE()), NilE()), 3))))
+    assert formula_json(f) == {"node": "exists", "var": "y", "body": {
+        "node": "atom", "pred": "own", "args": [
+            {"entity": "const", "name": "j"},
+            {"entity": "sel", "site": 3, "env": {
+                "env": "union",
+                "left": {"env": "cons", "head": {"entity": "var", "name": "y"},
+                         "tail": {"env": "nil"}},
+                "right": {"env": "nil"}}}]}}
+    doc = formula_json(f)
+    assert [list(doc), list(doc["body"]), list(doc["body"]["args"][1])] == [
+        ["node", "var", "body"], ["node", "pred", "args"], ["entity", "site", "env"]]
+
+
+def test_left_operand_with_an_open_right_edge_is_parenthesized():
+    ex = Exists("y", Atom("car", (Y,)))
+    assert formula_text(Or(Not(And(P, ex)), Q)) == "(~ (p & Ex y. car y)) | q"
+    assert formula_text(And(Or(P, Not(ex)), Q)) == "(p | ~ Ex y. car y) & q"
+    assert formula_text(Or(And(P, Q), ex)) == "p & q | Ex y. car y"
+    assert formula_text(And(ex, Or(P, ex))) == "(Ex y. car y) & (p | Ex y. car y)"
+
+
+def test_atom_glues_selections_to_the_piece_before():
+    sel = SelOf(ConsE(J, NilE()), 0)
+    assert formula_text(Atom("own", (J, sel))) == "own j(sel(j::nil))"
+    assert formula_text(Atom("own", (sel, Y))) == "own(sel(j::nil)) y"
+    assert formula_text(Atom("own", (sel, sel))) == "own(sel(j::nil))(sel(j::nil))"
+
+
+# ---------------------------------------------------------------------------
+# Rendering against the recursive references
+
+def _same_json(a, b) -> bool:
+    """`a == b` for nested dicts and lists, key order included, compared
+    with a loop: dict `==` recurses in C and overflows on deep nesting."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if type(x) is dict:
+            if list(x) != list(y):
+                return False
+            stack += zip(x.values(), y.values())
+        elif type(x) is list:
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
+def _differences(items, text_ref, json_ref) -> list:
+    return [x for x in items
+            if formula_text(x) != text_ref(x) or not _same_json(formula_json(x), json_ref(x))]
+
+
+def test_rendering_matches_recursive_references_on_random_formulas():
+    rng = random.Random(41)
+    formulas = [random_formula(rng) for _ in range(20_000)]
+    formulas += [stacked_negation_formula(rng) for _ in range(2_000)]
+    assert _differences(formulas, recursive_formula_text, recursive_formula_json) == []
+
+
+def test_rendering_matches_recursive_references_on_entities_and_environments():
+    rng = random.Random(42)
+    envs = [_random_env(rng) for _ in range(2_000)]
+    envs += [ConsE(SelOf(e, i), e) for i, e in enumerate(envs[:200])]
+    entities = [J, Y] + [SelOf(e, i) for i, e in enumerate(envs)]
+    assert _differences(envs, recursive_env_text, recursive_env_json) == []
+    assert _differences(entities, recursive_entity_text, recursive_entity_json) == []
+
+
+def test_rendering_matches_recursive_references_on_pipeline_formulas():
+    lex = default_lexicon()
+    formulas = []
+    for tree, profile in pipeline_cases(lex):
+        raw, simplified = interpret(tree, lex, profile)
+        formulas += (raw, simplified)
+        try:
+            formulas.append(resolve(simplified, "recency"))
+        except EmptyEnvironment:
+            pass
+    assert len(formulas) > 90
+    assert _differences(formulas, recursive_formula_text, recursive_formula_json) == []
+
+
+# ---------------------------------------------------------------------------
+# Deep formulas render at the default recursion limit
+
+def _p(i):
+    return Atom("p", (EntConst(f"c{i}"),))
+
+
+def _p_json(i):
+    return {"node": "atom", "pred": "p", "args": [{"entity": "const", "name": f"c{i}"}]}
+
+
+def _check_render(f, text, doc):
+    assert formula_text(f) == text
+    assert _same_json(formula_json(f), doc)
+
+
+def test_deep_negation_renders():
+    n = 10_000
+    f, doc = P, {"node": "atom", "pred": "p", "args": []}
+    for _ in range(n):
+        f, doc = Not(f), {"node": "not", "body": doc}
+    _check_render(f, "~ " * n + "p", doc)
+
+
+@pytest.mark.parametrize("ctor,op,tag", [(And, " & ", "and"), (Or, " | ", "or")])
+def test_long_connective_chains_render(ctor, op, tag):
+    n = 5_000
+    right, right_doc = _p(n - 1), _p_json(n - 1)
+    left, left_doc = _p(0), _p_json(0)
+    for i in range(1, n):
+        right, right_doc = ctor(_p(n - 1 - i), right), {
+            "node": tag, "left": _p_json(n - 1 - i), "right": right_doc}
+        left, left_doc = ctor(left, _p(i)), {"node": tag, "left": left_doc, "right": _p_json(i)}
+    _check_render(right, op.join(f"p c{i}" for i in range(n)), right_doc)
+    _check_render(left, "(" * (n - 2) + "p c0" + op + "p c1"
+                  + "".join(f"){op}p c{i}" for i in range(2, n)), left_doc)
+
+
+def test_long_spine_ending_in_a_quantifier_is_parenthesized_as_a_left_operand():
+    n = 5_000
+    f = Exists("y", Atom("car", (Y,)))
+    for i in reversed(range(n)):
+        f = And(_p(i), f)
+    text = " & ".join(f"p c{i}" for i in range(n)) + " & Ex y. car y"
+    assert formula_text(Or(f, Q)) == f"({text}) | q"
+
+
+def test_nested_quantifiers_render():
+    n = 5_000
+    f = Atom("q", (EntVar(f"v{n - 1}"),))
+    doc = {"node": "atom", "pred": "q", "args": [{"entity": "var", "name": f"v{n - 1}"}]}
+    for i in reversed(range(n)):
+        f, doc = Exists(f"v{i}", f), {"node": "exists", "var": f"v{i}", "body": doc}
+    _check_render(f, "".join(f"Ex v{i}. " for i in range(n)) + f"q v{n - 1}", doc)
+
+
+def test_long_environment_renders():
+    n = 5_000
+    env, env_doc = NilE(), {"env": "nil"}
+    for i in reversed(range(n)):
+        env, env_doc = ConsE(EntConst(f"c{i}"), env), {
+            "env": "cons", "head": {"entity": "const", "name": f"c{i}"}, "tail": env_doc}
+    f = Atom("red", (SelOf(env, 7),))
+    doc = {"node": "atom", "pred": "red",
+           "args": [{"entity": "sel", "site": 7, "env": env_doc}]}
+    _check_render(f, "red(sel(" + "".join(f"c{i}::" for i in range(n)) + "nil))", doc)
+
+
+def test_deep_union_nest_renders():
+    n = 5_000
+    env, env_doc = NilE(), {"env": "nil"}
+    for i in range(1, n + 1):
+        env = UnionE(env, ConsE(EntConst(f"c{i}"), NilE()))
+        env_doc = {"env": "union", "left": env_doc, "right": {
+            "env": "cons", "head": {"entity": "const", "name": f"c{i}"}, "tail": {"env": "nil"}}}
+    f = Atom("red", (SelOf(env, 0),))
+    doc = {"node": "atom", "pred": "red",
+           "args": [{"entity": "sel", "site": 0, "env": env_doc}]}
+    text = ("(" * (n - 1) + "nil++(c1::nil)"
+            + "".join(f")++(c{i}::nil)" for i in range(2, n + 1)))
+    _check_render(f, f"red(sel({text}))", doc)
 
 
 # ---------------------------------------------------------------------------
