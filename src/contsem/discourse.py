@@ -17,7 +17,7 @@ from .errors import ContsemError
 from .node import Node
 from . import terms as tm
 from .logic import Formula, reify, simplify
-from .lexicon import Category, Lexicon, Profile, content_type, default_lexicon
+from .lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type, default_lexicon
 from .syntax import parse_term
 from .terms import App, Const, Lam, Term, Var, app, normalize, subst_consts, typecheck
 
@@ -173,8 +173,7 @@ def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
         vp_applied = app(vp_applied, np_term(predicate.obj))
     if ast.negated:
         # (doesn't VP) S: the negation takes the verb phrase, then the subject.
-        np_ty = tm.arrow(tm.arrow(tm.E, profile.sentence_type), profile.sentence_type)
-        vp = Lam(np_ty, App(vp_applied, Var(0)))
+        vp = Lam(CATEGORY_TYPES[profile][Category.PROPER_NOUN], App(vp_applied, Var(0)))
         return app(entry("doesnt"), vp, subject)
     return app(vp_applied, subject)
 
@@ -254,9 +253,8 @@ def _binary_template(right: str, profile: Profile) -> Term:
     sent = profile.sentence_type
     source = _SEQ_A
     if profile.connective_type is not None:
-        source = _CONNECTIVE.format(
-            K=f"({tm.type_text(profile.connective_type)})",
-            PHI=f"({tm.type_text(profile.continuation_type)})", RIGHT=right)
+        source = _CONNECTIVE.format(K=profile.connective_type.text,
+                                    PHI=profile.continuation_type.text, RIGHT=right)
     return parse_term(source, {"LHS_": sent, "RHS_": sent})
 
 

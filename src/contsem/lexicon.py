@@ -123,56 +123,34 @@ def content_type(category: Category) -> SemType:
 # ---------------------------------------------------------------------------
 # Entry sources
 
-_SA = "g>(g>t)>t"
-_NPA = f"(e>{_SA})>{_SA}"
-_ADJA = f"(e>{_SA})>e>{_SA}"
-_VPA = f"({_NPA})>{_SA}"
-
-_KB = "t>t>t"
-_PHIB = f"({_KB})>g>g>t"
-_SB = f"({_KB})>g>g>({_PHIB})>t"
-_NPB = f"(e>{_SB})>{_SB}"
-_ADJB = f"(e>{_SB})>e>{_SB}"
-_VPB = f"({_NPB})>{_SB}"
+# Entry sources name the profile's types by field: {phi} and {k} its
+# continuation and connective types, a category's value that category's type.
+_TYPE_FIELDS = {p: {"phi": p.continuation_type.text, "k": getattr(p.connective_type, "text", None),
+                    **{c.value: ty.text for c, ty in CATEGORY_TYPES[p].items()}}
+                for p in CATEGORY_TYPES}
 
 # Content-word templates; {p} is the content constant.
 _TEMPLATES: dict[Profile, dict[Category, str]] = {
     Profile.A: {
-        Category.PROPER_NOUN: rf"\P:e>{_SA}. P {{p}}",
-        Category.COMMON_NOUN: rf"\x:e. \e:g. \phi:g>t. {{p}} x & phi e",
+        Category.PROPER_NOUN: r"\P:{noun}. P {p}",
+        Category.COMMON_NOUN: r"\x:e. \e:g. \phi:{phi}. {p} x & phi e",
         Category.TRANSITIVE_VERB: (
-            rf"\O:{_NPA}. \S:{_NPA}."
-            rf" S (\x:e. O (\y:e. \e:g. \phi:g>t. {{p}} x y & phi e))"
-        ),
-        Category.INTRANSITIVE_VERB: (
-            rf"\S:{_NPA}. S (\x:e. \e:g. \phi:g>t. {{p}} x & phi e)"
-        ),
-        Category.ADJECTIVE: (
-            rf"\P:e>{_SA}. \x:e. \e:g. \phi:g>t. (P x e phi) & {{p}} x"
-        ),
+            r"\O:{pnoun}. \S:{pnoun}. S (\x:e. O (\y:e. \e:g. \phi:{phi}. {p} x y & phi e))"),
+        Category.INTRANSITIVE_VERB: r"\S:{pnoun}. S (\x:e. \e:g. \phi:{phi}. {p} x & phi e)",
+        Category.ADJECTIVE: r"\P:{noun}. \x:e. \e:g. \phi:{phi}. (P x e phi) & {p} x",
     },
     Profile.B: {
         Category.PROPER_NOUN: (
-            rf"\P:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-            rf" P {{p}} c ({{p}}::e1) e2 phi"
-        ),
+            r"\P:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}. P {p} c ({p}::e1) e2 phi"),
         Category.COMMON_NOUN: (
-            rf"\x:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-            rf" c ({{p}} x) (phi c e1 e2)"
-        ),
+            r"\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. c ({p} x) (phi c e1 e2)"),
         Category.TRANSITIVE_VERB: (
-            rf"\O:{_NPB}. \S:{_NPB}."
-            rf" S (\x:e. O (\y:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-            rf" c ({{p}} x y) (phi c e1 e2)))"
-        ),
+            r"\O:{pnoun}. \S:{pnoun}. S (\x:e. O (\y:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+            r" c ({p} x y) (phi c e1 e2)))"),
         Category.INTRANSITIVE_VERB: (
-            rf"\S:{_NPB}. S (\x:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-            rf" c ({{p}} x) (phi c e1 e2))"
-        ),
+            r"\S:{pnoun}. S (\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. c ({p} x) (phi c e1 e2))"),
         Category.ADJECTIVE: (
-            rf"\P:e>{_SB}. \x:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-            rf" (P x c e1 e2 phi) & {{p}} x"
-        ),
+            r"\P:{noun}. \x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. (P x c e1 e2 phi) & {p} x"),
     },
 }
 
@@ -180,38 +158,31 @@ _TEMPLATES: dict[Profile, dict[Category, str]] = {
 # the registry.
 _FIXED: dict[Profile, dict[str, str]] = {
     Profile.A: {
-        "a": (rf"\P:e>{_SA}. \Q:e>{_SA}. \e:g. \phi:g>t."
-              rf" Ex (\x:e. P x e (\e':g. Q x (x::e') phi))"),
-        "it": rf"\P:e>{_SA}. \e:g. \phi:g>t. P (sel e) e phi",
-        "is": (rf"\A:{_ADJA}. \S:{_NPA}."
-               rf" S (\x:e. \e:g. \phi:g>t."
-               rf" (A (\y:e. \e0:g. \phi0:g>t. top) x e phi) & phi e)"),
-        "doesnt": (rf"\V:{_VPA}. \S:{_NPA}. \e:g. \phi:g>t."
-                   rf" ~(V S e (\e':g. top)) & phi e"),
+        "a": (r"\P:{noun}. \Q:{noun}. \e:g. \phi:{phi}."
+              r" Ex (\x:e. P x e (\e':g. Q x (x::e') phi))"),
+        "it": r"\P:{noun}. \e:g. \phi:{phi}. P (sel e) e phi",
+        "is": (r"\A:{adj}. \S:{pnoun}. S (\x:e. \e:g. \phi:{phi}."
+               r" (A (\y:e. \e0:g. \phi0:{phi}. top) x e phi) & phi e)"),
+        "doesnt": r"\V:{iverb}. \S:{pnoun}. \e:g. \phi:{phi}. ~(V S e (\e':g. top)) & phi e",
     },
     Profile.B: {
-        "a": (rf"\P:e>{_SB}. \Q:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-              rf" Ex (\x:e."
-              rf" (\phi':{_PHIB}. (P x c e1 e2 phi') & (Q x c e1 e2 phi'))"
-              rf" (\c':{_KB}. \e1':g. \e2':g. phi c e1' (x::e2')))"),
-        "it": (rf"\P:e>{_SB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-               rf" P (sel (e1 ++ e2)) c e1 e2 phi"),
-        "is": (rf"\A:{_ADJB}. \S:{_NPB}."
-               rf" S (\x:e. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-               rf" c (A (\y:e. \c0:{_KB}. \f1:g. \f2:g. \psi:{_PHIB}. top)"
-               rf" x c e1 e2 phi) (phi c e1 e2))"),
-        "doesnt": (rf"\V:{_VPB}. \S:{_NPB}. \c:{_KB}. \e1:g. \e2:g. \phi:{_PHIB}."
-                   rf" ~(V S (\a:t. \b:t. ~(c (~a) (~b))) e1 e2"
-                   rf" (\c':{_KB}. \e1':g. \e2':g. ~(phi c' e1' e2)))"),
+        "a": (r"\P:{noun}. \Q:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+              r" Ex (\x:e. (\phi':{phi}. (P x c e1 e2 phi') & (Q x c e1 e2 phi'))"
+              r" (\c':{k}. \e1':g. \e2':g. phi c e1' (x::e2')))"),
+        "it": r"\P:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}. P (sel (e1 ++ e2)) c e1 e2 phi",
+        "is": (r"\A:{adj}. \S:{pnoun}. S (\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+               r" c (A (\y:e. \c0:{k}. \f1:g. \f2:g. \psi:{phi}. top)"
+               r" x c e1 e2 phi) (phi c e1 e2))"),
+        "doesnt": (r"\V:{iverb}. \S:{pnoun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+                   r" ~(V S (\a:t. \b:t. ~(c (~a) (~b))) e1 e2"
+                   r" (\c':{k}. \e1':g. \e2':g. ~(phi c' e1' e2)))"),
     },
 }
 
 # The alternative negation entry: the continuation goes inside the negation,
 # so everything after the negated sentence ends up negated too.  Kept only to
 # demonstrate why the shipped entry quarantines the negation instead.
-_REJECTED_NEGATION_A = (
-    rf"\V:{_VPA}. \S:{_NPA}. \e:g. \phi:g>t. ~(V S e (\e':g. phi e'))"
-)
+_REJECTED_NEGATION_A = r"\V:{iverb}. \S:{pnoun}. \e:g. \phi:{phi}. ~(V S e (\e':g. phi e'))"
 
 # Default word registry: word -> (category, content symbol).
 _DEFAULT_WORDS: dict[str, tuple[Category, str]] = {
@@ -248,7 +219,7 @@ def _build_term(category: Category, profile: Profile, symbol: str) -> Term:
     templates = _TEMPLATES.get(profile, {})
     if category not in templates:
         raise UnsupportedCategory(category, profile)
-    source = templates[category].format(p=symbol)
+    source = templates[category].format(p=symbol, **_TYPE_FIELDS[profile])
     return parse_term(source, {symbol: content_type(category)})
 
 
@@ -355,10 +326,10 @@ def negation_variant(profile: Profile, rejected: bool = False) -> Term:
     if rejected:
         if profile != Profile.A:
             raise ContsemError("the rejected negation variant exists only for profile A")
-        return parse_term(_REJECTED_NEGATION_A, {})
+        return parse_term(_REJECTED_NEGATION_A.format(**_TYPE_FIELDS[profile]), {})
     if profile not in _FIXED:
         raise UnknownWord("doesnt", profile)
-    return parse_term(_FIXED[profile]["doesnt"], {})
+    return parse_term(_FIXED[profile]["doesnt"].format(**_TYPE_FIELDS[profile]), {})
 
 
 @lru_cache(maxsize=1)
@@ -368,7 +339,7 @@ def default_lexicon() -> Lexicon:
         for word in words:
             category, symbol = _DEFAULT_WORDS[word]
             if word in _FIXED[profile]:
-                term = parse_term(_FIXED[profile][word])
+                term = parse_term(_FIXED[profile][word].format(**_TYPE_FIELDS[profile]))
             else:
                 term = _build_term(category, profile, symbol)
             entries[(word, profile)] = LexEntry(word, category, profile, term)

@@ -167,97 +167,120 @@ def env_from_entries(entries) -> EnvExpr:
 # ---------------------------------------------------------------------------
 # Reification
 
+# The builtins as `reify` reads them, by name: the builtin, its class, and
+# the sorts its type gives its result and its arguments, the last argument
+# first.  A sort is a type's text: `t` a formula, `e` an entity term, `g` an
+# environment, and `Ex`'s `e>t` a binder.
+def _reading(builtin: Const, cls: type) -> tuple:
+    sorts, ty = [], builtin.ty
+    while type(ty) is tm.Arrow:
+        sorts, ty = [ty.dom.text, *sorts], ty.cod
+    return builtin, cls, ty.text, sorts
+
+
+_READINGS = {b.name: _reading(b, cls) for b, cls in (
+    (tm.TOP, Top), (tm.BOT, Bot), (tm.NOT, Not), (tm.AND, And), (tm.OR, Or), (tm.EXISTS, Exists),
+    (tm.SEL, SelOf), (tm.NIL, NilE), (tm.CONS, ConsE), (tm.UNION, UnionE))}
+_NOT_A = {"t": "not in the reifiable fragment", "e": "not an entity term",
+          "g": "not an environment expression"}     # the rejection at each sort
+
+
+def _entity(t: Term, names: list[str], depth: int, used: set[str]) -> EntityTerm | None:
+    """A bound variable's or an entity constant's reading; None for other terms."""
+    if type(t) is Var:
+        return EntVar(names[depth - 1 - t.index]) if 0 <= t.index < depth else None
+    if type(t) is Const and t.ty.text == "e" and t.name not in _READINGS:
+        used.add(t.name)
+        return EntConst(t.name)
+    return None
+
+
 def reify(term: Term) -> Formula:
     """Read a closed beta-normal term of type t as a Formula.
 
     Quantified variables get fresh names (y, y1, y2, ... in textual order,
     skipping constants' names) and every occurrence of the selection operator
     gets a fresh site id, numbered left to right.  A second walk runs only
-    when a name the first chose turns out to be a constant's.
+    when a name the first chose turns out to be a constant's.  A walk is one
+    loop over a stack of visits, (sort, term, binder depth, path), and of
+    builds, (class, field, atom arity, path), which make a node of the
+    results on top or, of class NotReifiable, reject what was just read.
     """
-    avoid, used = (), set()
-    fresh_counter = [0]
-    site_counter = [0]
-
-    def fresh_var():
-        while True:
-            n = fresh_counter[0]
-            fresh_counter[0] += 1
-            name = "y" if n == 0 else f"y{n}"
-            if name not in avoid:
-                return name
-
-    def fail(path, reason):
-        return NotReifiable(tm.path_steps(path), reason)
-
-    def spine(t):
-        # Head, the builtin it is (by class and name before `==`), arguments.
-        args = []
-        while type(t) is App:
-            args.append(t.arg)
-            t = t.fn
-        b = tm.BUILTINS.get(t.name) if type(t) is Const else None
-        return t, (b if b is not None and (t is b or t == b) else None), args[::-1]
-
-    def go(t, bound, path) -> Formula:
-        head, builtin, args = spine(t)
-        if builtin is tm.TOP and not args:
-            return Top()
-        if builtin is tm.BOT and not args:
-            return Bot()
-        if builtin is tm.NOT and len(args) == 1:
-            return Not(go(args[0], bound, (path, "arg")))
-        if (builtin is tm.AND or builtin is tm.OR) and len(args) == 2:
-            ctor = And if builtin is tm.AND else Or
-            return ctor(go(args[0], bound, ((path, "fn"), "arg")),
-                        go(args[1], bound, (path, "arg")))
-        if builtin is tm.EXISTS and len(args) == 1:
-            body = args[0]
-            if type(body) is not Lam or body.ty.text != "e":
-                raise fail(path, "quantifier not applied to an entity property")
-            name = fresh_var()
-            return Exists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
-        if type(head) is Const and head.name not in tm.BUILTINS:
-            ent_args = tuple(entity(a, bound, (path, "arg")) for a in args)
-            if head.ty.text == "e>" * len(args) + "t":     # one `e` per argument
-                used.add(head.name)
-                return Atom(head.name, ent_args)
-        raise fail(path, "not in the reifiable fragment")
-
-    def entity(t, bound, path) -> EntityTerm:
-        if type(t) is Var:
-            if t.index >= len(bound):
-                raise fail(path, "entity variable escapes its quantifier")
-            return EntVar(bound[t.index])
-        if type(t) is Const and t.ty.text == "e" and t.name not in tm.BUILTINS:
-            used.add(t.name)
-            return EntConst(t.name)
-        head, builtin, args = spine(t)
-        if builtin is tm.SEL and len(args) == 1:
-            site = site_counter[0]
-            site_counter[0] += 1
-            return SelOf(environment(args[0], bound, (path, "arg")), site)
-        raise fail(path, "not an entity term")
-
-    def environment(t, bound, path) -> EnvExpr:
-        head, builtin, args = spine(t)
-        if builtin is tm.NIL and not args:
-            return NIL_E
-        if builtin is tm.CONS and len(args) == 2:
-            h = entity(args[0], bound, ((path, "fn"), "arg"))
-            if isinstance(h, SelOf):
-                raise fail(path, "selection result used as an environment entry")
-            return ConsE(h, environment(args[1], bound, (path, "arg")))
-        if builtin is tm.UNION and len(args) == 2:
-            return UnionE(environment(args[0], bound, ((path, "fn"), "arg")),
-                          environment(args[1], bound, (path, "arg")))
-        raise fail(path, "not an environment expression")
-
-    formula = go(term, (), None)
-    if used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh_counter[0])):
-        return formula
-    avoid, fresh_counter[0], site_counter[0] = used, 0, 0
-    return go(term, (), None)
+    avoid = ()
+    while True:
+        names, used, fresh, sites, done = [], set(), 0, 0, []   # names: by binder depth
+        work: list = [("t", term, 0, None)]
+        while work:
+            sort, t, depth, path = work.pop()
+            if type(sort) is str:
+                head, args = t, []
+                while type(head) is App:
+                    args.append(head.arg)
+                    head = head.fn
+                reading = _READINGS.get(head.name) if type(head) is Const else None
+                if reading:
+                    builtin, cls, result, sorts = reading
+                    if (head is not builtin and head != builtin or result != sort
+                            or len(args) != len(sorts)):
+                        raise NotReifiable(tm.path_steps(path), _NOT_A[sort])
+                    if cls is Exists:
+                        (body,), binder = args, builtin.ty.dom
+                        if type(body) is not Lam or body.ty.text != binder.dom.text:
+                            raise NotReifiable(tm.path_steps(path),
+                                               "quantifier not applied to an entity property")
+                        name, fresh = f"y{fresh}" if fresh else "y", fresh + 1
+                        while name in avoid:
+                            name, fresh = f"y{fresh}", fresh + 1
+                        names[depth:] = (name,)
+                        done.append(name)           # under the body, for the build
+                        work += ((Exists, None, None, path),
+                                 (binder.cod.text, body.body, depth + 1, ((path, "arg"), "body")))
+                        continue
+                    if cls is ConsE:    # the entry, args[1], is read here if _entity can
+                        if read := _entity(args[1], names, depth, used):
+                            done.append(read)       # under the tail, for the build
+                            work += ((ConsE, None, None, path),
+                                     (sorts[0], args[0], depth, (path, "arg")))
+                        else:   # any other is rejected, by its visit or as a selection
+                            reason = "selection result used as an environment entry"
+                            work += ((NotReifiable, reason, None, path),
+                                     (sorts[1], args[1], depth, ((path, "fn"), "arg")))
+                        continue
+                    if not args:
+                        done.append(cls())
+                        continue
+                    while cls is Not and type(args[0]) is App and args[0].fn is tm.NOT:
+                        work.append((Not, None, None, None))    # a run of negations
+                        args, path = [args[0].arg], (path, "arg")
+                    work.append((cls, sites, None, path))      # a selection's site id
+                    sites += cls is SelOf
+                elif type(head) is Const and sort == "t":   # an atom: arguments, then head type
+                    work.append((Atom, head, len(args), path))
+                    sorts = ("e",) * len(args)
+                elif sort == "e" and not args and (read := _entity(head, names, depth, used)):
+                    done.append(read)
+                    continue
+                else:
+                    raise NotReifiable(tm.path_steps(path), (
+                        "entity variable escapes its quantifier"
+                        if sort == "e" and not args and type(head) is Var else _NOT_A[sort]))
+                for arg, arg_sort in zip(args, sorts):      # the last argument first
+                    work.append((arg_sort, arg, depth, (path, "arg")))
+                    path = (path, "fn")
+            elif sort is Not or sort is SelOf:
+                done[-1] = Not(done[-1]) if sort is Not else SelOf(done[-1], t)
+            elif sort is Atom and t.ty.text == "e>" * depth + "t":  # an `e` per argument
+                used.add(t.name)
+                k = len(done) - depth
+                done[k:] = [Atom(t.name, tuple(done[k:]))]
+            elif sort is Atom or sort is NotReifiable:
+                raise NotReifiable(tm.path_steps(path), _NOT_A["t"] if sort is Atom else t)
+            else:                                           # And, Or, Exists, ConsE, UnionE
+                right = done.pop()
+                done[-1] = sort(done[-1], right)
+        if avoid or used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh)):
+            return done[0]
+        avoid = used
 
 
 # ---------------------------------------------------------------------------

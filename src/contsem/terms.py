@@ -233,28 +233,35 @@ def typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
     """Type of `term` under `ctx` (innermost binder first).
 
     Raises UnboundVariable or TypeMismatch; positions are paths of
-    'fn'/'arg'/'body' steps from the root.
+    'fn'/'arg'/'body' steps from the root.  One loop over an explicit stack
+    visits each subterm, and leaves a Lam or App (depth None) once its parts
+    are typed; binder types are kept by depth.
     """
-    return _typecheck(term, tuple(ctx), None)
-
-
-def _typecheck(term, ctx, path):
-    if isinstance(term, Var):
-        if term.index < 0 or term.index >= len(ctx):
-            raise UnboundVariable(term.index, path_steps(path))
-        return ctx[term.index]
-    if isinstance(term, Const):
-        return term.ty
-    if isinstance(term, Lam):
-        body_ty = _typecheck(term.body, (term.ty,) + ctx, (path, "body"))
-        return Arrow(term.ty, body_ty)
-    fn_ty = _typecheck(term.fn, ctx, (path, "fn"))
-    arg_ty = _typecheck(term.arg, ctx, (path, "arg"))
-    if not isinstance(fn_ty, Arrow):
-        raise TypeMismatch("a function type", fn_ty, path_steps((path, "fn")))
-    if fn_ty.dom.text != arg_ty.text:
-        raise TypeMismatch(fn_ty.dom, arg_ty, path_steps((path, "arg")))
-    return fn_ty.cod
+    types, done = list(ctx)[::-1], []   # binder types by depth; the subterms' types
+    work: list = [(term, len(types), None)]
+    while work:
+        t, depth, path = work.pop()
+        kind = type(t)
+        if kind is App and depth is not None:
+            work += ((t, None, path), (t.arg, depth, (path, "arg")), (t.fn, depth, (path, "fn")))
+        elif kind is Var:
+            if not 0 <= t.index < depth:
+                raise UnboundVariable(t.index, path_steps(path))
+            done.append(types[depth - 1 - t.index])
+        elif kind is Const:
+            done.append(t.ty)
+        elif kind is Lam and depth is not None:
+            types[depth:] = (t.ty,)
+            work += ((t, None, path), (t.body, depth + 1, (path, "body")))
+        elif kind is Lam:
+            done[-1] = Arrow(t.ty, done[-1])
+        elif type(done[-2]) is not Arrow:
+            raise TypeMismatch("a function type", done[-2], path_steps((path, "fn")))
+        elif done[-2].dom.text != done[-1].text:
+            raise TypeMismatch(done[-2].dom, done[-1], path_steps((path, "arg")))
+        else:
+            done[-2:] = (done[-2].cod,)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

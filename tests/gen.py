@@ -7,9 +7,12 @@ normalization-by-evaluation normalizer, the recursive pretty-printer for
 recursive environment flattener for `logic.env_entries`, the recursive
 formula renderers `recursive_formula_text`/`recursive_formula_json` (with
 their entity and environment helpers) for `logic.formula_text` and
-`logic.formula_json`, and the fixed-point simplifier and recursive formula
-`alpha_eq` for `logic.simplify` and `logic.alpha_eq`.  `is_closed` and
-`size` are recursive term measures only the tests use."""
+`logic.formula_json`, the fixed-point simplifier and recursive formula
+`alpha_eq` for `logic.simplify` and `logic.alpha_eq`, and
+`recursive_reify` (three mutually recursive readers) and
+`recursive_typecheck` for `logic.reify` and `terms.typecheck`, with their
+random inputs `random_reify_term` and `random_typecheck_case`.  `is_closed`
+and `size` are recursive term measures only the tests use."""
 from __future__ import annotations
 
 import itertools
@@ -26,16 +29,17 @@ from contsem.discourse import (
 from contsem.lexicon import Lexicon, Profile
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar, EnvExpr, Exists,
-    Formula, NilE, Not, Or, SelOf, Top, UnionE, env_entries, env_from_entries,
+    Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE, env_entries,
+    env_from_entries,
 )
 from contsem.syntax import (
     _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _UNION, ParseError,
     UnknownIdentifier,
 )
 from contsem.terms import (
-    AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
+    AND, BOT, BUILTINS, CONS, COORD, EXISTS, NIL, NOT, OR, SEL, SUB, TOP, UNION,
     App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
-    Var, arrow, beta,
+    TypeMismatch, UnboundVariable, Var, app, arrow, beta, normalize, path_steps,
 )
 
 # Signature for generated terms: every base type is inhabited by a constant,
@@ -85,17 +89,18 @@ def random_type(rng: random.Random, depth: int = 2) -> SemType:
 
 
 def random_term(rng: random.Random, ty: SemType, ctx: tuple[SemType, ...] = (),
-                fuel: int = 30) -> Term:
-    """A well-typed term of type `ty` under `ctx`, at most ~fuel nodes."""
+                fuel: int = 30, sig=GEN_SIG.values()) -> Term:
+    """A well-typed term of type `ty` under `ctx`, at most ~fuel nodes, over
+    the constants `sig`."""
     leaves = [Var(i) for i, t in enumerate(ctx) if t == ty]
-    leaves += [c for c in GEN_SIG.values() if c.ty == ty]
+    leaves += [c for c in sig if c.ty == ty]
     can_lam = isinstance(ty, Arrow)
 
     if fuel <= 1:
         if leaves:
             return rng.choice(leaves)
         if can_lam:
-            return Lam(ty.dom, random_term(rng, ty.cod, (ty.dom,) + ctx, fuel - 1))
+            return Lam(ty.dom, random_term(rng, ty.cod, (ty.dom,) + ctx, fuel - 1, sig))
         # No ground leaf for this type under ctx: build one via constants.
         return _ground(ty)
 
@@ -109,11 +114,11 @@ def random_term(rng: random.Random, ty: SemType, ctx: tuple[SemType, ...] = (),
     if kind == "leaf":
         return rng.choice(leaves)
     if kind == "lam":
-        return Lam(ty.dom, random_term(rng, ty.cod, (ty.dom,) + ctx, fuel - 1))
+        return Lam(ty.dom, random_term(rng, ty.cod, (ty.dom,) + ctx, fuel - 1, sig))
     arg_ty = random_type(rng, 1)
     split = rng.randint(1, max(1, (fuel - 1) // 2))
-    fn = random_term(rng, Arrow(arg_ty, ty), ctx, fuel - 1 - split)
-    arg = random_term(rng, arg_ty, ctx, split)
+    fn = random_term(rng, Arrow(arg_ty, ty), ctx, fuel - 1 - split, sig)
+    arg = random_term(rng, arg_ty, ctx, split, sig)
     return App(fn, arg)
 
 
@@ -139,6 +144,64 @@ def size(term: Term) -> int:
     if isinstance(term, App):
         return 1 + size(term.fn) + size(term.arg)
     return 1
+
+
+# Constants of the terms `reify` is checked on: the generation signature,
+# the ten builtins and equal copies of them, builtin names at types that are
+# not theirs, and names a quantified variable would take.
+REIFY_SIG = (*GEN_SIG.values(), *BUILTINS.values(),
+             *(Const(b.name, b.ty) for b in BUILTINS.values()),
+             Const("&", arrow(E, E, T)), Const("|", arrow(T, T, E)),
+             Const("~", arrow(E, T)), Const("Ex", arrow(E, T)),
+             Const("Ex", arrow(arrow(E, E), T)), Const("sel", arrow(E, E)),
+             Const("::", arrow(E, G, E)), Const("nil", E), Const("top", arrow(E, T)),
+             Const("y", E), Const("y1", arrow(E, T)))
+
+
+def random_reify_term(rng: random.Random) -> Term:
+    """A term of type t over `REIFY_SIG`, closed or under one or two free
+    variables, now and then conjoined with a selection over an environment
+    whose entries may be selections; taken raw or normalized.  Input for
+    `reify`, which reads some and rejects the rest for each of its reasons."""
+    ctx = rng.choice([(), (), (E,), (E, G)])
+    t = random_term(rng, T, ctx, rng.randint(4, 24), REIFY_SIG)
+    if rng.random() < 0.2:
+        t = app(AND, t, App(GEN_SIG["p1"], App(SEL, _random_env_term(rng, ctx, 3))))
+    return normalize(t) if rng.random() < 0.5 else t
+
+
+def _random_env_term(rng: random.Random, ctx: tuple[SemType, ...], depth: int) -> Term:
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([NIL, GEN_SIG["cg"]] + [Var(i) for i, ty in enumerate(ctx) if ty == G])
+    if roll < 0.75:
+        head = rng.choice([GEN_SIG["ce"], App(SEL, _random_env_term(rng, ctx, depth - 1))]
+                          + [Var(i) for i, ty in enumerate(ctx) if ty == E])
+        return app(CONS, head, _random_env_term(rng, ctx, depth - 1))
+    return app(UNION, _random_env_term(rng, ctx, depth - 1), _random_env_term(rng, ctx, depth - 1))
+
+
+def random_typecheck_case(rng: random.Random) -> tuple[Term, tuple[SemType, ...]]:
+    """A term and a context for `typecheck`: a term well typed under the
+    context, then, mostly, with one subterm replaced by a random variable or
+    a random term of a random type, which leaves about half ill typed."""
+    ctx = rng.choice([(), (E,), (T, G)])
+    term = random_term(rng, random_type(rng, 2), ctx, rng.randint(3, 24))
+    if rng.random() < 0.75:
+        target = rng.choice(list(subterms(term)))
+        repl = rng.choice([Var(rng.randrange(4)), random_term(rng, random_type(rng, 2), (), 6)])
+        term = _replace(term, target, repl)
+    return term, ctx
+
+
+def _replace(term: Term, target: Term, repl: Term) -> Term:
+    if term is target:
+        return repl
+    if type(term) is Lam:
+        return Lam(term.ty, _replace(term.body, target, repl))
+    if type(term) is App:
+        return App(_replace(term.fn, target, repl), _replace(term.arg, target, repl))
+    return term
 
 
 def random_closed_term(rng: random.Random, fuel: int = 26, max_size: int = 30) -> Term:
@@ -713,14 +776,27 @@ def recursive_parse_type(text: str) -> SemType:
 
 # ---------------------------------------------------------------------------
 # Random formulas: at most 4 atoms and 2 quantifiers, unary/nullary
-# predicates so the exhaustive oracle stays small at domain 3.
+# predicates so the exhaustive oracle stays small at domain 3.  An atom's
+# argument is a constant, a variable in scope, or a selection over a small
+# `::`/`++` environment of those.
 
 def random_formula(rng: random.Random) -> Formula:
     state = {"atoms": 0, "quants": 0}
+    sites = itertools.count()
 
     def ent(vars_):
         pool = [EntConst("a")] + [EntVar(v) for v in vars_]
+        if rng.random() < 0.25:
+            return SelOf(env(pool, 2), next(sites))
         return rng.choice(pool)
+
+    def env(pool, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return NilE()
+        if roll < 0.75:
+            return ConsE(rng.choice(pool), env(pool, depth - 1))
+        return UnionE(env(pool, depth - 1), env(pool, depth - 1))
 
     def atom(vars_):
         state["atoms"] += 1
@@ -792,6 +868,134 @@ def stacked_negation_formula(rng: random.Random) -> Formula:
         return f
 
     return go(5, ())
+
+
+# ---------------------------------------------------------------------------
+# Reification and typechecking references
+
+def recursive_reify(term: Term) -> Formula:
+    """`logic.reify` as it was before it became one loop over an explicit
+    stack: three mutually recursive readers (formulas, entity terms,
+    environments) that restate each builtin's arity and argument sorts.
+    Limited by the recursion limit; kept as the reference the loop must
+    match in result, or in error message and position.  Each atom argument
+    reports its own position.  A negative variable index, which the loop
+    rejects as escaping, is read here from the end of the binder tuple; the
+    random terms have none."""
+    avoid, used = (), set()
+    fresh_counter = [0]
+    site_counter = [0]
+
+    def fresh_var():
+        while True:
+            n = fresh_counter[0]
+            fresh_counter[0] += 1
+            name = "y" if n == 0 else f"y{n}"
+            if name not in avoid:
+                return name
+
+    def fail(path, reason):
+        return NotReifiable(path_steps(path), reason)
+
+    def spine(t):
+        args = []
+        while type(t) is App:
+            args.append(t.arg)
+            t = t.fn
+        b = BUILTINS.get(t.name) if type(t) is Const else None
+        return t, (b if b is not None and (t is b or t == b) else None), args[::-1]
+
+    def arg_path(path, i, n):
+        for _ in range(n - 1 - i):
+            path = (path, "fn")
+        return path, "arg"
+
+    def go(t, bound, path) -> Formula:
+        head, builtin, args = spine(t)
+        if builtin is TOP and not args:
+            return Top()
+        if builtin is BOT and not args:
+            return Bot()
+        if builtin is NOT and len(args) == 1:
+            return Not(go(args[0], bound, (path, "arg")))
+        if (builtin is AND or builtin is OR) and len(args) == 2:
+            ctor = And if builtin is AND else Or
+            return ctor(go(args[0], bound, ((path, "fn"), "arg")),
+                        go(args[1], bound, (path, "arg")))
+        if builtin is EXISTS and len(args) == 1:
+            body = args[0]
+            if type(body) is not Lam or body.ty.text != "e":
+                raise fail(path, "quantifier not applied to an entity property")
+            name = fresh_var()
+            return Exists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
+        if type(head) is Const and head.name not in BUILTINS:
+            ent_args = tuple(entity(a, bound, arg_path(path, i, len(args)))
+                             for i, a in enumerate(args))
+            if head.ty.text == "e>" * len(args) + "t":
+                used.add(head.name)
+                return Atom(head.name, ent_args)
+        raise fail(path, "not in the reifiable fragment")
+
+    def entity(t, bound, path) -> EntityTerm:
+        if type(t) is Var:
+            if t.index >= len(bound):
+                raise fail(path, "entity variable escapes its quantifier")
+            return EntVar(bound[t.index])
+        if type(t) is Const and t.ty.text == "e" and t.name not in BUILTINS:
+            used.add(t.name)
+            return EntConst(t.name)
+        head, builtin, args = spine(t)
+        if builtin is SEL and len(args) == 1:
+            site = site_counter[0]
+            site_counter[0] += 1
+            return SelOf(environment(args[0], bound, (path, "arg")), site)
+        raise fail(path, "not an entity term")
+
+    def environment(t, bound, path) -> EnvExpr:
+        head, builtin, args = spine(t)
+        if builtin is NIL and not args:
+            return NilE()
+        if builtin is CONS and len(args) == 2:
+            h = entity(args[0], bound, ((path, "fn"), "arg"))
+            if isinstance(h, SelOf):
+                raise fail(path, "selection result used as an environment entry")
+            return ConsE(h, environment(args[1], bound, (path, "arg")))
+        if builtin is UNION and len(args) == 2:
+            return UnionE(environment(args[0], bound, ((path, "fn"), "arg")),
+                          environment(args[1], bound, (path, "arg")))
+        raise fail(path, "not an environment expression")
+
+    formula = go(term, (), None)
+    if used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh_counter[0])):
+        return formula
+    avoid, fresh_counter[0], site_counter[0] = used, 0, 0
+    return go(term, (), None)
+
+
+def recursive_typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
+    """`terms.typecheck` as it was before it became one loop over an explicit
+    stack: one Python call per node, copying the context at every binder.
+    Limited by the recursion limit; kept as the reference the loop must
+    match in type, or in error class, message and position."""
+    def check(term, ctx, path):
+        if isinstance(term, Var):
+            if term.index < 0 or term.index >= len(ctx):
+                raise UnboundVariable(term.index, path_steps(path))
+            return ctx[term.index]
+        if isinstance(term, Const):
+            return term.ty
+        if isinstance(term, Lam):
+            body_ty = check(term.body, (term.ty,) + ctx, (path, "body"))
+            return Arrow(term.ty, body_ty)
+        fn_ty = check(term.fn, ctx, (path, "fn"))
+        arg_ty = check(term.arg, ctx, (path, "arg"))
+        if not isinstance(fn_ty, Arrow):
+            raise TypeMismatch("a function type", fn_ty, path_steps((path, "fn")))
+        if fn_ty.dom.text != arg_ty.text:
+            raise TypeMismatch(fn_ty.dom, arg_ty, path_steps((path, "arg")))
+        return fn_ty.cod
+
+    return check(term, tuple(ctx), None)
 
 
 # ---------------------------------------------------------------------------

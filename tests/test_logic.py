@@ -1,8 +1,9 @@
+import gc
 import random
 
 import pytest
 
-from contsem.discourse import interpret
+from contsem.discourse import default_initial_args, interpret, run_pipeline
 from contsem.errors import ContsemError
 from contsem.lexicon import default_lexicon
 from contsem.logic import (
@@ -19,10 +20,10 @@ from contsem.terms import (
 )
 
 from gen import (
-    pipeline_cases, random_formula, recursive_entity_json, recursive_entity_text,
-    recursive_env_entries, recursive_env_json, recursive_env_text,
-    recursive_formula_json, recursive_formula_text, stacked_negation_formula,
-    subterms,
+    pipeline_cases, random_formula, random_reify_term, recursive_entity_json,
+    recursive_entity_text, recursive_env_entries, recursive_env_json,
+    recursive_env_text, recursive_formula_json, recursive_formula_text,
+    recursive_reify, stacked_negation_formula, subterms,
 )
 
 J = EntConst("j")
@@ -80,6 +81,14 @@ OWN = Const("own", arrow(E, E, T))
      "at arg.body.arg.arg.arg.arg: not an environment expression"),
     (App(NOT, App(NOT, app(OWN, JC, App(CAR, JC)))), "at arg.arg.arg: not an entity term"),
     (App(NOT, Var(0)), "at arg: not in the reifiable fragment"),
+    (app(OWN, App(CAR, JC), JC), "at fn.arg: not an entity term"),
+    (App(EXISTS, Lam(E, app(OWN, Var(1), App(CAR, JC)))),
+     "at arg.body.fn.arg: entity variable escapes its quantifier"),
+    (App(EXISTS, Lam(E, App(CAR, Var(-1)))),
+     "at arg.body.arg: entity variable escapes its quantifier"),
+    (App(EXISTS, Lam(E, App(CAR, Var(-2)))),
+     "at arg.body.arg: entity variable escapes its quantifier"),
+    (App(NOT, App(Const("f", arrow(E, E)), JC)), "at arg: not in the reifiable fragment"),
 ])
 def test_reify_error_positions(term, message):
     with pytest.raises(NotReifiable) as exc:
@@ -123,6 +132,12 @@ def test_reify_rejects_a_builtin_name_at_another_type(term):
         reify(term)
 
 
+def test_reify_names_sibling_quantifiers_apart():
+    some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
+    assert reify(app(AND, some_car, App(NOT, some_car))) == And(
+        Exists("y", Atom("car", (Y,))), Not(Exists("y1", Atom("car", (EntVar("y1"),)))))
+
+
 def test_quantified_names_skip_constants_met_after_the_binder():
     """`reify` learns the constants' names during its walk; a quantified
     name that turns out to be one of them is chosen again."""
@@ -130,6 +145,104 @@ def test_quantified_names_skip_constants_met_after_the_binder():
     t = app(AND, App(EXISTS, Lam(E, App(CAR, Var(0)))), App(y, y1))
     assert reify(t) == And(Exists("y2", Atom("car", (EntVar("y2"),))),
                            Atom("y", (EntConst("y1"),)))
+
+
+def _reify_outcome(reader, term):
+    try:
+        return reader(term)
+    except NotReifiable as exc:
+        return str(exc), exc.position
+
+
+def test_reify_matches_recursive_reference_on_random_terms():
+    rng = random.Random(12)
+    terms = [random_reify_term(rng) for _ in range(20_000)]
+    outcomes = [_reify_outcome(reify, t) for t in terms]
+    assert [o for t, o in zip(terms, outcomes) if o != _reify_outcome(recursive_reify, t)] == []
+    assert {o[0].split(": ", 1)[1] for o in outcomes if type(o) is tuple} == {
+        "not in the reifiable fragment", "not an entity term", "not an environment expression",
+        "entity variable escapes its quantifier", "quantifier not applied to an entity property",
+        "selection result used as an environment entry"}
+    assert sum(type(o) is not tuple for o in outcomes) > 5_000
+
+
+def test_reify_matches_recursive_reference_on_pipeline_normal_forms():
+    lex = default_lexicon()
+    normals = [run_pipeline(tree, lex, profile, default_initial_args(profile)).normal
+               for tree, profile in pipeline_cases(lex)]
+    assert len(normals) == 33
+    assert [t for t in normals if reify(t) != recursive_reify(t)] == []
+
+
+def test_reify_leaves_no_cyclic_garbage():
+    lex = default_lexicon()
+    tree, profile = next(pipeline_cases(lex))
+    normal = run_pipeline(tree, lex, profile, default_initial_args(profile)).normal
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        reify(normal)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+# Deep terms reify at the default recursion limit; their formulas are
+# compared as text, since comparing deep formulas with `==` recurses.
+
+def _ps(i):
+    return App(Const("p", arrow(E, T)), Const(f"c{i}", E))
+
+
+def test_deep_negation_reifies():
+    n = 10_000
+    t = TOP
+    for _ in range(n):
+        t = App(NOT, t)
+    assert formula_text(reify(t)) == "~ " * n + "top"
+
+
+@pytest.mark.parametrize("op,text", [(AND, " & "), (OR, " | ")])
+def test_long_connective_chains_reify(op, text):
+    n = 5_000
+    right, left = _ps(n - 1), _ps(0)
+    for i in range(1, n):
+        right, left = app(op, _ps(n - 1 - i), right), app(op, left, _ps(i))
+    assert formula_text(reify(right)) == text.join(f"p c{i}" for i in range(n))
+    assert formula_text(reify(left)) == ("(" * (n - 2) + "p c0" + text + "p c1"
+                                         + "".join(f"){text}p c{i}" for i in range(2, n)))
+
+
+def test_nested_quantifiers_reify():
+    n = 5_000
+    t = app(Const("q", arrow(E, E, T)), Var(0), Var(n - 1))
+    for _ in range(n):
+        t = App(EXISTS, Lam(E, t))
+    names = ["y"] + [f"y{i}" for i in range(1, n)]
+    assert formula_text(reify(t)) == "".join(f"Ex {v}. " for v in names) + f"q y{n - 1} y"
+
+
+def test_long_environment_reifies():
+    n = 5_000
+    env = NIL
+    for i in reversed(range(n)):
+        env = app(CONS, Const(f"c{i}", E), env)
+    f = reify(App(CAR, App(SEL, env)))
+    assert formula_text(f) == "car(sel(" + "".join(f"c{i}::" for i in range(n)) + "nil))"
+
+
+def test_deep_union_nest_reifies():
+    n = 5_000
+    env = NIL
+    for i in range(1, n + 1):
+        env = app(UNION, env, app(CONS, Const(f"c{i}", E), NIL))
+    text = ("(" * (n - 1) + "nil++(c1::nil)"
+            + "".join(f")++(c{i}::nil)" for i in range(2, n + 1)))
+    assert formula_text(reify(App(CAR, App(SEL, env)))) == f"car(sel({text}))"
 
 
 # ---------------------------------------------------------------------------

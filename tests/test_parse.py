@@ -12,7 +12,7 @@ import sys
 
 from contsem.discourse import _CONNECTIVE, _NODES, _SEQ_A, PHI_A, PHI_B, PHI_C
 from contsem.lexicon import (
-    _FIXED, _REJECTED_NEGATION_A, _TEMPLATES, Category, Profile, content_type,
+    _FIXED, _REJECTED_NEGATION_A, _TEMPLATES, Category, Profile, _TYPE_FIELDS, content_type,
 )
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
@@ -114,16 +114,15 @@ def _sources():
     the composition templates and the empty continuations."""
     for profile, words in _FIXED.items():
         for source in words.values():
-            yield source, {}
-    yield _REJECTED_NEGATION_A, {}
+            yield source.format(**_TYPE_FIELDS[profile]), {}
+    yield _REJECTED_NEGATION_A.format(**_TYPE_FIELDS[Profile.A]), {}
     for profile, templates in _TEMPLATES.items():
         for category, template in templates.items():
-            yield template.format(p="w"), {"w": content_type(category)}
+            yield template.format(p="w", **_TYPE_FIELDS[profile]), {"w": content_type(category)}
     for profile in (Profile.B, Profile.C):
         for _, _, right in _NODES.values():
-            source = _CONNECTIVE.format(
-                K=f"({profile.connective_type.text})",
-                PHI=f"({profile.continuation_type.text})", RIGHT=right)
+            source = _CONNECTIVE.format(K=profile.connective_type.text,
+                                        PHI=profile.continuation_type.text, RIGHT=right)
             yield source, {"LHS_": profile.sentence_type, "RHS_": profile.sentence_type}
     yield _SEQ_A, {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type}
     for source, phi in ((r"\e:g. top", PHI_A), (r"\c:t>t>t. \e1:g. \e2:g. ~(c top bot)", PHI_B),

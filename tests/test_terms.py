@@ -22,7 +22,7 @@ from contsem.syntax import parse_term, parse_type
 
 from gen import (
     GEN_SIG, applicative_normalize, is_closed, random_closed_term, random_type,
-    recursive_type_text, size, subterms,
+    random_typecheck_case, recursive_type_text, recursive_typecheck, size, subterms,
 )
 
 J = Const("j", E)
@@ -54,6 +54,8 @@ def test_typecheck_application_mismatch():
 def test_typecheck_unbound_variable():
     with pytest.raises(UnboundVariable):
         typecheck(Lam(E, Var(3)))
+    with pytest.raises(UnboundVariable):
+        typecheck(Lam(E, Var(-1)))
 
 
 @pytest.mark.parametrize("source,message", [
@@ -77,6 +79,37 @@ def test_unbound_variable_position():
         typecheck(Lam(E, App(App(own, Var(0)), Lam(E, Var(4)))))
     assert str(exc.value) == "unbound variable #4 at body.arg.body"
     assert exc.value.position == ("body", "arg", "body")
+
+
+def _typecheck_outcome(check, term, ctx):
+    try:
+        return check(term, ctx)
+    except (TypeMismatch, UnboundVariable) as exc:
+        return type(exc), str(exc), exc.position
+
+
+def test_typecheck_matches_recursive_reference():
+    rng = random.Random(13)
+    cases = [random_typecheck_case(rng) for _ in range(20_000)]
+    outcomes = [_typecheck_outcome(typecheck, t, ctx) for t, ctx in cases]
+    assert [c for c, o in zip(cases, outcomes)
+            if o != _typecheck_outcome(recursive_typecheck, *c)] == []
+    failures = [o[0] for o in outcomes if type(o) is tuple]
+    assert 0.4 < len(failures) / len(cases) < 0.6
+    assert {TypeMismatch, UnboundVariable} <= set(failures)
+
+
+def test_typecheck_deep_terms():
+    """At the default recursion limit: a 10 000-deep negation chain and a
+    3 000-deep nest of entity binders."""
+    t = Const("top", T)
+    for _ in range(10_000):
+        t = App(Const("~", arrow(T, T)), t)
+    assert typecheck(t) == T
+    t = Var(2_999)
+    for _ in range(3_000):
+        t = Lam(E, t)
+    assert typecheck(t).text == "e>" * 3_000 + "e"
 
 
 def test_normalize_identity_redex():
@@ -266,7 +299,7 @@ def test_type_checks_compare_texts_not_nodes():
     from contsem import discourse, lexicon, terms
     eqs = {cls.__eq__.__code__ for cls in (Base, Arrow, Var, Lam, App, Const)}
     checks = {lexicon.Lexicon.__init__.__code__, discourse.InitialArgs.__init__.__code__,
-              terms._typecheck.__code__}
+              terms.typecheck.__code__}
     seen = []
 
     def profiler(frame, event, arg):
