@@ -19,7 +19,7 @@ from . import terms as tm
 from .logic import Formula, reify, simplify
 from .lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type, default_lexicon
 from .syntax import parse_term
-from .terms import App, Const, Lam, Term, Var, app, normalize, subst_consts, typecheck
+from .terms import App, Const, Lam, Term, Var, app, normalize, typecheck
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +102,17 @@ def _require(found: Category, word: str, wanted: Category) -> None:
         raise ArityMismatch(f"{word!r} has category {found.value}, not {wanted.value}")
 
 
-def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Category:
+def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> tuple[Category, dict]:
     """Check a sentence's shape against the word registry, in reading order
     (the copula `is` and the negation `doesnt` included), and return its
-    predicate's category.  In the profiles with stored entries (A, B) each
-    word must also have one, reported missing where the walk reaches it."""
+    predicate's category and its words' entries.  In the profiles with them
+    (A, B) each word must have one, reported missing where the walk reaches it."""
     stored = profile != Profile.C
+    entries: dict[str, Term] = {}
 
     def require(word: str, wanted: Category) -> None:
         if stored:
-            lexicon.entry(word, profile)
+            entries[word] = lexicon.entry(word, profile)
         _require(lexicon.category(word), word, wanted)
 
     def check_np(np: NP) -> None:
@@ -133,7 +134,7 @@ def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Catego
     if isinstance(predicate, CopulaAdj):
         require("is", Category.COPULA)
         require(predicate.word, Category.ADJECTIVE)
-        return Category.ADJECTIVE
+        return Category.ADJECTIVE, entries
     category = lexicon.category(predicate.word)
     transitive = category == Category.TRANSITIVE_VERB
     if not transitive and category != Category.INTRANSITIVE_VERB:
@@ -147,17 +148,15 @@ def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Catego
         check_np(predicate.obj)
     if ast.negated:
         require("doesnt", Category.NEGATION_AUX)
-    return category
+    return category, entries
 
 
 def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
     """Closed term of the profile's sentence type for one sentence."""
-    category = _check_sentence(ast, lexicon, profile)
+    category, entries = _check_sentence(ast, lexicon, profile)
     if profile == Profile.C:
         return _build_leaf_c(ast, lexicon, category)
-
-    def entry(word: str) -> Term:
-        return lexicon.entry(word, profile)
+    entry = entries.__getitem__
 
     def np_term(np: NP) -> Term:
         if isinstance(np, Det):
@@ -202,7 +201,7 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon, category: Category) -> Term:
             ex_count += 1
             # with k binders total, the slot-th introduced var has index k-1-slot
             var = lambda k, s=slot: Var(k - 1 - s)
-            noun = Const(lexicon.symbol(np.noun), tm.arrow(tm.E, tm.T))
+            noun = Const(lexicon.symbol(np.noun), content_type(Category.COMMON_NOUN))
             restrictions.append((noun, var))
             refs.append(var)
             return var
@@ -234,7 +233,7 @@ def _build_leaf_c(ast: Sentence, lexicon: Lexicon, category: Category) -> Term:
 # ---------------------------------------------------------------------------
 # Composition
 
-_SEQ_A = r"\e:g. \phi:g>t. LHS_ e (\e':g. RHS_ e' phi)"
+_SEQ_A = r"\e:g. \phi:{PHI}. LHS_ e (\e':g. RHS_ e' phi)"
 # Profiles B and C: the right unit's leading arguments are filled in per node.
 _CONNECTIVE = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
                r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
@@ -248,21 +247,49 @@ _NODES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _binary_template(right: str, profile: Profile) -> Term:
     sent = profile.sentence_type
-    source = _SEQ_A
-    if profile.connective_type is not None:
-        source = _CONNECTIVE.format(K=profile.connective_type.text,
-                                    PHI=profile.continuation_type.text, RIGHT=right)
-    return parse_term(source, {"LHS_": sent, "RHS_": sent})
+    source = _SEQ_A if profile.connective_type is None else _CONNECTIVE
+    return parse_term(source.format(K=getattr(profile.connective_type, "text", None),
+                                    PHI=profile.continuation_type.text, RIGHT=right),
+                      {"LHS_": sent, "RHS_": sent})
+
+
+@lru_cache(maxsize=None)
+def _copy_plan(right: str, profile: Profile) -> tuple:
+    """The template's nodes on the paths to LHS_ and RHS_, in postorder, as
+    `_fill` rebuilds them: a hole's name, a Lam's type, or an App's (function,
+    argument), None for a part rebuilt.  The rest is shared; a template is shallow."""
+    def plan(t) -> list:    # empty when no hole is below t
+        if type(t) is Lam:
+            body = plan(t.body)
+            return body and body + [t.ty]
+        if type(t) is App:
+            fn, arg = plan(t.fn), plan(t.arg)
+            return fn + arg + [(None if fn else t.fn, None if arg else t.arg)] if fn or arg else []
+        return [t.name] if type(t) is Const and t.name in ("LHS_", "RHS_") else []
+    return tuple(plan(_binary_template(right, profile)))
+
+
+def _fill(plan: tuple, holes: dict[str, Term]) -> Term:
+    """A connective's term: its template with the `holes` filled in."""
+    vals: list[Term] = []
+    for step in plan:
+        if type(step) is str:
+            vals.append(holes[step])
+        elif type(step) is tuple:
+            arg = vals.pop() if step[1] is None else step[1]
+            vals.append(App(vals.pop() if step[0] is None else step[0], arg))
+        else:
+            vals[-1] = Lam(step, vals[-1])
+    return vals[0]
 
 
 def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
     """Structural interpretation of a discourse tree (not normalized).  Leaves
     are built and connectives checked in preorder, so the first error is the
     leftmost one; then each connective's template takes its two subtrees'."""
-    stack, preorder = [tree], []    # leaf terms, and each connective's `right`
+    stack, preorder = [tree], []    # leaf terms, and each connective's copy plan
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
@@ -273,13 +300,12 @@ def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
             name, profiles, right = _NODES[type(node)]
             if profile not in profiles:
                 raise ProfileMismatch(name, profile)
-            preorder.append(right)
+            preorder.append(_copy_plan(right, profile))
             stack += (node.right, node.left)
     done: list[Term] = []           # composed subtrees, the leftmost on top
     for item in reversed(preorder):
-        if isinstance(item, str):
-            item = subst_consts(_binary_template(item, profile),
-                                {"LHS_": done.pop(), "RHS_": done.pop()})
+        if type(item) is tuple:
+            item = _fill(item, {"LHS_": done.pop(), "RHS_": done.pop()})
         done.append(item)
     return done[0]
 
@@ -342,8 +368,8 @@ class InitialArgs(Node):
 # truth under conjunction and falsity under disjunction, which makes it
 # vanish after simplification on either branch of a negation.
 PHI_A = parse_term(r"\e:g. top")
-PHI_B = parse_term(r"\c:t>t>t. \e1:g. \e2:g. ~(c top bot)")
-PHI_C = parse_term(r"\c:g>g>g. \e1:g. \e2:g. top")
+PHI_B = parse_term(rf"\c:{Profile.B.connective_type.text}. \e1:g. \e2:g. ~(c top bot)")
+PHI_C = parse_term(rf"\c:{Profile.C.connective_type.text}. \e1:g. \e2:g. top")
 
 
 # A discourse-initial segment in profile C has no prior right frontier:
@@ -355,7 +381,9 @@ _INITIAL_ARGS = {
 }
 
 
+@lru_cache(maxsize=None)
 def default_initial_args(profile: Profile) -> InitialArgs:
+    """The profile's empty initial arguments, checked once per process."""
     return InitialArgs(profile, _INITIAL_ARGS[profile])
 
 
@@ -436,10 +464,16 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
         pos += 1
         return tok
 
-    def category_of(word):
+    def lookup(tok, wanted=None, what=""):
+        """The token's word as the registry spells it and its category,
+        which must be `wanted` (`what`) if that is given."""
+        word = lexicon.canonical(tok)
         if not lexicon.knows(word):
-            fail(f"unknown word {word!r}")
-        return lexicon.category(word)
+            fail(f"unknown word {tok!r}")
+        category = lexicon.category(word)
+        if wanted and category != wanted:
+            fail(f"{tok!r} is not {what}")
+        return word, category
 
     def parse_np() -> NP:
         tok = next_tok()
@@ -448,35 +482,31 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
             noun = next_tok()
             if next_tok() != ")":
                 fail("expected `)` after determiner phrase")
-            if category_of(det) != Category.DETERMINER:
-                fail(f"{det!r} is not a determiner")
-            if category_of(noun) != Category.COMMON_NOUN:
-                fail(f"{noun!r} is not a noun")
-            return Det(lexicon.canonical(det), lexicon.canonical(noun))
-        cat = category_of(tok)
+            return Det(lookup(det, Category.DETERMINER, "a determiner")[0],
+                       lookup(noun, Category.COMMON_NOUN, "a noun")[0])
+        word, cat = lookup(tok)
         if cat == Category.PROPER_NOUN:
-            return ProperN(lexicon.canonical(tok))
+            return ProperN(word)
         if cat == Category.PRONOUN:
-            return Pron(lexicon.canonical(tok))
+            return Pron(word)
         fail(f"{tok!r} cannot start a noun phrase")
 
     subject = parse_np()
     negated = False
     tok = next_tok()
-    if lexicon.knows(tok) and category_of(tok) == Category.NEGATION_AUX:
+    word, cat = lookup(tok)
+    if cat == Category.NEGATION_AUX:
         negated = True
         tok = next_tok()
-    cat = category_of(tok)
+        word, cat = lookup(tok)
     if cat == Category.COPULA:
         if negated:
             fail("negation must precede a verb")
-        adj = next_tok()
-        if category_of(adj) != Category.ADJECTIVE:
-            fail(f"{adj!r} is not an adjective")
-        predicate: Verb | CopulaAdj = CopulaAdj(lexicon.canonical(adj))
+        adj = lookup(next_tok(), Category.ADJECTIVE, "an adjective")[0]
+        predicate: Verb | CopulaAdj = CopulaAdj(adj)
     elif cat in (Category.TRANSITIVE_VERB, Category.INTRANSITIVE_VERB):
         obj = parse_np() if peek() is not None else None
-        predicate = Verb(lexicon.canonical(tok), obj)
+        predicate = Verb(word, obj)
     else:
         fail(f"{tok!r} is not a verb or copula")
     if peek() is not None:

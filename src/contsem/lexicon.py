@@ -111,13 +111,13 @@ CATEGORY_TYPES: dict[Profile, dict[Category, SemType]] = {
 }
 
 
+_PREDICATE = arrow(E, T)
+_CONTENT_TYPES = {Category.PROPER_NOUN: E, Category.TRANSITIVE_VERB: arrow(E, E, T)}
+
+
 def content_type(category: Category) -> SemType:
-    """Type of the content constant a template introduces."""
-    if category == Category.PROPER_NOUN:
-        return E
-    if category == Category.TRANSITIVE_VERB:
-        return arrow(E, E, T)
-    return arrow(E, T)
+    """Type of the content constant a template introduces (shared objects)."""
+    return _CONTENT_TYPES.get(category, _PREDICATE)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +232,8 @@ class Lexicon:
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
+        self._known: dict[str, str] = {}
+        self._known = {w: self.canonical(w) for w in [*self._words, *self._aliases]}
         for word in [*self._words, *(e.word for e in self._entries.values())]:
             if word in self._aliases:
                 raise ContsemError(
@@ -252,17 +254,21 @@ class Lexicon:
                 raise TypeMismatch(expected, found)
 
     def canonical(self, word: str) -> str:
-        word = word.lower().replace("'", "")
-        return self._aliases.get(word, word)
+        """The word lower-cased, unquoted and uninflected; known ones from a table."""
+        known = self._known.get(word)
+        if known is None:
+            known = word.lower().replace("'", "")
+            known = self._aliases.get(known, known)
+        return known
 
     def knows(self, word: str) -> bool:
-        return self.canonical(word) in self._words
+        return (self._known.get(word) or self.canonical(word)) in self._words
 
     def _row(self, word: str) -> tuple[Category, str]:
-        key = self.canonical(word)
-        if key not in self._words:
+        row = self._words.get(self._known.get(word) or self.canonical(word))
+        if row is None:
             raise UnknownWord(word)
-        return self._words[key]
+        return row
 
     def category(self, word: str) -> Category:
         return self._row(word)[0]
@@ -272,10 +278,10 @@ class Lexicon:
         return self._row(word)[1]
 
     def entry(self, word: str, profile: Profile) -> Term:
-        key = (self.canonical(word), profile)
-        if key not in self._entries:
+        entry = self._entries.get((self._known.get(word) or self.canonical(word), profile))
+        if entry is None:
             raise UnknownWord(word, profile)
-        return self._entries[key].term
+        return entry.term
 
     def entries(self, profile: Profile | None = None) -> list[LexEntry]:
         out = [e for e in self._entries.values()

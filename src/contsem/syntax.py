@@ -228,64 +228,73 @@ def pretty(term: Term) -> str:
     order, skipping constants' names).  Round-trips through parse_term for
     closed terms.
 
-    One left-to-right pass over an explicit stack: linear in the term's size,
-    and its depth is not limited by Python's recursion limit.  A second pass
-    runs only when a name the first chose turns out to be a constant's.
+    One left-to-right pass, linear in the term's size and not limited by
+    Python's recursion limit.  A second pass runs only when a name the first
+    chose turns out to be a constant's.
     """
-    text, used, count = _render(term, ())
-    if not used.isdisjoint(f"x{i}" for i in range(1, count + 1)):
-        text = _render(term, used)[0]
+    text, shown, count = _render(term, ())
+    if not shown.keys().isdisjoint(f"x{i}" for i in range(1, count + 1)):
+        text = _render(term, shown)[0]
     return text
 
 
-def _render(term: Term, avoid) -> tuple[str, set[str], int]:
-    """pretty's pass: the text, the constants' names, the names tried."""
-    used: set[str] = set()
+def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
+    """pretty's pass: the text, each constant's printed form by name, the names
+    tried.  Lambda chains, application spines and left operands are walked in place."""
+    shown: dict[str, str] = {}
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
     out: list[str] = []
-    stack: list = [(term, _LAM, 0)]   # pending text, or (term, level, depth)
+    stack: list = [("", term, _LAM, 0)]   # `)`, or (text before, term, level, depth)
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
-        t, level, depth = item
-        kind = type(t)
-        if kind is Var:  # a free variable renders as #i, which does not re-parse
-            out.append(names[depth - 1 - t.index] if t.index < depth else f"#{t.index}")
-            continue
-        if kind is Const:
-            used.add(t.name)
-            out.append(t.name if _WORD.fullmatch(t.name) else f"({t.name})")
-            continue
-        if kind is Lam:
-            body = t.body   # Coord and Sub by shape before `==`
-            combinator = _SHAPES.get(type(body.body)) if type(body) is Lam else None
-            if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
-                out.append(combinator[0])
-                continue
-            while True:
-                counter += 1
-                name = f"x{counter}"
-                if name not in avoid:
+        text, t, level, depth = item
+        out.append(text)
+        while True:
+            kind = type(t)
+            if kind is Var:  # a free variable renders as #i, which does not re-parse
+                i = t.index
+                out.append(names[depth - 1 - i] if i < depth else f"#{i}")
+                break
+            if kind is Const:
+                if t.name not in shown:
+                    shown[t.name] = t.name if _WORD.fullmatch(t.name) else f"({t.name})"
+                out.append(shown[t.name])
+                break
+            if kind is Lam:
+                body = t.body   # Coord and Sub by shape before `==`
+                combinator = _SHAPES.get(type(body.body)) if type(body) is Lam else None
+                if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
+                    out.append(combinator[0])
                     break
-            names[depth:] = [name]
-            own, parts = _LAM, ((body, _LAM, depth + 1), f"\\{name}:{t.ty.text}. ")
-        else:
+                if level > _LAM:
+                    out.append("(")
+                    stack.append(")")
+                counter += 1
+                while f"x{counter}" in avoid:
+                    counter += 1
+                names[depth:] = (f"x{counter}",)
+                out.append(f"\\x{counter}:{t.ty.text}. ")
+                t, depth, level = body, depth + 1, _LAM
+                continue
             # Applications, with sugar for the operator constants (by name
             # first): an infix one applied to two arguments, `~` to one.
             fn = t.fn
             head = fn.fn if type(fn) is App else fn
             row = _OPS.get(head.name) if type(head) is Const else None
-            if (row and (row[3] is None) == (head is fn)
+            if not (row and (row[3] is None) == (head is fn)
                     and (head is row[0] or head == row[0])):
-                left = () if head is fn else ((fn.arg, row[3], depth),)
-            else:
-                row, left = _APPLY, ((fn, _APP, depth),)
-            own, parts = row[2], ((t.arg, row[4], depth), row[1], *left)
-        if level > own:
-            out.append("(")
-            stack.append(")")
-        stack += parts   # listed last piece first, as the stack pops them
-    return "".join(out), used, counter
+                row = _APPLY
+            if level > row[2]:
+                out.append("(")
+                stack.append(")")
+            if row[3] is None:          # `~`, then its operand
+                out.append(row[1])
+                t, level = t.arg, row[4]
+            else:                       # the left operand or function, then the rest
+                stack.append((row[1], t.arg, row[4], depth))
+                t, level = (fn if row is _APPLY else fn.arg), row[3]
+    return "".join(out), shown, counter

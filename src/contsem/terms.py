@@ -15,8 +15,8 @@ from .node import Node
 # ---------------------------------------------------------------------------
 # Semantic types
 
-# A type's `text` is its concrete syntax (`>` is right-associative), built
-# once with the type.
+# A type's `text` is its concrete syntax (`>` is right-associative), built from its parts'
+# with a short type, and on its first read for a long one: a deep type's parts keep none.
 
 class Base(Node):
     __slots__ = {"name": "str"}
@@ -33,14 +33,35 @@ class Arrow(Node):
     def __init__(self, dom: SemType, cod: SemType):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        dom_text = f"({dom.text})" if type(dom) is Arrow else dom.text
-        object.__setattr__(self, "text", f"{dom_text}>{cod.text}")
+        try:
+            text = f"({_read_text(dom)})>" if type(dom) is Arrow else f"{dom.name}>"
+            text += _read_text(cod) if type(cod) is Arrow else cod.name
+            if len(text) < 256:
+                object.__setattr__(self, "text", text)
+        except AttributeError:      # a part without text: this type is long too
+            pass
+
+    def __getattr__(self, name):    # only for a slot not yet set
+        if name != "text":
+            raise AttributeError(name)
+        out, todo = [], [self]      # pending types and text, last first
+        while todo:
+            ty = todo.pop()
+            if type(ty) is Arrow:
+                todo += (ty.cod, ">", ")", ty.dom, "(") if type(ty.dom) is Arrow \
+                    else (ty.cod, ">", ty.dom)
+            else:
+                out.append(ty if type(ty) is str else ty.name)
+        text = "".join(out)
+        object.__setattr__(self, "text", text)
+        return text
 
     def __repr__(self):
         return f"Arrow({self.dom!r}, {self.cod!r})"
 
 
 SemType = Base | Arrow
+_read_text = Arrow.text.__get__     # the slot only: no __getattr__
 
 E = Base("e")   # entities
 T = Base("t")   # propositions
@@ -197,33 +218,6 @@ def _subst(term: Term, j: int, repl: Term) -> Term:
 def beta(lam: Lam, arg: Term) -> Term:
     """Contract the redex App(lam, arg)."""
     return shift(_subst(lam.body, 0, shift(arg, 1)), -1)
-
-
-def subst_consts(term: Term, mapping: dict[str, Term]) -> Term:
-    """Replace named constants by closed terms, simultaneously."""
-    if isinstance(term, Const) and term.name in mapping:
-        return mapping[term.name]
-    if isinstance(term, Lam):
-        return Lam(term.ty, subst_consts(term.body, mapping))
-    if isinstance(term, App):
-        return App(subst_consts(term.fn, mapping), subst_consts(term.arg, mapping))
-    return term
-
-
-def constants(term: Term) -> dict[str, SemType]:
-    """All constants occurring in the term, by name, in preorder of first
-    occurrence (a name used at two types keeps its last type)."""
-    out: dict[str, SemType] = {}
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is App:
-            stack += (t.arg, t.fn)
-        elif type(t) is Lam:
-            stack.append(t.body)
-        elif type(t) is Const:
-            out[t.name] = t.ty
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ their entity and environment helpers) for `logic.formula_text` and
 `alpha_eq` for `logic.simplify` and `logic.alpha_eq`, and
 `recursive_reify` (three mutually recursive readers) and
 `recursive_typecheck` for `logic.reify` and `terms.typecheck`, with their
-random inputs `random_reify_term` and `random_typecheck_case`.  `is_closed`
-and `size` are recursive term measures only the tests use."""
+random inputs `random_reify_term` and `random_typecheck_case`, and
+`substitution_compose`, which substitutes into each connective's whole
+template with `subst_consts`, for `discourse.compose`.  `is_closed` and
+`size` are recursive term measures, and `constants` and `subst_consts` term
+helpers, only the tests use."""
 from __future__ import annotations
 
 import itertools
@@ -23,8 +26,9 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from contsem.discourse import (
-    CopulaAdj, CoordN, Det, Leaf, Seq, SubN, has_symbolic_leaves,
-    parse_discourse, parse_sentence_words,
+    _NODES, CopulaAdj, CoordN, Det, Leaf, ProfileMismatch, Seq, SubN, SymLeaf,
+    _binary_template, build_sentence, has_symbolic_leaves, parse_discourse,
+    parse_sentence_words,
 )
 from contsem.lexicon import Lexicon, Profile
 from contsem.logic import (
@@ -364,6 +368,63 @@ def discourse_file(tree, profile: Profile) -> str:
     lines = [f"profile {profile.value}"]
     lines += [f"sentence s{i} = {w}" for i, w in enumerate(sentences)]
     return "\n".join(lines + [f"discourse = {body}"]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Composition reference and term helpers only the tests use
+
+def subst_consts(term: Term, mapping: dict[str, Term]) -> Term:
+    """Replace named constants by closed terms, simultaneously."""
+    if isinstance(term, Const) and term.name in mapping:
+        return mapping[term.name]
+    if isinstance(term, Lam):
+        return Lam(term.ty, subst_consts(term.body, mapping))
+    if isinstance(term, App):
+        return App(subst_consts(term.fn, mapping), subst_consts(term.arg, mapping))
+    return term
+
+
+def constants(term: Term) -> dict[str, SemType]:
+    """All constants occurring in the term, by name, in preorder of first
+    occurrence (a name used at two types keeps its last type)."""
+    out: dict[str, SemType] = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is App:
+            stack += (t.arg, t.fn)
+        elif type(t) is Lam:
+            stack.append(t.body)
+        elif type(t) is Const:
+            out[t.name] = t.ty
+    return out
+
+
+def substitution_compose(tree, lexicon: Lexicon, profile: Profile) -> Term:
+    """`discourse.compose` as it was before connectives were copied only
+    along the paths to their holes: `subst_consts` rebuilds each
+    connective's whole template.  Kept as the reference `compose` must
+    match."""
+    stack, preorder = [tree], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            preorder.append(build_sentence(node.sentence, lexicon, profile))
+        elif isinstance(node, SymLeaf):
+            preorder.append(Const(node.name, profile.sentence_type))
+        else:
+            name, profiles, right = _NODES[type(node)]
+            if profile not in profiles:
+                raise ProfileMismatch(name, profile)
+            preorder.append(right)
+            stack += (node.right, node.left)
+    done: list[Term] = []
+    for item in reversed(preorder):
+        if isinstance(item, str):
+            item = subst_consts(_binary_template(item, profile),
+                                {"LHS_": done.pop(), "RHS_": done.pop()})
+        done.append(item)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

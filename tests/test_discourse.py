@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from contsem import discourse
 from contsem.discourse import (
     ArityMismatch, CoordN, Det, DiscourseError, InitialArgs, Leaf,
     ProfileMismatch, Pron, ProperN, Sentence, Seq, SubN, SymLeaf, Verb,
@@ -12,13 +14,16 @@ from contsem.discourse import (
 from contsem.lexicon import Profile, UnknownWord, default_lexicon
 from contsem.logic import formula_text, logically_equiv
 from contsem.resolver import report
-from contsem.syntax import parse_term
+from contsem.syntax import parse_term, pretty
 from contsem.terms import (
     AND, COORD, NIL, SENT_C, SUB, T,
     Const, E, G, alpha_eq, app, arrow, normalize, typecheck,
 )
 
-from gen import flat_discourse_text, pipeline_cases, random_closed_term, subterms
+from gen import (
+    flat_discourse_text, pipeline_cases, random_closed_term, random_discourse, subst_consts,
+    substitution_compose, subterms, term_preorder,
+)
 
 LEX = default_lexicon()
 KC = "g>g>g"
@@ -38,6 +43,9 @@ def test_parse_sentence_words():
     assert S_RED == Sentence(Pron("it"), CopulaAdj("red"), False)
     assert parse_sentence_words("mary walks", LEX) == \
         Sentence(ProperN("mary"), Verb("walks", None), False)
+    # The AST keeps each word as the registry spells it.
+    assert parse_sentence_words("JOHN Doesn't OWNS (A Car)", LEX) == S_NEG
+    assert parse_sentence_words("It IS Red", LEX) == S_RED
 
 
 def test_parse_sentence_rejects_unknown_words():
@@ -130,7 +138,6 @@ def test_seq_profile_a_composition_shape():
     s2 = build_sentence(tree.right.sentence, LEX, Profile.A)
     template = parse_term(r"\e:g. \phi:g>t. LHS_ e (\e':g. RHS_ e' phi)",
                           {"LHS_": typecheck(s1), "RHS_": typecheck(s2)})
-    from contsem.terms import subst_consts
     assert composed == subst_consts(template, {"LHS_": s1, "RHS_": s2})
 
 
@@ -234,6 +241,34 @@ def test_flat_1000_sentence_discourses_compose(profile):
     assert _count_consts(compose(tree, LEX, profile), "red") == 500   # one per `it is red`
 
 
+@pytest.mark.parametrize("profile,lengths", [
+    (Profile.A, (1, 2, 3, 5, 8, 12, 24)),
+    (Profile.B, (1, 2, 3, 4, 5, 6)),
+    (Profile.C, (1, 2, 3, 5, 8, 12, 24)),
+])
+def test_compose_matches_the_substitution_reference(profile, lengths):
+    """A connective copies only its template's nodes on the paths to LHS_
+    and RHS_; the term and its text are those of substituting into the
+    whole template."""
+    rng = random.Random(20261019 + len(profile.value))
+    for n in lengths:
+        for _ in range(5):
+            tree = random_discourse(rng, LEX, profile, n)
+            composed = compose(tree, LEX, profile)
+            reference = substitution_compose(tree, LEX, profile)
+            assert composed == reference
+            assert pretty(composed) == pretty(reference)
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.C])
+def test_flat_3000_sentence_discourses_match_the_reference(profile):
+    assert sys.getrecursionlimit() <= 1000
+    tree = parse_discourse(flat_discourse_text(profile, 3000), LEX).tree
+    composed, reference = compose(tree, LEX, profile), substitution_compose(tree, LEX, profile)
+    assert term_preorder(composed) == term_preorder(reference)   # too deep for ==
+    assert pretty(composed) == pretty(reference)
+
+
 def test_deep_discourse_expressions_are_read():
     depth = 5000
     head = "profile A\nsentence s0 = john loves (a woman)\nsentence s1 = it is red\n"
@@ -296,6 +331,17 @@ def test_interpret_rejects_symbolic_leaves():
 def test_initial_args_are_checked(args):
     with pytest.raises(DiscourseError):
         InitialArgs(Profile.B, args)
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_default_initial_args_are_checked_once(profile, monkeypatch):
+    checked = []
+    monkeypatch.setattr(discourse, "typecheck",
+                        lambda t, _fn=discourse.typecheck: checked.append(t) or _fn(t))
+    default_initial_args.cache_clear()
+    first = default_initial_args(profile)
+    assert checked == list(first.args)
+    assert default_initial_args(profile) is first and checked == list(first.args)
 
 
 def test_initial_args_of_another_profile_are_rejected():

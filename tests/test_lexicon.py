@@ -5,16 +5,15 @@ from contsem.discourse import Leaf, ProperN, Sentence, Verb, interpret
 from contsem.errors import ContsemError
 from contsem.lexicon import (
     CATEGORY_TYPES, Category, LexEntry, Lexicon, Profile, UnknownWord,
-    UnsupportedCategory, default_lexicon, load_word_file, make_entry,
+    UnsupportedCategory, content_type, default_lexicon, load_word_file, make_entry,
     negation_variant,
 )
 from contsem.syntax import parse_term
 from contsem.terms import (
-    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, subst_consts,
-    typecheck,
+    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, typecheck,
 )
 
-from gen import is_closed
+from gen import is_closed, subst_consts
 
 LEX = default_lexicon()
 
@@ -55,6 +54,32 @@ def test_profile_b_ships_exactly_the_eight_core_entries():
 def test_inflection_aliases():
     assert LEX.entry("owns", Profile.B) == LEX.entry("own", Profile.B)
     assert LEX.canonical("Doesn't") == "doesnt"
+
+
+def test_content_types_are_shared_per_category():
+    texts = {c: content_type(c).text for c in Category}
+    assert all(content_type(c) is content_type(c) for c in Category)
+    assert texts[Category.PROPER_NOUN] == "e" and texts[Category.TRANSITIVE_VERB] == "e>e>t"
+    assert {texts[c] for c in Category} == {"e", "e>t", "e>e>t"}
+
+
+def _fold_then_alias(lex: Lexicon, word: str) -> str:
+    """`Lexicon.canonical` as it was before its table: every word folded."""
+    word = word.lower().replace("'", "")
+    return lex._aliases.get(word, word)
+
+
+def test_canonical_agrees_with_fold_then_alias():
+    odd = Lexicon({"John": (Category.PROPER_NOUN, "j"), "o'neil": (Category.PROPER_NOUN, "o")},
+                  {}, {"Owns": "own"})
+    for lex in (LEX, load_word_file(["noun dog", "tverb sees", "pnoun y1"]), odd):
+        words = [*lex._words, *lex._aliases, "zorp", "", "'", "DOESN'T", "Walk", "it's"]
+        for word in words:
+            for variant in (word, word.upper(), word.title(), f"{word}'",
+                            f"'{word[:1]}'{word[1:]}"):
+                assert lex.canonical(variant) == _fold_then_alias(lex, variant), variant
+    assert odd.canonical("John") == "john" and not odd.knows("John")
+    assert odd.canonical("o'neil") == "oneil" and odd.canonical("Owns") == "owns"
 
 
 def test_entries_keyed_by_an_inflection_are_rejected():

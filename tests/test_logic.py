@@ -16,14 +16,14 @@ from contsem.resolver import EmptyEnvironment, resolve
 from contsem.syntax import parse_type
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
-    App, Const, E, G, Lam, T, Var, app, arrow, subst_consts,
+    App, Const, E, G, Lam, T, Var, app, arrow,
 )
 
 from gen import (
     pipeline_cases, random_formula, random_reify_term, recursive_entity_json,
     recursive_entity_text, recursive_env_entries, recursive_env_json,
     recursive_env_text, recursive_formula_json, recursive_formula_text,
-    recursive_reify, stacked_negation_formula, subterms,
+    recursive_reify, stacked_negation_formula, subst_consts, subterms,
 )
 
 J = EntConst("j")

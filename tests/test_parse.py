@@ -124,7 +124,8 @@ def _sources():
             source = _CONNECTIVE.format(K=profile.connective_type.text,
                                         PHI=profile.continuation_type.text, RIGHT=right)
             yield source, {"LHS_": profile.sentence_type, "RHS_": profile.sentence_type}
-    yield _SEQ_A, {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type}
+    yield (_SEQ_A.format(PHI=Profile.A.continuation_type.text),
+           {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type})
     for source, phi in ((r"\e:g. top", PHI_A), (r"\c:t>t>t. \e1:g. \e2:g. ~(c top bot)", PHI_B),
                         (r"\c:g>g>g. \e1:g. \e2:g. top", PHI_C)):
         assert parse_term(source) == phi

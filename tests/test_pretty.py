@@ -15,13 +15,13 @@ from contsem.discourse import (
 from contsem.lexicon import Profile, default_lexicon
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
-    BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, constants,
-    normalize, subst_consts,
+    BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize,
 )
 
 from gen import (
-    baseline_discourse, random_closed_term, random_discourse, random_term,
-    random_type, recursive_pretty, subterms,
+    baseline_discourse, constants, pipeline_cases, random_closed_term,
+    random_discourse, random_term, random_type, recursive_pretty, subst_consts,
+    subterms,
 )
 
 LEX = default_lexicon()
@@ -77,6 +77,12 @@ def test_discourse_terms_match_recursive(profile, lengths):
     for n in lengths:
         for term in _composed_and_normal(random_discourse(rng, LEX, profile, n), profile):
             assert pretty(term) == recursive_pretty(term), n
+
+
+def test_pipeline_terms_match_recursive():
+    for tree, profile in pipeline_cases(LEX):
+        for term in _composed_and_normal(tree, profile):
+            assert pretty(term) == recursive_pretty(term)
 
 
 def test_deep_negation_chain_renders():

@@ -7,10 +7,10 @@ from contsem.syntax import ParseError, UnknownIdentifier, parse_term, parse_type
 from contsem.terms import (
     AND, COORD, NIL, SUB,
     App, Arrow, Const, E, G, Lam, T, Var,
-    alpha_eq, arrow, constants, normalize, typecheck,
+    alpha_eq, arrow, normalize, typecheck,
 )
 
-from gen import GEN_SIG, random_closed_term
+from gen import GEN_SIG, constants, random_closed_term
 
 
 def test_parse_identity():

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,13 @@ from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
     StepBudgetExceeded, TypeMismatch, UnboundVariable,
-    alpha_eq, app, arrow, constants, normalize, reduce_once,
+    alpha_eq, app, arrow, normalize, reduce_once,
     trace, typecheck, type_text,
 )
 from contsem.syntax import parse_term, parse_type
 
 from gen import (
-    GEN_SIG, applicative_normalize, is_closed, random_closed_term, random_type,
+    GEN_SIG, applicative_normalize, constants, is_closed, random_closed_term, random_type,
     random_typecheck_case, recursive_type_text, recursive_typecheck, size, subterms,
 )
 
@@ -292,6 +293,24 @@ def test_type_text_matches_the_recursive_rendering():
         assert parse_type(type_text(ty)) == ty
 
 
+def test_deep_arrow_types_take_linear_memory():
+    """A long arrow builds its text on its first read, with a loop, and
+    its long parts keep none: a 5000-deep type is parsed and rendered at the
+    default recursion limit in memory linear in its depth."""
+    assert sys.getrecursionlimit() <= 1000
+    text = "e>" * 5000 + "t"
+    tracemalloc.start()
+    try:
+        ty = parse_type(text)
+        assert type_text(ty) == text and ty.text is type_text(ty)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000     # the text of every suffix took 25 MB
+    left = parse_type("(" * 3000 + "e" + ">t)" * 3000 + ">t")
+    assert type_text(left) == "(" * 3000 + "e" + ">t)" * 3000 + ">t"
+
+
 def test_type_checks_compare_texts_not_nodes():
     """The type checks where input enters (lexicon entries, initial
     arguments) and typecheck's argument check compare the types' texts: no
@@ -314,7 +333,7 @@ def test_type_checks_compare_texts_not_nodes():
     try:
         lex = default_lexicon.__wrapped__()
         for profile in lexicon.Profile:
-            discourse.default_initial_args(profile)
+            discourse.default_initial_args.__wrapped__(profile)
     finally:
         sys.setprofile(None)
     assert len(lex.entries()) == 18
