@@ -6,7 +6,8 @@ proper-noun / indefinite / pronoun NPs).  Discourses are binary trees over
 sentences: `.` sequences sentences in profiles A and B, while profile C uses
 `.c` (coordination) and `.s` (subordination), whose interpretations thread
 referent environments so later units only see what the right frontier
-licenses.
+licenses.  One walk checks and builds each sentence (`build_sentence`; the
+tests hold it to the staged walks it replaced, `gen.staged_build_sentence`).
 """
 from __future__ import annotations
 
@@ -96,35 +97,42 @@ class DiscourseError(ContsemError):
 # ---------------------------------------------------------------------------
 # Sentence interpretation
 
-def _require(found: Category, word: str, wanted: Category) -> None:
-    """The category check that makes a built sentence well typed."""
-    if found != wanted:
-        raise ArityMismatch(f"{word!r} has category {found.value}, not {wanted.value}")
+def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
+    """Closed term of the profile's sentence type for one sentence.
 
-
-def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> tuple[Category, dict]:
-    """Check a sentence's shape against the word registry, in reading order
-    (the copula `is` and the negation `doesnt` included), and return its
-    predicate's category and its words' entries.  In the profiles with them
-    (A, B) each word must have one, reported missing where the walk reaches it."""
+    One walk in reading order (the copula `is` and the negation `doesnt`
+    included) checks each word's category against the registry.  In the
+    profiles with entries (A, B) it takes each word's entry first, so a
+    missing one is reported where the walk reaches it, and then applies the
+    entries; profile C records the referents instead and assembles its leaf.
+    """
     stored = profile != Profile.C
-    entries: dict[str, Term] = {}
+    nps: list = []      # each NP's term (A, B); in C its referent: a name's
+                        # constant, a determiner phrase's slot, None for a pronoun
+    nouns: list = []    # C: each slot's noun constant
 
-    def require(word: str, wanted: Category) -> None:
-        if stored:
-            entries[word] = lexicon.entry(word, profile)
-        _require(lexicon.category(word), word, wanted)
+    def word(w: str, wanted: Category) -> Term | None:
+        entry = lexicon.entry(w, profile) if stored else None
+        found = lexicon.category(w)
+        if found != wanted:
+            raise ArityMismatch(f"{w!r} has category {found.value}, not {wanted.value}")
+        return entry
 
-    def check_np(np: NP) -> None:
-        if isinstance(np, ProperN):
-            require(np.word, Category.PROPER_NOUN)
-        elif isinstance(np, Pron):
-            require(np.word, Category.PRONOUN)
+    def np(x: NP) -> None:
+        if isinstance(x, ProperN):
+            nps.append(word(x.word, Category.PROPER_NOUN)
+                       or Const(lexicon.symbol(x.word), tm.E))
+        elif isinstance(x, Pron):
+            nps.append(word(x.word, Category.PRONOUN))
         else:
-            require(np.word, Category.DETERMINER)
-            require(np.noun, Category.COMMON_NOUN)
+            det, noun = word(x.word, Category.DETERMINER), word(x.noun, Category.COMMON_NOUN)
+            if stored:
+                nps.append(app(det, noun))
+            else:
+                nps.append(len(nouns))
+                nouns.append(Const(lexicon.symbol(x.noun), content_type(Category.COMMON_NOUN)))
 
-    check_np(ast.subject)
+    np(ast.subject)
     predicate = ast.predicate
     if ast.negated:
         if isinstance(predicate, CopulaAdj):
@@ -132,99 +140,46 @@ def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> tuple[
         if not stored:
             raise ProfileMismatch("negation", profile)
     if isinstance(predicate, CopulaAdj):
-        require("is", Category.COPULA)
-        require(predicate.word, Category.ADJECTIVE)
-        return Category.ADJECTIVE, entries
-    category = lexicon.category(predicate.word)
-    transitive = category == Category.TRANSITIVE_VERB
-    if not transitive and category != Category.INTRANSITIVE_VERB:
-        raise ArityMismatch(f"{predicate.word!r} is not a verb")
-    if transitive == (predicate.obj is None):
-        raise ArityMismatch(
-            f"transitive verb {predicate.word!r} needs an object" if transitive
-            else f"intransitive verb {predicate.word!r} takes no object")
-    require(predicate.word, category)
-    if transitive:
-        check_np(predicate.obj)
-    if ast.negated:
-        require("doesnt", Category.NEGATION_AUX)
-    return category, entries
+        copula, category = word("is", Category.COPULA), Category.ADJECTIVE
+        head = word(predicate.word, category)
+        if stored:
+            return app(copula, head, nps[0])
+    else:
+        category = lexicon.category(predicate.word)
+        transitive = category == Category.TRANSITIVE_VERB
+        if not transitive and category != Category.INTRANSITIVE_VERB:
+            raise ArityMismatch(f"{predicate.word!r} is not a verb")
+        if transitive == (predicate.obj is None):
+            raise ArityMismatch(
+                f"transitive verb {predicate.word!r} needs an object" if transitive
+                else f"intransitive verb {predicate.word!r} takes no object")
+        head = lexicon.entry(predicate.word, profile) if stored else None
+        if transitive:
+            np(predicate.obj)
+        if stored:
+            vp = app(head, *nps[1:])
+            if not ast.negated:
+                return app(vp, nps[0])
+            # (doesn't VP) S: the negation takes the verb phrase, then the subject.
+            vp = Lam(CATEGORY_TYPES[profile][Category.PROPER_NOUN], App(vp, Var(0)))
+            return app(word("doesnt", Category.NEGATION_AUX), vp, nps[0])
 
-
-def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
-    """Closed term of the profile's sentence type for one sentence."""
-    category, entries = _check_sentence(ast, lexicon, profile)
-    if profile == Profile.C:
-        return _build_leaf_c(ast, lexicon, category)
-    entry = entries.__getitem__
-
-    def np_term(np: NP) -> Term:
-        if isinstance(np, Det):
-            return app(entry(np.word), entry(np.noun))
-        return entry(np.word)
-
-    subject = np_term(ast.subject)
-    predicate = ast.predicate
-    if isinstance(predicate, CopulaAdj):
-        return app(entry("is"), entry(predicate.word), subject)
-    vp_applied = entry(predicate.word)
-    if predicate.obj is not None:
-        vp_applied = app(vp_applied, np_term(predicate.obj))
-    if ast.negated:
-        # (doesn't VP) S: the negation takes the verb phrase, then the subject.
-        vp = Lam(CATEGORY_TYPES[profile][Category.PROPER_NOUN], App(vp_applied, Var(0)))
-        return app(entry("doesnt"), vp, subject)
-    return app(vp_applied, subject)
-
-
-def _build_leaf_c(ast: Sentence, lexicon: Lexicon, category: Category) -> Term:
-    """Profile C leaf of a checked sentence whose predicate has `category`.
-
-    A leaf introducing referents r1..rk with proposition P becomes
-        \\c e1 e2 phi. Ex r1..rk. P & phi c (rk::...::r1::nil) e2
-    i.e. the continuation's first environment holds exactly this unit's own
-    referents (composition decides what else stays accessible), and pronouns
-    select from the inherited frontier plus the previous unit's referents,
-    newest first: sel(e2 ++ e1).
-    """
-    ex_count = 0          # existential binders, innermost = most recent
-    refs: list = []       # entity term builders, in introduction order
-    restrictions: list = []  # (noun constant, its variable's builder)
-
-    def np_entity(np: NP):
-        nonlocal ex_count
-        if isinstance(np, ProperN):
-            refs.append(lambda k, c=Const(lexicon.symbol(np.word), tm.E): c)
-            return refs[-1]
-        if isinstance(np, Det):
-            slot = ex_count
-            ex_count += 1
-            # with k binders total, the slot-th introduced var has index k-1-slot
-            var = lambda k, s=slot: Var(k - 1 - s)
-            noun = Const(lexicon.symbol(np.noun), content_type(Category.COMMON_NOUN))
-            restrictions.append((noun, var))
-            refs.append(var)
-            return var
-        # Pronoun: sel over the accessible frontier, newest entries first.
-        return lambda k: App(tm.SEL, app(tm.UNION, Var(k + 1), Var(k + 2)))
-
-    entities = [np_entity(ast.subject)]
-    if isinstance(ast.predicate, Verb) and ast.predicate.obj is not None:
-        entities.append(np_entity(ast.predicate.obj))
-    pred = Const(lexicon.symbol(ast.predicate.word), content_type(category))
-
-    k = ex_count
-    prop = app(pred, *(entity(k) for entity in entities))
-    for noun, var in reversed(restrictions):
-        prop = app(tm.AND, App(noun, var(k)), prop)
-
+    # Profile C: a leaf introducing referents r1..rk with proposition P is
+    #     \c e1 e2 phi. Ex r1..rk. P & phi c (rk::...::r1::nil) e2:
+    # the continuation's first environment holds exactly this unit's own
+    # referents, and pronouns select from the inherited frontier plus the
+    # previous unit's referents, newest first: sel(e2 ++ e1).  Slot s is Var(k-1-s).
+    k = len(nouns)
+    entities = [App(tm.SEL, app(tm.UNION, Var(k + 1), Var(k + 2))) if ref is None
+                else Var(k - 1 - ref) if type(ref) is int else ref for ref in nps]
+    prop = app(Const(lexicon.symbol(predicate.word), content_type(category)), *entities)
+    for i, noun in enumerate(reversed(nouns)):
+        prop = app(tm.AND, App(noun, Var(i)), prop)
     own_env: Term = tm.NIL
-    for ref in refs:
-        own_env = app(tm.CONS, ref(k), own_env)
-
-    # phi c (own refs) e2, under k existential binders
-    body = app(tm.AND, prop,
-               app(Var(k + 0), Var(k + 3), own_env, Var(k + 1)))
+    for ref, entity in zip(nps, entities):
+        if ref is not None:
+            own_env = app(tm.CONS, entity, own_env)
+    body = app(tm.AND, prop, app(Var(k), Var(k + 3), own_env, Var(k + 1)))
     for _ in range(k):
         body = App(tm.EXISTS, Lam(tm.E, body))
     return Lam(tm.KAPPA_C, Lam(tm.G, Lam(tm.G, Lam(tm.CONT_C, body))))
@@ -447,30 +402,20 @@ class DiscourseFile(Node):
 
 def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
     """Parse a sentence of the fixed grammar, e.g. `john doesnt own (a car)`."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]  # next one last
 
     def fail(msg):
         raise DiscourseError(f"cannot parse sentence {text!r}: {msg}")
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
     def next_tok():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of sentence")
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        return tokens.pop() if tokens else fail("unexpected end of sentence")
 
     def lookup(tok, wanted=None, what=""):
         """The token's word as the registry spells it and its category,
         which must be `wanted` (`what`) if that is given."""
-        word = lexicon.canonical(tok)
-        if not lexicon.knows(word):
+        word, category = lexicon._read(tok)
+        if category is None:
             fail(f"unknown word {tok!r}")
-        category = lexicon.category(word)
         if wanted and category != wanted:
             fail(f"{tok!r} is not {what}")
         return word, category
@@ -492,11 +437,10 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
         fail(f"{tok!r} cannot start a noun phrase")
 
     subject = parse_np()
-    negated = False
     tok = next_tok()
     word, cat = lookup(tok)
-    if cat == Category.NEGATION_AUX:
-        negated = True
+    negated = cat == Category.NEGATION_AUX
+    if negated:
         tok = next_tok()
         word, cat = lookup(tok)
     if cat == Category.COPULA:
@@ -505,12 +449,12 @@ def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
         adj = lookup(next_tok(), Category.ADJECTIVE, "an adjective")[0]
         predicate: Verb | CopulaAdj = CopulaAdj(adj)
     elif cat in (Category.TRANSITIVE_VERB, Category.INTRANSITIVE_VERB):
-        obj = parse_np() if peek() is not None else None
+        obj = parse_np() if tokens else None
         predicate = Verb(word, obj)
     else:
         fail(f"{tok!r} is not a verb or copula")
-    if peek() is not None:
-        fail(f"unexpected trailing {peek()!r}")
+    if tokens:
+        fail(f"unexpected trailing {tokens[-1]!r}")
     return Sentence(subject, predicate, negated)
 
 

@@ -264,6 +264,12 @@ class Lexicon:
     def knows(self, word: str) -> bool:
         return (self._known.get(word) or self.canonical(word)) in self._words
 
+    def _read(self, spelling: str) -> tuple[str, Category | None]:
+        """The spelling's word and its category (None if unregistered)."""
+        word = self._known.get(spelling) or self.canonical(spelling)
+        row = self._words.get(self._known.get(word) or self.canonical(word))
+        return word, row and row[0]
+
     def _row(self, word: str) -> tuple[Category, str]:
         row = self._words.get(self._known.get(word) or self.canonical(word))
         if row is None:

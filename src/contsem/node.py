@@ -4,12 +4,12 @@ discourse trees and the records built from them.
 A subclass maps its fields to their types in `__slots__`, whose values
 Python keeps as the slots' docstrings; `_fields` names the fields when the
 class has other slots, and `_defaults` gives fields defaults.  `Node`
-generates `__eq__`, `__hash__` and, unless the class defines its own,
-`__init__`: instances are equal when of the same class with equal fields,
-hashed by their fields and shown as `Class(field=value, ...)`.  Assigning or
-deleting an attribute raises AttributeError; the generated `__init__` stores
-through the slots' descriptors and a class's own `__init__` through
-`object.__setattr__`.
+generates `__init__` unless the class defines its own.  Instances are equal
+when of the same class with equal fields, hashed by their classes and
+fields (both walk the fields down an explicit stack, so at any depth) and
+shown as `Class(field=value, ...)`.  Assigning or deleting an attribute
+raises AttributeError; the generated `__init__` stores through the slots'
+descriptors and a class's own `__init__` through `object.__setattr__`.
 """
 from __future__ import annotations
 
@@ -20,21 +20,42 @@ class Node:
 
     def __init_subclass__(cls):
         fields = cls._fields = tuple(vars(cls).get("_fields", cls.__slots__))
-        own, other = ("".join(f"{n}.{f}, " for f in fields) for n in ("self", "o"))
-        source = (f"def __eq__(self, o): return ({own}) == ({other})"
-                  f" if o.__class__ is self.__class__ else NotImplemented\n"
-                  f"def __hash__(self): return hash(({own}))\n")
-        env = {"_d": cls._defaults}
-        env |= {f"_s_{f}": getattr(cls, f).__set__ for f in fields}
+        source = f"def _values(self): return ({''.join(f'self.{f}, ' for f in fields)})\n"
+        env = {"_d": cls._defaults, **{f"_s_{f}": getattr(cls, f).__set__ for f in fields}}
         if fields and "__init__" not in vars(cls):
             params = ", ".join(f"{f}=_d[{f!r}]" if f in cls._defaults else f
                                for f in fields)
             source += f"def __init__(self, {params}):" + "".join(
                 f"\n    _s_{f}(self, {f})" for f in fields)
         exec(source, env)
-        cls.__eq__, cls.__hash__ = env["__eq__"], env["__hash__"]
-        if "__init__" in env:
-            cls.__init__ = env["__init__"]
+        cls._values, cls.__init__ = env["_values"], env.get("__init__", cls.__init__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            for x, y in zip(a._values(), b._values()):
+                if x is y:
+                    continue
+                if isinstance(x, Node) and x.__class__ is y.__class__:
+                    pairs.append((x, y))
+                elif x != y:        # values, or nodes of two classes
+                    return False
+        return True
+
+    def __hash__(self):
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            parts.append(node.__class__)
+            for x in node._values():
+                if isinstance(x, Node):
+                    stack.append(x)
+                else:
+                    parts.append(x)
+        return hash(tuple(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -47,4 +68,4 @@ class Node:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), self._values()

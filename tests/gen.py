@@ -13,9 +13,13 @@ their entity and environment helpers) for `logic.formula_text` and
 `recursive_typecheck` for `logic.reify` and `terms.typecheck`, with their
 random inputs `random_reify_term` and `random_typecheck_case`, and
 `substitution_compose`, which substitutes into each connective's whole
-template with `subst_consts`, for `discourse.compose`.  `is_closed` and
-`size` are recursive term measures, and `constants` and `subst_consts` term
-helpers, only the tests use."""
+template with `subst_consts`, for `discourse.compose`, the staged walks
+`staged_build_sentence` (`_check_sentence`, then applying the entries or
+`_build_leaf_c`) for `discourse.build_sentence`, with their inputs
+`sentence_pool` and `random_sentence`, and the reader
+`four_call_parse_sentence_words` for `discourse.parse_sentence_words`.
+`is_closed` and `size` are recursive term measures, and `constants` and
+`subst_consts` term helpers, only the tests use."""
 from __future__ import annotations
 
 import itertools
@@ -25,12 +29,14 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Iterator, Optional
 
+import contsem.terms as tm
 from contsem.discourse import (
-    _NODES, CopulaAdj, CoordN, Det, Leaf, ProfileMismatch, Seq, SubN, SymLeaf,
+    _NODES, NP, ArityMismatch, CopulaAdj, CoordN, Det, DiscourseError, Leaf,
+    ProfileMismatch, ProperN, Pron, Sentence, Seq, SubN, SymLeaf, Verb,
     _binary_template, build_sentence, has_symbolic_leaves, parse_discourse,
     parse_sentence_words,
 )
-from contsem.lexicon import Lexicon, Profile
+from contsem.lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar, EnvExpr, Exists,
     Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE, env_entries,
@@ -425,6 +431,268 @@ def substitution_compose(tree, lexicon: Lexicon, profile: Profile) -> Term:
                                 {"LHS_": done.pop(), "RHS_": done.pop()})
         done.append(item)
     return done[0]
+
+
+# ---------------------------------------------------------------------------
+# Sentence building and reading references
+
+def _require(found: Category, word: str, wanted: Category) -> None:
+    """The category check that makes a built sentence well typed."""
+    if found != wanted:
+        raise ArityMismatch(f"{word!r} has category {found.value}, not {wanted.value}")
+
+
+def _check_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> tuple[Category, dict]:
+    """Check a sentence's shape against the word registry, in reading order
+    (the copula `is` and the negation `doesnt` included), and return its
+    predicate's category and its words' entries.  In the profiles with them
+    (A, B) each word must have one, reported missing where the walk reaches it."""
+    stored = profile != Profile.C
+    entries: dict[str, Term] = {}
+
+    def require(word: str, wanted: Category) -> None:
+        if stored:
+            entries[word] = lexicon.entry(word, profile)
+        _require(lexicon.category(word), word, wanted)
+
+    def check_np(np: NP) -> None:
+        if isinstance(np, ProperN):
+            require(np.word, Category.PROPER_NOUN)
+        elif isinstance(np, Pron):
+            require(np.word, Category.PRONOUN)
+        else:
+            require(np.word, Category.DETERMINER)
+            require(np.noun, Category.COMMON_NOUN)
+
+    check_np(ast.subject)
+    predicate = ast.predicate
+    if ast.negated:
+        if isinstance(predicate, CopulaAdj):
+            raise ArityMismatch("the copula cannot be negated")
+        if not stored:
+            raise ProfileMismatch("negation", profile)
+    if isinstance(predicate, CopulaAdj):
+        require("is", Category.COPULA)
+        require(predicate.word, Category.ADJECTIVE)
+        return Category.ADJECTIVE, entries
+    category = lexicon.category(predicate.word)
+    transitive = category == Category.TRANSITIVE_VERB
+    if not transitive and category != Category.INTRANSITIVE_VERB:
+        raise ArityMismatch(f"{predicate.word!r} is not a verb")
+    if transitive == (predicate.obj is None):
+        raise ArityMismatch(
+            f"transitive verb {predicate.word!r} needs an object" if transitive
+            else f"intransitive verb {predicate.word!r} takes no object")
+    require(predicate.word, category)
+    if transitive:
+        check_np(predicate.obj)
+    if ast.negated:
+        require("doesnt", Category.NEGATION_AUX)
+    return category, entries
+
+
+def staged_build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
+    """`discourse.build_sentence` as it was before checking and building became
+    one walk: `_check_sentence` walks the sentence to check it and collect its
+    entries, then a second walk applies them (A, B) or `_build_leaf_c` walks it
+    again to assemble the leaf (C).  Kept as the reference the one walk must
+    match."""
+    category, entries = _check_sentence(ast, lexicon, profile)
+    if profile == Profile.C:
+        return _build_leaf_c(ast, lexicon, category)
+    entry = entries.__getitem__
+
+    def np_term(np: NP) -> Term:
+        if isinstance(np, Det):
+            return app(entry(np.word), entry(np.noun))
+        return entry(np.word)
+
+    subject = np_term(ast.subject)
+    predicate = ast.predicate
+    if isinstance(predicate, CopulaAdj):
+        return app(entry("is"), entry(predicate.word), subject)
+    vp_applied = entry(predicate.word)
+    if predicate.obj is not None:
+        vp_applied = app(vp_applied, np_term(predicate.obj))
+    if ast.negated:
+        # (doesn't VP) S: the negation takes the verb phrase, then the subject.
+        vp = Lam(CATEGORY_TYPES[profile][Category.PROPER_NOUN], App(vp_applied, Var(0)))
+        return app(entry("doesnt"), vp, subject)
+    return app(vp_applied, subject)
+
+
+def _build_leaf_c(ast: Sentence, lexicon: Lexicon, category: Category) -> Term:
+    """Profile C leaf of a checked sentence whose predicate has `category`.
+
+    A leaf introducing referents r1..rk with proposition P becomes
+        \\c e1 e2 phi. Ex r1..rk. P & phi c (rk::...::r1::nil) e2
+    i.e. the continuation's first environment holds exactly this unit's own
+    referents (composition decides what else stays accessible), and pronouns
+    select from the inherited frontier plus the previous unit's referents,
+    newest first: sel(e2 ++ e1).
+    """
+    ex_count = 0          # existential binders, innermost = most recent
+    refs: list = []       # entity term builders, in introduction order
+    restrictions: list = []  # (noun constant, its variable's builder)
+
+    def np_entity(np: NP):
+        nonlocal ex_count
+        if isinstance(np, ProperN):
+            refs.append(lambda k, c=Const(lexicon.symbol(np.word), tm.E): c)
+            return refs[-1]
+        if isinstance(np, Det):
+            slot = ex_count
+            ex_count += 1
+            # with k binders total, the slot-th introduced var has index k-1-slot
+            var = lambda k, s=slot: Var(k - 1 - s)
+            noun = Const(lexicon.symbol(np.noun), content_type(Category.COMMON_NOUN))
+            restrictions.append((noun, var))
+            refs.append(var)
+            return var
+        # Pronoun: sel over the accessible frontier, newest entries first.
+        return lambda k: App(tm.SEL, app(tm.UNION, Var(k + 1), Var(k + 2)))
+
+    entities = [np_entity(ast.subject)]
+    if isinstance(ast.predicate, Verb) and ast.predicate.obj is not None:
+        entities.append(np_entity(ast.predicate.obj))
+    pred = Const(lexicon.symbol(ast.predicate.word), content_type(category))
+
+    k = ex_count
+    prop = app(pred, *(entity(k) for entity in entities))
+    for noun, var in reversed(restrictions):
+        prop = app(tm.AND, App(noun, var(k)), prop)
+
+    own_env: Term = tm.NIL
+    for ref in refs:
+        own_env = app(tm.CONS, ref(k), own_env)
+
+    # phi c (own refs) e2, under k existential binders
+    body = app(tm.AND, prop,
+               app(Var(k + 0), Var(k + 3), own_env, Var(k + 1)))
+    for _ in range(k):
+        body = App(tm.EXISTS, Lam(tm.E, body))
+    return Lam(tm.KAPPA_C, Lam(tm.G, Lam(tm.G, Lam(tm.CONT_C, body))))
+
+
+def four_call_parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:
+    """`discourse.parse_sentence_words` as it was before its one registry call
+    per token: `lookup` calls `canonical`, `knows` and `category` (which calls
+    `_row`).  Kept as the reference the reader must match."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def fail(msg):
+        raise DiscourseError(f"cannot parse sentence {text!r}: {msg}")
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def next_tok():
+        nonlocal pos
+        if pos >= len(tokens):
+            fail("unexpected end of sentence")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def lookup(tok, wanted=None, what=""):
+        """The token's word as the registry spells it and its category,
+        which must be `wanted` (`what`) if that is given."""
+        word = lexicon.canonical(tok)
+        if not lexicon.knows(word):
+            fail(f"unknown word {tok!r}")
+        category = lexicon.category(word)
+        if wanted and category != wanted:
+            fail(f"{tok!r} is not {what}")
+        return word, category
+
+    def parse_np() -> NP:
+        tok = next_tok()
+        if tok == "(":
+            det = next_tok()
+            noun = next_tok()
+            if next_tok() != ")":
+                fail("expected `)` after determiner phrase")
+            return Det(lookup(det, Category.DETERMINER, "a determiner")[0],
+                       lookup(noun, Category.COMMON_NOUN, "a noun")[0])
+        word, cat = lookup(tok)
+        if cat == Category.PROPER_NOUN:
+            return ProperN(word)
+        if cat == Category.PRONOUN:
+            return Pron(word)
+        fail(f"{tok!r} cannot start a noun phrase")
+
+    subject = parse_np()
+    negated = False
+    tok = next_tok()
+    word, cat = lookup(tok)
+    if cat == Category.NEGATION_AUX:
+        negated = True
+        tok = next_tok()
+        word, cat = lookup(tok)
+    if cat == Category.COPULA:
+        if negated:
+            fail("negation must precede a verb")
+        adj = lookup(next_tok(), Category.ADJECTIVE, "an adjective")[0]
+        predicate: Verb | CopulaAdj = CopulaAdj(adj)
+    elif cat in (Category.TRANSITIVE_VERB, Category.INTRANSITIVE_VERB):
+        obj = parse_np() if peek() is not None else None
+        predicate = Verb(word, obj)
+    else:
+        fail(f"{tok!r} is not a verb or copula")
+    if peek() is not None:
+        fail(f"unexpected trailing {peek()!r}")
+    return Sentence(subject, predicate, negated)
+
+
+# Slot words for the sentence differentials: every registered word, both
+# inflection aliases, upper-case and apostrophe spellings, and an unknown word.
+SLOT_WORDS = ("john", "mary", "loves", "own", "woman", "man", "car", "dog",
+              "walks", "red", "happy", "a", "it", "is", "doesnt",
+              "owns", "walk", "JOHN", "Car", "doesn't", "o'wn", "zorp")
+
+
+def sentence_pool() -> list[Sentence]:
+    """Sentence ASTs, negated and not, that put every slot word in every
+    slot (subject, determiner, noun, verb, adjective, object) next to
+    well-formed words elsewhere, and well-formed words in every shape."""
+    good = [ProperN("john"), Pron("it"), Det("a", "car"), Det("a", "woman")]
+    nps = [kind(w) for kind in (ProperN, Pron) for w in SLOT_WORDS]
+    nps += [Det(w, "car") for w in SLOT_WORDS] + [Det("a", w) for w in SLOT_WORDS]
+    good_predicates = [Verb(v, np) for v in ("own", "loves") for np in good]
+    good_predicates += [Verb("walks"), CopulaAdj("red"), CopulaAdj("happy")]
+    predicates = [CopulaAdj(w) for w in SLOT_WORDS] + [Verb(w) for w in SLOT_WORDS]
+    predicates += [Verb(w, good[0]) for w in SLOT_WORDS] + [Verb("own", np) for np in nps]
+    return [Sentence(subject, predicate, negated) for negated in (False, True)
+            for subjects, preds in ((nps, good_predicates), (good, predicates))
+            for subject in subjects for predicate in preds]
+
+
+def random_sentence(rng: random.Random) -> Sentence:
+    """A sentence AST of any shape; each slot mostly takes a word of its own
+    category (in any spelling), else any slot word."""
+    def word(*fits):
+        return rng.choice(fits if rng.random() < 0.8 else SLOT_WORDS)
+
+    def np():
+        kind = rng.randrange(3)
+        if kind == 2:
+            return Det(word("a"), word("woman", "man", "car", "dog", "Car"))
+        return ProperN(word("john", "mary", "JOHN")) if kind == 0 else Pron(word("it"))
+    if rng.random() < 0.3:
+        predicate = CopulaAdj(word("red", "happy"))
+    else:
+        verb = word("loves", "own", "owns", "o'wn", "walks", "walk")
+        predicate = Verb(verb, np() if rng.random() < 0.6 else None)
+    return Sentence(np(), predicate, rng.random() < 0.3)
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the error it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------

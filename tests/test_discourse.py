@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -11,7 +12,8 @@ from contsem.discourse import (
     has_symbolic_leaves, interpret, parse_discourse, parse_sentence_words,
     run_pipeline,
 )
-from contsem.lexicon import Profile, UnknownWord, default_lexicon
+from contsem import lexicon
+from contsem.lexicon import Category, Lexicon, Profile, UnknownWord, default_lexicon
 from contsem.logic import formula_text, logically_equiv
 from contsem.resolver import report
 from contsem.syntax import parse_term, pretty
@@ -21,8 +23,9 @@ from contsem.terms import (
 )
 
 from gen import (
-    flat_discourse_text, pipeline_cases, random_closed_term, random_discourse, subst_consts,
-    substitution_compose, subterms, term_preorder,
+    flat_discourse_text, four_call_parse_sentence_words, outcome, pipeline_cases,
+    random_closed_term, random_discourse, random_sentence, sentence_pool, sentence_words,
+    staged_build_sentence, subst_consts, substitution_compose, subterms, term_preorder,
 )
 
 LEX = default_lexicon()
@@ -125,6 +128,91 @@ def test_shape_errors_agree_across_profiles(ast, message, profile):
     with pytest.raises(ArityMismatch) as exc:
         build_sentence(ast, LEX, profile)
     assert str(exc.value) == message
+
+
+# The default lexicon without `is` and `doesnt`, so that the order in which
+# the walk reaches them shows in which error comes first.
+THIN = Lexicon({w: row for w, row in LEX._words.items() if w not in ("is", "doesnt")},
+               {k: e for k, e in LEX._entries.items() if k[0] not in ("is", "doesnt")},
+               LEX._aliases)
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.B, Profile.C])
+def test_one_walk_matches_the_staged_walks(profile):
+    """On every sentence of the pool, with the default lexicon and THIN, and
+    on 20 000 random ones, `build_sentence` gives the staged reference's term
+    or its error class and message, and every term it builds has the
+    profile's sentence type: the sentence terms are of type t by construction."""
+    rng = random.Random(14)
+    cases = [(ast, lex) for ast in sentence_pool() for lex in (LEX, THIN)]
+    seen = set()
+    for ast, lex in cases + [(random_sentence(rng), LEX) for _ in range(20_000)]:
+        got = outcome(build_sentence, ast, lex, profile)
+        assert got == outcome(staged_build_sentence, ast, lex, profile), ast
+        if type(got) is tuple:
+            seen.add((got[0], "in profile" in got[1]))
+        else:
+            assert typecheck(got).text == profile.sentence_type.text, ast
+            seen.add("built")
+    wanted = {"built", (UnknownWord, False), (ArityMismatch, False)}
+    wanted.add((ProfileMismatch, True) if profile == Profile.C else (UnknownWord, True))
+    assert wanted <= seen
+
+
+# ---------------------------------------------------------------------------
+# the sentence reader against its four-call reference
+
+_TOKENS = ("john", "it", "a", "car", "loves", "walks", "red", "is", "doesnt",
+           "owns", "JOHN", "doesn't", "(", ")", "zorp")
+
+
+def test_reader_matches_the_four_call_reader():
+    """Every token sequence up to length 4 and 20 000 random longer ones read
+    to equal ASTs or identical diagnostics.  Half the longer ones are random
+    sentences' words, some with a token inserted, so that many of them read."""
+    rng = random.Random(14)
+    longer = [rng.choices(_TOKENS, k=rng.randint(5, 9)) for _ in range(10_000)]
+    while len(longer) < 20_000:
+        words = sentence_words(random_sentence(rng)).replace("(", "( ").replace(")", " )").split()
+        if rng.random() < 0.5:
+            words.insert(rng.randint(0, len(words)), rng.choice(_TOKENS))
+        if len(words) > 4:
+            longer.append(words)
+    built = 0
+    for seq in [*itertools.chain.from_iterable(
+            itertools.product(_TOKENS, repeat=n) for n in range(5)), *longer]:
+        text = " ".join(seq)
+        got = outcome(parse_sentence_words, text, LEX)
+        assert got == outcome(four_call_parse_sentence_words, text, LEX), text
+        built += type(got) is Sentence
+    assert built > 2_000
+
+
+def test_reader_matches_the_four_call_reader_on_odd_registries():
+    """Spellings the table does not hold, and aliases whose targets are
+    themselves folded or aliased, read as the four-call reader reads them."""
+    odd = Lexicon({"John": (Category.PROPER_NOUN, "j"), "Y": (Category.PROPER_NOUN, "y"),
+                   "walks": (Category.INTRANSITIVE_VERB, "walk")},
+                  {}, {"x": "Y", "a1": "a2", "a2": "walks", "Owns": "walks"})
+    tokens = ("John", "john", "Y", "y", "x", "a1", "a2", "A1", "walks", "Owns", "owns", "zorp")
+    for n in range(4):
+        for seq in itertools.product(tokens, repeat=n):
+            text = " ".join(seq)
+            assert outcome(parse_sentence_words, text, odd) == \
+                outcome(four_call_parse_sentence_words, text, odd), text
+
+
+def test_reader_calls_the_registry_once_per_registered_spelling():
+    """One call into `lexicon` per word whose spelling the table holds."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call"
+                   and frame.f_code.co_filename == lexicon.__file__ and calls.append(frame))
+    try:
+        parse_sentence_words("john doesnt own (a car)", LEX)
+        parse_sentence_words("(a woman) loves it", LEX)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 5 + 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -11,7 +12,8 @@ import pytest
 
 import contsem
 from contsem.lexicon import CATEGORY_TYPES, default_lexicon
-from contsem.logic import Atom
+from contsem.discourse import CoordN, Det, Seq, SymLeaf, Verb
+from contsem.logic import Atom, Bot, EntConst, EntVar, NilE, Not, Top
 from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
@@ -24,6 +26,7 @@ from contsem.syntax import parse_term, parse_type
 from gen import (
     GEN_SIG, applicative_normalize, constants, is_closed, random_closed_term, random_type,
     random_typecheck_case, recursive_type_text, recursive_typecheck, size, subterms,
+    term_preorder,
 )
 
 J = Const("j", E)
@@ -241,6 +244,33 @@ def test_equal_terms_are_equal_across_classes_only_by_fields():
     assert len({a, b, App(Lam(E, Var(0)), Const("k", E))}) == 2
     assert Var(0) != Base("e") and Const("e", E) != Base("e")
     assert Arrow(E, T) != Arrow(T, E) and hash(Arrow(E, T)) == hash(arrow(E, T))
+
+
+def test_deep_values_compare_and_hash_at_the_default_limit():
+    """`Node`'s `__eq__` and `__hash__` walk an explicit stack, comparing
+    classes at every level."""
+    assert sys.getrecursionlimit() <= 1000
+    a, b = (parse_type("e>" * 3000 + "t") for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_type("e>" * 3000 + "g") and a != parse_type("e>" * 2999 + "t")
+    x, y = (parse_term("~ " * 5000 + "top") for _ in range(2))
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != parse_term("~ " * 5000 + "bot") and x != parse_term("~ " * 4999 + "top")
+    assert Seq(SymLeaf("a"), SymLeaf("b")) != CoordN(SymLeaf("a"), SymLeaf("b"))
+    assert NilE() != Top() and Not(Top()) != Not(Bot()) and Not(Top()) == Not(Top())
+    assert Verb("own", None) != Verb("own", Det("a", "car")) != Verb("own", Det("a", "dog"))
+    assert Atom("p", (EntConst("x"),)) != Atom("p", (EntVar("x"),))
+
+
+def test_equality_and_hash_agree_with_preorders():
+    """Two random terms are equal exactly when their preorders are, and equal
+    terms hash alike; each term is built twice."""
+    terms = [random_closed_term(random.Random(seed)) for seed in range(40)]
+    twins = [random_closed_term(random.Random(seed)) for seed in range(40)]
+    for a, b in itertools.product(terms, twins):
+        assert (a == b) == (term_preorder(a) == term_preorder(b)), (a, b)
+        assert a != b or hash(a) == hash(b)
+    assert all(a == b for a, b in zip(terms, twins))
 
 
 def test_terms_take_keywords_and_defaults():
