@@ -11,6 +11,7 @@ tests hold it to the staged walks it replaced, `gen.staged_build_sentence`).
 """
 from __future__ import annotations
 
+import gc
 import re
 from functools import lru_cache
 
@@ -358,17 +359,24 @@ def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
     """Compose, apply `init`, normalize, reify and simplify; with init=None,
     compose and normalize only (symbolic expansion).  The applied term has
     type t by construction: Lexicon typechecks its entries, build_sentence
-    checks word categories and InitialArgs checks the initial arguments."""
+    checks word categories and InitialArgs checks the initial arguments.  The
+    cyclic collector is paused: it scans nothing while the run allocates."""
     if init is not None and init.profile != profile:
         raise DiscourseError("initial arguments built for a different profile")
-    composed = compose(tree, lexicon, profile)
-    if init is None:
-        return Interpretation(composed, None, normalize(composed, max_steps),
-                              None, None)
-    applied = app(composed, *init.args)
-    normal = normalize(applied, max_steps)
-    raw = reify(normal)
-    return Interpretation(composed, applied, normal, raw, simplify(raw))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        composed = compose(tree, lexicon, profile)
+        if init is None:
+            return Interpretation(composed, None, normalize(composed, max_steps),
+                                  None, None)
+        applied = app(composed, *init.args)
+        normal = normalize(applied, max_steps)
+        raw = reify(normal)
+        return Interpretation(composed, applied, normal, raw, simplify(raw))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,
@@ -398,6 +406,7 @@ def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,
 class DiscourseFile(Node):
     __slots__ = {"profile": "Profile | None", "tree": "DiscourseTree",
                  "symbolic": "bool", "sentences": "dict[str, Sentence]"}
+    __deepcopy__ = None     # a dict is not immutable: copy it through __reduce__
 
 
 def parse_sentence_words(text: str, lexicon: Lexicon) -> Sentence:

@@ -17,6 +17,7 @@ without touching the core entries.
 The registry row is the only source of a word's category: a Lexicon rejects
 an entry whose word has no row (UnknownWord) or whose category differs from
 its row, and `extended` adds rows for new words but never rewrites one.
+It also rejects a row or alias that no lookup reaches.
 """
 from __future__ import annotations
 
@@ -232,12 +233,14 @@ class Lexicon:
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
-        self._known: dict[str, str] = {}
-        self._known = {w: self.canonical(w) for w in [*self._words, *self._aliases]}
+        self._known = {w: w for w in self._words} | self._aliases  # valid once checked below
         for word in [*self._words, *(e.word for e in self._entries.values())]:
             if word in self._aliases:
-                raise ContsemError(
-                    f"{word!r} is an inflection of {self._aliases[word]!r}")
+                raise ContsemError(f"{word!r} is an inflection of {self._aliases[word]!r}")
+        for word, target in self._known.items():    # as `canonical` reads a spelling
+            if word != word.lower().replace("'", "") or target not in self._words:
+                raise ContsemError(f"no lookup reaches {word!r}: a lookup folds the spelling "
+                                   "(lower case, no apostrophe), then follows one alias to a row")
         for entry in self._entries.values():
             if entry.word not in self._words:
                 raise UnknownWord(entry.word)
@@ -267,7 +270,7 @@ class Lexicon:
     def _read(self, spelling: str) -> tuple[str, Category | None]:
         """The spelling's word and its category (None if unregistered)."""
         word = self._known.get(spelling) or self.canonical(spelling)
-        row = self._words.get(self._known.get(word) or self.canonical(word))
+        row = self._words.get(word)
         return word, row and row[0]
 
     def _row(self, word: str) -> tuple[Category, str]:

@@ -5,11 +5,13 @@ A subclass maps its fields to their types in `__slots__`, whose values
 Python keeps as the slots' docstrings; `_fields` names the fields when the
 class has other slots, and `_defaults` gives fields defaults.  `Node`
 generates `__init__` unless the class defines its own.  Instances are equal
-when of the same class with equal fields, hashed by their classes and
-fields (both walk the fields down an explicit stack, so at any depth) and
-shown as `Class(field=value, ...)`.  Assigning or deleting an attribute
-raises AttributeError; the generated `__init__` stores through the slots'
-descriptors and a class's own `__init__` through `object.__setattr__`.
+when of the same class with equal fields, hashed by their classes and fields
+and shown as `Class(field=value, ...)` (`Class(value, ...)` if not
+`_keywords`); pickle reads a flat form that keeps shared subterms shared,
+and a copy is the value itself.  All four walk an explicit stack, so at any
+depth.  Assigning or deleting an attribute raises AttributeError; the
+generated `__init__` stores through the slots' descriptors and a class's own
+`__init__` through `object.__setattr__`.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 class Node:
     __slots__ = ()
     _defaults: dict = {}
+    _keywords = True        # repr names the fields
 
     def __init_subclass__(cls):
         fields = cls._fields = tuple(vars(cls).get("_fields", cls.__slots__))
@@ -64,8 +67,39 @@ class Node:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        out, todo = [], [self]      # pending nodes and text, last first
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                out.append(x)
+            else:
+                parts = [f"{type(x).__qualname__}("]
+                for i, (name, v) in enumerate(zip(x._fields, x._values())):
+                    parts += ", " * (i > 0) + f"{name}=" * x._keywords, \
+                        v if isinstance(v, Node) else repr(v)
+                todo += reversed([*parts, ")"])
+        return "".join(out)
+
+    __copy__ = __deepcopy__ = lambda self, memo=None: self    # immutable: itself
 
     def __reduce__(self):
-        return type(self), self._values()
+        """Rows (class, *fields) in postorder, one per distinct node, a node field
+        as [its row] (no field is a list): nothing deep, and sharing is kept."""
+        rows, row_of, stack = [], {}, [self]
+        while stack:
+            node = stack[-1]
+            kids = [x for x in node._values() if isinstance(x, Node) and id(x) not in row_of]
+            stack += kids
+            if not kids and id(stack.pop()) not in row_of:
+                row_of[id(node)] = len(rows)
+                rows.append((type(node), *[[row_of[id(x)]] if isinstance(x, Node) else x
+                                           for x in node._values()]))
+        return _rebuild, (rows,)
+
+
+def _rebuild(rows: list) -> Node:
+    """The node `Node.__reduce__` wrote as rows."""
+    built = []
+    for cls, *fields in rows:
+        built.append(cls(*[built[x[0]] if type(x) is list else x for x in fields]))
+    return built[-1]

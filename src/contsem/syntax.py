@@ -219,10 +219,6 @@ def parse_type(text: str) -> SemType:
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-# Coord and Sub by the class of their innermost body.
-_SHAPES = {type(c.body.body): (name, c) for name, c in _COMBINATORS.items()}
-
-
 def pretty(term: Term) -> str:
     """Named rendering with canonical fresh names (x1, x2, ... in binder
     order, skipping constants' names).  Round-trips through parse_term for
@@ -265,10 +261,16 @@ def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
                 out.append(shown[t.name])
                 break
             if kind is Lam:
-                body = t.body   # Coord and Sub by shape before `==`
-                combinator = _SHAPES.get(type(body.body)) if type(body) is Lam else None
-                if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
-                    out.append(combinator[0])
+                body = t.body   # Coord and Sub by class, index and name, without `==`
+                inner = body.body if type(body) is Lam and t.ty.text == body.ty.text == "g" \
+                    else None
+                fn = inner.fn if type(inner) is App else None
+                head = fn.fn if type(fn) is App else None
+                if (type(inner) is Var and inner.index == 0) or (
+                        type(head) is Const and head.name == "++" and head.ty.text == "g>g>g"
+                        and type(fn.arg) is type(inner.arg) is Var
+                        and (fn.arg.index, inner.arg.index) == (1, 0)):
+                    out.append("Coord" if type(inner) is Var else "Sub")
                     break
                 if level > _LAM:
                     out.append("(")

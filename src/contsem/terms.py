@@ -6,6 +6,7 @@ makes typechecking decidable without inference.  All values are immutable.
 """
 from __future__ import annotations
 
+import gc
 from operator import attrgetter
 
 from .errors import ContsemError
@@ -20,15 +21,14 @@ from .node import Node
 
 class Base(Node):
     __slots__ = {"name": "str"}
+    _keywords = False
     text = property(attrgetter("name"))
-
-    def __repr__(self):
-        return f"Base({self.name!r})"
 
 
 class Arrow(Node):
     __slots__ = {"dom": "SemType", "cod": "SemType", "text": "str"}
     _fields = ("dom", "cod")
+    _keywords = False
 
     def __init__(self, dom: SemType, cod: SemType):
         object.__setattr__(self, "dom", dom)
@@ -55,9 +55,6 @@ class Arrow(Node):
         text = "".join(out)
         object.__setattr__(self, "text", text)
         return text
-
-    def __repr__(self):
-        return f"Arrow({self.dom!r}, {self.cod!r})"
 
 
 SemType = Base | Arrow
@@ -268,43 +265,74 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
     the call, and the value is read back as a De Bruijn term.  Each closure
     application is one beta contraction; more than `max_steps` of them raise
     StepBudgetExceeded.  By confluence the result is normal order's (`trace`).
-    Closures are (binder type, function) tuples, neutrals [head, *spine]
-    lists; a head is a Const or a De Bruijn level: 0 for the outermost binder,
-    -1 - i for the free index i, so open terms read back unchanged.
+    Neutrals are (head, *spine) tuples, a head a Const or a De Bruijn level
+    (-1 - i for the free index i).  A closure [binder type, body, env, last
+    argument, its value, its steps, read-back level, its Lam, its steps] is
+    not evaluated again when applied to the same value (`is`) or read back
+    at the same level: the result is shared, and its steps count again.  The
+    cyclic collector is paused during the call, and what the closures
+    remember is dropped on return, so a call leaves it nothing to collect.
     """
+    enabled = gc.isenabled()
+    gc.disable()            # what is remembered stays alive: nothing to collect
     steps = 0
+    neutrals: list = []     # neutrals[lvl]: the variable bound at level lvl
+    remembered: list = []   # closures that hold an argument and its value
 
     def ev(t, env):
         nonlocal steps
         kind = type(t)
         if kind is App:
             fn, arg = ev(t.fn, env), ev(t.arg, env)
-            if type(fn) is list:
-                return fn + [arg]
-            steps += 1
+            if type(fn) is tuple:
+                return fn + (arg,)
+            steps += 1 + fn[5] if fn[3] is arg else 1
             if steps > max_steps:
                 raise StepBudgetExceeded(max_steps)
-            return fn[1](arg)
+            if fn[3] is not arg:    # its steps are read after it has run
+                before = steps
+                fn[3], fn[4], fn[5] = arg, ev(fn[1], (arg, fn[2])), steps - before
+                remembered.append(fn)
+            return fn[4]
         if kind is Lam:
-            return t.ty, lambda v, body=t.body, env=env: ev(body, (v, env))
+            return [t.ty, t.body, env, None, None, 0, None, None, 0]
         if kind is Var:
             i = t.index
             while env is not None:
                 if i == 0:
                     return env[0]
                 i, env = i - 1, env[1]
-            return [-1 - i]
-        return [t]
+            return (-1 - i,)
+        return (t,)
 
-    def quote(v, lvl):
+    def quote(v, lvl):      # its applications are no steps
+        nonlocal steps
         if type(v) is tuple:
-            return Lam(v[0], quote(v[1]([lvl]), lvl + 1))
-        out = v[0] if type(v[0]) is Const else Var(lvl - v[0] - 1)
-        for arg in v[1:]:
-            out = App(out, quote(arg, lvl))
-        return out
+            out = v[0] if type(v[0]) is Const else Var(lvl - v[0] - 1)
+            for arg in v[1:]:
+                out = App(out, quote(arg, lvl))
+            return out
+        if v[6] != lvl:
+            if lvl == len(neutrals):
+                neutrals.append((lvl,))
+            before = steps
+            body = quote(ev(v[1], (neutrals[lvl], v[2])), lvl + 1)
+            v[6], v[7], v[8] = lvl, Lam(v[0], body), steps - before
+        else:
+            steps += v[8]
+        return v[7]
 
-    return quote(ev(term, None), 0)
+    try:
+        normal = quote(ev(term, None), 0)
+    finally:    # cycles: a value can hold its own closure, ev and quote hold themselves
+        for c in remembered:
+            c[3] = c[4] = None
+        ev = quote = None
+        if enabled:
+            gc.enable()
+    if steps > max_steps:   # reuse since the last step
+        raise StepBudgetExceeded(max_steps)
+    return normal
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Random generators (terms, discourses, formulas) shared by the test
 suites, plus reference implementations the library is checked against: two
-substitution-based reducers (applicative order and normal order) for the
-normalization-by-evaluation normalizer, the recursive pretty-printer for
-`syntax.pretty`, the recursive-descent parser for `syntax.parse_term` and
+substitution-based reducers (applicative order and normal order) and
+`uncached_normalize` (NbE that evaluates again at every application and
+read-back) for the normalization-by-evaluation normalizer, the recursive
+pretty-printer and `equality_pretty` (which tells `Coord` and `Sub` by `==`,
+with its inputs `random_near_miss_term`) for `syntax.pretty`, the
+recursive-descent parser for `syntax.parse_term` and
 `parse_type`, the recursive type renderer for `terms.type_text`, the
 recursive environment flattener for `logic.env_entries`, the recursive
 formula renderers `recursive_formula_text`/`recursive_formula_json` (with
@@ -18,7 +21,8 @@ template with `subst_consts`, for `discourse.compose`, the staged walks
 `_build_leaf_c`) for `discourse.build_sentence`, with their inputs
 `sentence_pool` and `random_sentence`, and the reader
 `four_call_parse_sentence_words` for `discourse.parse_sentence_words`.
-`is_closed` and `size` are recursive term measures, and `constants` and
+`is_closed` and `size` are recursive term measures, `distinct_nodes` counts
+the objects of a term that shares subterms, and `constants` and
 `subst_consts` term helpers, only the tests use."""
 from __future__ import annotations
 
@@ -43,8 +47,8 @@ from contsem.logic import (
     env_from_entries,
 )
 from contsem.syntax import (
-    _APP, _ATOM, _CONJ, _CONS, _DISJ, _LAM, _NEG, _UNION, ParseError,
-    UnknownIdentifier,
+    _APP, _APPLY, _ATOM, _COMBINATORS, _CONJ, _CONS, _DISJ, _LAM, _NEG, _OPS,
+    _UNION, _WORD, ParseError, UnknownIdentifier,
 )
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, COORD, EXISTS, NIL, NOT, OR, SEL, SUB, TOP, UNION,
@@ -276,6 +280,60 @@ def substitution_normalize(term: Term, max_steps: int = 100_000) -> Term:
         return t
 
     return nf(term)
+
+
+def uncached_normalize(term: Term, max_steps: int = 100_000) -> Term:
+    """`terms.normalize` as it was before its closures remembered their last
+    application and read-back: closures are (binder type, Python function)
+    pairs, evaluated anew at every application and read-back, so a value
+    used twice is evaluated twice and the normal form is a tree.  Kept as
+    the reference the cached normalizer's normal forms and step counts must
+    match."""
+    steps = 0
+
+    def ev(t, env):
+        nonlocal steps
+        kind = type(t)
+        if kind is App:
+            fn, arg = ev(t.fn, env), ev(t.arg, env)
+            if type(fn) is list:
+                return fn + [arg]
+            steps += 1
+            if steps > max_steps:
+                raise StepBudgetExceeded(max_steps)
+            return fn[1](arg)
+        if kind is Lam:
+            return t.ty, lambda v, body=t.body, env=env: ev(body, (v, env))
+        if kind is Var:
+            i = t.index
+            while env is not None:
+                if i == 0:
+                    return env[0]
+                i, env = i - 1, env[1]
+            return [-1 - i]
+        return [t]
+
+    def quote(v, lvl):
+        if type(v) is tuple:
+            return Lam(v[0], quote(v[1]([lvl]), lvl + 1))
+        out = v[0] if type(v[0]) is Const else Var(lvl - v[0] - 1)
+        for arg in v[1:]:
+            out = App(out, quote(arg, lvl))
+        return out
+
+    return quote(ev(term, None), 0)
+
+
+def distinct_nodes(term: Term, kinds: tuple = (App, Lam)) -> int:
+    """The number of distinct objects of these classes in a term that may
+    share subterms."""
+    seen, stack = {}, [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack += (t.fn, t.arg) if type(t) is App else (t.body,) if type(t) is Lam else ()
+    return sum(type(t) in kinds for t in seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +837,118 @@ def recursive_pretty(term: Term) -> str:
         return f"({text})" if level > _APP else text
 
     return render(term, _LAM, [])
+
+
+# Heads of the near misses of `Sub`: `++` itself, an equal fresh copy,
+# `++` at other types and another constant at its type.
+_NEAR_HEADS = (UNION, Const("++", arrow(G, G, G)), Const("++", arrow(G, G, T)),
+               Const("++", arrow(E, G, G)), Const("::", arrow(G, G, G)),
+               Const("u", arrow(G, G, G)))
+
+
+def random_combinator_like(rng: random.Random) -> Term:
+    """`Coord`, `Sub`, or a lambda one or two parts away from one: a binder
+    type, an index, the head's name or type, or the spine's length."""
+    inner = rng.choice((
+        lambda: Var(rng.choice((0, 0, 1, 2))),
+        lambda: app(rng.choice(_NEAR_HEADS), Var(rng.choice((1, 1, 0, 2))),
+                    Var(rng.choice((0, 0, 1)))),
+        lambda: app(rng.choice(_NEAR_HEADS), *(Var(rng.randrange(2)) for _ in
+                                               range(rng.choice((1, 3))))),
+        lambda: app(Var(rng.randrange(2)), Var(1), Var(0)),
+    ))()
+    return Lam(rng.choice((G, G, G, E)), Lam(rng.choice((G, G, G, T)), inner))
+
+
+def random_near_miss_term(rng: random.Random, depth: int = 3) -> Term:
+    """A term with `random_combinator_like` lambdas in places `pretty` reads
+    differently: alone, under a binder, applied, as an operand of `++` and
+    of `&`, and as the argument of a constant or variable."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_combinator_like(rng)
+    sub = random_near_miss_term(rng, depth - 1)
+    return rng.choice((
+        lambda: Lam(rng.choice((G, E)), sub),
+        lambda: app(sub, Const("nil", G), Const("nil", G)),
+        lambda: app(UNION, sub, random_near_miss_term(rng, depth - 1)),
+        lambda: app(AND, sub, Lam(G, random_combinator_like(rng))),
+        lambda: App(rng.choice((*GEN_SIG.values(), Var(0), Var(1))), sub),
+    ))()
+
+
+# Coord and Sub by the class of their innermost body.
+_SHAPES = {type(c.body.body): (name, c) for name, c in _COMBINATORS.items()}
+
+
+def equality_pretty(term: Term) -> str:
+    """`syntax.pretty` as it was when it told `Coord` and `Sub` from other
+    lambdas by `==` against the combinators (a full walk of each candidate).
+    Kept as the reference the class, index and name check must match."""
+    text, shown, count = _equality_render(term, ())
+    if not shown.keys().isdisjoint(f"x{i}" for i in range(1, count + 1)):
+        text = _equality_render(term, shown)[0]
+    return text
+
+
+def _equality_render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
+    """`equality_pretty`'s pass."""
+    shown: dict[str, str] = {}
+    counter = 0
+    names: list[str] = []   # names[d]: the binder at depth d, outermost first
+    out: list[str] = []
+    stack: list = [("", term, _LAM, 0)]   # `)`, or (text before, term, level, depth)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        text, t, level, depth = item
+        out.append(text)
+        while True:
+            kind = type(t)
+            if kind is Var:  # a free variable renders as #i, which does not re-parse
+                i = t.index
+                out.append(names[depth - 1 - i] if i < depth else f"#{i}")
+                break
+            if kind is Const:
+                if t.name not in shown:
+                    shown[t.name] = t.name if _WORD.fullmatch(t.name) else f"({t.name})"
+                out.append(shown[t.name])
+                break
+            if kind is Lam:
+                body = t.body   # Coord and Sub by shape before `==`
+                combinator = _SHAPES.get(type(body.body)) if type(body) is Lam else None
+                if combinator and t.ty.text == "g" == body.ty.text and t == combinator[1]:
+                    out.append(combinator[0])
+                    break
+                if level > _LAM:
+                    out.append("(")
+                    stack.append(")")
+                counter += 1
+                while f"x{counter}" in avoid:
+                    counter += 1
+                names[depth:] = (f"x{counter}",)
+                out.append(f"\\x{counter}:{t.ty.text}. ")
+                t, depth, level = body, depth + 1, _LAM
+                continue
+            # Applications, with sugar for the operator constants (by name
+            # first): an infix one applied to two arguments, `~` to one.
+            fn = t.fn
+            head = fn.fn if type(fn) is App else fn
+            row = _OPS.get(head.name) if type(head) is Const else None
+            if not (row and (row[3] is None) == (head is fn)
+                    and (head is row[0] or head == row[0])):
+                row = _APPLY
+            if level > row[2]:
+                out.append("(")
+                stack.append(")")
+            if row[3] is None:          # `~`, then its operand
+                out.append(row[1])
+                t, level = t.arg, row[4]
+            else:                       # the left operand or function, then the rest
+                stack.append((row[1], t.arg, row[4], depth))
+                t, level = (fn if row is _APPLY else fn.arg), row[3]
+    return "".join(out), shown, counter
 
 
 def recursive_env_entries(env: EnvExpr) -> tuple:

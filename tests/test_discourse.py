@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -189,12 +190,12 @@ def test_reader_matches_the_four_call_reader():
 
 
 def test_reader_matches_the_four_call_reader_on_odd_registries():
-    """Spellings the table does not hold, and aliases whose targets are
-    themselves folded or aliased, read as the four-call reader reads them."""
-    odd = Lexicon({"John": (Category.PROPER_NOUN, "j"), "Y": (Category.PROPER_NOUN, "y"),
+    """Spellings the table does not hold (other cases, apostrophes) and
+    several aliases of one row read as the four-call reader reads them."""
+    odd = Lexicon({"john": (Category.PROPER_NOUN, "j"), "y": (Category.PROPER_NOUN, "y"),
                    "walks": (Category.INTRANSITIVE_VERB, "walk")},
-                  {}, {"x": "Y", "a1": "a2", "a2": "walks", "Owns": "walks"})
-    tokens = ("John", "john", "Y", "y", "x", "a1", "a2", "A1", "walks", "Owns", "owns", "zorp")
+                  {}, {"x": "y", "a1": "walks", "a2": "walks", "owns": "walks"})
+    tokens = ("John", "john", "Y", "y'", "x", "a1", "a2", "A1", "walks", "Owns", "owns", "zorp")
     for n in range(4):
         for seq in itertools.product(tokens, repeat=n):
             text = " ".join(seq)
@@ -446,6 +447,55 @@ def test_applied_term_is_a_proposition():
     for tree, profile in pipeline_cases(LEX):
         result = run_pipeline(tree, LEX, profile, default_initial_args(profile))
         assert typecheck(result.applied) == T
+
+
+def _run_and_watch(monkeypatch, *args, **kwargs):
+    """run_pipeline's result or error, and whether the collector was on
+    while it normalized."""
+    seen = []
+    monkeypatch.setattr(discourse, "normalize",
+                        lambda *a: seen.append(gc.isenabled()) or normalize(*a))
+    try:
+        return outcome(run_pipeline, *args, **kwargs), seen
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_pipeline_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    """The collector is off while a run normalizes, and afterwards as the
+    caller had it, thresholds included, after a result, a ContsemError and
+    StepBudgetExceeded."""
+    tree = Seq(Leaf(S_POS), Leaf(S_RED))
+    threshold = gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        runs = [_run_and_watch(monkeypatch, tree, LEX, Profile.B, default_initial_args(Profile.B)),
+                _run_and_watch(monkeypatch, tree, LEX, Profile.B, default_initial_args(Profile.B), 3),
+                _run_and_watch(monkeypatch, CoordN(Leaf(S_POS), Leaf(S_RED)), LEX, Profile.B,
+                               default_initial_args(Profile.B)),
+                _run_and_watch(monkeypatch, tree, LEX, Profile.B, None)]
+        assert gc.isenabled() is enabled and gc.get_threshold() == threshold
+    finally:
+        gc.enable()
+    kinds = [(result[0] if type(result) is tuple else type(result)).__name__
+             for result, _ in runs]
+    assert kinds == ["Interpretation", "StepBudgetExceeded", "ProfileMismatch", "Interpretation"]
+    assert [seen for _, seen in runs] == [[False], [False], [], [False]]
+
+
+def test_repeated_pipeline_runs_leave_nothing_for_the_collector():
+    trees = [random_discourse(random.Random(seed), LEX, profile, 6)
+             for seed in range(3) for profile in (Profile.A, Profile.B)]
+    run = lambda: [run_pipeline(t, LEX, p, default_initial_args(p))
+                   for t, p in zip(trees, [Profile.A, Profile.B] * 3)]
+    run()
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(20):
+        run()
+    gc.collect()
+    assert len(gc.get_objects()) <= before
 
 
 def test_b_threading_positive_vs_negated():

@@ -70,16 +70,47 @@ def _fold_then_alias(lex: Lexicon, word: str) -> str:
 
 
 def test_canonical_agrees_with_fold_then_alias():
-    odd = Lexicon({"John": (Category.PROPER_NOUN, "j"), "o'neil": (Category.PROPER_NOUN, "o")},
-                  {}, {"Owns": "own"})
-    for lex in (LEX, load_word_file(["noun dog", "tverb sees", "pnoun y1"]), odd):
+    small = Lexicon({"john": (Category.PROPER_NOUN, "j"), "oneil": (Category.PROPER_NOUN, "o"),
+                     "own": (Category.TRANSITIVE_VERB, "own")}, {}, {"owns": "own"})
+    for lex in (LEX, load_word_file(["noun dog", "tverb sees", "pnoun y1"]), small):
         words = [*lex._words, *lex._aliases, "zorp", "", "'", "DOESN'T", "Walk", "it's"]
         for word in words:
             for variant in (word, word.upper(), word.title(), f"{word}'",
                             f"'{word[:1]}'{word[1:]}"):
                 assert lex.canonical(variant) == _fold_then_alias(lex, variant), variant
-    assert odd.canonical("John") == "john" and not odd.knows("John")
-    assert odd.canonical("o'neil") == "oneil" and odd.canonical("Owns") == "owns"
+    assert small.canonical("John") == "john" and small.knows("John")
+    assert small.canonical("O'Neil") == "oneil" and small.knows("o'neil")
+    assert small.canonical("Owns") == "own" and small.category("OWNS") == Category.TRANSITIVE_VERB
+
+
+_PN, _IV = (Category.PROPER_NOUN, "y"), (Category.INTRANSITIVE_VERB, "walk")
+
+
+@pytest.mark.parametrize("words,aliases,word", [
+    ({"Y": _PN}, {}, "Y"),
+    ({"o'neil": _PN}, {}, "o'neil"),
+    ({"walks": _IV}, {"Walk": "walks"}, "Walk"),
+    ({"walks": _IV}, {"a1": "a2", "a2": "walks"}, "a1"),    # an alias of an alias
+    ({"walks": _IV}, {"x": "Walks"}, "x"),
+    ({}, {"owns": "own"}, "owns"),
+])
+def test_rows_no_lookup_reaches_are_rejected(words, aliases, word):
+    """Lookups fold a spelling, then follow one alias: a row or alias spelled
+    otherwise, or an alias that does not end at a row, could never be read."""
+    with pytest.raises(ContsemError) as exc:
+        Lexicon(words, {}, aliases)
+    assert str(exc.value) == (
+        f"no lookup reaches {word!r}: a lookup folds the spelling "
+        "(lower case, no apostrophe), then follows one alias to a row")
+
+
+def test_extended_and_word_files_add_no_unreachable_row():
+    entry = LexEntry("Y", Category.PROPER_NOUN, Profile.A, LEX.entry("john", Profile.A))
+    with pytest.raises(ContsemError, match="no lookup reaches 'Y'"):
+        LEX.extended([entry])
+    lex = load_word_file(["pnoun Y", "noun O'Dog"])   # make_entry folds the word
+    assert lex.knows("Y") and lex.knows("y") and lex.category("o'dog") == Category.COMMON_NOUN
+    assert "Y" not in lex._words and "odog" in lex._words
 
 
 def test_entries_keyed_by_an_inflection_are_rejected():

@@ -13,15 +13,16 @@ from contsem.discourse import (
     compose, default_initial_args, has_symbolic_leaves, parse_discourse,
 )
 from contsem.lexicon import Profile, default_lexicon
+from contsem.node import Node
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
     BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize,
 )
 
 from gen import (
-    baseline_discourse, constants, pipeline_cases, random_closed_term,
-    random_discourse, random_term, random_type, recursive_pretty, subst_consts,
-    subterms,
+    baseline_discourse, constants, equality_pretty, pipeline_cases,
+    random_closed_term, random_discourse, random_near_miss_term, random_term,
+    random_type, recursive_pretty, subst_consts, subterms,
 )
 
 LEX = default_lexicon()
@@ -113,6 +114,45 @@ def test_flat_a256_discourse_renders():
     assert f"\\x{lams}:" in text and f"\\x{lams + 1}:" not in text
     assert pretty(nf) == recursive_pretty(nf)
     assert pretty(nf).count("Ex ") == 128
+
+
+# ---------------------------------------------------------------------------
+# Coord and Sub without `==`
+
+@pytest.mark.parametrize("sample", sorted(
+    [p.name for p in SAMPLES.glob("*.dsc")] + [p.name for p in SAMPLES.glob("terms/*.lam")]))
+def test_golden_terms_match_the_equality_printer(sample):
+    """On every golden's terms (composed and normal, or the term file's term
+    and normal form), the check by class, index and name prints what the
+    `==` check printed."""
+    if sample.endswith(".lam"):
+        term = parse_term((SAMPLES / "terms" / sample).read_text().strip(), LEX.signature())
+        terms = (term, normalize(term))
+    else:
+        parsed = parse_discourse((SAMPLES / sample).read_text(), LEX)
+        terms = _composed_and_normal(parsed.tree, parsed.profile)
+        if has_symbolic_leaves(parsed.tree):
+            terms = (terms[0], normalize(terms[0]))
+    for term in terms:
+        assert pretty(term) == equality_pretty(term)
+
+
+def test_near_miss_combinators_match_the_equality_printer(monkeypatch):
+    """20 000 terms with `Coord`, `Sub` and lambdas one or two parts away from
+    them print as the `==` check printed them, and `pretty` compares no
+    lambda with `==` on the way."""
+    rng = random.Random(SEED + 5)
+    terms = [random_near_miss_term(rng) for _ in range(20_000)]
+    expected = [equality_pretty(t) for t in terms]
+    eq = Node.__eq__
+    monkeypatch.setattr(Node, "__eq__", lambda a, b: eq(a, b) if type(a) is not Lam
+                        else pytest.fail("a lambda compared with =="))
+    shown = [pretty(t) for t in terms]
+    monkeypatch.undo()
+    assert shown == expected
+    joined = "\n".join(shown)
+    assert joined.count("Coord") > 1000 and joined.count("Sub") > 200
+    assert joined.count("(++) x1 x2") > 100 and joined.count(":g. x1") > 100
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import contsem
-from contsem.lexicon import CATEGORY_TYPES, default_lexicon
-from contsem.discourse import CoordN, Det, Seq, SymLeaf, Verb
+from contsem.lexicon import CATEGORY_TYPES, Profile, default_lexicon
+from contsem.discourse import (
+    CoordN, Det, Seq, SymLeaf, Verb, default_initial_args, parse_discourse, run_pipeline,
+)
 from contsem.logic import Atom, Bot, EntConst, EntVar, NilE, Not, Top
 from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
@@ -24,7 +26,8 @@ from contsem.terms import (
 from contsem.syntax import parse_term, parse_type
 
 from gen import (
-    GEN_SIG, applicative_normalize, constants, is_closed, random_closed_term, random_type,
+    GEN_SIG, applicative_normalize, constants, distinct_nodes, flat_discourse_text, is_closed,
+    random_closed_term, random_type,
     random_typecheck_case, recursive_type_text, recursive_typecheck, size, subterms,
     term_preorder,
 )
@@ -293,6 +296,44 @@ def test_term_repr_keeps_its_text():
         "Lam(ty=Arrow(Base('e'), Base('t')), body=App(fn=Const(name='p', "
         "ty=Arrow(Base('e'), Base('t'))), arg=Var(index=0)))")
     assert repr(Atom("p")) == "Atom(pred='p', args=())"
+
+
+def test_deep_values_show_pickle_and_copy_at_the_default_limit():
+    """`repr` and the flat form pickle reads walk an explicit stack; a copy
+    of an immutable value is the value itself."""
+    assert sys.getrecursionlimit() <= 1000
+    ty = parse_type("e>" * 3000 + "t")
+    term = parse_term("~ " * 5000 + "top")
+    assert repr(ty) == "Arrow(Base('e'), " * 3000 + "Base('t')" + ")" * 3000
+    assert repr(term) == (
+        "App(fn=Const(name='~', ty=Arrow(Base('t'), Base('t'))), arg=" * 5000
+        + "Const(name='top', ty=Base('t'))" + ")" * 5000)
+    for value in (ty, term, Lam(ty, Var(0)), Atom("p", (EntConst("x"),) * 3)):
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and twin is not value and repr(twin) == repr(value)
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(ty)).text == ty.text
+
+
+def test_deep_copies_of_a_discourse_file_copy_its_dict():
+    parsed = parse_discourse(flat_discourse_text(Profile.B, 2), default_lexicon())
+    twin = copy.deepcopy(parsed)
+    assert twin == parsed and twin.sentences is not parsed.sentences
+    assert copy.copy(parsed) is parsed
+
+
+def test_pickle_and_copy_keep_shared_subterms_shared():
+    """A profile-B normal form is a DAG; its copies share what it shares."""
+    lex = default_lexicon()
+    parsed = parse_discourse(flat_discourse_text(Profile.B, 8), lex)
+    nf = run_pipeline(parsed.tree, lex, Profile.B, default_initial_args(Profile.B)).normal
+    assert sum(1 for _ in subterms(nf)) > 10 * distinct_nodes(nf)
+    twin = pickle.loads(pickle.dumps(nf))
+    assert twin == nf and distinct_nodes(twin) == distinct_nodes(nf)
+    assert copy.deepcopy(nf) is nf
+    x = App(Var(0), Var(0))
+    pair = pickle.loads(pickle.dumps(App(x, x)))
+    assert pair.fn is pair.arg and pair.fn.fn is not pair.fn.arg
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
