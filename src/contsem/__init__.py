@@ -13,10 +13,11 @@ from .terms import (
 )
 from .syntax import parse_term, parse_type, pretty
 from .logic import (
-    Formula, Top, Bot, Not, And, Or, Exists, Atom,
+    Formula, Top, Bot, Not, And, Or, Exists, Atom, Shifted,
     EntConst, EntVar, SelOf, NilE, ConsE, UnionE,
-    formula_json, formula_text, logically_equiv, reify, simplify,
+    expand, formula_json, formula_text, reify, simplify,
 )
+from .oracle import logically_equiv
 from .lexicon import (
     Category, LexEntry, Lexicon, Profile,
     default_lexicon, load_word_file, make_entry, negation_variant,

@@ -41,7 +41,11 @@ def _parser() -> argparse.ArgumentParser:
                     "report which referents each pronoun can reach.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run the pipeline on a discourse file")
+    run = sub.add_parser(
+        "run", help="run the pipeline on a discourse file",
+        epilog="In profile B the normal form and the raw formula (`normal:`, `raw:`; "
+               "JSON `normal_form`, `raw_formula`) grow exponentially with the number "
+               "of indefinites; the simplified formula does not.")
     run.add_argument("input", metavar="file")
     run.add_argument("--profile", choices=["A", "B", "C"])
     run.add_argument("--mode", choices=["interpret", "symbolic-expand", "term-eval"],
@@ -54,7 +58,8 @@ def _parser() -> argparse.ArgumentParser:
                      default=True, dest="show_raw",
                      help="print the unsimplified formula (default on)")
     run.add_argument("--trace", action="store_true",
-                     help="print the reduction sequence")
+                     help="print the whole term at every reduction step; "
+                     "meant for small inputs")
     run.add_argument("--max-steps", type=int, default=100_000, dest="max_steps",
                      metavar="N", help="fail after N beta contractions, each a "
                      "closure application (--trace: a normal-order step); "
@@ -125,21 +130,9 @@ def _json_text(doc) -> str:
     return "".join(out)
 
 
-def _emit(ns: argparse.Namespace, lines: list[str], doc: dict) -> int:
-    if ns.output == "json":
-        print(_json_text(doc))
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
-def _trace_lines(term, max_steps):
-    out = []
-    for step in trace(term, max_steps):
-        where = ".".join(step.position) or "root"
-        out.append(f"step {step.step} @ {where}: {pretty(step.term)}")
-    return out
+def _trace_lines(steps) -> list[str]:
+    return [f"step {step.step} @ {'.'.join(step.position) or 'root'}: {pretty(step.term)}"
+            for step in steps]
 
 
 def _run_discourse(ns: argparse.Namespace, text: str) -> int:
@@ -161,55 +154,43 @@ def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     if profile == Profile.B and ns.connective == "or":
         init = InitialArgs(profile, (tm.OR,) + init.args[1:])
     result = run_pipeline(parsed.tree, lexicon, profile, init, ns.max_steps)
-    composed_text, normal_text = pretty(result.composed), pretty(result.normal)
-    lines = [f"composed: {composed_text}"]
-    if ns.trace:
-        lines.extend(_trace_lines(result.composed if symbolic else result.applied,
-                                  ns.max_steps))
-    lines.append(f"{'expanded' if symbolic else 'normal'}: {normal_text}")
     json_out = ns.output == "json"
-    doc: dict = {
-        "profile": profile.value,
-        "composed_term": composed_text,
-        "normal_form": normal_text,
-        "raw_formula": None,
-        "simplified_formula": None,
-        "access_reports": [],
-        "resolved_formula": None,
-    }
-    if symbolic:
-        return _emit(ns, lines, doc)
-
-    def formula_doc(f, text):
-        return {"text": text, "tree": formula_json(f)} if json_out else None
-
-    raw, simplified = result.raw, result.simplified
-    if ns.show_raw or json_out:
-        raw_text = formula_text(raw)
-        if ns.show_raw:
-            lines.append(f"raw: {raw_text}")
-        doc["raw_formula"] = formula_doc(raw, raw_text)
-    simplified_text = formula_text(simplified)
-    lines.append(f"simplified: {simplified_text}")
-    doc["simplified_formula"] = formula_doc(simplified, simplified_text)
-
-    reports = report(simplified)
-    for r in reports:
-        lines.append(report_line(r))
+    composed_text, normal_text = pretty(result.composed), pretty(result.normal)
+    steps = trace(result.composed if symbolic else result.applied,
+                  ns.max_steps) if ns.trace else ()
+    simplified = result.simplified      # None in symbolic expansion
+    raw = result.raw if not symbolic and (ns.show_raw or json_out) else None
+    reports = () if symbolic else report(simplified)
+    recency = not symbolic and ns.resolve_strategy == "recency"
+    resolved = resolve(simplified, "recency") if recency else None
     if json_out:
-        doc["access_reports"] = [
-            {"site": r.site_id,
-             "env": formula_json(r.env),
-             "candidates": [formula_json(c) for c in r.candidates]}
-            for r in reports
-        ]
+        def formula_doc(f):
+            return None if f is None else {"text": formula_text(f), "tree": formula_json(f)}
 
-    if ns.resolve_strategy == "recency":
-        resolved = resolve(simplified, "recency")
-        resolved_text = formula_text(resolved)
-        lines.append(f"resolved: {resolved_text}")
-        doc["resolved_formula"] = formula_doc(resolved, resolved_text)
-    return _emit(ns, lines, doc)
+        print(_json_text({
+            "profile": profile.value,
+            "composed_term": composed_text,
+            "normal_form": normal_text,
+            "raw_formula": formula_doc(raw),
+            "simplified_formula": formula_doc(simplified),
+            "access_reports": [{"site": r.site_id,
+                                "env": formula_json(r.env),
+                                "candidates": [formula_json(c) for c in r.candidates]}
+                               for r in reports],
+            "resolved_formula": formula_doc(resolved),
+        }))
+        return 0
+    lines = [f"composed: {composed_text}", *_trace_lines(steps),
+             f"{'expanded' if symbolic else 'normal'}: {normal_text}"]
+    if not symbolic:
+        if ns.show_raw:
+            lines.append(f"raw: {formula_text(raw)}")
+        lines.append(f"simplified: {formula_text(simplified)}")
+        lines += map(report_line, reports)
+        if resolved is not None:
+            lines.append(f"resolved: {formula_text(resolved)}")
+    print("\n".join(lines))
+    return 0
 
 
 def _run_term(ns: argparse.Namespace, text: str) -> int:
@@ -219,10 +200,11 @@ def _run_term(ns: argparse.Namespace, text: str) -> int:
     doc = {"term": pretty(term), "type": tm.type_text(ty), "normal_form": None}
     lines = [f"term: {doc['term']}", f"type: {doc['type']}"]
     if ns.trace:
-        lines.extend(_trace_lines(term, ns.max_steps))
+        lines.extend(_trace_lines(trace(term, ns.max_steps)))
     doc["normal_form"] = pretty(normalize(term, ns.max_steps))
     lines.append(f"normal: {doc['normal_form']}")
-    return _emit(ns, lines, doc)
+    print(_json_text(doc) if ns.output == "json" else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,18 +1,15 @@
 """First-order logical forms.
 
 Normal-form terms of type t are reified into Formula trees; a fixed set of
-equivalence-preserving rewrites cleans them up, and a brute-force model
-checker over small entity domains serves as the equivalence oracle.
+equivalence-preserving rewrites cleans them up (`oracle` checks them).
 """
 from __future__ import annotations
 
-import itertools
-import random
 from collections.abc import Callable, Iterator
 from operator import attrgetter
 
 from .errors import ContsemError
-from .node import Node
+from .node import Node, _rebuild, rows
 from . import terms as tm
 from .terms import App, Const, Lam, Term, Var
 
@@ -49,7 +46,16 @@ class Atom(Node):
     _defaults = {"args": ()}
 
 
-Formula = Top | Bot | Not | And | Or | Exists | Atom
+class Shifted(Node):
+    """A shifted copy: `body` (no copy) with its site ids raised by `sites` and
+    each bound name y<k> moved by each (base, by) of `shifts` in turn, to
+    y<k + by> if k >= base.  Made by `reify`, written out by `expand`.  Every
+    base is above the body's free names, so a copy reads like its body up to
+    bound names and site ids."""
+    __slots__ = {"body": "Formula", "shifts": "tuple[tuple[int, int], ...]", "sites": "int"}
+
+
+Formula = Top | Bot | Not | And | Or | Exists | Atom | Shifted
 
 
 class EntConst(Node):
@@ -129,10 +135,6 @@ class NotReifiable(ContsemError):
         super().__init__(f"term is not reifiable at {where}: {reason}")
 
 
-class SignatureTooLarge(ContsemError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Environment evaluation
 
@@ -200,15 +202,19 @@ def reify(term: Term) -> Formula:
 
     Quantified variables get fresh names (y, y1, y2, ... in textual order,
     skipping constants' names) and every occurrence of the selection operator
-    gets a fresh site id, numbered left to right.  A second walk runs only
-    when a name the first chose turns out to be a constant's.  A walk is one
-    loop over a stack of visits, (sort, term, binder depth, path), and of
-    builds, (class, field, atom arity, path), which make a node of the
-    results on top or, of class NotReifiable, reject what was just read.
+    gets a fresh site id, left to right, both as `expand` writes it out: an
+    existential's Lam (all `normalize` shares) met again under the same
+    binders reads as a `Shifted` copy of its first reading, noted at its
+    build.  A second walk, which makes no copies, runs only when a name the
+    first chose turns out to be a constant's.  A walk is one loop over a
+    stack of visits, (sort, term, binder depth, path), and of builds, (class,
+    field, atom arity or note, path), which make a node of the results on top
+    or, of class NotReifiable, reject what was just read.
     """
     avoid = ()
     while True:
         names, used, fresh, sites, done = [], set(), 0, 0, []   # names: by binder depth
+        seen: dict | None = None if avoid else {}  # (id of a Lam, depth) -> first reading
         work: list = [("t", term, 0, None)]
         while work:
             sort, t, depth, path = work.pop()
@@ -228,12 +234,21 @@ def reify(term: Term) -> Formula:
                         if type(body) is not Lam or body.ty.text != binder.dom.text:
                             raise NotReifiable(tm.path_steps(path),
                                                "quantifier not applied to an entity property")
+                        # copy the first reading, or note this one
+                        note = seen is not None and ((id(body), depth), names[:depth],
+                                                     fresh, sites)
+                        if note and (first := seen.get(note[0])) and first[1][1] == note[1]:
+                            copy, (_, _, fresh0, sites0), fresh1, sites1 = first
+                            done.append(_shifted(copy, ((fresh0, fresh - fresh0),),
+                                                 sites - sites0))
+                            fresh, sites = fresh + fresh1 - fresh0, sites + sites1 - sites0
+                            continue
                         name, fresh = f"y{fresh}" if fresh else "y", fresh + 1
                         while name in avoid:
                             name, fresh = f"y{fresh}", fresh + 1
                         names[depth:] = (name,)
                         done.append(name)           # under the body, for the build
-                        work += ((Exists, None, None, path),
+                        work += ((Exists, None, note, path),
                                  (binder.cod.text, body.body, depth + 1, ((path, "arg"), "body")))
                         continue
                     if cls is ConsE:    # the entry, args[1], is read here if _entity can
@@ -278,9 +293,43 @@ def reify(term: Term) -> Formula:
             else:                                           # And, Or, Exists, ConsE, UnionE
                 right = done.pop()
                 done[-1] = sort(done[-1], right)
+                if depth:                   # an existential's note: its first reading
+                    seen[depth[0]] = (done[-1], depth, fresh, sites)
         if avoid or used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh)):
             return done[0]
         avoid = used
+
+
+# ---------------------------------------------------------------------------
+# Shifted copies
+
+def _shifted(f: Formula, shifts: tuple, sites: int) -> Formula:
+    """A shifted copy of `f`, or `f` where it reads the same; no copy of a copy."""
+    if type(f) is Shifted:
+        f, shifts, sites = f.body, f.shifts + shifts, f.sites + sites
+    return f if type(f) is Top or type(f) is Bot else Shifted(f, shifts, sites)
+
+
+def _rename(name: str, shifts: tuple) -> str:
+    k = first = int(name[1:] or 0) if shifts else 0     # y -> 0, y7 -> 7
+    for base, by in shifts:
+        k += by if k >= base else 0
+    return name if k == first else f"y{k}"
+
+
+def _open(f: Formula) -> Formula:
+    """The And, Or or Not a shifted copy stands for, its children shifted
+    copies; any other formula is itself."""
+    if type(f) is not Shifted or type(f.body) is Atom or type(f.body) is Exists:
+        return f
+    g, shifts, sites = f.body, f.shifts, f.sites
+    kids = [_shifted(get(g), shifts, sites) for _, get in _FORMS[type(g)][3]]
+    return type(g)(*kids)
+
+
+def expand(f: Formula) -> Formula:
+    """`f` with its shifted copies written out; `f` itself if it has none."""
+    return map_atoms(f, lambda g: g)
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +349,34 @@ def iter_atoms(f: Formula) -> Iterator[Atom]:
 
 
 def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
-    """The formula with each atom replaced by fn(atom), called left to right;
-    rebuilt bottom-up over an explicit stack."""
+    """The formula, copies written out, with each atom replaced by fn(atom),
+    called left to right; rebuilt bottom-up where it changes, explicit stack."""
     done: list[Formula] = []
-    work: list = [f]
+    work: list = [(f, (), 0)]           # (node, shifts, sites) of the copies it is in
     while work:
-        g = work.pop()
-        if isinstance(g, tuple):            # (class, bound name): rebuild
-            kind, var = g
+        g, shifts, sites = work.pop()
+        kind = type(g)
+        if sites is None:               # rebuild g from its children's results
             right = done.pop()
-            if kind is Exists:
-                done.append(Exists(var, right))
+            if kind is And or kind is Or:
+                left = done.pop()
+                done.append(g if not shifts and left is g.left and right is g.right
+                            else kind(left, right))
             else:
-                done.append(Not(right) if kind is Not else kind(done.pop(), right))
-        elif isinstance(g, (And, Or)):
-            work += ((type(g), None), g.right, g.left)
-        elif isinstance(g, (Not, Exists)):
-            work += ((type(g), g.var if isinstance(g, Exists) else None), g.body)
+                done.append(g if not shifts and right is g.body else Not(right)
+                            if kind is Not else Exists(_rename(g.var, shifts), right))
+        elif kind is Not or kind is Exists:
+            work += ((g, shifts, None), (g.body, shifts, sites))
+        elif kind is And or kind is Or:
+            work += ((g, shifts, None), (g.right, shifts, sites), (g.left, shifts, sites))
+        elif kind is Shifted:
+            work.append((g.body, g.shifts + shifts, g.sites + sites))
+        elif kind is Atom:          # its arguments rebuilt from their rows, moved
+            done.append(fn(g if not shifts and not sites else Atom(g.pred, tuple(_rebuild(
+                [(c, _rename(f[0], shifts)) if c is EntVar else (c, f[0], f[1] + sites)
+                 if c is SelOf else (c, *f) for c, *f in rows(a)]) for a in g.args))))
         else:
-            done.append(fn(g) if isinstance(g, Atom) else g)
+            done.append(g)
     return done[0]
 
 
@@ -334,6 +392,9 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
                 del ren[var]
             else:
                 ren[var] = shadowed
+        elif type(a) is Shifted or type(b) is Shifted:     # it reads like its body
+            stack.append((a.body if type(a) is Shifted else a,
+                          b.body if type(b) is Shifted else b))
         elif type(a) is not type(b):
             return False
         elif isinstance(a, Exists):
@@ -387,9 +448,13 @@ def simplify(f: Formula) -> Formula:
     equivalence.  Each node is rebuilt from its simplified children by the
     rules at that node; the nodes a rule builds go back on the work stack,
     so the result is a fixed point of the rule set and deep formulas do not
-    recurse.  Free variables are computed only where extraction asks.
+    recurse.  Free variables are computed only where extraction asks.  Each
+    copied body (`reify` copies existentials) is simplified once; a copy of
+    an And, Or or Not is opened where it becomes a result, so the rules see
+    copies only of existentials and atoms.  The result holds no copies.
     """
     free: dict[int, tuple[Formula, frozenset[str]]] = {}   # id -> (node, vars)
+    shared: dict[int, Formula] = {}     # id of a copied body -> its simplification
 
     def free_vars(g: Formula) -> frozenset[str]:
         todo, stack = [], [g]
@@ -397,7 +462,7 @@ def simplify(f: Formula) -> Formula:
             h = stack.pop()
             if id(h) not in free:
                 todo.append(h)
-                if isinstance(h, (Not, Exists)):
+                if isinstance(h, (Not, Exists, Shifted)):
                     stack.append(h.body)
                 elif isinstance(h, (And, Or)):
                     stack += (h.left, h.right)
@@ -408,6 +473,8 @@ def simplify(f: Formula) -> Formula:
                 names = free[id(h.body)][1]
             elif isinstance(h, Exists):
                 names = free[id(h.body)][1] - {h.var}
+            elif isinstance(h, Shifted):
+                names = free[id(h.body)][1]
             else:
                 names = _atom_vars(h) if isinstance(h, Atom) else frozenset()
             free[id(h)] = (h, names)
@@ -419,7 +486,9 @@ def simplify(f: Formula) -> Formula:
         op, arg = work.pop()
         if op is _VISIT:
             kind = type(arg)
-            if kind is Not:
+            if shared and id(arg) in shared:        # a copied body, met again
+                done.append(shared[id(arg)])
+            elif kind is Not:
                 if type(arg.body) is Not:           # double negation
                     work.append((_VISIT, arg.body.body))
                 else:
@@ -428,6 +497,8 @@ def simplify(f: Formula) -> Formula:
                 work += ((kind, None), (_VISIT, arg.right), (_VISIT, arg.left))
             elif kind is Exists:
                 work += ((Exists, arg.var), (_VISIT, arg.body))
+            elif kind is Shifted:
+                work += ((Shifted, arg), (_VISIT, arg.body))
             elif kind is Atom and any(type(a) is SelOf for a in arg.args):
                 done.append(Atom(arg.pred, tuple(
                     SelOf(env_from_entries(env_entries(a.env)), a.site_id)
@@ -435,7 +506,7 @@ def simplify(f: Formula) -> Formula:
             else:
                 done.append(arg)
         elif op is _PUSH:
-            done.append(arg)
+            done.append(_open(arg) if type(arg) is Shifted else arg)
         elif op is Not:
             body = done.pop()
             kind = type(body)
@@ -459,6 +530,9 @@ def simplify(f: Formula) -> Formula:
                          (_PUSH, body.right), (_PUSH, body.left))
             else:
                 done.append(Exists(arg, body))
+        elif op is Shifted:
+            shared[id(arg.body)] = done[-1]
+            done[-1] = _open(_shifted(done[-1], arg.shifts, arg.sites))
         else:                                       # And or Or
             right = done.pop()
             left = done.pop()
@@ -471,173 +545,25 @@ def simplify(f: Formula) -> Formula:
             elif kind is zero or type(right) is zero:
                 done.append(zero())
             elif (op is And and kind is type(right) and (kind is And or kind is Or)
-                  and alpha_eq(left.right, right.right)):
+                  and (left.right is right.right or alpha_eq(left.right, right.right))):
                 # (A op K) and (B op K) == (A and B) op K when the two tails
                 # agree up to bound renaming and selection site ids.
                 work += ((kind, None), (_PUSH, left.right), (And, None),
                          (_PUSH, right.left), (_PUSH, left.left))
             else:
                 done.append(op(left, right))
-    return done[0]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force equivalence oracle
-
-_EXHAUSTIVE_MAX_ARITY = 2
-_EXHAUSTIVE_MAX_ATOMS = 6
-_EXHAUSTIVE_MAX_INTERPS = 4_000_000
-
-
-def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
-                    method: str = "auto", samples: int = 10_000,
-                    seed: int = 0) -> bool:
-    """True iff no interpretation over a domain of the given size separates
-    the two formulas.
-
-    Selection sites are frozen to entity constants first; sites whose
-    environments evaluate to the same referent sequence share a constant.
-    All interpretations are enumerated when every predicate has arity <= 2
-    and the formulas mention at most 6 distinct atoms (and the model space is
-    small enough to walk); otherwise `samples` random interpretations are
-    checked.  method='exhaustive' insists on enumeration and raises
-    SignatureTooLarge beyond those bounds; method='sampled' always samples.
-    """
-    if not 1 <= domain_size <= 4:
-        raise ContsemError("domain_size must be between 1 and 4")
-    if method not in ("auto", "exhaustive", "sampled"):
-        raise ContsemError(f"unknown method {method!r}")
-
-    frozen: dict[tuple, str] = {}
-    f1 = _freeze_sels(f1, frozen)
-    f2 = _freeze_sels(f2, frozen)
-
-    preds: dict[str, int] = {}
-    consts: set[str] = set()
-    atoms: set[tuple] = set()
-    for f in (f1, f2):
-        _signature(f, preds, consts, atoms)
-    const_names = sorted(consts)
-    pred_names = sorted(preds)
-
-    n = domain_size
-    cells = [n ** preds[p] for p in pred_names]
-    total = float(n) ** len(const_names)
-    for c in cells:
-        total *= float(2) ** c
-
-    within_bounds = (
-        all(preds[p] <= _EXHAUSTIVE_MAX_ARITY for p in pred_names)
-        and len(atoms) <= _EXHAUSTIVE_MAX_ATOMS
-        and total <= _EXHAUSTIVE_MAX_INTERPS
-    )
-    if method == "exhaustive" and not within_bounds:
-        raise SignatureTooLarge(
-            f"{len(atoms)} atoms, max arity "
-            f"{max((preds[p] for p in pred_names), default=0)}, "
-            f"{total:.3g} interpretations"
-        )
-    exhaustive = within_bounds if method == "auto" else method == "exhaustive"
-
-    const_index = {c: i for i, c in enumerate(const_names)}
-    pred_index = {p: i for i, p in enumerate(pred_names)}
-    eval1 = _compile(f1, const_index, pred_index, preds, {}, n)
-    eval2 = _compile(f2, const_index, pred_index, preds, {}, n)
-
-    if exhaustive:
-        factors = [range(n)] * len(const_names) + [range(2 ** c) for c in cells]
-        split = len(const_names)
-        for point in itertools.product(*factors):
-            cvals, masks = point[:split], point[split:]
-            if eval1(cvals, masks, ()) != eval2(cvals, masks, ()):
-                return False
-        return True
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        cvals = tuple(rng.randrange(n) for _ in const_names)
-        masks = tuple(rng.randrange(2 ** c) for c in cells)
-        if eval1(cvals, masks, ()) != eval2(cvals, masks, ()):
-            return False
-    return True
-
-
-def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
-    def ent(a):
-        if isinstance(a, SelOf):
-            key = env_entries(a.env)
-            if key not in frozen:
-                frozen[key] = f"_sel{len(frozen)}"
-            return EntConst(frozen[key])
-        return a
-
-    return map_atoms(f, lambda g: Atom(g.pred, tuple(ent(a) for a in g.args)))
-
-
-def _signature(f, preds, consts, atoms):
-    for g in iter_atoms(f):
-        arity = len(g.args)
-        if preds.setdefault(g.pred, arity) != arity:
-            raise ContsemError(f"predicate {g.pred!r} used at inconsistent arities")
-        atoms.add((g.pred, g.args))
-        for a in g.args:
-            if isinstance(a, EntConst):
-                consts.add(a.name)
-
-
-def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
-    """Compile a formula into a closure over (const values, pred masks, var
-    values).  Predicate tables are bitmasks over domain tuples."""
-    if isinstance(f, Top):
-        return lambda C, M, V: True
-    if isinstance(f, Bot):
-        return lambda C, M, V: False
-    if isinstance(f, Not):
-        body = _compile(f.body, const_index, pred_index, preds, venv, n)
-        return lambda C, M, V: not body(C, M, V)
-    if isinstance(f, And):
-        left = _compile(f.left, const_index, pred_index, preds, venv, n)
-        right = _compile(f.right, const_index, pred_index, preds, venv, n)
-        return lambda C, M, V: left(C, M, V) and right(C, M, V)
-    if isinstance(f, Or):
-        left = _compile(f.left, const_index, pred_index, preds, venv, n)
-        right = _compile(f.right, const_index, pred_index, preds, venv, n)
-        return lambda C, M, V: left(C, M, V) or right(C, M, V)
-    if isinstance(f, Exists):
-        inner = dict(venv)
-        inner[f.var] = len(venv)
-        body = _compile(f.body, const_index, pred_index, preds, inner, n)
-        return lambda C, M, V: any(body(C, M, V + (d,)) for d in range(n))
-    pi = pred_index[f.pred]
-    arg_fns = []
-    for a in f.args:
-        if isinstance(a, EntConst):
-            ci = const_index[a.name]
-            arg_fns.append(lambda C, V, ci=ci: C[ci])
-        elif isinstance(a, EntVar):
-            if a.name not in venv:
-                raise ContsemError(f"free entity variable {a.name!r}")
-            slot = venv[a.name]
-            arg_fns.append(lambda C, V, slot=slot: V[slot])
-
-    def atom(C, M, V):
-        idx = 0
-        for g in reversed(arg_fns):
-            idx = idx * n + g(C, V)
-        return bool((M[pi] >> idx) & 1)
-
-    return atom
+    return expand(done[0]) if shared else done[0]
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 
 def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
-    """Concrete rendering of a formula, entity term or environment: `~`,
-    `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass over an explicit
-    stack, so depth is not limited by Python's recursion limit."""
+    """Concrete rendering of a formula (its copies written out), entity term
+    or environment: `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass
+    over an explicit stack, so depth is not limited by the recursion limit."""
     out: list[str] = []
-    stack: list = [x]       # pending text, or a node
+    stack: list = [expand(x) if type(x) is Shifted else x]  # pending text, or a node
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -651,7 +577,8 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
                     stack.append(piece if type(piece) is str else piece(node))
                     continue
                 get, parens, open_ = piece
-                child = get(node)
+                if type(child := get(node)) is Shifted:
+                    child = expand(child)
                 if type(child) is tuple:            # an atom's arguments
                     for a in reversed(child):
                         stack += (")", a, "(") if type(a) is SelOf else (a, " ")
@@ -671,14 +598,17 @@ def _right_open(f: Formula) -> bool:
 
 
 def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
-    """Structured rendering of a formula, entity term or environment, with
-    explicit node tags and selection site ids.  Built over explicit stacks:
-    a child's dict is made empty under its key when the parent is filled,
-    and gets its own keys, in table order, when its node is taken."""
+    """Structured rendering of a formula (its copies written out), entity
+    term or environment, with explicit node tags and selection site ids.
+    Built over explicit stacks: a child's dict is made empty under its key
+    when the parent is filled, and gets its own keys, in table order, when
+    its node is taken."""
     root: dict = {}
     nodes, docs = [x], [root]       # each pending node, and the dict it fills
     while nodes:
         node, doc = nodes.pop(), docs.pop()
+        if type(node) is Shifted:
+            node = expand(node)
         tag_key, tag, scalars, children, _ = _FORMS[type(node)]
         doc[tag_key] = tag
         for key, get in scalars:

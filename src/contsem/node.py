@@ -7,11 +7,11 @@ class has other slots, and `_defaults` gives fields defaults.  `Node`
 generates `__init__` unless the class defines its own.  Instances are equal
 when of the same class with equal fields, hashed by their classes and fields
 and shown as `Class(field=value, ...)` (`Class(value, ...)` if not
-`_keywords`); pickle reads a flat form that keeps shared subterms shared,
-and a copy is the value itself.  All four walk an explicit stack, so at any
-depth.  Assigning or deleting an attribute raises AttributeError; the
-generated `__init__` stores through the slots' descriptors and a class's own
-`__init__` through `object.__setattr__`.
+`_keywords`); `rows` is a flat form, keeping shared subterms shared, that
+hashing reads once per distinct node and pickle reads back; a copy is the
+value itself.  All four walk an explicit stack, so at any depth.  Assigning
+or deleting an attribute raises AttributeError; the generated `__init__`
+stores through the slots' descriptors, a class's own via `object.__setattr__`.
 """
 from __future__ import annotations
 
@@ -49,16 +49,16 @@ class Node:
         return True
 
     def __hash__(self):
-        parts, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            parts.append(node.__class__)
-            for x in node._values():
-                if isinstance(x, Node):
-                    stack.append(x)
-                else:
-                    parts.append(x)
-        return hash(tuple(parts))
+        values = self._values()
+        for x in values:
+            if isinstance(x, Node):
+                break
+        else:                       # no node fields: hashed at once
+            return hash((self.__class__, *values))
+        hashes: list[int] = []      # by row
+        for cls, *fields in rows(self):
+            hashes.append(hash((cls, *[hashes[x[0]] if type(x) is list else x for x in fields])))
+        return hashes[-1]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,22 +83,26 @@ class Node:
     __copy__ = __deepcopy__ = lambda self, memo=None: self    # immutable: itself
 
     def __reduce__(self):
-        """Rows (class, *fields) in postorder, one per distinct node, a node field
-        as [its row] (no field is a list): nothing deep, and sharing is kept."""
-        rows, row_of, stack = [], {}, [self]
-        while stack:
-            node = stack[-1]
-            kids = [x for x in node._values() if isinstance(x, Node) and id(x) not in row_of]
-            stack += kids
-            if not kids and id(stack.pop()) not in row_of:
-                row_of[id(node)] = len(rows)
-                rows.append((type(node), *[[row_of[id(x)]] if isinstance(x, Node) else x
-                                           for x in node._values()]))
-        return _rebuild, (rows,)
+        return _rebuild, (rows(self),)
+
+
+def rows(node: Node) -> list[tuple]:
+    """Rows (class, *fields) in postorder, one per distinct node, a node field
+    as [its row] (no field is a list): nothing deep, and sharing is kept."""
+    out, row_of, stack = [], {}, [node]
+    while stack:
+        node = stack[-1]
+        kids = [x for x in node._values() if isinstance(x, Node) and id(x) not in row_of]
+        stack += kids
+        if not kids and id(stack.pop()) not in row_of:
+            row_of[id(node)] = len(out)
+            out.append((type(node), *[[row_of[id(x)]] if isinstance(x, Node) else x
+                                      for x in node._values()]))
+    return out
 
 
 def _rebuild(rows: list) -> Node:
-    """The node `Node.__reduce__` wrote as rows."""
+    """The node `rows` wrote."""
     built = []
     for cls, *fields in rows:
         built.append(cls(*[built[x[0]] if type(x) is list else x for x in fields]))

@@ -14,7 +14,9 @@ their entity and environment helpers) for `logic.formula_text` and
 `alpha_eq` for `logic.simplify` and `logic.alpha_eq`, and
 `recursive_reify` (three mutually recursive readers) and
 `recursive_typecheck` for `logic.reify` and `terms.typecheck`, with their
-random inputs `random_reify_term` and `random_typecheck_case`, and
+random inputs `random_reify_term` and `random_typecheck_case`,
+`tree_reify` and `tree_simplify` (which walk a shared normal form as a
+tree) for `logic.reify` and `logic.simplify` after `logic.expand`, and
 `substitution_compose`, which substitutes into each connective's whole
 template with `subst_consts`, for `discourse.compose`, the staged walks
 `staged_build_sentence` (`_check_sentence`, then applying the entries or
@@ -42,9 +44,9 @@ from contsem.discourse import (
 )
 from contsem.lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type
 from contsem.logic import (
-    And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar, EnvExpr, Exists,
-    Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE, env_entries,
-    env_from_entries,
+    _NOT_A, _READINGS, And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar,
+    EnvExpr, Exists, Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE,
+    _atom_vars, alpha_eq, env_entries, env_from_entries,
 )
 from contsem.syntax import (
     _APP, _APPLY, _ATOM, _COMBINATORS, _CONJ, _CONS, _DISJ, _LAM, _NEG, _OPS,
@@ -1668,3 +1670,223 @@ def formula_preorder(f: Formula) -> list:
         else:
             out.append(g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking reify and simplify references
+
+def _tree_entity(t: Term, names: list[str], depth: int, used: set[str]) -> EntityTerm | None:
+    """A bound variable's or an entity constant's reading; None for other terms."""
+    if type(t) is Var:
+        return EntVar(names[depth - 1 - t.index]) if 0 <= t.index < depth else None
+    if type(t) is Const and t.ty.text == "e" and t.name not in _READINGS:
+        used.add(t.name)
+        return EntConst(t.name)
+    return None
+
+
+def tree_reify(term: Term) -> Formula:
+    """`logic.reify` as it was before it read a shared Lam once per binder
+    context: the normal form's DAG is walked as a tree.  Kept, unchanged, as
+    the reference reify must match after `expand`.
+
+    Read a closed beta-normal term of type t as a Formula.
+
+    Quantified variables get fresh names (y, y1, y2, ... in textual order,
+    skipping constants' names) and every occurrence of the selection operator
+    gets a fresh site id, numbered left to right.  A second walk runs only
+    when a name the first chose turns out to be a constant's.  A walk is one
+    loop over a stack of visits, (sort, term, binder depth, path), and of
+    builds, (class, field, atom arity, path), which make a node of the
+    results on top or, of class NotReifiable, reject what was just read.
+    """
+    avoid = ()
+    while True:
+        names, used, fresh, sites, done = [], set(), 0, 0, []   # names: by binder depth
+        work: list = [("t", term, 0, None)]
+        while work:
+            sort, t, depth, path = work.pop()
+            if type(sort) is str:
+                head, args = t, []
+                while type(head) is App:
+                    args.append(head.arg)
+                    head = head.fn
+                reading = _READINGS.get(head.name) if type(head) is Const else None
+                if reading:
+                    builtin, cls, result, sorts = reading
+                    if (head is not builtin and head != builtin or result != sort
+                            or len(args) != len(sorts)):
+                        raise NotReifiable(tm.path_steps(path), _NOT_A[sort])
+                    if cls is Exists:
+                        (body,), binder = args, builtin.ty.dom
+                        if type(body) is not Lam or body.ty.text != binder.dom.text:
+                            raise NotReifiable(tm.path_steps(path),
+                                               "quantifier not applied to an entity property")
+                        name, fresh = f"y{fresh}" if fresh else "y", fresh + 1
+                        while name in avoid:
+                            name, fresh = f"y{fresh}", fresh + 1
+                        names[depth:] = (name,)
+                        done.append(name)           # under the body, for the build
+                        work += ((Exists, None, None, path),
+                                 (binder.cod.text, body.body, depth + 1, ((path, "arg"), "body")))
+                        continue
+                    if cls is ConsE:    # the entry, args[1], is read here if _entity can
+                        if read := _tree_entity(args[1], names, depth, used):
+                            done.append(read)       # under the tail, for the build
+                            work += ((ConsE, None, None, path),
+                                     (sorts[0], args[0], depth, (path, "arg")))
+                        else:   # any other is rejected, by its visit or as a selection
+                            reason = "selection result used as an environment entry"
+                            work += ((NotReifiable, reason, None, path),
+                                     (sorts[1], args[1], depth, ((path, "fn"), "arg")))
+                        continue
+                    if not args:
+                        done.append(cls())
+                        continue
+                    while cls is Not and type(args[0]) is App and args[0].fn is tm.NOT:
+                        work.append((Not, None, None, None))    # a run of negations
+                        args, path = [args[0].arg], (path, "arg")
+                    work.append((cls, sites, None, path))      # a selection's site id
+                    sites += cls is SelOf
+                elif type(head) is Const and sort == "t":   # an atom: arguments, then head type
+                    work.append((Atom, head, len(args), path))
+                    sorts = ("e",) * len(args)
+                elif sort == "e" and not args and (read := _tree_entity(head, names, depth, used)):
+                    done.append(read)
+                    continue
+                else:
+                    raise NotReifiable(tm.path_steps(path), (
+                        "entity variable escapes its quantifier"
+                        if sort == "e" and not args and type(head) is Var else _NOT_A[sort]))
+                for arg, arg_sort in zip(args, sorts):      # the last argument first
+                    work.append((arg_sort, arg, depth, (path, "arg")))
+                    path = (path, "fn")
+            elif sort is Not or sort is SelOf:
+                done[-1] = Not(done[-1]) if sort is Not else SelOf(done[-1], t)
+            elif sort is Atom and t.ty.text == "e>" * depth + "t":  # an `e` per argument
+                used.add(t.name)
+                k = len(done) - depth
+                done[k:] = [Atom(t.name, tuple(done[k:]))]
+            elif sort is Atom or sort is NotReifiable:
+                raise NotReifiable(tm.path_steps(path), _NOT_A["t"] if sort is Atom else t)
+            else:                                           # And, Or, Exists, ConsE, UnionE
+                right = done.pop()
+                done[-1] = sort(done[-1], right)
+        if avoid or used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh)):
+            return done[0]
+        avoid = used
+
+
+# `tree_simplify`'s work-stack instructions, besides the connective classes
+# that rebuild a node from simplified operands: visit an input node, push a result.
+_VISIT, _PUSH = object(), object()
+
+
+def tree_simplify(f: Formula) -> Formula:
+    """`logic.simplify` as it was before it kept shifted copies: a plain
+    formula walked as a tree.  Kept, unchanged, as the reference simplify
+    must match after `expand`.
+
+    Apply the cleanup rewrites in one bottom-up pass.
+
+    Rules: connective unit laws (including ~top / ~bot), double negation,
+    De Morgan on negated conjunctions/disjunctions (negation is never pushed
+    through a quantifier), extraction of quantifier-free conjuncts and
+    disjuncts out of an existential's scope, fusion of a shared continuation
+    tail (A op K) and (B op K) into (A and B) op K, and evaluation of union
+    environments under selection sites.  Every rule preserves logical
+    equivalence.  Each node is rebuilt from its simplified children by the
+    rules at that node; the nodes a rule builds go back on the work stack,
+    so the result is a fixed point of the rule set and deep formulas do not
+    recurse.  Free variables are computed only where extraction asks.
+    """
+    free: dict[int, tuple[Formula, frozenset[str]]] = {}   # id -> (node, vars)
+
+    def free_vars(g: Formula) -> frozenset[str]:
+        todo, stack = [], [g]
+        while stack:                        # nodes not yet known, parents first
+            h = stack.pop()
+            if id(h) not in free:
+                todo.append(h)
+                if isinstance(h, (Not, Exists)):
+                    stack.append(h.body)
+                elif isinstance(h, (And, Or)):
+                    stack += (h.left, h.right)
+        for h in reversed(todo):
+            if isinstance(h, (And, Or)):
+                names = free[id(h.left)][1] | free[id(h.right)][1]
+            elif isinstance(h, Not):
+                names = free[id(h.body)][1]
+            elif isinstance(h, Exists):
+                names = free[id(h.body)][1] - {h.var}
+            else:
+                names = _atom_vars(h) if isinstance(h, Atom) else frozenset()
+            free[id(h)] = (h, names)
+        return free[id(g)][1]
+
+    done: list[Formula] = []
+    work: list = [(_VISIT, f)]
+    while work:
+        op, arg = work.pop()
+        if op is _VISIT:
+            kind = type(arg)
+            if kind is Not:
+                if type(arg.body) is Not:           # double negation
+                    work.append((_VISIT, arg.body.body))
+                else:
+                    work += ((Not, None), (_VISIT, arg.body))
+            elif kind is And or kind is Or:
+                work += ((kind, None), (_VISIT, arg.right), (_VISIT, arg.left))
+            elif kind is Exists:
+                work += ((Exists, arg.var), (_VISIT, arg.body))
+            elif kind is Atom and any(type(a) is SelOf for a in arg.args):
+                done.append(Atom(arg.pred, tuple(
+                    SelOf(env_from_entries(env_entries(a.env)), a.site_id)
+                    if type(a) is SelOf else a for a in arg.args)))
+            else:
+                done.append(arg)
+        elif op is _PUSH:
+            done.append(arg)
+        elif op is Not:
+            body = done.pop()
+            kind = type(body)
+            if kind is And or kind is Or:           # De Morgan
+                work += ((Or if kind is And else And, None),
+                         (Not, None), (_PUSH, body.right),
+                         (Not, None), (_PUSH, body.left))
+            else:
+                done.append(Bot() if kind is Top else Top() if kind is Bot
+                            else body.body if kind is Not else Not(body))
+        elif op is Exists:
+            body = done.pop()
+            kind = type(body)
+            if kind is not And and kind is not Or:
+                done.append(Exists(arg, body))
+            elif arg not in free_vars(body.right):
+                work += ((kind, None), (_PUSH, body.right),
+                         (Exists, arg), (_PUSH, body.left))
+            elif arg not in free_vars(body.left):
+                work += ((kind, None), (Exists, arg),
+                         (_PUSH, body.right), (_PUSH, body.left))
+            else:
+                done.append(Exists(arg, body))
+        else:                                       # And or Or
+            right = done.pop()
+            left = done.pop()
+            unit, zero = (Top, Bot) if op is And else (Bot, Top)
+            kind = type(left)
+            if kind is unit:
+                done.append(right)
+            elif type(right) is unit:
+                done.append(left)
+            elif kind is zero or type(right) is zero:
+                done.append(zero())
+            elif (op is And and kind is type(right) and (kind is And or kind is Or)
+                  and alpha_eq(left.right, right.right)):
+                # (A op K) and (B op K) == (A and B) op K when the two tails
+                # agree up to bound renaming and selection site ids.
+                work += ((kind, None), (_PUSH, left.right), (And, None),
+                         (_PUSH, right.left), (_PUSH, left.left))
+            else:
+                done.append(op(left, right))
+    return done[0]

@@ -11,8 +11,9 @@ from contsem.discourse import (
 from contsem.lexicon import CATEGORY_TYPES, Profile, default_lexicon
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf,
-    alpha_eq as formula_alpha_eq, logically_equiv, reify, simplify,
+    alpha_eq as formula_alpha_eq, reify, simplify,
 )
+from contsem.oracle import logically_equiv
 from contsem.resolver import report
 from contsem.syntax import parse_term
 from contsem.terms import (

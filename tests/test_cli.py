@@ -114,6 +114,16 @@ def test_json_output_schema(capsys):
     assert doc["resolved_formula"] is None
 
 
+def test_json_mode_builds_no_text_lines(monkeypatch, capsys):
+    """JSON output needs neither the reports' nor the trace's text lines."""
+    for name in ("report_line", "_trace_lines"):
+        monkeypatch.setattr(cli, name, lambda *_: pytest.fail("a text line was built"))
+    for sample in sorted(SAMPLES.glob("*.dsc")):
+        argv = ["run", str(sample), "--format", "json", "--resolve", "recency", "--trace"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{sample.stem}.json").read_text()
+
+
 def test_trace_lines_appear(capsys):
     main(["run", str(SAMPLES / "loves_woman.dsc"), "--trace"])
     out = capsys.readouterr().out
@@ -468,13 +478,18 @@ options:
   --symbolic            shorthand for --mode symbolic-expand
   --resolve {symbolic,recency}
   --raw, --no-raw       print the unsimplified formula (default on)
-  --trace               print the reduction sequence
+  --trace               print the whole term at every reduction step; meant
+                        for small inputs
   --max-steps N         fail after N beta contractions, each a closure
                         application (--trace: a normal-order step); default
                         100000
   --format {text,json}
   --connective {and,or}
                         initial connective for profile B (default: and)
+
+In profile B the normal form and the raw formula (`normal:`, `raw:`; JSON
+`normal_form`, `raw_formula`) grow exponentially with the number of
+indefinites; the simplified formula does not.
 """
 if sys.version_info < (3, 11):      # argparse added the default itself then
     _RUN_HELP = _RUN_HELP.replace(

@@ -15,7 +15,8 @@ from contsem.discourse import (
 )
 from contsem import lexicon
 from contsem.lexicon import Category, Lexicon, Profile, UnknownWord, default_lexicon
-from contsem.logic import formula_text, logically_equiv
+from contsem.logic import formula_text
+from contsem.oracle import logically_equiv
 from contsem.resolver import report
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (

@@ -8,10 +8,10 @@ from contsem.errors import ContsemError
 from contsem.lexicon import default_lexicon
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, NotReifiable,
-    Or, SelOf, SignatureTooLarge, Top, UnionE,
-    alpha_eq, env_entries, formula_json, formula_text, logically_equiv,
-    reify, simplify,
+    Or, SelOf, Shifted, Top, UnionE,
+    alpha_eq, env_entries, expand, formula_json, formula_text, reify, simplify,
 )
+from contsem.oracle import SignatureTooLarge, logically_equiv
 from contsem.resolver import EmptyEnvironment, resolve
 from contsem.syntax import parse_type
 from contsem.terms import (
@@ -133,8 +133,12 @@ def test_reify_rejects_a_builtin_name_at_another_type(term):
 
 
 def test_reify_names_sibling_quantifiers_apart():
+    """The quantifier is one subterm read twice: the second reading is a
+    copy of the first, its bound name shifted by one."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
-    assert reify(app(AND, some_car, App(NOT, some_car))) == And(
+    f = reify(app(AND, some_car, App(NOT, some_car)))
+    assert f.right.body == Shifted(f.left, ((0, 1),), 0)
+    assert expand(f) == And(
         Exists("y", Atom("car", (Y,))), Not(Exists("y1", Atom("car", (EntVar("y1"),)))))
 
 
