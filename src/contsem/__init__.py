@@ -15,9 +15,8 @@ from .syntax import parse_term, parse_type, pretty
 from .logic import (
     Formula, Top, Bot, Not, And, Or, Exists, Atom, Shifted,
     EntConst, EntVar, SelOf, NilE, ConsE, UnionE,
-    expand, formula_json, formula_text, reify, simplify,
+    expand, formula_json, formula_text, logically_equiv, reify, simplify,
 )
-from .oracle import logically_equiv
 from .lexicon import (
     Category, LexEntry, Lexicon, Profile,
     default_lexicon, load_word_file, make_entry, negation_variant,

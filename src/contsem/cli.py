@@ -26,7 +26,7 @@ from .discourse import (
     run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import formula_json, formula_text
+from .logic import expand, formula_json, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, trace, typecheck
@@ -164,14 +164,14 @@ def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     recency = not symbolic and ns.resolve_strategy == "recency"
     resolved = resolve(simplified, "recency") if recency else None
     if json_out:
-        def formula_doc(f):
+        def formula_doc(f):     # profile B's raw copies are written out once, for both
             return None if f is None else {"text": formula_text(f), "tree": formula_json(f)}
 
         print(_json_text({
             "profile": profile.value,
             "composed_term": composed_text,
             "normal_form": normal_text,
-            "raw_formula": formula_doc(raw),
+            "raw_formula": formula_doc(expand(raw) if profile == Profile.B else raw),
             "simplified_formula": formula_doc(simplified),
             "access_reports": [{"site": r.site_id,
                                 "env": formula_json(r.env),

@@ -47,11 +47,10 @@ class Atom(Node):
 
 
 class Shifted(Node):
-    """A shifted copy: `body` (no copy) with its site ids raised by `sites` and
-    each bound name y<k> moved by each (base, by) of `shifts` in turn, to
-    y<k + by> if k >= base.  Made by `reify`, written out by `expand`.  Every
-    base is above the body's free names, so a copy reads like its body up to
-    bound names and site ids."""
+    """A shifted copy, made by `reify`, written out by `expand`: `body` (no copy)
+    with site ids raised by `sites`, each bound name y<k> moved by each (base,
+    by) of `shifts` in turn to y<k + by> if k >= base.  Every base is above the
+    body's free names: a copy reads like its body but for bound names and ids."""
     __slots__ = {"body": "Formula", "shifts": "tuple[tuple[int, int], ...]", "sites": "int"}
 
 
@@ -318,8 +317,7 @@ def _rename(name: str, shifts: tuple) -> str:
 
 
 def _open(f: Formula) -> Formula:
-    """The And, Or or Not a shifted copy stands for, its children shifted
-    copies; any other formula is itself."""
+    """The And, Or or Not a copy stands for, with copies as children; else `f`."""
     if type(f) is not Shifted or type(f.body) is Atom or type(f.body) is Exists:
         return f
     g, shifts, sites = f.body, f.shifts, f.sites
@@ -336,7 +334,7 @@ def expand(f: Formula) -> Formula:
 # Formula utilities
 
 def iter_atoms(f: Formula) -> Iterator[Atom]:
-    """The atoms of a formula, left to right."""
+    """The atoms of a formula, its copies written out, left to right."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -346,6 +344,8 @@ def iter_atoms(f: Formula) -> Iterator[Atom]:
             stack += (g.right, g.left)
         elif isinstance(g, Atom):
             yield g
+        elif isinstance(g, Shifted):    # the atoms of the written-out copy
+            stack.append(expand(g))
 
 
 def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
@@ -469,12 +469,10 @@ def simplify(f: Formula) -> Formula:
         for h in reversed(todo):
             if isinstance(h, (And, Or)):
                 names = free[id(h.left)][1] | free[id(h.right)][1]
-            elif isinstance(h, Not):
+            elif isinstance(h, (Not, Shifted)):     # a copy: its body's, see Shifted
                 names = free[id(h.body)][1]
             elif isinstance(h, Exists):
                 names = free[id(h.body)][1] - {h.var}
-            elif isinstance(h, Shifted):
-                names = free[id(h.body)][1]
             else:
                 names = _atom_vars(h) if isinstance(h, Atom) else frozenset()
             free[id(h)] = (h, names)
@@ -563,7 +561,7 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
     or environment: `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass
     over an explicit stack, so depth is not limited by the recursion limit."""
     out: list[str] = []
-    stack: list = [expand(x) if type(x) is Shifted else x]  # pending text, or a node
+    stack: list = [x]       # pending text, or a node
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -571,14 +569,15 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
             out.append(node)
         elif kind is EntConst or kind is EntVar:    # leaves: their one piece
             out.append(node.name)
+        elif kind is Shifted:           # a copy: the formula written out instead
+            return formula_text(expand(x))
         else:
             for piece in _FORMS[kind][4]:
                 if type(piece) is not tuple:        # literal text, or a scalar's
                     stack.append(piece if type(piece) is str else piece(node))
                     continue
                 get, parens, open_ = piece
-                if type(child := get(node)) is Shifted:
-                    child = expand(child)
+                child = get(node)
                 if type(child) is tuple:            # an atom's arguments
                     for a in reversed(child):
                         stack += (")", a, "(") if type(a) is SelOf else (a, " ")
@@ -607,8 +606,8 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
     nodes, docs = [x], [root]       # each pending node, and the dict it fills
     while nodes:
         node, doc = nodes.pop(), docs.pop()
-        if type(node) is Shifted:
-            node = expand(node)
+        if type(node) is Shifted:       # a copy: the formula written out instead
+            return formula_json(expand(x))
         tag_key, tag, scalars, children, _ = _FORMS[type(node)]
         doc[tag_key] = tag
         for key, get in scalars:
@@ -624,3 +623,7 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
                 nodes.append(child)
                 docs.append(sub)
     return root
+
+
+# The model checker, still importable from here; `oracle` imports this module.
+from .oracle import SignatureTooLarge, logically_equiv  # noqa: E402,F401

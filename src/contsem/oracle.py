@@ -7,10 +7,8 @@ import random
 from collections.abc import Callable
 
 from .errors import ContsemError
-from .logic import (
-    And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or, SelOf, Top,
-    env_entries, iter_atoms, map_atoms,
-)
+from .logic import (And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or, SelOf,
+                    Top, env_entries, iter_atoms, map_atoms)
 
 
 class SignatureTooLarge(ContsemError):

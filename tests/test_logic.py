@@ -395,6 +395,12 @@ def test_formula_alpha_eq_on_deep_chains():
 # ---------------------------------------------------------------------------
 # logically_equiv
 
+def test_the_model_checker_is_importable_from_logic_and_oracle():
+    from contsem import logic
+    assert logic.logically_equiv is logically_equiv
+    assert logic.SignatureTooLarge is SignatureTooLarge
+
+
 def test_double_negation_equiv():
     for n in (1, 2, 3):
         assert logically_equiv(P, Not(Not(P)), n)

@@ -21,6 +21,7 @@ from contsem.logic import (
     reify, simplify,
 )
 from contsem.node import Node
+from contsem.resolver import report
 from contsem.terms import AND, EXISTS, NOT, OR, App, Const, E, Lam, T, Var, app, arrow
 
 from gen import (
@@ -57,8 +58,12 @@ def _copies(f) -> int:
 
 
 def _check_against_trees(normal):
+    """Reify's and simplify's results, written out, against the tree walks;
+    the printers and `report` also read the raw formula's copies as written
+    out."""
     raw, ref_raw = reify(normal), tree_reify(normal)
-    assert _written(expand(raw)) == _written(ref_raw)
+    assert _written(expand(raw)) == _written(ref_raw) == _written(raw)
+    assert report(raw) == report(ref_raw)
     assert _written(expand(simplify(raw))) == _written(tree_simplify(ref_raw))
     return raw
 
@@ -93,7 +98,8 @@ def test_flat_b_matches_the_tree_walks_with_one_copy_per_revisited_lam():
 
 def _outcome(reader, term):
     try:
-        return _written(expand(reader(term)))
+        f = reader(term)
+        return _written(f), _written(expand(f)), report(f)
     except NotReifiable as exc:
         return str(exc), exc.position
 
@@ -110,7 +116,7 @@ def test_rejections_and_second_walks_match_the_tree_walk():
         pairs.append(app(AND, some, App(NOT, some)))
     outcomes = [_outcome(reify, t) for t in pairs]
     assert outcomes == [_outcome(tree_reify, t) for t in pairs]
-    copies = [_copies(reify(t)) for t, o in zip(pairs, outcomes) if type(o[1]) is dict]
+    copies = [_copies(reify(t)) for t, o in zip(pairs, outcomes) if type(o[0]) is tuple]
     assert len(pairs) - len(copies) > 500                       # rejected
     assert len(copies) - copies.count(0) > 400 and copies.count(0) > 5
 
@@ -122,6 +128,16 @@ def test_a_constant_named_like_a_bound_variable_reads_without_copies():
     f = reify(t)
     assert _copies(f) == 0 and f == tree_reify(t)
     assert formula_text(f) == "(Ex y2. car y2) & (~ Ex y3. car y3) & y y1"
+
+
+def test_printers_read_a_copy_as_its_written_out_text():
+    """A copy ending a left operand's right spine keeps the parentheses that
+    close the existential's scope, as the written-out tree does."""
+    some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
+    p_c = App(Const("p", arrow(E, T)), Const("c", E))
+    raw = _check_against_trees(app(AND, some_car, app(AND, App(NOT, some_car), p_c)))
+    assert _copies(raw) == 1
+    assert formula_text(raw) == "(Ex y. car y) & (~ Ex y1. car y1) & p c"
 
 
 def test_copies_follow_identity_and_binders_not_equality():
