@@ -15,7 +15,7 @@ from .syntax import parse_term, parse_type, pretty
 from .logic import (
     Formula, Top, Bot, Not, And, Or, Exists, Atom, Shifted,
     EntConst, EntVar, SelOf, NilE, ConsE, UnionE,
-    expand, formula_json, formula_text, logically_equiv, reify, simplify,
+    expand, formula_json, formula_text, reify, simplify,
 )
 from .lexicon import (
     Category, LexEntry, Lexicon, Profile,
@@ -30,3 +30,11 @@ from .discourse import (
 from .resolver import AccessReport, eval_env, report, report_line, resolve
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The model checker, loaded on first use: no run of the CLI needs it."""
+    if name in ("SignatureTooLarge", "logically_equiv"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

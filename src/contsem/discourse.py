@@ -19,7 +19,8 @@ from .errors import ContsemError
 from .node import Node
 from . import terms as tm
 from .logic import Formula, expand, reify, simplify
-from .lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type, default_lexicon
+from .lexicon import CATEGORY_TYPES, TYPE_NAMES, Category, Lexicon, Profile, content_type
+from .lexicon import default_lexicon
 from .syntax import parse_term
 from .terms import App, Const, Lam, Term, Var, app, normalize, typecheck
 
@@ -189,10 +190,10 @@ def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
 # ---------------------------------------------------------------------------
 # Composition
 
-_SEQ_A = r"\e:g. \phi:{PHI}. LHS_ e (\e':g. RHS_ e' phi)"
+_SEQ_A = r"\e:g. \phi:phi. LHS_ e (\e':g. RHS_ e' phi)"
 # Profiles B and C: the right unit's leading arguments are filled in per node.
-_CONNECTIVE = (r"\c:{K}. \e1:g. \e2:g. \phi:{PHI}."
-               r" LHS_ c e1 e2 (\c':{K}. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
+_CONNECTIVE = (r"\c:k. \e1:g. \e2:g. \phi:phi."
+               r" LHS_ c e1 e2 (\c':k. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
 
 # Discourse node -> (its name in diagnostics, the profiles that have it, the
 # right unit's arguments before phi in the connective template).
@@ -206,9 +207,8 @@ _NODES = {
 def _binary_template(right: str, profile: Profile) -> Term:
     sent = profile.sentence_type
     source = _SEQ_A if profile.connective_type is None else _CONNECTIVE
-    return parse_term(source.format(K=getattr(profile.connective_type, "text", None),
-                                    PHI=profile.continuation_type.text, RIGHT=right),
-                      {"LHS_": sent, "RHS_": sent})
+    return parse_term(source.format(RIGHT=right), {"LHS_": sent, "RHS_": sent},
+                      TYPE_NAMES[profile])
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +324,8 @@ class InitialArgs(Node):
 # truth under conjunction and falsity under disjunction, which makes it
 # vanish after simplification on either branch of a negation.
 PHI_A = parse_term(r"\e:g. top")
-PHI_B = parse_term(rf"\c:{Profile.B.connective_type.text}. \e1:g. \e2:g. ~(c top bot)")
-PHI_C = parse_term(rf"\c:{Profile.C.connective_type.text}. \e1:g. \e2:g. top")
+PHI_B = parse_term(r"\c:k. \e1:g. \e2:g. ~(c top bot)", {}, TYPE_NAMES[Profile.B])
+PHI_C = parse_term(r"\c:k. \e1:g. \e2:g. top", {}, TYPE_NAMES[Profile.C])
 
 
 # A discourse-initial segment in profile C has no prior right frontier:

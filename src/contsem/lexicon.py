@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import ContsemError
 from .node import Node
-from .syntax import parse_term
+from .syntax import parse_term, print_from_template
 from .terms import (
     E, T, SemType, Term, TypeMismatch, arrow, typecheck,
     CONT_A, CONT_B, CONT_C, KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
@@ -124,34 +124,35 @@ def content_type(category: Category) -> SemType:
 # ---------------------------------------------------------------------------
 # Entry sources
 
-# Entry sources name the profile's types by field: {phi} and {k} its
-# continuation and connective types, a category's value that category's type.
-_TYPE_FIELDS = {p: {"phi": p.continuation_type.text, "k": getattr(p.connective_type, "text", None),
-                    **{c.value: ty.text for c, ty in CATEGORY_TYPES[p].items()}}
-                for p in CATEGORY_TYPES}
+# Entry sources name the profile's types: phi and k its continuation and
+# connective types, a category's value that category's type.
+TYPE_NAMES = {p: {"phi": p.continuation_type, **({"k": p.connective_type} if p.connective_type
+                                                 else {}),
+                  **{c.value: ty for c, ty in CATEGORY_TYPES.get(p, {}).items()}}
+              for p in Profile}
 
 # Content-word templates; {p} is the content constant.
 _TEMPLATES: dict[Profile, dict[Category, str]] = {
     Profile.A: {
-        Category.PROPER_NOUN: r"\P:{noun}. P {p}",
-        Category.COMMON_NOUN: r"\x:e. \e:g. \phi:{phi}. {p} x & phi e",
+        Category.PROPER_NOUN: r"\P:noun. P {p}",
+        Category.COMMON_NOUN: r"\x:e. \e:g. \phi:phi. {p} x & phi e",
         Category.TRANSITIVE_VERB: (
-            r"\O:{pnoun}. \S:{pnoun}. S (\x:e. O (\y:e. \e:g. \phi:{phi}. {p} x y & phi e))"),
-        Category.INTRANSITIVE_VERB: r"\S:{pnoun}. S (\x:e. \e:g. \phi:{phi}. {p} x & phi e)",
-        Category.ADJECTIVE: r"\P:{noun}. \x:e. \e:g. \phi:{phi}. (P x e phi) & {p} x",
+            r"\O:pnoun. \S:pnoun. S (\x:e. O (\y:e. \e:g. \phi:phi. {p} x y & phi e))"),
+        Category.INTRANSITIVE_VERB: r"\S:pnoun. S (\x:e. \e:g. \phi:phi. {p} x & phi e)",
+        Category.ADJECTIVE: r"\P:noun. \x:e. \e:g. \phi:phi. (P x e phi) & {p} x",
     },
     Profile.B: {
         Category.PROPER_NOUN: (
-            r"\P:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}. P {p} c ({p}::e1) e2 phi"),
+            r"\P:noun. \c:k. \e1:g. \e2:g. \phi:phi. P {p} c ({p}::e1) e2 phi"),
         Category.COMMON_NOUN: (
-            r"\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. c ({p} x) (phi c e1 e2)"),
+            r"\x:e. \c:k. \e1:g. \e2:g. \phi:phi. c ({p} x) (phi c e1 e2)"),
         Category.TRANSITIVE_VERB: (
-            r"\O:{pnoun}. \S:{pnoun}. S (\x:e. O (\y:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+            r"\O:pnoun. \S:pnoun. S (\x:e. O (\y:e. \c:k. \e1:g. \e2:g. \phi:phi."
             r" c ({p} x y) (phi c e1 e2)))"),
         Category.INTRANSITIVE_VERB: (
-            r"\S:{pnoun}. S (\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. c ({p} x) (phi c e1 e2))"),
+            r"\S:pnoun. S (\x:e. \c:k. \e1:g. \e2:g. \phi:phi. c ({p} x) (phi c e1 e2))"),
         Category.ADJECTIVE: (
-            r"\P:{noun}. \x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}. (P x c e1 e2 phi) & {p} x"),
+            r"\P:noun. \x:e. \c:k. \e1:g. \e2:g. \phi:phi. (P x c e1 e2 phi) & {p} x"),
     },
 }
 
@@ -159,31 +160,31 @@ _TEMPLATES: dict[Profile, dict[Category, str]] = {
 # the registry.
 _FIXED: dict[Profile, dict[str, str]] = {
     Profile.A: {
-        "a": (r"\P:{noun}. \Q:{noun}. \e:g. \phi:{phi}."
+        "a": (r"\P:noun. \Q:noun. \e:g. \phi:phi."
               r" Ex (\x:e. P x e (\e':g. Q x (x::e') phi))"),
-        "it": r"\P:{noun}. \e:g. \phi:{phi}. P (sel e) e phi",
-        "is": (r"\A:{adj}. \S:{pnoun}. S (\x:e. \e:g. \phi:{phi}."
-               r" (A (\y:e. \e0:g. \phi0:{phi}. top) x e phi) & phi e)"),
-        "doesnt": r"\V:{iverb}. \S:{pnoun}. \e:g. \phi:{phi}. ~(V S e (\e':g. top)) & phi e",
+        "it": r"\P:noun. \e:g. \phi:phi. P (sel e) e phi",
+        "is": (r"\A:adj. \S:pnoun. S (\x:e. \e:g. \phi:phi."
+               r" (A (\y:e. \e0:g. \phi0:phi. top) x e phi) & phi e)"),
+        "doesnt": r"\V:iverb. \S:pnoun. \e:g. \phi:phi. ~(V S e (\e':g. top)) & phi e",
     },
     Profile.B: {
-        "a": (r"\P:{noun}. \Q:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
-              r" Ex (\x:e. (\phi':{phi}. (P x c e1 e2 phi') & (Q x c e1 e2 phi'))"
-              r" (\c':{k}. \e1':g. \e2':g. phi c e1' (x::e2')))"),
-        "it": r"\P:{noun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}. P (sel (e1 ++ e2)) c e1 e2 phi",
-        "is": (r"\A:{adj}. \S:{pnoun}. S (\x:e. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
-               r" c (A (\y:e. \c0:{k}. \f1:g. \f2:g. \psi:{phi}. top)"
+        "a": (r"\P:noun. \Q:noun. \c:k. \e1:g. \e2:g. \phi:phi."
+              r" Ex (\x:e. (\phi':phi. (P x c e1 e2 phi') & (Q x c e1 e2 phi'))"
+              r" (\c':k. \e1':g. \e2':g. phi c e1' (x::e2')))"),
+        "it": r"\P:noun. \c:k. \e1:g. \e2:g. \phi:phi. P (sel (e1 ++ e2)) c e1 e2 phi",
+        "is": (r"\A:adj. \S:pnoun. S (\x:e. \c:k. \e1:g. \e2:g. \phi:phi."
+               r" c (A (\y:e. \c0:k. \f1:g. \f2:g. \psi:phi. top)"
                r" x c e1 e2 phi) (phi c e1 e2))"),
-        "doesnt": (r"\V:{iverb}. \S:{pnoun}. \c:{k}. \e1:g. \e2:g. \phi:{phi}."
+        "doesnt": (r"\V:iverb. \S:pnoun. \c:k. \e1:g. \e2:g. \phi:phi."
                    r" ~(V S (\a:t. \b:t. ~(c (~a) (~b))) e1 e2"
-                   r" (\c':{k}. \e1':g. \e2':g. ~(phi c' e1' e2)))"),
+                   r" (\c':k. \e1':g. \e2':g. ~(phi c' e1' e2)))"),
     },
 }
 
 # The alternative negation entry: the continuation goes inside the negation,
 # so everything after the negated sentence ends up negated too.  Kept only to
 # demonstrate why the shipped entry quarantines the negation instead.
-_REJECTED_NEGATION_A = r"\V:{iverb}. \S:{pnoun}. \e:g. \phi:{phi}. ~(V S e (\e':g. phi e'))"
+_REJECTED_NEGATION_A = r"\V:iverb. \S:pnoun. \e:g. \phi:phi. ~(V S e (\e':g. phi e'))"
 
 # Default word registry: word -> (category, content symbol).
 _DEFAULT_WORDS: dict[str, tuple[Category, str]] = {
@@ -220,8 +221,8 @@ def _build_term(category: Category, profile: Profile, symbol: str) -> Term:
     templates = _TEMPLATES.get(profile, {})
     if category not in templates:
         raise UnsupportedCategory(category, profile)
-    source = templates[category].format(p=symbol, **_TYPE_FIELDS[profile])
-    return parse_term(source, {symbol: content_type(category)})
+    return parse_term(templates[category].format(p=symbol),
+                      {symbol: content_type(category)}, TYPE_NAMES[profile])
 
 
 class Lexicon:
@@ -233,6 +234,7 @@ class Lexicon:
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
+        self._unread: set[Profile] = set()  # profiles whose default entries are due
         self._known = {w: w for w in self._words} | self._aliases  # valid once checked below
         for word in [*self._words, *(e.word for e in self._entries.values())]:
             if word in self._aliases:
@@ -255,6 +257,21 @@ class Lexicon:
             found = typecheck(entry.term)
             if found.text != expected.text:
                 raise TypeMismatch(expected, found)
+
+    def _load(self, *profiles: Profile) -> None:
+        """Parse and check the default entries of those profiles still due."""
+        for profile in self._unread.intersection(profiles):
+            entries = {}
+            for word in _STORED_WORDS[profile]:
+                category, symbol = _DEFAULT_WORDS[word]
+                term = (parse_term(_FIXED[profile][word], {}, TYPE_NAMES[profile])
+                        if word in _FIXED[profile] else _build_term(category, profile, symbol))
+                entries[(word, profile)] = LexEntry(word, category, profile, term)
+            Lexicon(self._words, entries, self._aliases)        # checks them
+            for entry in entries.values():
+                print_from_template(entry.term)
+            self._entries.update(entries)
+            self._unread.discard(profile)
 
     def canonical(self, word: str) -> str:
         """The word lower-cased, unquoted and uninflected; known ones from a table."""
@@ -287,12 +304,15 @@ class Lexicon:
         return self._row(word)[1]
 
     def entry(self, word: str, profile: Profile) -> Term:
+        if profile in self._unread:
+            self._load(profile)
         entry = self._entries.get((self._known.get(word) or self.canonical(word), profile))
         if entry is None:
             raise UnknownWord(word, profile)
         return entry.term
 
     def entries(self, profile: Profile | None = None) -> list[LexEntry]:
+        self._load(*([profile] if profile else self._unread))
         out = [e for e in self._entries.values()
                if profile is None or e.profile == profile]
         return sorted(out, key=lambda e: (e.profile.value, e.word))
@@ -306,6 +326,7 @@ class Lexicon:
         """New lexicon with extra entries.  A new word gets a registry row
         (its category, the word as content symbol); an existing row is never
         changed, so an entry of another category is rejected."""
+        self._load(*self._unread)
         words = dict(self._words)
         entries = dict(self._entries)
         for entry in new_entries:
@@ -341,24 +362,18 @@ def negation_variant(profile: Profile, rejected: bool = False) -> Term:
     if rejected:
         if profile != Profile.A:
             raise ContsemError("the rejected negation variant exists only for profile A")
-        return parse_term(_REJECTED_NEGATION_A.format(**_TYPE_FIELDS[profile]), {})
+        return parse_term(_REJECTED_NEGATION_A, {}, TYPE_NAMES[profile])
     if profile not in _FIXED:
         raise UnknownWord("doesnt", profile)
-    return parse_term(_FIXED[profile]["doesnt"].format(**_TYPE_FIELDS[profile]), {})
+    return parse_term(_FIXED[profile]["doesnt"], {}, TYPE_NAMES[profile])
 
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
-    entries: dict[tuple[str, Profile], LexEntry] = {}
-    for profile, words in _STORED_WORDS.items():
-        for word in words:
-            category, symbol = _DEFAULT_WORDS[word]
-            if word in _FIXED[profile]:
-                term = parse_term(_FIXED[profile][word].format(**_TYPE_FIELDS[profile]))
-            else:
-                term = _build_term(category, profile, symbol)
-            entries[(word, profile)] = LexEntry(word, category, profile, term)
-    return Lexicon(_DEFAULT_WORDS, entries, _ALIASES)
+    """The default words; each profile's entries are parsed on its first read."""
+    lexicon = Lexicon(_DEFAULT_WORDS, {}, _ALIASES)
+    lexicon._unread.update(_STORED_WORDS)
+    return lexicon
 
 
 _FILE_CATEGORIES = {c.value: c for c in Category

@@ -625,5 +625,9 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
     return root
 
 
-# The model checker, still importable from here; `oracle` imports this module.
-from .oracle import SignatureTooLarge, logically_equiv  # noqa: E402,F401
+def __getattr__(name: str):
+    """The model checker, still importable from here, loaded on first use."""
+    if name in ("SignatureTooLarge", "logically_equiv"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

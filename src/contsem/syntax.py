@@ -121,12 +121,17 @@ def _reduce(op, vals: list[Term], names: list[str]) -> None:
         vals[-1] = App(App(op[0], vals[-1]), right)
 
 
-def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Term:
+def parse_term(text: str, constants: Mapping[str, SemType] | None = None,
+               types: Mapping[str, SemType] | None = None) -> Term:
     """Parse the named lambda syntax into a De Bruijn term.
 
-    `constants` declares non-builtin constants (content words, entity names).
+    `constants` declares non-builtin constants (content words, entity names);
+    `types` names types, each read as that very object (not `e`, `t` or `g`).
     """
     sig = constants or {}
+    bases = _BASES | (types or {})
+    if len(bases) < len(_BASES) + len(types or {}):
+        raise ContsemError("a type name may not be e, t or g")
     toks = _tokens(text)
     names: list[str] = []   # the binders in scope, innermost last
     vals: list[Term] = []   # operands
@@ -157,7 +162,7 @@ def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Ter
                 _expect(text, toks, i + 1, "ident")
                 if name in _WORDS:
                     raise _error(text, f"{name!r} is reserved and cannot be bound", at)
-                ty, i = _type(text, toks, _expect(text, toks, i + 2, ":"))
+                ty, i = _type(text, toks, _expect(text, toks, i + 2, ":"), bases)
                 i = _expect(text, toks, i, ".")
                 ops.append(ty)
                 names.append(name)
@@ -186,8 +191,8 @@ def parse_term(text: str, constants: Mapping[str, SemType] | None = None) -> Ter
             return vals[0]
 
 
-def _type(text: str, toks: list, i: int) -> tuple[SemType, int]:
-    """The type that starts at token i, and the index after it."""
+def _type(text: str, toks: list, i: int, bases=_BASES) -> tuple[SemType, int]:
+    """The type that starts at token i, its names read in `bases`, and the index after it."""
     chains: list[list[SemType]] = [[]]  # per open `(`, the domains read so far
     while True:
         kind, value, pos = toks[i]
@@ -195,9 +200,9 @@ def _type(text: str, toks: list, i: int) -> tuple[SemType, int]:
             chains.append([])
             i += 1
             continue
-        if value not in _BASES:
+        if value not in bases:
             raise _error(text, f"expected a type, found {value!r}", pos)
-        ty, i = _BASES[value], i + 1
+        ty, i = bases[value], i + 1
         while toks[i][0] != ">":        # the chain ends; `>` groups to the right
             for dom in reversed(chains.pop()):
                 ty = Arrow(dom, ty)
@@ -226,7 +231,7 @@ def pretty(term: Term) -> str:
 
     One left-to-right pass, linear in the term's size and not limited by
     Python's recursion limit.  A second pass runs only when a name the first
-    chose turns out to be a constant's.
+    chose turns out to be a constant's.  Lexicon entries print from templates.
     """
     text, shown, count = _render(term, ())
     if not shown.keys().isdisjoint(f"x{i}" for i in range(1, count + 1)):
@@ -234,9 +239,27 @@ def pretty(term: Term) -> str:
     return text
 
 
-def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
-    """pretty's pass: the text, each constant's printed form by name, the names
-    tried.  Lambda chains, application spines and left operands are walked in place."""
+_TEMPLATES: dict[int, list] = {}   # by id: [an entry, keeping its id its own; its template]
+
+
+def print_from_template(term: Term) -> None:
+    """Have `pretty` print the closed `term`, a lexicon entry, from a template."""
+    _TEMPLATES.setdefault(id(term), [term, None])
+
+
+def _template(entry: list) -> tuple[str, int, dict[str, str]]:
+    """The entry's text with field k for its k-th binder's name, its number
+    of binders and its constants' printed forms."""
+    term = entry[0]             # a copy of its root is no entry: printed in full
+    text, shown, count = _render(Lam(term.ty, term.body), (), "\0")
+    text = re.sub("\0([0-9]+)", r"{\1}", text.replace("{", "{{").replace("}", "}}"))
+    entry[1] = text, count, shown
+    return entry[1]
+
+
+def _render(term: Term, avoid, prefix: str = "x") -> tuple[str, dict[str, str], int]:
+    """pretty's pass: the text, each constant's printed form by name, the names tried
+    (`prefix` and a count, not in `avoid`).  Chains and spines are walked in place."""
     shown: dict[str, str] = {}
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
@@ -251,6 +274,23 @@ def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
         out.append(text)
         while True:
             kind = type(t)
+            if kind is App:     # the commonest; an operator's constant (by name first) as sugar
+                fn = t.fn
+                head = fn.fn if type(fn) is App else fn
+                row = _OPS.get(head.name) if type(head) is Const else None
+                if not (row and (row[3] is None) == (head is fn)
+                        and (head is row[0] or head == row[0])):
+                    row = _APPLY
+                if level > row[2]:
+                    out.append("(")
+                    stack.append(")")
+                if row[3] is None:          # `~`, then its operand
+                    out.append(row[1])
+                    t, level = t.arg, row[4]
+                else:                       # the left operand or function, then the rest
+                    stack.append((row[1], t.arg, row[4], depth))
+                    t, level = (fn if row is _APPLY else fn.arg), row[3]
+                continue
             if kind is Var:  # a free variable renders as #i, which does not re-parse
                 i = t.index
                 out.append(names[depth - 1 - i] if i < depth else f"#{i}")
@@ -260,43 +300,36 @@ def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
                     shown[t.name] = t.name if _WORD.fullmatch(t.name) else f"({t.name})"
                 out.append(shown[t.name])
                 break
-            if kind is Lam:
-                body = t.body   # Coord and Sub by class, index and name, without `==`
-                inner = body.body if type(body) is Lam and t.ty.text == body.ty.text == "g" \
-                    else None
-                fn = inner.fn if type(inner) is App else None
-                head = fn.fn if type(fn) is App else None
-                if (type(inner) is Var and inner.index == 0) or (
-                        type(head) is Const and head.name == "++" and head.ty.text == "g>g>g"
-                        and type(fn.arg) is type(inner.arg) is Var
-                        and (fn.arg.index, inner.arg.index) == (1, 0)):
-                    out.append("Coord" if type(inner) is Var else "Sub")
-                    break
-                if level > _LAM:
-                    out.append("(")
-                    stack.append(")")
-                counter += 1
-                while f"x{counter}" in avoid:
+            body = t.body   # a Lam; Coord and Sub by class, index and name, without `==`
+            inner = body.body if type(body) is Lam and t.ty.text == body.ty.text == "g" \
+                else None
+            fn = inner.fn if type(inner) is App else None
+            head = fn.fn if type(fn) is App else None
+            if (type(inner) is Var and inner.index == 0) or (
+                    type(head) is Const and head.name == "++" and head.ty.text == "g>g>g"
+                    and type(fn.arg) is type(inner.arg) is Var
+                    and (fn.arg.index, inner.arg.index) == (1, 0)):
+                out.append("Coord" if type(inner) is Var else "Sub")
+                break
+            entry = _TEMPLATES.get(id(t))
+            if entry is not None:       # a lexicon entry: its template, with the names due
+                fmt, n, consts = entry[1] or _template(entry)
+                fill = [""]             # field 0 is no binder's
+                while len(fill) <= n:
                     counter += 1
-                names[depth:] = (f"x{counter}",)
-                out.append(f"\\x{counter}:{t.ty.text}. ")
-                t, depth, level = body, depth + 1, _LAM
-                continue
-            # Applications, with sugar for the operator constants (by name
-            # first): an infix one applied to two arguments, `~` to one.
-            fn = t.fn
-            head = fn.fn if type(fn) is App else fn
-            row = _OPS.get(head.name) if type(head) is Const else None
-            if not (row and (row[3] is None) == (head is fn)
-                    and (head is row[0] or head == row[0])):
-                row = _APPLY
-            if level > row[2]:
+                    if not (avoid and f"{prefix}{counter}" in avoid):
+                        fill.append(f"{prefix}{counter}")
+                out.append(fmt.format(*fill) if level == _LAM else f"({fmt.format(*fill)})")
+                shown.update(consts)
+                break
+            if level > _LAM:
                 out.append("(")
                 stack.append(")")
-            if row[3] is None:          # `~`, then its operand
-                out.append(row[1])
-                t, level = t.arg, row[4]
-            else:                       # the left operand or function, then the rest
-                stack.append((row[1], t.arg, row[4], depth))
-                t, level = (fn if row is _APPLY else fn.arg), row[3]
+            counter += 1
+            while avoid and f"{prefix}{counter}" in avoid:     # the second pass
+                counter += 1
+            name = f"{prefix}{counter}"
+            names[depth:] = (name,)
+            out.append(f"\\{name}:{t.ty.text}. ")
+            t, depth, level = body, depth + 1, _LAM
     return "".join(out), shown, counter

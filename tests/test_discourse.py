@@ -135,7 +135,7 @@ def test_shape_errors_agree_across_profiles(ast, message, profile):
 # The default lexicon without `is` and `doesnt`, so that the order in which
 # the walk reaches them shows in which error comes first.
 THIN = Lexicon({w: row for w, row in LEX._words.items() if w not in ("is", "doesnt")},
-               {k: e for k, e in LEX._entries.items() if k[0] not in ("is", "doesnt")},
+               {(e.word, e.profile): e for e in LEX.entries() if e.word not in ("is", "doesnt")},
                LEX._aliases)
 
 

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contsem import lexicon
 from contsem.discourse import Leaf, ProperN, Sentence, Verb, interpret
 from contsem.errors import ContsemError
 from contsem.lexicon import (
@@ -8,7 +15,7 @@ from contsem.lexicon import (
     UnsupportedCategory, content_type, default_lexicon, load_word_file, make_entry,
     negation_variant,
 )
-from contsem.syntax import parse_term
+from contsem.syntax import parse_term, pretty
 from contsem.terms import (
     App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, typecheck,
 )
@@ -273,3 +280,84 @@ def test_load_word_file():
     # base lexicon is untouched
     with pytest.raises(UnknownWord):
         LEX.entry("cat", Profile.A)
+
+
+# ---------------------------------------------------------------------------
+# A profile's entries are parsed and checked on its first read
+
+SAMPLES = Path(__file__).parent.parent / "samples"
+
+# Counts the terms the lexicon module parses and typechecks while the default
+# lexicon is built, then while `contsem` runs the arguments, and prints the
+# texts of the terms typechecked in the run.
+_COUNT = """
+import contextlib, io, json, sys
+from contsem import cli, lexicon, syntax
+seen = {"parse_term": [], "typecheck": []}
+for name, calls in seen.items():
+    setattr(lexicon, name, lambda *a, _fn=getattr(lexicon, name), _c=calls, **k:
+            _c.append(a[0]) or _fn(*a, **k))
+lexicon.default_lexicon()
+built = {name: len(calls) for name, calls in seen.items()}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, built, {name: len(calls) for name, calls in seen.items()},
+                  sorted(syntax.pretty(t) for t in seen["typecheck"])]))
+"""
+
+
+def _entry_work(*argv):
+    """In a fresh interpreter: the exit status of `contsem argv`, the counts
+    of terms the lexicon module parsed and typechecked while the default
+    lexicon was built and by the run's end, and the terms it typechecked."""
+    src = Path(lexicon.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", _COUNT, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return json.loads(out.stdout)
+
+
+def test_the_default_lexicon_parses_no_entry():
+    assert _entry_work() == [0, {"parse_term": 0, "typecheck": 0},
+                             {"parse_term": 0, "typecheck": 0}, []]
+
+
+def test_a_profile_c_run_parses_and_checks_no_entry():
+    assert _entry_work("run", str(SAMPLES / "rfc_concrete_coord.dsc")) == [
+        0, {"parse_term": 0, "typecheck": 0}, {"parse_term": 0, "typecheck": 0}, []]
+
+
+def test_a_profile_b_run_parses_and_checks_only_the_b_entries():
+    code, built, run, checked = _entry_work("run", str(SAMPLES / "owns_car.dsc"))
+    assert code == 0 and built == {"parse_term": 0, "typecheck": 0}
+    assert run == {"parse_term": 8, "typecheck": 8}
+    assert checked == sorted(pretty(e.term) for e in LEX.entries(Profile.B))
+
+
+def test_each_read_parses_its_profile_once(monkeypatch):
+    """`entry` parses its profile's entries, `entries` and `extended` every
+    profile still due, and each profile is parsed once."""
+    parsed = []
+    monkeypatch.setattr(lexicon, "parse_term", lambda *a, _fn=lexicon.parse_term, **k:
+                        parsed.append(a[0]) or _fn(*a, **k))
+    lex = default_lexicon.__wrapped__()       # a fresh one; the cached one stays
+    assert parsed == []
+    assert lex.entry("car", Profile.B) == LEX.entry("car", Profile.B) and len(parsed) == 8
+    assert lex.entry("own", Profile.B) == LEX.entry("own", Profile.B) and len(parsed) == 8
+    with pytest.raises(UnknownWord):
+        lex.entry("mary", Profile.C)
+    assert lex.entries(Profile.B) == LEX.entries(Profile.B) and len(parsed) == 8
+    assert lex.entries() == LEX.entries() and len(parsed) == 18
+    lex.entries()
+    assert len(parsed) == 18
+    assert default_lexicon.__wrapped__().extended([]).entries() == LEX.entries()
+    assert len(parsed) == 36
+
+
+def test_a_profile_read_late_is_checked(monkeypatch):
+    """The entries parsed on a profile's first read are typechecked, as
+    `Lexicon` checks the entries it is given."""
+    monkeypatch.setitem(lexicon._FIXED[Profile.B], "it", r"\P:noun. P")
+    lex = default_lexicon.__wrapped__()
+    assert lex.entry("it", Profile.A) == LEX.entry("it", Profile.A)
+    with pytest.raises(TypeMismatch):
+        lex.entry("john", Profile.B)

@@ -1,8 +1,13 @@
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contsem
 from contsem.discourse import default_initial_args, interpret, run_pipeline
 from contsem.errors import ContsemError
 from contsem.lexicon import default_lexicon
@@ -399,6 +404,22 @@ def test_the_model_checker_is_importable_from_logic_and_oracle():
     from contsem import logic
     assert logic.logically_equiv is logically_equiv
     assert logic.SignatureTooLarge is SignatureTooLarge
+
+
+def test_importing_the_cli_leaves_the_model_checker_unloaded():
+    """No run of the CLI checks a model; `contsem` and `contsem.logic` load
+    the checker when one of its names is first read."""
+    src = Path(contsem.__file__).resolve().parent.parent
+    code = ("import sys, contsem.cli\n"
+            "print('contsem.oracle' in sys.modules)\n"
+            "from contsem import SignatureTooLarge, logically_equiv\n"
+            "import contsem.oracle as o\n"
+            "print(logically_equiv is o.logically_equiv, SignatureTooLarge is o.SignatureTooLarge)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout == "False\nTrue True\n"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        contsem.logic.no_such_name
 
 
 def test_double_negation_equiv():

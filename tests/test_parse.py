@@ -10,9 +10,13 @@ import random
 import re
 import sys
 
+import pytest
+
 from contsem.discourse import _CONNECTIVE, _NODES, _SEQ_A, PHI_A, PHI_B, PHI_C
+from contsem.errors import ContsemError
 from contsem.lexicon import (
-    _FIXED, _REJECTED_NEGATION_A, _TEMPLATES, Category, Profile, _TYPE_FIELDS, content_type,
+    _FIXED, _REJECTED_NEGATION_A, _TEMPLATES, CATEGORY_TYPES, TYPE_NAMES, Category, Profile,
+    content_type,
 )
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
@@ -110,33 +114,62 @@ def test_printed_terms_and_their_mutations_parse_alike():
 
 
 def _sources():
-    """Every term source the library parses: lexicon entries and templates,
-    the composition templates and the empty continuations."""
+    """Every term source the library parses, with its constants and the type
+    names it reads: lexicon entries and templates, the composition templates
+    and the empty continuations."""
     for profile, words in _FIXED.items():
         for source in words.values():
-            yield source.format(**_TYPE_FIELDS[profile]), {}
-    yield _REJECTED_NEGATION_A.format(**_TYPE_FIELDS[Profile.A]), {}
+            yield source, {}, TYPE_NAMES[profile]
+    yield _REJECTED_NEGATION_A, {}, TYPE_NAMES[Profile.A]
     for profile, templates in _TEMPLATES.items():
         for category, template in templates.items():
-            yield template.format(p="w", **_TYPE_FIELDS[profile]), {"w": content_type(category)}
+            yield template.format(p="w"), {"w": content_type(category)}, TYPE_NAMES[profile]
     for profile in (Profile.B, Profile.C):
+        holes = {"LHS_": profile.sentence_type, "RHS_": profile.sentence_type}
         for _, _, right in _NODES.values():
-            source = _CONNECTIVE.format(K=profile.connective_type.text,
-                                        PHI=profile.continuation_type.text, RIGHT=right)
-            yield source, {"LHS_": profile.sentence_type, "RHS_": profile.sentence_type}
-    yield (_SEQ_A.format(PHI=Profile.A.continuation_type.text),
-           {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type})
-    for source, phi in ((r"\e:g. top", PHI_A), (r"\c:t>t>t. \e1:g. \e2:g. ~(c top bot)", PHI_B),
-                        (r"\c:g>g>g. \e1:g. \e2:g. top", PHI_C)):
-        assert parse_term(source) == phi
-        yield source, {}
+            yield _CONNECTIVE.format(RIGHT=right), holes, TYPE_NAMES[profile]
+    yield (_SEQ_A, {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type},
+           TYPE_NAMES[Profile.A])
+    for source, phi, profile in ((r"\e:g. top", PHI_A, Profile.A),
+                                 (r"\c:k. \e1:g. \e2:g. ~(c top bot)", PHI_B, Profile.B),
+                                 (r"\c:k. \e1:g. \e2:g. top", PHI_C, Profile.C)):
+        assert parse_term(source, {}, TYPE_NAMES[profile]) == phi
+        yield source, {}, TYPE_NAMES[profile]
+
+
+def _written_out(source, types):
+    """The source with each binder's type name written out as its type's text."""
+    return re.sub(r":(\w+)\.", lambda m: f":({types[m[1]].text})." if m[1] in types else m[0],
+                  source)
 
 
 def test_library_sources_parse_alike():
+    """Each source with its type names written out parses as the recursive
+    parser reads it, and so does the source itself with its type names."""
     sources = list(_sources())
     assert len(sources) >= 25
-    for source, sig in sources:
-        assert parse_term(source, sig) == recursive_parse_term(source, sig), source
+    for source, sig, types in sources:
+        written = _written_out(source, types)
+        want = recursive_parse_term(written, sig)
+        assert parse_term(written, sig) == want, written
+        assert parse_term(source, sig, types) == want, source
+
+
+def test_type_names_read_as_the_named_objects():
+    names = TYPE_NAMES[Profile.B]
+    term = parse_term(r"\P:noun. \c:k. \f:(noun)>k. \x:e. f P", {}, names)
+    noun = CATEGORY_TYPES[Profile.B][Category.COMMON_NOUN]
+    assert term.ty is noun and term.body.ty is Profile.B.connective_type
+    assert term.body.body.ty.dom is noun and term.body.body.ty.cod is names["k"]
+    assert term.body.body.body.ty is E
+    with pytest.raises(ContsemError, match="expected a type, found 'noun'"):
+        parse_term(r"\P:noun. P")
+
+
+@pytest.mark.parametrize("name", ["e", "t", "g"])
+def test_a_type_name_is_not_a_base_type(name):
+    with pytest.raises(ContsemError, match="may not be e, t or g"):
+        parse_term(r"\x:e. x", {}, {name: T})
 
 
 def test_type_strings_parse_alike():

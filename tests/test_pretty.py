@@ -9,14 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from contsem import syntax
 from contsem.discourse import (
-    compose, default_initial_args, has_symbolic_leaves, parse_discourse,
+    Leaf, Seq, compose, default_initial_args, has_symbolic_leaves, parse_discourse,
+    parse_sentence_words, run_pipeline,
 )
-from contsem.lexicon import Profile, default_lexicon
+from contsem.lexicon import Profile, default_lexicon, load_word_file
 from contsem.node import Node
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
-    BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize,
+    AND, BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize, trace,
 )
 
 from gen import (
@@ -216,3 +218,55 @@ J = Const("j", E)
 ])
 def test_a_builtin_name_at_another_type_renders_in_prefix_form(term, text):
     assert pretty(term) == recursive_pretty(term) == text
+
+
+# ---------------------------------------------------------------------------
+# Lexicon entries printed from templates
+
+def _printed_from_templates(entries) -> bool:
+    return all(syntax._TEMPLATES[id(t)][1] is not None for t in entries)
+
+
+def test_entries_print_from_templates():
+    """Lexicon entries print from their templates, keyed by identity, as the
+    recursive printer prints them: in the pipeline cases' composed terms, in
+    random A and B discourses, alone, and in parenthesized positions."""
+    rng = random.Random(SEED + 6)
+    terms = [compose(tree, LEX, profile) for tree, profile in pipeline_cases(LEX)]
+    terms += [compose(random_discourse(rng, LEX, profile, n), LEX, profile)
+              for profile in (Profile.A, Profile.B) for n in range(1, 9) for _ in range(3)]
+    entries = [e.term for e in LEX.entries()]
+    f = Const("f", E)
+    terms += entries + [App(t, f) for t in entries] + [App(f, t) for t in entries]
+    terms += [app(AND, App(t, f), Lam(E, App(t, Var(0)))) for t in entries]
+    for term in terms:
+        assert pretty(term) == recursive_pretty(term)
+    assert _printed_from_templates(entries)
+    copy = parse_term(pretty(entries[0]), constants(entries[0]))
+    assert copy == entries[0] and id(copy) not in syntax._TEMPLATES
+
+
+def test_entries_print_from_templates_in_the_second_pass():
+    """Words whose constants are named like binders, x1 and x3, make `pretty`
+    print again skipping those names; the entries' templates skip them too."""
+    lex = load_word_file(["noun x1", "pnoun x3"])
+    for profile in (Profile.A, Profile.B):
+        tree = Seq(Leaf(parse_sentence_words("x3 owns (a x1)", lex)),
+                   Leaf(parse_sentence_words("john owns it", lex)))
+        composed = compose(tree, lex, profile)
+        text = pretty(composed)
+        assert text == recursive_pretty(composed)
+        assert "\\x1:" not in text and "\\x3:" not in text and "\\x2:" in text
+    assert _printed_from_templates(lex.entry(w, p) for w in ("own", "a", "it", "john")
+                                   for p in (Profile.A, Profile.B))
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.dsc")))
+def test_trace_terms_match_recursive(sample):
+    """Every term `--trace` prints for a sample, the first holding the entries."""
+    parsed = parse_discourse((SAMPLES / sample).read_text(), LEX)
+    symbolic = has_symbolic_leaves(parsed.tree)
+    result = run_pipeline(parsed.tree, LEX, parsed.profile,
+                          None if symbolic else default_initial_args(parsed.profile))
+    for step in trace(result.composed if symbolic else result.applied):
+        assert pretty(step.term) == recursive_pretty(step.term)
