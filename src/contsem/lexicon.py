@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import ContsemError
 from .node import Node
-from .syntax import parse_term, print_from_template
+from .syntax import parse_term
 from .terms import (
     E, T, SemType, Term, TypeMismatch, arrow, typecheck,
     CONT_A, CONT_B, CONT_C, KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
@@ -226,15 +226,16 @@ def _build_term(category: Category, profile: Profile, symbol: str) -> Term:
 
 
 class Lexicon:
-    """Immutable store of typechecked entries plus the shared word registry."""
+    """Store of typechecked entries plus the shared word registry; the default
+    entries of the `unread` profiles are parsed on first read, unless given."""
 
     def __init__(self, words: dict[str, tuple[Category, str]],
                  entries: dict[tuple[str, Profile], LexEntry],
-                 aliases: dict[str, str] | None = None):
+                 aliases: dict[str, str] | None = None, unread: Iterable[Profile] = ()):
         self._words = dict(words)
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
-        self._unread: set[Profile] = set()  # profiles whose default entries are due
+        self._unread = frozenset(unread)
         self._known = {w: w for w in self._words} | self._aliases  # valid once checked below
         for word in [*self._words, *(e.word for e in self._entries.values())]:
             if word in self._aliases:
@@ -268,10 +269,9 @@ class Lexicon:
                         if word in _FIXED[profile] else _build_term(category, profile, symbol))
                 entries[(word, profile)] = LexEntry(word, category, profile, term)
             Lexicon(self._words, entries, self._aliases)        # checks them
-            for entry in entries.values():
-                print_from_template(entry.term)
-            self._entries.update(entries)
-            self._unread.discard(profile)
+            # Rebound, not changed in place: no reader in another thread sees a size change.
+            self._entries = {**entries, **self._entries}
+            self._unread = self._unread - {profile}
 
     def canonical(self, word: str) -> str:
         """The word lower-cased, unquoted and uninflected; known ones from a table."""
@@ -325,14 +325,14 @@ class Lexicon:
     def extended(self, new_entries: Iterable[LexEntry]) -> "Lexicon":
         """New lexicon with extra entries.  A new word gets a registry row
         (its category, the word as content symbol); an existing row is never
-        changed, so an entry of another category is rejected."""
-        self._load(*self._unread)
+        changed, so an entry of another category is rejected.  The profiles
+        still unread stay unread in the new lexicon."""
         words = dict(self._words)
         entries = dict(self._entries)
         for entry in new_entries:
             words.setdefault(entry.word, (entry.category, entry.word))
             entries[(entry.word, entry.profile)] = entry
-        return Lexicon(words, entries, self._aliases)
+        return Lexicon(words, entries, self._aliases, self._unread)
 
     def with_rejected_negation(self) -> "Lexicon":
         """Variant lexicon whose profile-A negation is the rejected entry."""
@@ -371,9 +371,7 @@ def negation_variant(profile: Profile, rejected: bool = False) -> Term:
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
     """The default words; each profile's entries are parsed on its first read."""
-    lexicon = Lexicon(_DEFAULT_WORDS, {}, _ALIASES)
-    lexicon._unread.update(_STORED_WORDS)
-    return lexicon
+    return Lexicon(_DEFAULT_WORDS, {}, _ALIASES, _STORED_WORDS)
 
 
 _FILE_CATEGORIES = {c.value: c for c in Category

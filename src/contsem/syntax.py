@@ -231,7 +231,7 @@ def pretty(term: Term) -> str:
 
     One left-to-right pass, linear in the term's size and not limited by
     Python's recursion limit.  A second pass runs only when a name the first
-    chose turns out to be a constant's.  Lexicon entries print from templates.
+    chose turns out to be a constant's.
     """
     text, shown, count = _render(term, ())
     if not shown.keys().isdisjoint(f"x{i}" for i in range(1, count + 1)):
@@ -239,27 +239,9 @@ def pretty(term: Term) -> str:
     return text
 
 
-_TEMPLATES: dict[int, list] = {}   # by id: [an entry, keeping its id its own; its template]
-
-
-def print_from_template(term: Term) -> None:
-    """Have `pretty` print the closed `term`, a lexicon entry, from a template."""
-    _TEMPLATES.setdefault(id(term), [term, None])
-
-
-def _template(entry: list) -> tuple[str, int, dict[str, str]]:
-    """The entry's text with field k for its k-th binder's name, its number
-    of binders and its constants' printed forms."""
-    term = entry[0]             # a copy of its root is no entry: printed in full
-    text, shown, count = _render(Lam(term.ty, term.body), (), "\0")
-    text = re.sub("\0([0-9]+)", r"{\1}", text.replace("{", "{{").replace("}", "}}"))
-    entry[1] = text, count, shown
-    return entry[1]
-
-
-def _render(term: Term, avoid, prefix: str = "x") -> tuple[str, dict[str, str], int]:
-    """pretty's pass: the text, each constant's printed form by name, the names tried
-    (`prefix` and a count, not in `avoid`).  Chains and spines are walked in place."""
+def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
+    """pretty's pass: the text, each constant's printed form by name, the names
+    tried.  Lambda chains, application spines and left operands are walked in place."""
     shown: dict[str, str] = {}
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
@@ -311,24 +293,13 @@ def _render(term: Term, avoid, prefix: str = "x") -> tuple[str, dict[str, str], 
                     and (fn.arg.index, inner.arg.index) == (1, 0)):
                 out.append("Coord" if type(inner) is Var else "Sub")
                 break
-            entry = _TEMPLATES.get(id(t))
-            if entry is not None:       # a lexicon entry: its template, with the names due
-                fmt, n, consts = entry[1] or _template(entry)
-                fill = [""]             # field 0 is no binder's
-                while len(fill) <= n:
-                    counter += 1
-                    if not (avoid and f"{prefix}{counter}" in avoid):
-                        fill.append(f"{prefix}{counter}")
-                out.append(fmt.format(*fill) if level == _LAM else f"({fmt.format(*fill)})")
-                shown.update(consts)
-                break
             if level > _LAM:
                 out.append("(")
                 stack.append(")")
             counter += 1
-            while avoid and f"{prefix}{counter}" in avoid:     # the second pass
+            while avoid and f"x{counter}" in avoid:     # the second pass
                 counter += 1
-            name = f"{prefix}{counter}"
+            name = f"x{counter}"
             names[depth:] = (name,)
             out.append(f"\\{name}:{t.ty.text}. ")
             t, depth, level = body, depth + 1, _LAM

@@ -334,8 +334,9 @@ def test_a_profile_b_run_parses_and_checks_only_the_b_entries():
 
 
 def test_each_read_parses_its_profile_once(monkeypatch):
-    """`entry` parses its profile's entries, `entries` and `extended` every
-    profile still due, and each profile is parsed once."""
+    """`entry` parses its profile's entries and `entries` every profile still
+    due; each profile is parsed once, and `extended` passes on the profiles
+    still due."""
     parsed = []
     monkeypatch.setattr(lexicon, "parse_term", lambda *a, _fn=lexicon.parse_term, **k:
                         parsed.append(a[0]) or _fn(*a, **k))
@@ -349,8 +350,19 @@ def test_each_read_parses_its_profile_once(monkeypatch):
     assert lex.entries() == LEX.entries() and len(parsed) == 18
     lex.entries()
     assert len(parsed) == 18
-    assert default_lexicon.__wrapped__().extended([]).entries() == LEX.entries()
-    assert len(parsed) == 36
+    extended = default_lexicon.__wrapped__().extended([])
+    assert len(parsed) == 18
+    assert extended.entry("car", Profile.B) == LEX.entry("car", Profile.B) and len(parsed) == 26
+    assert extended.entries() == LEX.entries() and len(parsed) == 36
+
+
+def test_an_extension_stands_in_for_an_unread_default():
+    """An entry given to `extended` before its profile is read stays, and the
+    profile's other default entries are parsed on the first read."""
+    lex = default_lexicon.__wrapped__().with_rejected_negation()
+    assert lex.entry("doesnt", Profile.A) == negation_variant(Profile.A, rejected=True)
+    assert lex.entry("car", Profile.A) == LEX.entry("car", Profile.A)
+    assert lex.entries(Profile.B) == LEX.entries(Profile.B)
 
 
 def test_a_profile_read_late_is_checked(monkeypatch):

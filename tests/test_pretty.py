@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from contsem import syntax
 from contsem.discourse import (
     Leaf, Seq, compose, default_initial_args, has_symbolic_leaves, parse_discourse,
     parse_sentence_words, run_pipeline,
@@ -221,16 +220,12 @@ def test_a_builtin_name_at_another_type_renders_in_prefix_form(term, text):
 
 
 # ---------------------------------------------------------------------------
-# Lexicon entries printed from templates
+# Lexicon entries and the terms built from them
 
-def _printed_from_templates(entries) -> bool:
-    return all(syntax._TEMPLATES[id(t)][1] is not None for t in entries)
-
-
-def test_entries_print_from_templates():
-    """Lexicon entries print from their templates, keyed by identity, as the
-    recursive printer prints them: in the pipeline cases' composed terms, in
-    random A and B discourses, alone, and in parenthesized positions."""
+def test_entries_print_as_the_recursive_printer_does():
+    """Lexicon entries print as the recursive printer prints them: in the
+    pipeline cases' composed terms, in random A and B discourses, alone, and
+    in parenthesized positions."""
     rng = random.Random(SEED + 6)
     terms = [compose(tree, LEX, profile) for tree, profile in pipeline_cases(LEX)]
     terms += [compose(random_discourse(rng, LEX, profile, n), LEX, profile)
@@ -241,14 +236,11 @@ def test_entries_print_from_templates():
     terms += [app(AND, App(t, f), Lam(E, App(t, Var(0)))) for t in entries]
     for term in terms:
         assert pretty(term) == recursive_pretty(term)
-    assert _printed_from_templates(entries)
-    copy = parse_term(pretty(entries[0]), constants(entries[0]))
-    assert copy == entries[0] and id(copy) not in syntax._TEMPLATES
 
 
-def test_entries_print_from_templates_in_the_second_pass():
+def test_entries_print_in_the_second_pass():
     """Words whose constants are named like binders, x1 and x3, make `pretty`
-    print again skipping those names; the entries' templates skip them too."""
+    print again skipping those names, inside the entries too."""
     lex = load_word_file(["noun x1", "pnoun x3"])
     for profile in (Profile.A, Profile.B):
         tree = Seq(Leaf(parse_sentence_words("x3 owns (a x1)", lex)),
@@ -257,8 +249,6 @@ def test_entries_print_from_templates_in_the_second_pass():
         text = pretty(composed)
         assert text == recursive_pretty(composed)
         assert "\\x1:" not in text and "\\x3:" not in text and "\\x2:" in text
-    assert _printed_from_templates(lex.entry(w, p) for w in ("own", "a", "it", "john")
-                                   for p in (Profile.A, Profile.B))
 
 
 @pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.dsc")))
