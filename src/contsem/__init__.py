@@ -9,7 +9,7 @@ from .terms import (
     Arrow, Base, SemType, E, T, G, arrow, type_text,
     Var, Lam, App, Const, Term, app,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
-    alpha_eq, normalize, reduce_once, trace, typecheck,
+    normalize, typecheck,
 )
 from .syntax import parse_term, parse_type, pretty
 from .logic import (
@@ -33,8 +33,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """The model checker, loaded on first use: no run of the CLI needs it."""
+    """The model checker and the `--trace` reducer, loaded on first use: no run
+    of the CLI needs the first, and only `--trace` needs the second."""
     if name in ("SignatureTooLarge", "logically_equiv"):
         from . import oracle
         return getattr(oracle, name)
+    if name in ("alpha_eq", "reduce_once", "trace"):
+        from . import reduction
+        return getattr(reduction, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,15 +9,19 @@ Modes: `interpret` (default) runs the full pipeline on a discourse file;
 all-symbolic profile-C discourse; `term-eval` treats the input as a single
 term in the named lambda syntax and normalizes it.
 
+`main` reads a plain argv, `run FILE` then whole long options with valid
+values, itself.  argparse, imported and built on first need, reads every other
+argv (help, usage errors, abbreviations, `--opt=value`, options before the
+file) and is the reference the plain reader is tested against; both read
+`_OPTIONS`.
+
 Exit status: 0 on success, 1 on any pipeline error, 2 on usage errors.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import ContsemError, DepthLimitExceeded
 from . import terms as tm
@@ -29,12 +33,34 @@ from .lexicon import Profile, default_lexicon
 from .logic import expand, formula_json, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
-from .terms import normalize, trace, typecheck
+from .terms import normalize, typecheck
+
+# The `run` options: flag, destination, default, choices (`int`: a number; None:
+# a switch, with a `--no-` form when it defaults on) and help.
+_OPTIONS = (
+    ("--profile", "profile", None, ("A", "B", "C"), None),
+    ("--mode", "mode", "interpret", ("interpret", "symbolic-expand", "term-eval"), None),
+    ("--symbolic", "symbolic", False, None, "shorthand for --mode symbolic-expand"),
+    ("--resolve", "resolve_strategy", "symbolic", ("symbolic", "recency"), None),
+    ("--raw", "show_raw", True, None, "print the unsimplified formula (default on)"),
+    ("--trace", "trace", False, None,
+     "print the whole term at every reduction step; meant for small inputs"),
+    ("--max-steps", "max_steps", 100_000, int, "fail after N beta contractions, each a "
+     "closure application (--trace: a normal-order step); default %(default)s"),
+    ("--format", "output", "text", ("text", "json"), None),
+    ("--connective", "connective", "and", ("and", "or"),
+     "initial connective for profile B (default: and)"),
+)
+_SWITCHES = {flag: (dest, True) for flag, dest, _, kind, _ in _OPTIONS if kind is None}
+_SWITCHES.update({"--no-" + flag[2:]: (dest, False)
+                  for flag, dest, default, kind, _ in _OPTIONS if kind is None and default})
+_VALUED = {flag: (dest, kind) for flag, dest, _, kind, _ in _OPTIONS if kind is not None}
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argument parser, built on first use and shared by every call."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="contsem",
         description="Interpret discourses as first-order logical forms and "
@@ -47,41 +73,52 @@ def _parser() -> argparse.ArgumentParser:
                "JSON `normal_form`, `raw_formula`) grow exponentially with the number "
                "of indefinites; the simplified formula does not.")
     run.add_argument("input", metavar="file")
-    run.add_argument("--profile", choices=["A", "B", "C"])
-    run.add_argument("--mode", choices=["interpret", "symbolic-expand", "term-eval"],
-                     default="interpret")
-    run.add_argument("--symbolic", action="store_true",
-                     help="shorthand for --mode symbolic-expand")
-    run.add_argument("--resolve", choices=["symbolic", "recency"],
-                     default="symbolic", dest="resolve_strategy")
-    run.add_argument("--raw", action=argparse.BooleanOptionalAction,
-                     default=True, dest="show_raw",
-                     help="print the unsimplified formula (default on)")
-    run.add_argument("--trace", action="store_true",
-                     help="print the whole term at every reduction step; "
-                     "meant for small inputs")
-    run.add_argument("--max-steps", type=int, default=100_000, dest="max_steps",
-                     metavar="N", help="fail after N beta contractions, each a "
-                     "closure application (--trace: a normal-order step); "
-                     "default %(default)s")
-    run.add_argument("--format", choices=["text", "json"], default="text",
-                     dest="output")
-    run.add_argument("--connective", choices=["and", "or"], default="and",
-                     help="initial connective for profile B (default: and)")
+    for flag, dest, default, kind, text in _OPTIONS:
+        how = ({"action": argparse.BooleanOptionalAction if default else "store_true"}
+               if kind is None else {"type": int, "metavar": "N"} if kind is int
+               else {"choices": kind})
+        run.add_argument(flag, default=default, dest=dest, help=text, **how)
     return parser
 
 
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace argparse reads from `run FILE` followed by whole flags of
+    `_OPTIONS`, each with a valid value (`--max-steps`: ASCII digits); None for
+    every other argv."""
+    if len(argv) < 2 or argv[0] != "run" or argv[1][:1] in ("", "-"):
+        return None
+    ns = SimpleNamespace(command="run", input=argv[1], **{o[1]: o[2] for o in _OPTIONS})
+    args = iter(argv[2:])
+    for arg in args:
+        if arg in _SWITCHES:
+            dest, value = _SWITCHES[arg]
+        elif arg in _VALUED:
+            dest, kind = _VALUED[arg]
+            value = next(args, "")      # int() converts up to 640 digits at least
+            if kind is int and value.isascii() and value.isdigit() and len(value) <= 640:
+                value = int(value)
+            elif kind is int or value not in kind:
+                return None
+        else:
+            return None
+        setattr(ns, dest, value)
+    return ns
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        ns = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = _plain_args(argv)
+    if ns is None:
+        try:
+            ns = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     if ns.symbolic:
         ns.mode = "symbolic-expand"
     return run(ns)
 
 
-def run(ns: argparse.Namespace) -> int:
+def run(ns) -> int:
     try:
         with open(ns.input, encoding="utf-8") as f:
             text = f.read()
@@ -108,6 +145,8 @@ def run(ns: argparse.Namespace) -> int:
 def _json_text(doc) -> str:
     """`json.dumps(doc, indent=2)` for dicts, lists, str, int, bool and None,
     from an explicit stack: json's encoder with `indent` is pure Python and recurses."""
+    import json     # here: a text run never loads it
+    from json.encoder import encode_basestring_ascii
     out, stack = [], [(doc, "\n")]    # pending text, or (value, its line start)
     while stack:
         item = stack.pop()
@@ -130,12 +169,20 @@ def _json_text(doc) -> str:
     return "".join(out)
 
 
+def _trace(term, ns) -> list:
+    """The normal-order steps `--trace` prints; only `--trace` loads the reducer."""
+    if not ns.trace:
+        return []
+    from .reduction import trace
+    return trace(term, ns.max_steps)
+
+
 def _trace_lines(steps) -> list[str]:
     return [f"step {step.step} @ {'.'.join(step.position) or 'root'}: {pretty(step.term)}"
             for step in steps]
 
 
-def _run_discourse(ns: argparse.Namespace, text: str) -> int:
+def _run_discourse(ns, text: str) -> int:
     lexicon = default_lexicon()
     parsed = parse_discourse(text, lexicon)
     profile = Profile(ns.profile) if ns.profile else parsed.profile
@@ -156,8 +203,7 @@ def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     result = run_pipeline(parsed.tree, lexicon, profile, init, ns.max_steps)
     json_out = ns.output == "json"
     composed_text, normal_text = pretty(result.composed), pretty(result.normal)
-    steps = trace(result.composed if symbolic else result.applied,
-                  ns.max_steps) if ns.trace else ()
+    steps = _trace(result.composed if symbolic else result.applied, ns)
     simplified = result.simplified      # None in symbolic expansion
     raw = result.raw if not symbolic and (ns.show_raw or json_out) else None
     reports = () if symbolic else report(simplified)
@@ -193,17 +239,18 @@ def _run_discourse(ns: argparse.Namespace, text: str) -> int:
     return 0
 
 
-def _run_term(ns: argparse.Namespace, text: str) -> int:
+def _run_term(ns, text: str) -> int:
     lexicon = default_lexicon()
     term = parse_term(text.strip(), lexicon.signature())
     ty = typecheck(term)
-    doc = {"term": pretty(term), "type": tm.type_text(ty), "normal_form": None}
-    lines = [f"term: {doc['term']}", f"type: {doc['type']}"]
-    if ns.trace:
-        lines.extend(_trace_lines(trace(term, ns.max_steps)))
-    doc["normal_form"] = pretty(normalize(term, ns.max_steps))
-    lines.append(f"normal: {doc['normal_form']}")
-    print(_json_text(doc) if ns.output == "json" else "\n".join(lines))
+    steps = _trace(term, ns)      # run in JSON too: its step budget can fail the run
+    doc = {"term": pretty(term), "type": tm.type_text(ty),
+           "normal_form": pretty(normalize(term, ns.max_steps))}
+    if ns.output == "json":
+        print(_json_text(doc))
+    else:
+        print("\n".join([f"term: {doc['term']}", f"type: {doc['type']}",
+                         *_trace_lines(steps), f"normal: {doc['normal_form']}"]))
     return 0
 
 

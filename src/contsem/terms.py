@@ -187,37 +187,6 @@ def path_steps(path) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Structural helpers
-
-def shift(term: Term, d: int, cutoff: int = 0) -> Term:
-    """Shift free variable indices >= cutoff by d."""
-    if isinstance(term, Var):
-        if term.index >= cutoff:
-            return Var(term.index + d)
-        return term
-    if isinstance(term, Lam):
-        return Lam(term.ty, shift(term.body, d, cutoff + 1))
-    if isinstance(term, App):
-        return App(shift(term.fn, d, cutoff), shift(term.arg, d, cutoff))
-    return term
-
-
-def _subst(term: Term, j: int, repl: Term) -> Term:
-    if isinstance(term, Var):
-        return repl if term.index == j else term
-    if isinstance(term, Lam):
-        return Lam(term.ty, _subst(term.body, j + 1, shift(repl, 1)))
-    if isinstance(term, App):
-        return App(_subst(term.fn, j, repl), _subst(term.arg, j, repl))
-    return term
-
-
-def beta(lam: Lam, arg: Term) -> Term:
-    """Contract the redex App(lam, arg)."""
-    return shift(_subst(lam.body, 0, shift(arg, 1)), -1)
-
-
-# ---------------------------------------------------------------------------
 # Typechecking
 
 def typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
@@ -336,59 +305,12 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Normal-order reduction, one step at a time (for --trace)
+# Normal-order reduction by substitution (for --trace): in `contsem.reduction`
 
-def reduce_once(term: Term) -> tuple[Term, tuple[str, ...]] | None:
-    """One leftmost-outermost beta step, or None if the term is normal.
-
-    Returns the reduced term together with the redex position (a path of
-    'fn'/'arg'/'body' steps).
-    """
-    return _step(term, ())
-
-
-def _step(t, path):
-    if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            return beta(t.fn, t.arg), path
-        r = _step(t.fn, path + ("fn",))
-        if r is not None:
-            return App(r[0], t.arg), r[1]
-        r = _step(t.arg, path + ("arg",))
-        if r is not None:
-            return App(t.fn, r[0]), r[1]
-        return None
-    if isinstance(t, Lam):
-        r = _step(t.body, path + ("body",))
-        if r is not None:
-            return Lam(t.ty, r[0]), r[1]
-        return None
-    return None
-
-
-class TraceStep(Node):
-    __slots__ = {"step": "int", "position": "tuple[str, ...]", "term": "Term"}
-
-
-def trace(term: Term, max_steps: int = 100_000) -> list[TraceStep]:
-    """Normal-order reduction sequence; empty for a term already normal.
-
-    The final entry's term is the normal form of the input.
-    """
-    out: list[TraceStep] = []
-    current = term
-    for i in range(max_steps):
-        r = reduce_once(current)
-        if r is None:
-            return out
-        current, pos = r
-        out.append(TraceStep(i, pos, current))
-    if reduce_once(current) is None:
-        return out
-    raise StepBudgetExceeded(max_steps)
-
-
-def alpha_eq(t1: Term, t2: Term) -> bool:
-    """With De Bruijn terms alpha-equivalence is structural equality,
-    including binder type annotations."""
-    return t1 == t2
+def __getattr__(name: str):
+    """The `--trace` reducer, still importable from here, loaded on first use."""
+    if name in ("shift", "_subst", "beta", "reduce_once", "_step", "TraceStep", "trace",
+                "alpha_eq"):
+        from . import reduction
+        return getattr(reduction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

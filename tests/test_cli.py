@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -272,6 +274,25 @@ def test_term_eval_renders_each_term_once(fmt, tmp_path, monkeypatch, capsys):
     assert calls == {"pretty": 2}
 
 
+def test_term_eval_json_builds_no_trace_lines(tmp_path, monkeypatch, capsys):
+    """Under --format json the trace still runs, so its step budget still
+    fails the run, but no trace line is built."""
+    monkeypatch.setattr(cli, "_trace_lines", lambda *_: pytest.fail("a trace line was built"))
+    for sample in sorted(TERMS.glob("*.lam")):
+        argv = ["run", str(sample), "--mode", "term-eval", "--format", "json"]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        assert main([*argv, "--trace"]) == 0
+        assert capsys.readouterr() == alone
+    f = tmp_path / "term.lam"
+    f.write_text(r"(\p:t. p & p) ((\q:t. q) top)")     # normal order: 3 steps; NbE: 2
+    argv = ["run", str(f), "--mode", "term-eval", "--format", "json", "--max-steps", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--trace"]) == 1
+    assert capsys.readouterr() == ("", "contsem: normalization exceeded 2 steps\n")
+
+
 def test_library_and_cli_give_the_same_formulas(tmp_path, capsys):
     lex = default_lexicon()
     f = tmp_path / "d.dsc"
@@ -515,3 +536,90 @@ def test_the_parser_is_built_once(monkeypatch, capsys):
         main(argv)
     capsys.readouterr()
     assert len(built) == 2          # `contsem` and its `run` subparser
+
+
+# ---------------------------------------------------------------------------
+# Plain argvs, read without argparse as argparse reads them
+
+_FLAGS = [flag for flag, *_ in cli._OPTIONS] + ["--no-raw", "--help"]
+_STEPS = ["5", "0010", "-5", "+5", "1_000", "\u00b2", "\u0665"]
+_VALUES = [v for *_, kind, _ in cli._OPTIONS if isinstance(kind, tuple) for v in kind]
+_VALUES += _STEPS + ["yaml", "D", "", "-A"]
+_PAIRS = [[flag, v] for flag, *_, kind, _ in cli._OPTIONS if kind is not None
+          for v in (_STEPS if kind is int else kind)]
+_WORDS = st.sampled_from(
+    [flag[:n] for flag in _FLAGS for n in range(3, len(flag) + 1)]
+    + [f"{flag}={v}" for flag in _FLAGS for v in _VALUES]
+    + _VALUES + ["-h", "--", "-", "run", "f.dsc"]) | st.text(max_size=6)
+_ITEMS = (st.sampled_from([[flag] for flag in _FLAGS] + _PAIRS)
+          | st.lists(st.sampled_from(_FLAGS + _VALUES) | _WORDS, min_size=1, max_size=2))
+_ARGVS = st.builds(lambda head, items: head + sum(items, []),
+                   st.sampled_from([["run", "f.dsc"]] * 4 + [[], ["run"]]),
+                   st.lists(_ITEMS, max_size=4))
+
+
+def _argparse_reads(argv):
+    """vars() of argparse's namespace for `argv`, None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ARGVS)
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == _argparse_reads(argv)
+
+
+_OWNS = str(SAMPLES / "owns_car.dsc")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", _OWNS, "--form", "json"], ["run", _OWNS, "--format=json"],
+    ["run", "--format", "json", _OWNS], ["run", _OWNS, "--", "--trace"],
+    ["run", _OWNS, "-h"], ["run", _OWNS, "--no-trace"], ["run", _OWNS, "--format"],
+    *(["run", _OWNS, "--max-steps", n] for n in ("-5", "+5", "1_000", "\u00b2", "\u0665", " 5")),
+])
+def test_other_spellings_go_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_every_option_is_read_plainly():
+    argv = ["run", _OWNS, "--profile", "C", "--mode", "term-eval", "--symbolic", "--raw",
+            "--no-raw", "--trace", "--max-steps", "0010", "--format", "json",
+            "--connective", "or", "--resolve", "recency", "--profile", "B"]
+    assert vars(cli._plain_args(argv)) == _argparse_reads(argv)
+
+
+def test_a_plain_run_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    cli._parser.cache_clear()
+    assert main(["run", str(SAMPLES / "loves_woman.dsc"), "--no-raw", "--resolve", "recency"]) == 0
+    assert built == []
+    assert capsys.readouterr().err == ""
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    for argv in (["run", _OWNS], ["run", "--format=json", "--resolve=recency", _OWNS]):
+        monkeypatch.setattr(sys, "argv", ["contsem", *argv])
+        assert main() == 0
+    assert capsys.readouterr().out == ((GOLDEN / "owns_car.out").read_text()
+                                       + (GOLDEN / "owns_car.json").read_text())
+
+
+def test_a_plain_run_loads_neither_argparse_nor_json():
+    """-S keeps site hooks from loading either first."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys\nfrom contsem.cli import main\n"
+            f"main(['run', {_OWNS!r}, '--no-raw', '--resolve', 'recency'])\n"
+            "print(sorted({'argparse', 'json', 'contsem.reduction', 'contsem.oracle'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from contsem import terms
+from contsem import reduction, terms
 from contsem.discourse import (
     compose, default_initial_args, has_symbolic_leaves, parse_discourse,
 )
@@ -141,8 +141,8 @@ def test_normalize_does_no_substitution(monkeypatch):
     def forbidden(*args):
         raise AssertionError("substitution on the normalize path")
 
-    monkeypatch.setattr(terms, "shift", forbidden)
-    monkeypatch.setattr(terms, "_subst", forbidden)
+    monkeypatch.setattr(reduction, "shift", forbidden)
+    monkeypatch.setattr(reduction, "_subst", forbidden)
     for name in ("loves_woman.dsc", "rfc_concrete_sub.dsc"):
         parsed = parse_discourse((SAMPLES / name).read_text(), LEX)
         assert parsed.profile in (Profile.A, Profile.C)

@@ -350,6 +350,21 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert out.stdout == "[]\n"
 
 
+def test_the_trace_reducer_is_importable_from_terms_and_contsem():
+    """`--trace`'s reducer lives in `contsem.reduction`, loaded on first use;
+    `contsem.terms` and `contsem` still give its names, and the package's
+    `trace` is the function even once the module is loaded."""
+    from contsem import reduction
+    for name in ("shift", "_subst", "beta", "reduce_once", "_step", "TraceStep",
+                 "trace", "alpha_eq"):
+        assert getattr(contsem.terms, name) is getattr(reduction, name)
+    for name in ("alpha_eq", "reduce_once", "trace"):
+        assert getattr(contsem, name) is getattr(reduction, name)
+    assert trace is reduction.trace
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        contsem.terms.no_such_name
+
+
 def test_type_text_matches_the_recursive_rendering():
     lex = default_lexicon()
     types = [typecheck(e.term) for e in lex.entries()]
