@@ -178,7 +178,7 @@ def _trace(term, ns) -> list:
 
 
 def _trace_lines(steps) -> list[str]:
-    return [f"step {step.step} @ {'.'.join(step.position) or 'root'}: {pretty(step.term)}"
+    return [f"step {step.step} @ {tm._path_text(step.position)}: {pretty(step.term)}"
             for step in steps]
 
 

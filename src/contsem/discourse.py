@@ -6,8 +6,9 @@ proper-noun / indefinite / pronoun NPs).  Discourses are binary trees over
 sentences: `.` sequences sentences in profiles A and B, while profile C uses
 `.c` (coordination) and `.s` (subordination), whose interpretations thread
 referent environments so later units only see what the right frontier
-licenses.  One walk checks and builds each sentence (`build_sentence`; the
-tests hold it to the staged walks it replaced, `gen.staged_build_sentence`).
+licenses.  One walk checks and builds each sentence (`build_sentence`), and
+each connective is built directly (`_connective`); the tests hold them to what
+they replaced, `gen.staged_build_sentence` and `gen.substitution_compose`.
 """
 from __future__ import annotations
 
@@ -19,9 +20,8 @@ from .errors import ContsemError
 from .node import Node
 from . import terms as tm
 from .logic import Formula, expand, reify, simplify
-from .lexicon import CATEGORY_TYPES, TYPE_NAMES, Category, Lexicon, Profile, content_type
+from .lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type
 from .lexicon import default_lexicon
-from .syntax import parse_term
 from .terms import App, Const, Lam, Term, Var, app, normalize, typecheck
 
 
@@ -190,62 +190,38 @@ def build_sentence(ast: Sentence, lexicon: Lexicon, profile: Profile) -> Term:
 # ---------------------------------------------------------------------------
 # Composition
 
-_SEQ_A = r"\e:g. \phi:phi. LHS_ e (\e':g. RHS_ e' phi)"
-# Profiles B and C: the right unit's leading arguments are filled in per node.
-_CONNECTIVE = (r"\c:k. \e1:g. \e2:g. \phi:phi."
-               r" LHS_ c e1 e2 (\c':k. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
-
-# Discourse node -> (its name in diagnostics, the profiles that have it, the
-# right unit's arguments before phi in the connective template).
+# Discourse node -> (its name in diagnostics, the profiles that have it).
 _NODES = {
-    Seq: ("plain sequencing (.)", (Profile.A, Profile.B), "c' e1' e2'"),
-    CoordN: ("coordination (.c)", (Profile.C,), "Coord e1' (c e1 e2)"),
-    SubN: ("subordination (.s)", (Profile.C,), "Sub e1' (c e1 e2)"),
+    Seq: ("plain sequencing (.)", (Profile.A, Profile.B)),
+    CoordN: ("coordination (.c)", (Profile.C,)),
+    SubN: ("subordination (.s)", (Profile.C,)),
 }
 
-
-def _binary_template(right: str, profile: Profile) -> Term:
-    sent = profile.sentence_type
-    source = _SEQ_A if profile.connective_type is None else _CONNECTIVE
-    return parse_term(source.format(RIGHT=right), {"LHS_": sent, "RHS_": sent},
-                      TYPE_NAMES[profile])
+_V = tuple(Var(i) for i in range(7))            # a connective's variables, shared by all
+_OUTER = App(App(_V[6], _V[5]), _V[4])          # `c e1 e2` under the right unit's binders
 
 
-@lru_cache(maxsize=None)
-def _copy_plan(right: str, profile: Profile) -> tuple:
-    """The template's nodes on the paths to LHS_ and RHS_, in postorder, as
-    `_fill` rebuilds them: a hole's name, a Lam's type, or an App's (function,
-    argument), None for a part rebuilt.  The rest is shared; a template is shallow."""
-    def plan(t) -> list:    # empty when no hole is below t
-        if type(t) is Lam:
-            body = plan(t.body)
-            return body and body + [t.ty]
-        if type(t) is App:
-            fn, arg = plan(t.fn), plan(t.arg)
-            return fn + arg + [(None if fn else t.fn, None if arg else t.arg)] if fn or arg else []
-        return [t.name] if type(t) is Const and t.name in ("LHS_", "RHS_") else []
-    return tuple(plan(_binary_template(right, profile)))
-
-
-def _fill(plan: tuple, holes: dict[str, Term]) -> Term:
-    """A connective's term: its template with the `holes` filled in."""
-    vals: list[Term] = []
-    for step in plan:
-        if type(step) is str:
-            vals.append(holes[step])
-        elif type(step) is tuple:
-            arg = vals.pop() if step[1] is None else step[1]
-            vals.append(App(vals.pop() if step[0] is None else step[0], arg))
-        else:
-            vals[-1] = Lam(step, vals[-1])
-    return vals[0]
+def _connective(kind: type, profile: Profile, left: Term, right: Term) -> Term:
+    r"""A `kind` node's term over its subtrees' closed terms: in profile A
+    `\e:g. \phi:phi. left e (\e':g. right e' phi)`, in B and C
+    `\c:k. \e1:g. \e2:g. \phi:phi. left c e1 e2 (\c':k. \e1':g. \e2':g. right R phi)`,
+    R being `c' e1' e2'` for `.`, `Coord e1' (c e1 e2)` for `.c`, `Sub e1' (c e1 e2)` for `.s`."""
+    v, k, phi = _V, profile.connective_type, profile.continuation_type
+    if k is None:
+        return Lam(tm.G, Lam(phi, App(App(left, v[1]), Lam(tm.G, App(App(right, v[0]), v[1])))))
+    if kind is Seq:
+        right = app(right, v[2], v[1], v[0])
+    else:
+        right = app(right, tm.COORD if kind is CoordN else tm.SUB, v[1], _OUTER)
+    return Lam(k, Lam(tm.G, Lam(tm.G, Lam(phi, App(
+        app(left, v[3], v[2], v[1]), Lam(k, Lam(tm.G, Lam(tm.G, App(right, v[3])))))))))
 
 
 def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
     """Structural interpretation of a discourse tree (not normalized).  Leaves
     are built and connectives checked in preorder, so the first error is the
-    leftmost one; then each connective's template takes its two subtrees'."""
-    stack, preorder = [tree], []    # leaf terms, and each connective's copy plan
+    leftmost one; then each connective is built over its two subtrees' terms."""
+    stack, preorder = [tree], []    # leaf terms, and each connective node's class
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
@@ -253,15 +229,15 @@ def compose(tree: DiscourseTree, lexicon: Lexicon, profile: Profile) -> Term:
         elif isinstance(node, SymLeaf):
             preorder.append(Const(node.name, profile.sentence_type))
         else:
-            name, profiles, right = _NODES[type(node)]
+            name, profiles = _NODES[type(node)]
             if profile not in profiles:
                 raise ProfileMismatch(name, profile)
-            preorder.append(_copy_plan(right, profile))
+            preorder.append(type(node))
             stack += (node.right, node.left)
     done: list[Term] = []           # composed subtrees, the leftmost on top
     for item in reversed(preorder):
-        if type(item) is tuple:
-            item = _fill(item, {"LHS_": done.pop(), "RHS_": done.pop()})
+        if type(item) is type:
+            item = _connective(item, profile, done.pop(), done.pop())
         done.append(item)
     return done[0]
 
@@ -323,9 +299,9 @@ class InitialArgs(Node):
 # Empty continuations: profile A always returns truth; profile B returns
 # truth under conjunction and falsity under disjunction, which makes it
 # vanish after simplification on either branch of a negation.
-PHI_A = parse_term(r"\e:g. top")
-PHI_B = parse_term(r"\c:k. \e1:g. \e2:g. ~(c top bot)", {}, TYPE_NAMES[Profile.B])
-PHI_C = parse_term(r"\c:k. \e1:g. \e2:g. top", {}, TYPE_NAMES[Profile.C])
+PHI_A = Lam(tm.G, tm.TOP)
+PHI_B = Lam(tm.KAPPA_B, Lam(tm.G, Lam(tm.G, App(tm.NOT, app(Var(2), tm.TOP, tm.BOT)))))
+PHI_C = Lam(tm.KAPPA_C, Lam(tm.G, Lam(tm.G, tm.TOP)))
 
 
 # A discourse-initial segment in profile C has no prior right frontier:

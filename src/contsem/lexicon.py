@@ -39,17 +39,11 @@ class Profile(Enum):
     B = "B"
     C = "C"
 
-    @property
-    def sentence_type(self) -> SemType:
-        return {Profile.A: SENT_A, Profile.B: SENT_B, Profile.C: SENT_C}[self]
-
-    @property
-    def continuation_type(self) -> SemType:
-        return {Profile.A: CONT_A, Profile.B: CONT_B, Profile.C: CONT_C}[self]
-
-    @property
-    def connective_type(self) -> SemType | None:
-        return {Profile.A: None, Profile.B: KAPPA_B, Profile.C: KAPPA_C}[self]
+    def __init__(self, value: str):
+        # Its sentence, continuation and connective types; A has no connective.
+        self.sentence_type, self.continuation_type, self.connective_type = {
+            "A": (SENT_A, CONT_A, None), "B": (SENT_B, CONT_B, KAPPA_B),
+            "C": (SENT_C, CONT_C, KAPPA_C)}[value]
 
 
 class Category(Enum):
@@ -282,16 +276,17 @@ class Lexicon:
         return known
 
     def knows(self, word: str) -> bool:
-        return (self._known.get(word) or self.canonical(word)) in self._words
+        return self.canonical(word) in self._words
 
     def _read(self, spelling: str) -> tuple[str, Category | None]:
-        """The spelling's word and its category (None if unregistered)."""
+        """The spelling's word and its category (None if unregistered).  The
+        table is read inline: the DSL reader's one registry call per token."""
         word = self._known.get(spelling) or self.canonical(spelling)
         row = self._words.get(word)
         return word, row and row[0]
 
     def _row(self, word: str) -> tuple[Category, str]:
-        row = self._words.get(self._known.get(word) or self.canonical(word))
+        row = self._words.get(self.canonical(word))
         if row is None:
             raise UnknownWord(word)
         return row
@@ -306,7 +301,7 @@ class Lexicon:
     def entry(self, word: str, profile: Profile) -> Term:
         if profile in self._unread:
             self._load(profile)
-        entry = self._entries.get((self._known.get(word) or self.canonical(word), profile))
+        entry = self._entries.get((self.canonical(word), profile))
         if entry is None:
             raise UnknownWord(word, profile)
         return entry.term
@@ -394,7 +389,8 @@ def load_word_file(lines: Iterable[str], base: Lexicon | None = None) -> Lexicon
             raise ContsemError(
                 f"lexicon file line {lineno}: expected `category word`, got {raw!r}"
             )
-        category = _FILE_CATEGORIES[parts[0]]
+        category, word = _FILE_CATEGORIES[parts[0]], parts[1]
+        symbol = base.symbol(word) if base.knows(word) else None     # a known word keeps its row's
         for profile in (Profile.A, Profile.B):
-            new.append(make_entry(category, parts[1], profile))
+            new.append(make_entry(category, word, profile, symbol))
     return base.extended(new)

@@ -130,8 +130,7 @@ class NotReifiable(ContsemError):
     def __init__(self, position: tuple = (), reason: str = ""):
         self.position = position
         self.reason = reason
-        where = ".".join(position) if position else "root"
-        super().__init__(f"term is not reifiable at {where}: {reason}")
+        super().__init__(f"term is not reifiable at {tm._path_text(position)}: {reason}")
 
 
 # ---------------------------------------------------------------------------

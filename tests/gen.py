@@ -17,8 +17,9 @@ their entity and environment helpers) for `logic.formula_text` and
 random inputs `random_reify_term` and `random_typecheck_case`,
 `tree_reify` and `tree_simplify` (which walk a shared normal form as a
 tree) for `logic.reify` and `logic.simplify` after `logic.expand`, and
-`substitution_compose`, which substitutes into each connective's whole
-template with `subst_consts`, for `discourse.compose`, the staged walks
+`substitution_compose`, which substitutes into each connective's named
+template (`connective_template`) with `subst_consts`, for
+`discourse.compose`, the staged walks
 `staged_build_sentence` (`_check_sentence`, then applying the entries or
 `_build_leaf_c`) for `discourse.build_sentence`, with their inputs
 `sentence_pool` and `random_sentence`, and the reader
@@ -39,10 +40,9 @@ import contsem.terms as tm
 from contsem.discourse import (
     _NODES, NP, ArityMismatch, CopulaAdj, CoordN, Det, DiscourseError, Leaf,
     ProfileMismatch, ProperN, Pron, Sentence, Seq, SubN, SymLeaf, Verb,
-    _binary_template, build_sentence, has_symbolic_leaves, parse_discourse,
-    parse_sentence_words,
+    build_sentence, has_symbolic_leaves, parse_discourse, parse_sentence_words,
 )
-from contsem.lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type
+from contsem.lexicon import CATEGORY_TYPES, TYPE_NAMES, Category, Lexicon, Profile, content_type
 from contsem.logic import (
     _NOT_A, _READINGS, And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar,
     EnvExpr, Exists, Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE,
@@ -50,7 +50,7 @@ from contsem.logic import (
 )
 from contsem.syntax import (
     _APP, _APPLY, _ATOM, _COMBINATORS, _CONJ, _CONS, _DISJ, _LAM, _NEG, _OPS,
-    _UNION, _WORD, ParseError, UnknownIdentifier,
+    _UNION, _WORD, ParseError, UnknownIdentifier, parse_term,
 )
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, COORD, EXISTS, NIL, NOT, OR, SEL, SUB, TOP, UNION,
@@ -466,11 +466,27 @@ def constants(term: Term) -> dict[str, SemType]:
     return out
 
 
+# The connectives `discourse.compose` builds, named: profile A's sequencing,
+# and profiles B and C's, whose right unit takes RIGHT_ARGS[node class]
+# before phi.
+SEQ_A = r"\e:g. \phi:phi. LHS_ e (\e':g. RHS_ e' phi)"
+CONNECTIVE = (r"\c:k. \e1:g. \e2:g. \phi:phi."
+              r" LHS_ c e1 e2 (\c':k. \e1':g. \e2':g. RHS_ {RIGHT} phi)")
+RIGHT_ARGS = {Seq: "c' e1' e2'", CoordN: "Coord e1' (c e1 e2)", SubN: "Sub e1' (c e1 e2)"}
+
+
+def connective_template(kind: type, profile: Profile) -> Term:
+    """A `kind` node's connective in `profile`, over the constants LHS_ and RHS_."""
+    sent = profile.sentence_type
+    source = (SEQ_A if profile.connective_type is None
+              else CONNECTIVE.format(RIGHT=RIGHT_ARGS[kind]))
+    return parse_term(source, {"LHS_": sent, "RHS_": sent}, TYPE_NAMES[profile])
+
+
 def substitution_compose(tree, lexicon: Lexicon, profile: Profile) -> Term:
-    """`discourse.compose` as it was before connectives were copied only
-    along the paths to their holes: `subst_consts` rebuilds each
-    connective's whole template.  Kept as the reference `compose` must
-    match."""
+    """`discourse.compose` by substitution: `subst_consts` fills each
+    connective's named template, parsed at every node.  Kept as the
+    reference `compose`, which builds each connective directly, must match."""
     stack, preorder = [tree], []
     while stack:
         node = stack.pop()
@@ -479,15 +495,15 @@ def substitution_compose(tree, lexicon: Lexicon, profile: Profile) -> Term:
         elif isinstance(node, SymLeaf):
             preorder.append(Const(node.name, profile.sentence_type))
         else:
-            name, profiles, right = _NODES[type(node)]
+            name, profiles = _NODES[type(node)]
             if profile not in profiles:
                 raise ProfileMismatch(name, profile)
-            preorder.append(right)
+            preorder.append(type(node))
             stack += (node.right, node.left)
     done: list[Term] = []
     for item in reversed(preorder):
-        if isinstance(item, str):
-            item = subst_consts(_binary_template(item, profile),
+        if isinstance(item, type):
+            item = subst_consts(connective_template(item, profile),
                                 {"LHS_": done.pop(), "RHS_": done.pop()})
         done.append(item)
     return done[0]

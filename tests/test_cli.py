@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contsem import cli, discourse, syntax
+from contsem import cli, discourse, syntax, terms as tm
 from contsem.cli import main
-from contsem.discourse import default_initial_args, interpret
+from contsem.discourse import (
+    PHI_B, InitialArgs, default_initial_args, interpret, parse_discourse, run_pipeline,
+)
 from contsem.lexicon import Profile, default_lexicon, load_word_file
-from contsem.logic import formula_text
+from contsem.logic import expand, formula_json, formula_text
+from contsem.resolver import report, report_line
 
 from gen import discourse_file, flat_discourse_text, pipeline_cases
 
@@ -86,6 +89,54 @@ def test_bad_discourse_is_pipeline_error(tmp_path, capsys):
     code = main(["run", str(bad)])
     assert code == 1
     assert "contsem:" in capsys.readouterr().err
+
+
+def test_connective_or_starts_profile_b_from_disjunction(capsys):
+    """`--connective or` prints, text and JSON, what the pipeline gives from
+    `|`; on a profile A or C file it changes nothing."""
+    sample = SAMPLES / "doesnt_own_car.dsc"
+    lex = default_lexicon()
+    result = run_pipeline(parse_discourse(sample.read_text(), lex).tree, lex, Profile.B,
+                          InitialArgs(Profile.B, (tm.OR, tm.NIL, tm.NIL, PHI_B)))
+    reports = report(result.simplified)
+    assert main(["run", str(sample), "--connective", "or"]) == 0
+    assert capsys.readouterr() == ("\n".join([
+        f"composed: {syntax.pretty(result.composed)}", f"normal: {syntax.pretty(result.normal)}",
+        f"raw: {formula_text(result.raw)}", f"simplified: {formula_text(result.simplified)}",
+        *map(report_line, reports)]) + "\n", "")
+    assert formula_text(result.simplified) == "(~ Ex y. (car y & own j y)) | red(sel(j::nil))"
+    assert main(["run", str(sample), "--connective", "or", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    formulas = {"raw_formula": expand(result.raw), "simplified_formula": result.simplified}
+    assert doc == {
+        "profile": "B", "composed_term": syntax.pretty(result.composed),
+        "normal_form": syntax.pretty(result.normal),
+        **{key: {"text": formula_text(f), "tree": formula_json(f)}
+           for key, f in formulas.items()},
+        "access_reports": [{"site": r.site_id, "env": formula_json(r.env),
+                            "candidates": [formula_json(c) for c in r.candidates]}
+                           for r in reports],
+        "resolved_formula": None}
+    for name in ("loves_woman", "rfc_concrete_sub"):      # profiles A and C
+        assert main(["run", str(SAMPLES / f"{name}.dsc"), "--connective", "or"]) == 0
+        assert capsys.readouterr() == ((GOLDEN / f"{name}.out").read_text(), "")
+
+
+def test_no_profile_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "d.dsc"
+    f.write_text("sentence s = john walks\ndiscourse = s\n")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "contsem: no profile given (add a `profile` line or --profile)\n")
+
+
+def test_module_entry_point_reproduces_the_golden():
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "contsem.cli", "run",
+                           str(SAMPLES / "owns_car.dsc")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, (GOLDEN / "owns_car.out").read_text(), "")
 
 
 def test_resolve_recency_appends_resolved_line(capsys):
@@ -362,6 +413,11 @@ _RED = "sentence s1 = it is red\n"
     ("A", "john owns (a car)\nsentence s0 = it is red", "s0",
      "line 3: duplicate sentence id 's0'"),
     ("A", "john owns (a car)", "s0\ndiscourse = s0 . s0", "line 4: duplicate discourse line"),
+    # Each directive's own shape.
+    ("A", "john owns (a car)\nsentence s1 it is red", "s0",
+     "line 3: expected `sentence <id> = <words>`"),
+    ("A", "john owns (a car)\nsentence 1x = it is red", "s0", "line 3: bad sentence id '1x'"),
+    ("A", "john owns (a car)", "s0\ndiscourse s0", "line 4: expected `discourse = <expr>`"),
 ])
 def test_ill_formed_discourse_diagnostics(profile, text, expr, err, tmp_path, capsys):
     f = tmp_path / "bad.dsc"

@@ -337,9 +337,9 @@ def test_flat_1000_sentence_discourses_compose(profile):
     (Profile.C, (1, 2, 3, 5, 8, 12, 24)),
 ])
 def test_compose_matches_the_substitution_reference(profile, lengths):
-    """A connective copies only its template's nodes on the paths to LHS_
-    and RHS_; the term and its text are those of substituting into the
-    whole template."""
+    """Each connective, built directly, is its named template (in `gen`)
+    with the subtrees' terms substituted for LHS_ and RHS_: the same term
+    and the same text."""
     rng = random.Random(20261019 + len(profile.value))
     for n in lengths:
         for _ in range(5):

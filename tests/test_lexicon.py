@@ -250,6 +250,8 @@ def test_negation_variant_rejected_is_profile_a_only():
     assert alpha_eq(rejected, expected)
     with pytest.raises(ContsemError, match="only for profile A"):
         negation_variant(Profile.B, rejected=True)
+    with pytest.raises(UnknownWord, match="no entry for 'doesnt' in profile C"):
+        negation_variant(Profile.C)     # C has no negation entry, rejected or not
 
 
 def test_with_rejected_negation_swaps_profile_a_entry():
@@ -280,6 +282,23 @@ def test_load_word_file():
     # base lexicon is untouched
     with pytest.raises(UnknownWord):
         LEX.entry("cat", Profile.A)
+    for bad in ("noun", "noun two words", "verb sees"):
+        with pytest.raises(ContsemError, match=(
+                f"lexicon file line 2: expected `category word`, got '{bad}'")):
+            load_word_file(["noun cat", bad])
+
+
+def test_a_word_file_builds_a_known_word_over_its_registry_symbol():
+    """`pnoun john` keeps john's row (symbol `j`), so its A and B entries
+    say `j` too, as the row and profile C do, not `john`."""
+    lex = load_word_file(["pnoun john", "tverb loves", "noun dog"])
+    assert lex.symbol("john") == "j" and lex.symbol("loves") == "love"
+    for word in ("john", "loves", "dog"):
+        for profile in (Profile.A, Profile.B):
+            assert lex.entry(word, profile) == make_entry(
+                lex.category(word), word, profile, lex.symbol(word)).term
+    assert pretty(lex.entry("john", Profile.A)) == r"\x1:e>g>(g>t)>t. x1 j"
+    assert lex.entry("loves", Profile.A) == LEX.entry("loves", Profile.A)
 
 
 # ---------------------------------------------------------------------------

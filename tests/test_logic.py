@@ -28,7 +28,7 @@ from gen import (
     pipeline_cases, random_formula, random_reify_term, recursive_entity_json,
     recursive_entity_text, recursive_env_entries, recursive_env_json,
     recursive_env_text, recursive_formula_json, recursive_formula_text,
-    recursive_reify, stacked_negation_formula, subst_consts, subterms,
+    recursive_alpha_eq, recursive_reify, stacked_negation_formula, subst_consts, subterms,
 )
 
 J = EntConst("j")
@@ -365,6 +365,19 @@ def test_formula_alpha_eq_renames_bound_vars():
     b = Exists("z", Atom("p", (EntVar("z"),)))
     assert alpha_eq(a, b)
     assert not alpha_eq(a, Exists("z", Atom("p", (EntConst("z"),))))
+
+
+def test_formula_alpha_eq_restores_a_shadowed_binder():
+    """Leaving an inner `Ex y` that shadows an outer `Ex y` gives `y` back
+    its outer renaming, as the recursive reference's scoped renaming does."""
+    def shadowing(outer, inner, last):      # Ex outer. (Ex inner. p inner) & p last
+        return Exists(outer, And(Exists(inner, Atom("p", (EntVar(inner),))),
+                                 Atom("p", (EntVar(last),))))
+    y = shadowing("y", "y", "y")
+    for other, same in ((shadowing("z", "w", "z"), True), (shadowing("z", "z", "z"), True),
+                        (shadowing("z", "w", "w"), False), (shadowing("z", "y", "y"), False)):
+        assert alpha_eq(y, other) == recursive_alpha_eq(y, other) == same
+        assert alpha_eq(other, y) == recursive_alpha_eq(other, y)
 
 
 def test_formula_alpha_eq_compares_environments_and_ignores_site_ids():

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from contsem.discourse import _CONNECTIVE, _NODES, _SEQ_A, PHI_A, PHI_B, PHI_C
+from contsem.discourse import PHI_A, PHI_B, PHI_C
 from contsem.errors import ContsemError
 from contsem.lexicon import (
     _FIXED, _REJECTED_NEGATION_A, _TEMPLATES, CATEGORY_TYPES, TYPE_NAMES, Category, Profile,
@@ -25,7 +25,8 @@ from contsem.terms import (
 )
 
 from gen import (
-    random_type, recursive_parse_term, recursive_parse_type, term_preorder,
+    CONNECTIVE, RIGHT_ARGS, SEQ_A, random_type, recursive_parse_term, recursive_parse_type,
+    term_preorder,
 )
 
 SEED = 20261018
@@ -114,9 +115,10 @@ def test_printed_terms_and_their_mutations_parse_alike():
 
 
 def _sources():
-    """Every term source the library parses, with its constants and the type
-    names it reads: lexicon entries and templates, the composition templates
-    and the empty continuations."""
+    """Every term source the library parses, lexicon entries and templates,
+    and the named forms of the terms it builds directly, the composition
+    templates and the empty continuations (each equal to its source's
+    parse), with their constants and the type names they read."""
     for profile, words in _FIXED.items():
         for source in words.values():
             yield source, {}, TYPE_NAMES[profile]
@@ -126,9 +128,9 @@ def _sources():
             yield template.format(p="w"), {"w": content_type(category)}, TYPE_NAMES[profile]
     for profile in (Profile.B, Profile.C):
         holes = {"LHS_": profile.sentence_type, "RHS_": profile.sentence_type}
-        for _, _, right in _NODES.values():
-            yield _CONNECTIVE.format(RIGHT=right), holes, TYPE_NAMES[profile]
-    yield (_SEQ_A, {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type},
+        for right in RIGHT_ARGS.values():
+            yield CONNECTIVE.format(RIGHT=right), holes, TYPE_NAMES[profile]
+    yield (SEQ_A, {"LHS_": Profile.A.sentence_type, "RHS_": Profile.A.sentence_type},
            TYPE_NAMES[Profile.A])
     for source, phi, profile in ((r"\e:g. top", PHI_A, Profile.A),
                                  (r"\c:k. \e1:g. \e2:g. ~(c top bot)", PHI_B, Profile.B),

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from contsem import terms
+from contsem import logic, terms
 from contsem.cli import main
 from contsem.discourse import (
     InitialArgs, default_initial_args, parse_discourse, run_pipeline,
@@ -174,6 +174,24 @@ def test_simplify_looks_through_copies():
     for n in (4, 8, 12):
         raw = reify(_flat_b(n).normal)
         assert _copies(raw) > 0 and _copies(simplify(raw)) == 0
+
+
+def test_a_copy_in_an_opened_copy_is_one_copy(monkeypatch):
+    """A copied existential whose simplified body is a conjunction holding a
+    copy: opening the outer copy (De Morgan under `~`) makes a copy of the
+    inner copy, which `_shifted` merges into one, and the result written out
+    is the tree walk's."""
+    merged, shifted = [], logic._shifted
+    monkeypatch.setattr(logic, "_shifted",
+                        lambda f, *a: merged.append(type(f) is Shifted) or shifted(f, *a))
+    some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
+    p = Const("p", arrow(E, T))
+    body = App(EXISTS, Lam(E, app(AND, some_car, app(AND, App(NOT, some_car), App(p, Var(0))))))
+    raw = _check_against_trees(app(AND, body, App(NOT, body)))
+    assert _copies(raw) == 2 and any(merged)
+    assert formula_text(simplify(raw)) == (
+        "((Ex y1. car y1) & (~ Ex y2. car y2) & Ex y. p y)"
+        " & ((~ Ex y4. car y4) | (Ex y5. car y5) | ~ Ex y3. p y3)")
 
 
 def test_reify_and_simplify_never_hash_or_compare_terms_and_formulas(monkeypatch):
