@@ -6,7 +6,7 @@ every pronoun site records exactly the discourse referents it may access.
 """
 
 from .terms import (
-    Arrow, Base, SemType, E, T, G, arrow, type_text,
+    Arrow, Base, SemType, E, T, G, arrow,
     Var, Lam, App, Const, Term, app,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
     normalize, typecheck,
@@ -27,18 +27,6 @@ from .discourse import (
     build_sentence, compose, default_initial_args, expand_symbolic,
     interpret, parse_discourse, parse_sentence_words, run_pipeline,
 )
-from .resolver import AccessReport, eval_env, report, report_line, resolve
+from .resolver import AccessReport, report, report_line, resolve
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    """The model checker and the `--trace` reducer, loaded on first use: no run
-    of the CLI needs the first, and only `--trace` needs the second."""
-    if name in ("SignatureTooLarge", "logically_equiv"):
-        from . import oracle
-        return getattr(oracle, name)
-    if name in ("alpha_eq", "reduce_once", "trace"):
-        from . import reduction
-        return getattr(reduction, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

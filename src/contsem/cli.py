@@ -244,7 +244,7 @@ def _run_term(ns, text: str) -> int:
     term = parse_term(text.strip(), lexicon.signature())
     ty = typecheck(term)
     steps = _trace(term, ns)      # run in JSON too: its step budget can fail the run
-    doc = {"term": pretty(term), "type": tm.type_text(ty),
+    doc = {"term": pretty(term), "type": ty.text,
            "normal_form": pretty(normalize(term, ns.max_steps))}
     if ns.output == "json":
         print(_json_text(doc))

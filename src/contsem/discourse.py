@@ -290,8 +290,8 @@ class InitialArgs(Node):
             found = typecheck(arg)
             if found.text != ty.text:
                 raise DiscourseError(
-                    f"initial argument {i} must have type {tm.type_text(ty)}, "
-                    f"found {tm.type_text(found)}")
+                    f"initial argument {i} must have type {ty.text}, "
+                    f"found {found.text}")
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "args", args)
 

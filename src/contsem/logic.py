@@ -1,7 +1,7 @@
 """First-order logical forms.
 
 Normal-form terms of type t are reified into Formula trees; a fixed set of
-equivalence-preserving rewrites cleans them up (`oracle` checks them).
+equivalence-preserving rewrites cleans them up.
 """
 from __future__ import annotations
 
@@ -622,11 +622,3 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
                 nodes.append(child)
                 docs.append(sub)
     return root
-
-
-def __getattr__(name: str):
-    """The model checker, still importable from here, loaded on first use."""
-    if name in ("SignatureTooLarge", "logically_equiv"):
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

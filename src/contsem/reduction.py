@@ -1,7 +1,5 @@
 """Normal-order reduction by substitution, one step at a time.  Only `--trace`
-runs it, and only then does the CLI import it; `contsem.terms` and `contsem`
-load it when one of its names is first read.  (A submodule named `trace` would
-replace the function `contsem.trace` once imported.)"""
+runs it, and only then does the CLI import it."""
 from __future__ import annotations
 
 from .node import Node
@@ -78,9 +76,3 @@ def trace(term: Term, max_steps: int = 100_000) -> list[TraceStep]:
     if reduce_once(current) is None:
         return out
     raise StepBudgetExceeded(max_steps)
-
-
-def alpha_eq(t1: Term, t2: Term) -> bool:
-    """With De Bruijn terms alpha-equivalence is structural equality,
-    including binder type annotations."""
-    return t1 == t2

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .errors import ContsemError
 from .logic import (
-    Atom, EntityTerm, EnvExpr, Formula, SelOf, env_entries, formula_text,
+    Atom, EntityTerm, Formula, SelOf, env_entries, formula_text,
     iter_atoms, map_atoms,
 )
 from .node import Node
@@ -18,12 +18,6 @@ class EmptyEnvironment(ContsemError):
 class AccessReport(Node):
     __slots__ = {"site_id": "int", "env": "EnvExpr",
                  "candidates": "tuple[EntityTerm, ...]"}
-
-
-def eval_env(env: EnvExpr) -> list[EntityTerm]:
-    """Accessible referents of an environment, most recent first, without
-    duplicates.  See logic.env_entries for the union ordering rule."""
-    return list(env_entries(env))
 
 
 def report(f: Formula) -> list[AccessReport]:

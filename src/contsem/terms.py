@@ -75,11 +75,6 @@ def arrow(*types: SemType) -> SemType:
     return result
 
 
-def type_text(ty: SemType) -> str:
-    """Render a type in the concrete syntax (`>` is right-associative)."""
-    return ty.text
-
-
 # Connective type used by the dual-environment calculus (profile B) and the
 # combinator type used by the right-frontier calculus (profile C).
 KAPPA_B = arrow(T, T, T)
@@ -302,15 +297,3 @@ def normalize(term: Term, max_steps: int = 100_000) -> Term:
     if steps > max_steps:   # reuse since the last step
         raise StepBudgetExceeded(max_steps)
     return normal
-
-
-# ---------------------------------------------------------------------------
-# Normal-order reduction by substitution (for --trace): in `contsem.reduction`
-
-def __getattr__(name: str):
-    """The `--trace` reducer, still importable from here, loaded on first use."""
-    if name in ("shift", "_subst", "beta", "reduce_once", "_step", "TraceStep", "trace",
-                "alpha_eq"):
-        from . import reduction
-        return getattr(reduction, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,7 @@ read-back) for the normalization-by-evaluation normalizer, the recursive
 pretty-printer and `equality_pretty` (which tells `Coord` and `Sub` by `==`,
 with its inputs `random_near_miss_term`) for `syntax.pretty`, the
 recursive-descent parser for `syntax.parse_term` and
-`parse_type`, the recursive type renderer for `terms.type_text`, the
+`parse_type`, the recursive type renderer for the types' `text`, the
 recursive environment flattener for `logic.env_entries`, the recursive
 formula renderers `recursive_formula_text`/`recursive_formula_json` (with
 their entity and environment helpers) for `logic.formula_text` and
@@ -26,7 +26,8 @@ template (`connective_template`) with `subst_consts`, for
 `four_call_parse_sentence_words` for `discourse.parse_sentence_words`.
 `is_closed` and `size` are recursive term measures, `distinct_nodes` counts
 the objects of a term that shares subterms, and `constants` and
-`subst_consts` term helpers, only the tests use."""
+`subst_consts` term helpers, only the tests use.  The model checker the
+tests compare formulas with, `logically_equiv`, is in `oracle.py`."""
 from __future__ import annotations
 
 import itertools
@@ -48,6 +49,7 @@ from contsem.logic import (
     EnvExpr, Exists, Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE,
     _atom_vars, alpha_eq, env_entries, env_from_entries,
 )
+from contsem.reduction import beta
 from contsem.syntax import (
     _APP, _APPLY, _ATOM, _COMBINATORS, _CONJ, _CONS, _DISJ, _LAM, _NEG, _OPS,
     _UNION, _WORD, ParseError, UnknownIdentifier, parse_term,
@@ -55,7 +57,7 @@ from contsem.syntax import (
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, COORD, EXISTS, NIL, NOT, OR, SEL, SUB, TOP, UNION,
     App, Arrow, Base, Const, E, G, Lam, SemType, StepBudgetExceeded, T, Term,
-    TypeMismatch, UnboundVariable, Var, app, arrow, beta, normalize, path_steps,
+    TypeMismatch, UnboundVariable, Var, app, arrow, normalize, path_steps,
 )
 
 # Signature for generated terms: every base type is inhabited by a constant,
@@ -775,7 +777,7 @@ def outcome(f, *args):
 # Rendering and environment references
 
 def recursive_type_text(ty: SemType) -> str:
-    """`terms.type_text` as it was before types carried their text: rendered
+    """A type's `text` as it was rendered before types carried it: rendered
     again, recursively, on every call.  Kept as the reference the text built
     with each type must match."""
     if isinstance(ty, Base):

@@ -1,14 +1,15 @@
-"""Brute-force equivalence oracle over small entity domains, the check of
-the rewrites in `logic`; the command line never calls it."""
+"""Brute-force equivalence oracle over small entity domains: the model
+checker the tests hold `contsem.logic`'s rewrites and the pipeline's
+formulas to."""
 from __future__ import annotations
 
 import itertools
 import random
 from collections.abc import Callable
 
-from .errors import ContsemError
-from .logic import (And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or, SelOf,
-                    Top, env_entries, iter_atoms, map_atoms)
+from contsem.errors import ContsemError
+from contsem.logic import (And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or,
+                           SelOf, Top, env_entries, iter_atoms, map_atoms)
 
 
 class SignatureTooLarge(ContsemError):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -674,8 +675,39 @@ def test_a_plain_run_loads_neither_argparse_nor_json():
     src = Path(cli.__file__).resolve().parent.parent
     code = ("import sys\nfrom contsem.cli import main\n"
             f"main(['run', {_OWNS!r}, '--no-raw', '--resolve', 'recency'])\n"
-            "print(sorted({'argparse', 'json', 'contsem.reduction', 'contsem.oracle'}"
-            " & set(sys.modules)))")
+            "print(sorted({'argparse', 'json', 'contsem.reduction'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+_PIPELINE = ["contsem", *(f"contsem.{m}" for m in (
+    "cli", "discourse", "errors", "lexicon", "logic", "node", "resolver", "syntax", "terms"))]
+
+
+def _loaded_after_run(*flags) -> list[str]:
+    """The `contsem` modules a fresh interpreter holds after one `main` run
+    on a sample; -S keeps site hooks from importing anything first."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys\nfrom contsem.cli import main\n"
+            f"main(['run', {_OWNS!r}, *{list(flags)!r}])\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'contsem'))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_a_plain_run_loads_exactly_the_pipeline_modules():
+    assert _loaded_after_run("--no-raw", "--resolve", "recency") == _PIPELINE
+
+
+def test_trace_adds_exactly_the_reducer():
+    assert _loaded_after_run("--trace") == sorted([*_PIPELINE, "contsem.reduction"])
+
+
+def test_the_package_holds_only_modules_a_run_loads():
+    """No module in the package is there for the tests alone: each one is
+    loaded by a plain run or a `--trace` run."""
+    package = Path(cli.__file__).parent
+    held = [f"contsem.{m.name}" for m in pkgutil.iter_modules([str(package)])]
+    assert sorted(["contsem", *held]) == _loaded_after_run("--trace")

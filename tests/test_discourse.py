@@ -16,12 +16,11 @@ from contsem.discourse import (
 from contsem import lexicon
 from contsem.lexicon import Category, Lexicon, Profile, UnknownWord, default_lexicon
 from contsem.logic import formula_text
-from contsem.oracle import logically_equiv
 from contsem.resolver import report
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (
     AND, COORD, NIL, SENT_C, SUB, T,
-    Const, E, G, alpha_eq, app, arrow, normalize, typecheck,
+    Const, E, G, app, arrow, normalize, typecheck,
 )
 
 from gen import (
@@ -29,6 +28,7 @@ from gen import (
     random_closed_term, random_discourse, random_sentence, sentence_pool, sentence_words,
     staged_build_sentence, subst_consts, substitution_compose, subterms, term_preorder,
 )
+from oracle import logically_equiv
 
 LEX = default_lexicon()
 KC = "g>g>g"
@@ -67,7 +67,7 @@ def test_loves_a_woman_normal_form():
     expected = parse_term(
         r"\e:g. \phi:g>t. Ex (\y:e. woman y & (love j y & phi (y::e)))",
         LEX.signature())
-    assert alpha_eq(nf, expected)
+    assert nf == expected
 
 
 def test_it_is_red_profile_b_applies_red_to_sel():
@@ -297,7 +297,7 @@ def test_symbolic_expansions(key):
     tree, expected_text = EXPECTED_EXPANSIONS[key]
     expected = parse_term(expected_text, SYM_SIG)
     assert normalize(expected) == expected  # transcription is already normal
-    assert alpha_eq(expand_symbolic(tree, LEX), expected)
+    assert expand_symbolic(tree, LEX) == expected
 
 
 def test_leaf_walk_is_stack_safe():

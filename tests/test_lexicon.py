@@ -17,7 +17,7 @@ from contsem.lexicon import (
 )
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (
-    App, Const, E, Lam, T, TypeMismatch, Var, alpha_eq, arrow, typecheck,
+    App, Const, E, Lam, T, TypeMismatch, Var, arrow, typecheck,
 )
 
 from gen import is_closed, subst_consts
@@ -33,7 +33,7 @@ def test_car_entry_exact_form():
     expected = parse_term(
         rf"\x:e. \c:{KB}. \e1:g. \e2:g. \phi:{PHIB}. c (car x) (phi c e1 e2)",
         LEX.signature())
-    assert alpha_eq(LEX.entry("car", Profile.B), expected)
+    assert LEX.entry("car", Profile.B) == expected
 
 
 def test_john_entry_has_np_type():
@@ -43,7 +43,7 @@ def test_john_entry_has_np_type():
 
 def test_pronoun_entry_profile_a():
     expected = parse_term(r"\P:e>g>(g>t)>t. \e:g. \phi:g>t. P (sel e) e phi")
-    assert alpha_eq(LEX.entry("it", Profile.A), expected)
+    assert LEX.entry("it", Profile.A) == expected
 
 
 def test_every_shipped_entry_is_closed_and_typechecks():
@@ -195,14 +195,14 @@ def test_make_entry_common_noun_shapes_like_car():
     dog = make_entry(Category.COMMON_NOUN, "dog", Profile.B)
     renamed = subst_consts(LEX.entry("car", Profile.B),
                            {"car": Const("dog", arrow(E, T))})
-    assert alpha_eq(dog.term, renamed)
+    assert dog.term == renamed
 
 
 def test_make_entry_transitive_verb_shapes_like_own():
     sees = make_entry(Category.TRANSITIVE_VERB, "sees", Profile.B)
     renamed = subst_consts(LEX.entry("own", Profile.B),
                            {"own": Const("sees", arrow(E, E, T))})
-    assert alpha_eq(sees.term, renamed)
+    assert sees.term == renamed
 
 
 def test_make_entry_rejects_determiners():
@@ -218,8 +218,8 @@ def test_negation_variant_accepted_b_matches_table():
         rf" \c:{KB}. \e1:g. \e2:g. \phi:{PHIB}."
         rf" ~(V S (\a:t. \b:t. ~(c (~a) (~b))) e1 e2"
         rf" (\c':{KB}. \e1':g. \e2':g. ~(phi c' e1' e2)))")
-    assert alpha_eq(negation_variant(Profile.B), expected)
-    assert alpha_eq(negation_variant(Profile.B), LEX.entry("doesnt", Profile.B))
+    assert negation_variant(Profile.B) == expected
+    assert negation_variant(Profile.B) == LEX.entry("doesnt", Profile.B)
 
 
 def test_negation_continuation_passes_outer_existential_env():
@@ -247,7 +247,7 @@ def test_negation_variant_rejected_is_profile_a_only():
         r"\V:((e>g>(g>t)>t)>g>(g>t)>t)>g>(g>t)>t."
         r" \S:(e>g>(g>t)>t)>g>(g>t)>t."
         r" \e:g. \phi:g>t. ~(V S e (\e':g. phi e'))")
-    assert alpha_eq(rejected, expected)
+    assert rejected == expected
     with pytest.raises(ContsemError, match="only for profile A"):
         negation_variant(Profile.B, rejected=True)
     with pytest.raises(UnknownWord, match="no entry for 'doesnt' in profile C"):
@@ -256,10 +256,8 @@ def test_negation_variant_rejected_is_profile_a_only():
 
 def test_with_rejected_negation_swaps_profile_a_entry():
     swapped = LEX.with_rejected_negation()
-    assert alpha_eq(swapped.entry("doesnt", Profile.A),
-                    negation_variant(Profile.A, rejected=True))
-    assert alpha_eq(swapped.entry("doesnt", Profile.B),
-                    LEX.entry("doesnt", Profile.B))
+    assert swapped.entry("doesnt", Profile.A) == negation_variant(Profile.A, rejected=True)
+    assert swapped.entry("doesnt", Profile.B) == LEX.entry("doesnt", Profile.B)
 
 
 @settings(max_examples=40, deadline=None)

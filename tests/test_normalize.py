@@ -149,7 +149,7 @@ def test_normalize_does_no_substitution(monkeypatch):
         nf = normalize(_applied(parsed.tree, parsed.profile))
         assert typecheck(nf) == T
     with pytest.raises(AssertionError):
-        terms.beta(Lam(G, Var(0)), terms.NIL)
+        reduction.beta(Lam(G, Var(0)), terms.NIL)
 
 
 # ---------------------------------------------------------------------------

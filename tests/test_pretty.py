@@ -15,9 +15,10 @@ from contsem.discourse import (
 )
 from contsem.lexicon import Profile, default_lexicon, load_word_file
 from contsem.node import Node
+from contsem.reduction import trace
 from contsem.syntax import parse_term, parse_type, pretty
 from contsem.terms import (
-    AND, BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize, trace,
+    AND, BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize,
 )
 
 from gen import (

@@ -5,10 +5,10 @@ from contsem.errors import ContsemError
 from contsem.discourse import Det, Leaf, ProperN, Pron, Sentence, Seq, Verb, CopulaAdj, interpret
 from contsem.lexicon import Category, Profile, default_lexicon, make_entry
 from contsem.logic import (
-    And, Atom, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, UnionE,
+    And, Atom, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, UnionE, env_entries,
 )
 from contsem.resolver import (
-    AccessReport, EmptyEnvironment, eval_env, report, report_line, resolve,
+    AccessReport, EmptyEnvironment, report, report_line, resolve,
 )
 
 from gen import formula_preorder
@@ -64,28 +64,28 @@ def test_resolve_reports_first_empty_site_in_reading_order():
 
 
 def test_eval_union_with_nil():
-    assert eval_env(UnionE(cons(J), NilE())) == [J]
+    assert env_entries(UnionE(cons(J), NilE())) == (J,)
 
 
 def test_eval_nil():
-    assert eval_env(NilE()) == []
+    assert env_entries(NilE()) == ()
 
 
 def test_eval_dedups_across_union():
-    assert eval_env(UnionE(cons(Y, J), cons(J))) == [Y, J]
+    assert env_entries(UnionE(cons(Y, J), cons(J))) == (Y, J)
 
 
 def test_eval_recent_side_first():
-    assert eval_env(UnionE(cons(J), cons(Y))) == [Y, J]
+    assert env_entries(UnionE(cons(J), cons(Y))) == (Y, J)
 
 
 def test_eval_dedups_within_cons():
-    assert eval_env(cons(J, J, Y)) == [J, Y]
+    assert env_entries(cons(J, J, Y)) == (J, Y)
 
 
 def test_eval_idempotent_under_rewrapping():
     env = cons(Y, J)
-    assert eval_env(UnionE(env, NilE())) == eval_env(env)
+    assert env_entries(UnionE(env, NilE())) == env_entries(env)
 
 
 def test_report_orders_by_site_id():
@@ -104,7 +104,7 @@ def test_report_on_formula_without_sel_is_empty():
 def test_report_candidates_occur_in_env_without_duplicates():
     env = UnionE(cons(J, Y), cons(J))
     (r,) = report(Atom("red", (SelOf(env, 0),)))
-    entries = set(eval_env(env))
+    entries = set(env_entries(env))
     assert len(set(r.candidates)) == len(r.candidates)
     assert all(c in entries for c in r.candidates)
 

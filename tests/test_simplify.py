@@ -19,13 +19,13 @@ from contsem.logic import (
     And, Atom, Bot, EntConst, EntVar, Exists, Not, Or, Top, alpha_eq,
     expand, reify, simplify,
 )
-from contsem.oracle import logically_equiv
 from contsem.terms import app, normalize
 
 from gen import (
     baseline_discourse, fixpoint_simplify, formula_preorder, random_discourse,
     random_formula, recursive_alpha_eq,
 )
+from oracle import logically_equiv
 
 LEX = default_lexicon()
 SAMPLES = Path(__file__).parent.parent / "samples"
