@@ -293,9 +293,19 @@ def reify(term: Term) -> Formula:
                 done[-1] = sort(done[-1], right)
                 if depth:                   # an existential's note: its first reading
                     seen[depth[0]] = (done[-1], depth, fresh, sites)
-        if avoid or used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh)):
+        if avoid or not any(_chosen(name, fresh) for name in used):
             return done[0]
         avoid = used
+
+
+def _chosen(name: str, fresh: int) -> bool:
+    """Whether `name` is one of the first `fresh` bound names, y, y1, y2, ...:
+    read off the name, so the test costs the same whatever `fresh` is."""
+    k = name[1:]
+    if name[:1] != "y" or not fresh:
+        return False
+    return not k or (k.isascii() and k.isdigit() and k[0] != "0"
+                     and len(k) <= len(str(fresh)) and int(k) < fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -380,32 +390,35 @@ def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
-    """Equality up to renaming of bound variables and selection site ids."""
-    ren: dict[str, str] = {}
+    """Equality up to renaming of bound variables and selection site ids.  On
+    each side a bound name reads as the number of its binder, entered in step
+    with the other side's, and a free name as itself."""
+    left: dict[str, int | str] = {}
+    right: dict[str, int | str] = {}
+    binders = 0
     stack: list = [(f1, f2)]
     while stack:
         a, b = stack.pop()
-        if a is None:                   # leaving a binder: b is (var, shadowed)
-            var, shadowed = b
-            if shadowed is None:
-                del ren[var]
-            else:
-                ren[var] = shadowed
+        if a is None:           # leaving a binder: b is each side's (var, earlier reading)
+            (var1, before1), (var2, before2) = b
+            left[var1], right[var2] = before1, before2
         elif type(a) is Shifted or type(b) is Shifted:     # it reads like its body
             stack.append((a.body if type(a) is Shifted else a,
                           b.body if type(b) is Shifted else b))
         elif type(a) is not type(b):
             return False
         elif isinstance(a, Exists):
-            stack.append((None, (a.var, ren.get(a.var))))
-            ren[a.var] = b.var
+            stack.append((None, ((a.var, left.get(a.var, a.var)),
+                                 (b.var, right.get(b.var, b.var)))))
+            binders += 1
+            left[a.var] = right[b.var] = binders
             stack.append((a.body, b.body))
         elif isinstance(a, Atom):
             if a.pred != b.pred or len(a.args) != len(b.args):
                 return False
             stack += zip(a.args, b.args)
         elif isinstance(a, EntVar):
-            if ren.get(a.name, a.name) != b.name:
+            if left.get(a.name, a.name) != right.get(b.name, b.name):
                 return False
         elif isinstance(a, EntConst):
             if a.name != b.name:

@@ -1630,8 +1630,10 @@ def _env_vars(env: EnvExpr):
 
 
 def recursive_alpha_eq(f1: Formula, f2: Formula) -> bool:
-    """`logic.alpha_eq` as it was before it used an explicit stack."""
-    return _aeq(f1, f2, {})
+    """`logic.alpha_eq` as it was before it used an explicit stack: `ren`
+    holds each side's bound names, each read as its binder (a new object per
+    pair of binders), so a free name equals only the same free name."""
+    return _aeq(f1, f2, ({}, {}))
 
 
 def _aeq(f1, f2, ren):
@@ -1644,7 +1646,8 @@ def _aeq(f1, f2, ren):
     if isinstance(f1, (And, Or)):
         return _aeq(f1.left, f2.left, ren) and _aeq(f1.right, f2.right, ren)
     if isinstance(f1, Exists):
-        return _aeq(f1.body, f2.body, {**ren, f1.var: f2.var})
+        binder = object()
+        return _aeq(f1.body, f2.body, ({**ren[0], f1.var: binder}, {**ren[1], f2.var: binder}))
     return f1.pred == f2.pred and len(f1.args) == len(f2.args) and all(
         _ent_aeq(a, b, ren) for a, b in zip(f1.args, f2.args)
     )
@@ -1656,7 +1659,7 @@ def _ent_aeq(a, b, ren):
     if isinstance(a, EntConst):
         return a.name == b.name
     if isinstance(a, EntVar):
-        return ren.get(a.name, a.name) == b.name
+        return ren[0].get(a.name, a.name) == ren[1].get(b.name, b.name)
     return _env_aeq(a.env, b.env, ren)
 
 

@@ -11,6 +11,7 @@ from contsem.logic import (
     Or, SelOf, Shifted, Top, UnionE,
     alpha_eq, env_entries, expand, formula_json, formula_text, reify, simplify,
 )
+from contsem.node import Node
 from contsem.resolver import EmptyEnvironment, resolve
 from contsem.syntax import parse_type
 from contsem.terms import (
@@ -372,7 +373,51 @@ def test_formula_alpha_eq_restores_a_shadowed_binder():
     for other, same in ((shadowing("z", "w", "z"), True), (shadowing("z", "z", "z"), True),
                         (shadowing("z", "w", "w"), False), (shadowing("z", "y", "y"), False)):
         assert alpha_eq(y, other) == recursive_alpha_eq(y, other) == same
-        assert alpha_eq(other, y) == recursive_alpha_eq(other, y)
+        assert alpha_eq(other, y) == recursive_alpha_eq(other, y) == same
+
+
+def _names_mapped(x, binder, var, bound=()):
+    """`x` with each binder's name replaced by binder(name, enclosing binders'
+    names) and each variable's by var(name, enclosing binders' names)."""
+    kind = type(x)
+    if kind is Exists:
+        return Exists(binder(x.var, bound), _names_mapped(x.body, binder, var, (*bound, x.var)))
+    if kind is EntVar:
+        return EntVar(var(x.name, bound))
+    return kind(*[tuple(_names_mapped(a, binder, var, bound) for a in v) if type(v) is tuple
+                  else _names_mapped(v, binder, var, bound) if isinstance(v, Node) else v
+                  for v in x._values()])
+
+
+def _by_depth(x):
+    """`x` with each bound name written as its binder's depth, `#0` outermost."""
+    def var(name, bound):
+        depths = [i for i, v in enumerate(bound) if v == name]
+        return f"#{depths[-1]}" if depths else name
+    return _names_mapped(x, lambda name, bound: f"#{len(bound)}", var)
+
+
+def test_formula_alpha_eq_is_symmetric_and_agrees_with_binder_depths():
+    """Random formulas and variants of them whose binders and variables are
+    renamed by two maps, the same one or not: some stay alpha-equal, some
+    capture a variable and some free one.  A variant keeps its formula's site
+    ids, so writing bound names as binder depths decides alpha-equality."""
+    rng = random.Random(21)
+    names = ("v1", "v2", "w")
+    answers = []
+    for _ in range(1500):
+        f = random_formula(rng)
+        variants = [f]
+        for _ in range(3):
+            b = {"v1": rng.choice(names), "v2": rng.choice(names)}
+            v = b if rng.random() < 0.5 else {"v1": rng.choice(names), "v2": rng.choice(names)}
+            variants.append(_names_mapped(f, lambda n, _: b[n], lambda n, _: v[n]))
+        for g in variants:
+            for h in variants:
+                same = _by_depth(g) == _by_depth(h)
+                assert alpha_eq(g, h) == alpha_eq(h, g) == recursive_alpha_eq(g, h) == same
+                answers.append(same)
+    assert answers.count(False) > 500     # of 24 000
 
 
 def test_formula_alpha_eq_compares_environments_and_ignores_site_ids():

@@ -6,13 +6,14 @@ body once.  Written out by `expand`, both must give exactly what the
 tree-walking references `gen.tree_reify` and `gen.tree_simplify` give, and
 the nodes they build must track the shared normal form, not the tree."""
 import random
+import sys
 
 import pytest
 
 from contsem import logic, terms
 from contsem.cli import main
 from contsem.discourse import (
-    InitialArgs, default_initial_args, parse_discourse, run_pipeline,
+    InitialArgs, compose, default_initial_args, parse_discourse, run_pipeline,
 )
 from contsem.lexicon import Profile, default_lexicon
 from contsem.logic import (
@@ -22,7 +23,9 @@ from contsem.logic import (
 )
 from contsem.node import Node
 from contsem.resolver import report
-from contsem.terms import AND, EXISTS, NOT, OR, App, Const, E, Lam, T, Var, app, arrow
+from contsem.terms import (
+    AND, EXISTS, NOT, OR, App, Const, E, Lam, T, Var, app, arrow, normalize,
+)
 
 from gen import (
     distinct_nodes, flat_discourse_text, pipeline_cases, random_discourse,
@@ -128,6 +131,15 @@ def test_a_constant_named_like_a_bound_variable_reads_without_copies():
     f = reify(t)
     assert _copies(f) == 0 and f == tree_reify(t)
     assert formula_text(f) == "(Ex y2. car y2) & (~ Ex y3. car y3) & y y1"
+    # Eleven readings of one existential choose y, y1, ..., y10: a constant
+    # clashes exactly when it is one of those, and only then are the copies gone.
+    for name, clashes in (("y", True), ("y1", True), ("y10", True),
+                          ("y0", False), ("y01", False), ("yy", False)):
+        t = App(Const(name, arrow(E, T)), Const("c", E))
+        for i in range(11):
+            t = app(AND, App(NOT, some_car) if i % 2 else some_car, t)
+        f = reify(t)
+        assert (_copies(f) == 0) == clashes and _written(expand(f)) == _written(tree_reify(t))
 
 
 def test_printers_read_a_copy_as_its_written_out_text():
@@ -242,6 +254,33 @@ def test_profile_b_reify_and_simplify_build_in_proportion_to_the_shared_form(bui
         assert by_reify <= 3 * distinct and by_simplify <= 3 * distinct, rows
     for before, after in zip(rows, rows[1:]):
         assert after[1] - before[1] <= _STEP and after[2] - before[2] <= _STEP, rows
+
+
+def test_flat_b40_reifies_in_lines_linear_in_the_shared_form():
+    """Reify tells a constant from the names it chose by reading the
+    constant's name, not by listing the names of the written-out tree, of
+    which flat B26 has 131 072: on flat B40 it runs at most 40 lines of
+    `logic` per distinct node of the normal form (about 15 today)."""
+    parsed = parse_discourse(flat_discourse_text(Profile.B, 40), LEX)
+    applied = app(compose(parsed.tree, LEX, Profile.B), *default_initial_args(Profile.B).args)
+    normal = normalize(applied, 10 ** 300)
+    budget, lines = 40 * distinct_nodes(normal), [0]
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+            if lines[0] > budget:
+                raise AssertionError(f"reify ran more than {budget} lines of logic.py")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count if frame.f_code.co_filename == logic.__file__ else None)
+    try:
+        raw = reify(normal)
+    finally:
+        sys.settrace(previous)
+    assert _copies(raw) > 0 and lines[0] <= budget
 
 
 def test_text_mode_without_raw_never_writes_out_the_raw_formula(tmp_path, capsys, built):
