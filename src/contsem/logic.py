@@ -302,10 +302,9 @@ def _chosen(name: str, fresh: int) -> bool:
     """Whether `name` is one of the first `fresh` bound names, y, y1, y2, ...:
     read off the name, so the test costs the same whatever `fresh` is."""
     k = name[1:]
-    if name[:1] != "y" or not fresh:
+    if name[:1] != "y" or not fresh or len(k) > len(str(fresh)):    # int() refuses 4301 digits
         return False
-    return not k or (k.isascii() and k.isdigit() and k[0] != "0"
-                     and len(k) <= len(str(fresh)) and int(k) < fresh)
+    return not k or (k.isascii() and k.isdigit() and k[0] != "0" and int(k) < fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +389,10 @@ def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
 
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
-    """Equality up to renaming of bound variables and selection site ids.  On
-    each side a bound name reads as the number of its binder, entered in step
-    with the other side's, and a free name as itself."""
-    left: dict[str, int | str] = {}
-    right: dict[str, int | str] = {}
-    binders = 0
+    """Equality up to renaming of bound variables and selection site ids: on
+    each side a bound name reads as its binder, a free name as itself."""
+    left: dict[str, int | str] = {}     # a bound name -> its binder's exit on the stack,
+    right: dict[str, int | str] = {}    # a place no other binder in scope holds
     stack: list = [(f1, f2)]
     while stack:
         a, b = stack.pop()
@@ -410,8 +407,7 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
         elif isinstance(a, Exists):
             stack.append((None, ((a.var, left.get(a.var, a.var)),
                                  (b.var, right.get(b.var, b.var)))))
-            binders += 1
-            left[a.var] = right[b.var] = binders
+            left[a.var] = right[b.var] = len(stack)
             stack.append((a.body, b.body))
         elif isinstance(a, Atom):
             if a.pred != b.pred or len(a.args) != len(b.args):
