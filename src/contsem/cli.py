@@ -45,7 +45,7 @@ _OPTIONS = (
     ("--raw", "show_raw", True, None, "print the unsimplified formula (default on)"),
     ("--trace", "trace", False, None,
      "print the whole term at every reduction step; meant for small inputs"),
-    ("--max-steps", "max_steps", 100_000, int, "fail after N beta contractions, each a "
+    ("--max-steps", "max_steps", tm.MAX_STEPS, int, "fail after N beta contractions, each a "
      "closure application (--trace: a normal-order step); default %(default)s"),
     ("--format", "output", "text", ("text", "json"), None),
     ("--connective", "connective", "and", ("and", "or"),

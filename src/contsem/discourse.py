@@ -332,7 +332,7 @@ class Interpretation(Node):
 
 def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
                  init: InitialArgs | None,
-                 max_steps: int = 100_000) -> Interpretation:
+                 max_steps: int = tm.MAX_STEPS) -> Interpretation:
     """Compose, apply `init`, normalize, reify and simplify; with init=None,
     compose and normalize only (symbolic expansion).  The applied term has
     type t by construction: Lexicon typechecks its entries, build_sentence
@@ -359,7 +359,7 @@ def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
 def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,
               profile: Profile = Profile.B,
               init: InitialArgs | None = None,
-              max_steps: int = 100_000) -> tuple[Formula, Formula]:
+              max_steps: int = tm.MAX_STEPS) -> tuple[Formula, Formula]:
     """The (raw, simplified) formulas of a concrete discourse, run from
     `init`, by default the profile's empty initial arguments."""
     if has_symbolic_leaves(tree):

@@ -21,7 +21,7 @@ It also rejects a row or alias that no lookup reaches.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from enum import Enum
 from functools import lru_cache
 
@@ -230,15 +230,20 @@ class Lexicon:
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
         self._unread = frozenset(unread)
+        self._check(self._entries.values(), self._words)
         self._known = {w: w for w in self._words} | self._aliases  # valid once checked below
-        for word in [*self._words, *(e.word for e in self._entries.values())]:
-            if word in self._aliases:
-                raise ContsemError(f"{word!r} is an inflection of {self._aliases[word]!r}")
         for word, target in self._known.items():    # as `canonical` reads a spelling
             if word != word.lower().replace("'", "") or target not in self._words:
                 raise ContsemError(f"no lookup reaches {word!r}: a lookup folds the spelling "
                                    "(lower case, no apostrophe), then follows one alias to a row")
-        for entry in self._entries.values():
+
+    def _check(self, entries: Collection[LexEntry], rows: Iterable[str] = ()) -> None:
+        """Reject a row or an entry under an alias, and an entry without a row, of
+        another category than its row's, or not of its category's type."""
+        for word in [*rows, *(e.word for e in entries)]:
+            if word in self._aliases:
+                raise ContsemError(f"{word!r} is an inflection of {self._aliases[word]!r}")
+        for entry in entries:
             if entry.word not in self._words:
                 raise UnknownWord(entry.word)
             registered = self._words[entry.word][0]
@@ -262,7 +267,7 @@ class Lexicon:
                 term = (parse_term(_FIXED[profile][word], {}, TYPE_NAMES[profile])
                         if word in _FIXED[profile] else _build_term(category, profile, symbol))
                 entries[(word, profile)] = LexEntry(word, category, profile, term)
-            Lexicon(self._words, entries, self._aliases)        # checks them
+            self._check(entries.values())
             # Rebound, not changed in place: no reader in another thread sees a size change.
             self._entries = {**entries, **self._entries}
             self._unread = self._unread - {profile}

@@ -5,7 +5,7 @@ equivalence-preserving rewrites cleans them up.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import attrgetter
 
 from .errors import ContsemError
@@ -293,18 +293,9 @@ def reify(term: Term) -> Formula:
                 done[-1] = sort(done[-1], right)
                 if depth:                   # an existential's note: its first reading
                     seen[depth[0]] = (done[-1], depth, fresh, sites)
-        if avoid or not any(_chosen(name, fresh) for name in used):
+        if avoid or not any(tm.chosen(name, "y", 0, fresh) for name in used):
             return done[0]
         avoid = used
-
-
-def _chosen(name: str, fresh: int) -> bool:
-    """Whether `name` is one of the first `fresh` bound names, y, y1, y2, ...:
-    read off the name, so the test costs the same whatever `fresh` is."""
-    k = name[1:]
-    if name[:1] != "y" or not fresh or len(k) > len(str(fresh)):    # int() refuses 4301 digits
-        return False
-    return not k or (k.isascii() and k.isdigit() and k[0] != "0" and int(k) < fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +331,6 @@ def expand(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Formula utilities
-
-def iter_atoms(f: Formula) -> Iterator[Atom]:
-    """The atoms of a formula, its copies written out, left to right."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Not, Exists)):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack += (g.right, g.left)
-        elif isinstance(g, Atom):
-            yield g
-        elif isinstance(g, Shifted):    # the atoms of the written-out copy
-            stack.append(expand(g))
-
 
 def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
     """The formula, copies written out, with each atom replaced by fn(atom),

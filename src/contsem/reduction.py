@@ -3,7 +3,7 @@ runs it, and only then does the CLI import it."""
 from __future__ import annotations
 
 from .node import Node
-from .terms import App, Lam, StepBudgetExceeded, Term, Var
+from .terms import MAX_STEPS, App, Lam, StepBudgetExceeded, Term, Var
 
 
 def shift(term: Term, d: int, cutoff: int = 0) -> Term:
@@ -60,7 +60,7 @@ class TraceStep(Node):
     __slots__ = {"step": "int", "position": "tuple[str, ...]", "term": "Term"}
 
 
-def trace(term: Term, max_steps: int = 100_000) -> list[TraceStep]:
+def trace(term: Term, max_steps: int = MAX_STEPS) -> list[TraceStep]:
     """Normal-order reduction sequence; empty for a term already normal.
 
     The final entry's term is the normal form of the input.

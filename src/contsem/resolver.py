@@ -2,10 +2,7 @@
 from __future__ import annotations
 
 from .errors import ContsemError
-from .logic import (
-    Atom, EntityTerm, Formula, SelOf, env_entries, formula_text,
-    iter_atoms, map_atoms,
-)
+from .logic import Atom, EntityTerm, Formula, SelOf, env_entries, formula_text, map_atoms
 from .node import Node
 
 
@@ -22,7 +19,13 @@ class AccessReport(Node):
 
 def report(f: Formula) -> list[AccessReport]:
     """One AccessReport per selection site, in site id order."""
-    sites = [a for g in iter_atoms(f) for a in g.args if isinstance(a, SelOf)]
+    sites: list[SelOf] = []
+
+    def note(g: Atom) -> Atom:      # each atom, copies written out, left to right
+        sites.extend(a for a in g.args if isinstance(a, SelOf))
+        return g
+
+    map_atoms(f, note)
     sites.sort(key=lambda s: s.site_id)
     return [AccessReport(s.site_id, s.env, env_entries(s.env)) for s in sites]
 

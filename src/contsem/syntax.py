@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from .errors import ContsemError
 from .terms import (
     AND, BUILTINS, CONS, COORD, NOT, OR, SUB, UNION,
-    App, Arrow, Const, E, G, Lam, SemType, T, Term, Var,
+    App, Arrow, Const, E, G, Lam, SemType, T, Term, Var, chosen,
 )
 
 
@@ -234,7 +234,7 @@ def pretty(term: Term) -> str:
     chose turns out to be a constant's.
     """
     text, shown, count = _render(term, ())
-    if not shown.keys().isdisjoint(f"x{i}" for i in range(1, count + 1)):
+    if any(chosen(name, "x", 1, count) for name in shown):
         text = _render(term, shown)[0]
     return text
 

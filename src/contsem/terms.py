@@ -181,6 +181,17 @@ def path_steps(path) -> tuple[str, ...]:
     return tuple(reversed(steps))
 
 
+def chosen(name: str, prefix: str, first: int, count: int) -> bool:
+    """Whether `name` is one of `count` fresh names prefix<k> from k = `first` on,
+    prefix alone for k = 0 (`pretty`'s x1, x2, ...; `reify`'s y, y1, ...): read
+    off the name, so the test costs the same whatever `count` is."""
+    k, end = name[len(prefix):], first + count
+    if not name.startswith(prefix) or len(k) > len(str(end)):  # int() refuses 4301 digits
+        return False
+    return (k.isascii() and k.isdigit() and k[0] != "0" and first <= int(k) < end
+            if k else first == 0 < end)
+
+
 # ---------------------------------------------------------------------------
 # Typechecking
 
@@ -222,7 +233,10 @@ def typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
 # ---------------------------------------------------------------------------
 # Normalization by evaluation (Berger & Schwichtenberg 1991)
 
-def normalize(term: Term, max_steps: int = 100_000) -> Term:
+MAX_STEPS = 100_000     # the default step budget, of `--max-steps` and every reducer
+
+
+def normalize(term: Term, max_steps: int = MAX_STEPS) -> Term:
     """Beta-normal form of a well-typed term, by normalization by evaluation.
 
     Lambdas evaluate to closures over a linked environment, arguments before

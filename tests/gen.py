@@ -254,7 +254,7 @@ def applicative_normalize(term: Term, budget: int = 200_000) -> Term:
     return go(term)
 
 
-def substitution_normalize(term: Term, max_steps: int = 100_000) -> Term:
+def substitution_normalize(term: Term, max_steps: int = tm.MAX_STEPS) -> Term:
     """Normal-order (leftmost-outermost) full beta reduction by substitution.
 
     Each contraction rebuilds the redex body through `beta` and counts one
@@ -286,7 +286,7 @@ def substitution_normalize(term: Term, max_steps: int = 100_000) -> Term:
     return nf(term)
 
 
-def uncached_normalize(term: Term, max_steps: int = 100_000) -> Term:
+def uncached_normalize(term: Term, max_steps: int = tm.MAX_STEPS) -> Term:
     """`terms.normalize` as it was before its closures remembered their last
     application and read-back: closures are (binder type, Python function)
     pairs, evaluated anew at every application and read-back, so a value

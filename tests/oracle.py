@@ -9,7 +9,7 @@ from collections.abc import Callable
 
 from contsem.errors import ContsemError
 from contsem.logic import (And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or,
-                           SelOf, Top, env_entries, iter_atoms, map_atoms)
+                           SelOf, Top, env_entries, map_atoms)
 
 
 class SignatureTooLarge(ContsemError):
@@ -107,7 +107,7 @@ def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
 
 
 def _signature(f, preds, consts, atoms):
-    for g in iter_atoms(f):
+    def note(g: Atom) -> Atom:      # each atom of f, its copies written out
         arity = len(g.args)
         if preds.setdefault(g.pred, arity) != arity:
             raise ContsemError(f"predicate {g.pred!r} used at inconsistent arities")
@@ -115,6 +115,9 @@ def _signature(f, preds, consts, atoms):
         for a in g.args:
             if isinstance(a, EntConst):
                 consts.add(a.name)
+        return g
+
+    map_atoms(f, note)
 
 
 def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:

@@ -206,6 +206,18 @@ def test_max_steps_flag(tmp_path, capsys):
     assert main(["run", str(f), "--mode", "term-eval", "--max-steps", "0"]) == 1
 
 
+def test_trace_at_exactly_max_steps(tmp_path, capsys):
+    """`--trace` and the normalizer both take two steps on this term."""
+    f = tmp_path / "term.lam"
+    f.write_text(r"(\x:e. walk x) ((\y:e. y) j)")
+    argv = ["run", str(f), "--mode", "term-eval", "--trace", "--max-steps"]
+    assert main([*argv, "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        r"step 0 @ root: walk ((\x1:e. x1) j)", "step 1 @ arg: walk j", "normal: walk j"]
+    assert main([*argv, "1"]) == 1
+    assert capsys.readouterr() == ("", "contsem: normalization exceeded 1 steps\n")
+
+
 TERMS = SAMPLES / "terms"
 
 

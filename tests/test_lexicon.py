@@ -390,3 +390,14 @@ def test_a_profile_read_late_is_checked(monkeypatch):
     assert lex.entry("it", Profile.A) == LEX.entry("it", Profile.A)
     with pytest.raises(TypeMismatch):
         lex.entry("john", Profile.B)
+
+
+def test_a_profiles_first_read_builds_no_second_lexicon(monkeypatch):
+    """The entries parsed on a profile's first read are checked in place: no
+    `Lexicon` is built to check them."""
+    lex = default_lexicon.__wrapped__()
+    built = []
+    monkeypatch.setattr(Lexicon, "__init__", lambda self, *a, _fn=Lexicon.__init__, **k:
+                        built.append(a) or _fn(self, *a, **k))
+    assert lex.entry("car", Profile.B) == LEX.entry("car", Profile.B)
+    assert built == []

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from contsem.cli import main
 from contsem.discourse import (
     Leaf, Seq, compose, default_initial_args, has_symbolic_leaves, parse_discourse,
     parse_sentence_words, run_pipeline,
@@ -178,6 +179,38 @@ def test_constants_named_like_fresh_names_match_recursive():
     # x1 and x2 appear only after the binder that would first be named x1.
     late = App(Lam(E, App(Const("x2", arrow(E, T)), Var(0))), Const("x1", E))
     assert pretty(late) == recursive_pretty(late) == "(\\x3:e. x2 x3) x1"
+
+
+# Constants named like `pretty`'s fresh names; of x1, ..., x12 only x10 is one.
+# The last has more digits than int() reads.
+_LOOKALIKES = ("x", "x0", "x01", "x10", "xx", "x" + "1" * 5000)
+
+
+@pytest.mark.parametrize("name", _LOOKALIKES, ids=lambda n: n[:6])
+@pytest.mark.parametrize("binders", [1, 12])
+def test_constants_named_like_fresh_names_clash_only_when_chosen(name, binders):
+    """A constant clashes with x1, x2, ... exactly when it is one of the names
+    the first pass chose: x10 under 12 binders, no other here."""
+    term = Const(name, E)
+    for _ in range(binders):
+        term = Lam(E, term)
+    text = pretty(term)
+    assert text == recursive_pretty(term)
+    assert parse_term(text, constants(term)) == term
+    assert ("\\x10:" in text) == (binders == 12 and name != "x10")
+
+
+@pytest.mark.parametrize("leaves", [("x10", "x01"), _LOOKALIKES])
+def test_symbolic_leaves_named_like_fresh_names(leaves, tmp_path, capsys):
+    """Symbolic leaves reach `pretty`'s clash test from the command line: a
+    profile-C discourse of them prints as the recursive printer prints it."""
+    text = "profile C\nsymbolic\ndiscourse = " + " .c (".join(leaves) + ")" * (len(leaves) - 1)
+    (tmp_path / "leaves.dsc").write_text(text)
+    assert main(["run", str(tmp_path / "leaves.dsc")]) == 0
+    tree = parse_discourse(text, LEX).tree
+    result = run_pipeline(tree, LEX, Profile.C, None)
+    assert capsys.readouterr() == (f"composed: {recursive_pretty(result.composed)}\n"
+                                   f"expanded: {recursive_pretty(result.normal)}\n", "")
 
 
 def _fresh(c: Const) -> Const:

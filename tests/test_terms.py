@@ -164,6 +164,20 @@ def test_trace_of_normal_term_is_empty():
     assert trace(Lam(E, Var(0))) == []
 
 
+# (\x:e. walk x) ((\y:e. y) j): two steps by normal order and by NbE.
+WALK_ID_J = App(Lam(E, App(Const("walk", arrow(E, T)), Var(0))), App(Lam(E, Var(0)), J))
+
+
+def test_trace_at_exactly_its_budget():
+    """A normal form reached at the last step the budget allows is returned."""
+    assert normalize(WALK_ID_J, max_steps=2) == parse_term("walk j", {"walk": arrow(E, T), "j": E})
+    assert [s.step for s in trace(WALK_ID_J, max_steps=2)] == [0, 1]
+    for reducer in (normalize, trace):
+        with pytest.raises(StepBudgetExceeded) as exc:
+            reducer(WALK_ID_J, max_steps=1)
+        assert exc.value.max_steps == 1
+
+
 def test_subterm_trace_positions():
     t = Lam(E, App(Lam(E, Var(0)), Var(0)))
     steps = trace(t)
