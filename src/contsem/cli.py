@@ -30,7 +30,7 @@ from .discourse import (
     run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import expand, formula_json, formula_text
+from .logic import _FORMS, Shifted, expand, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, typecheck
@@ -143,10 +143,10 @@ def run(ns) -> int:
 
 
 def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)` for dicts, lists, str, int, bool and None,
-    from an explicit stack: json's encoder with `indent` is pure Python and recurses."""
+    """`json.dumps(doc, indent=2)`, a node read as its `formula_json`, from an
+    explicit stack: json's encoder with `indent` is pure Python and recurses."""
     import json     # here: a text run never loads it
-    from json.encoder import encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as encode
     out, stack = [], [(doc, "\n")]    # pending text, or (value, its line start)
     while stack:
         item = stack.pop()
@@ -154,14 +154,26 @@ def _json_text(doc) -> str:
             out.append(item)
             continue
         value, newline = item
-        if type(value) is str:
-            out.append(encode_basestring_ascii(value))
-        elif not value or not isinstance(value, (dict, list)):
+        kind = type(value)
+        if kind is str:
+            out.append(encode(value))
+        elif kind in _FORMS:        # its row's tag, scalars, then children
+            _, _, scalars, kids, _, tag = _FORMS[kind]
+            inner = newline + "  "
+            out += "{", inner, tag
+            for _, get, key in scalars:
+                out += ",", inner, key, encode(v) if type(v := get(value)) is str else str(v)
+            stack.append(newline + "}")
+            for _, get, key in reversed(kids):
+                stack += (get(value), inner), "," + inner + key
+        elif kind is Shifted:
+            stack.append((expand(value), newline))
+        elif not value or not isinstance(value, (dict, list, tuple)):
             out.append(json.dumps(value))   # the same text with or without indent
         else:
-            inner, brackets = newline + "  ", "{}" if type(value) is dict else "[]"
-            pairs = ([(f"{encode_basestring_ascii(k)}: ", v) for k, v in value.items()]
-                     if brackets == "{}" else [("", v) for v in value])
+            inner, brackets = newline + "  ", "{}" if kind is dict else "[]"
+            pairs = ([(f"{encode(k)}: ", v) for k, v in value.items()]
+                     if kind is dict else [("", v) for v in value])
             out.append(brackets[0])
             stack.append(newline + brackets[1])
             for i in range(len(pairs) - 1, -1, -1):
@@ -211,7 +223,7 @@ def _run_discourse(ns, text: str) -> int:
     resolved = resolve(simplified, "recency") if recency else None
     if json_out:
         def formula_doc(f):     # profile B's raw copies are written out once, for both
-            return None if f is None else {"text": formula_text(f), "tree": formula_json(f)}
+            return None if f is None else {"text": formula_text(f), "tree": f}
 
         print(_json_text({
             "profile": profile.value,
@@ -219,9 +231,7 @@ def _run_discourse(ns, text: str) -> int:
             "normal_form": normal_text,
             "raw_formula": formula_doc(expand(raw) if profile == Profile.B else raw),
             "simplified_formula": formula_doc(simplified),
-            "access_reports": [{"site": r.site_id,
-                                "env": formula_json(r.env),
-                                "candidates": [formula_json(c) for c in r.candidates]}
+            "access_reports": [{"site": r.site_id, "env": r.env, "candidates": r.candidates}
                                for r in reports],
             "resolved_formula": formula_doc(resolved),
         }))

@@ -346,10 +346,12 @@ def make_entry(category: Category, word: str, profile: Profile,
     """Instantiate the category's template for a new content word.
 
     The entry is shaped exactly like the corresponding core entry with the
-    content constant renamed (by default, to the word itself).
+    content constant renamed: by default, to the symbol of the word's row in
+    the default lexicon, as every profile reads it, else to the word itself.
     """
-    word = word.lower().replace("'", "")
-    term = _build_term(category, profile, symbol or word)
+    word, registry = word.lower().replace("'", ""), default_lexicon()
+    term = _build_term(category, profile, symbol or (
+        registry.knows(word) and registry.symbol(word)) or word)
     return LexEntry(word, category, profile, term)
 
 

@@ -92,23 +92,25 @@ _OPEN = object()     # see `_FORMS`
 
 
 def _form(tag_key: str, tag: str, *pieces, **scalars) -> tuple:
-    """A row of `_FORMS`: the tag key and tag, the scalars and the children
-    as (JSON key, getter), and the text pieces last first, as a stack takes
-    them: literal text, a scalar's getter, or (getter, classes, open?)."""
+    """A row of `_FORMS`: the tag key and tag, the scalars and the children as
+    (JSON key, getter, the key's JSON text), the text pieces last first, as a
+    stack takes them: literal text, a scalar's getter, or (getter, classes,
+    open?), and the tag's JSON text."""
     kids = [p for p in pieces if type(p) is tuple and p[0] not in scalars.values()]
     text = [p if type(p) is str else attrgetter(p[0]) if p not in kids
             else (attrgetter(p[0]), frozenset(p[1:]) - {_OPEN}, _OPEN in p) for p in pieces]
-    return (tag_key, tag, [(k, attrgetter(f)) for k, f in scalars.items()],
-            [(p[0], attrgetter(p[0])) for p in kids], text[::-1])
+    return (tag_key, tag, [(k, attrgetter(f), f'"{k}": ') for k, f in scalars.items()],
+            [(p[0], attrgetter(p[0]), f'"{p[0]}": ') for p in kids], text[::-1],
+            f'"{tag_key}": "{tag}"')
 
 
 # The syntax of formulas, entity terms and environments, read by
-# `formula_text`, `formula_json` and `alpha_eq`.  Per class: the JSON tag key
-# and tag, the text pieces in order, and the scalar fields by JSON key.  A
-# piece is literal text or a field.  A scalar field prints its value; a child
-# prints in parentheses when its class is listed with the field, or, with
-# _OPEN, when its text is right-open.  Of an atom's `args`, each prints
-# after a space, but a selection is glued on in parentheses.
+# `formula_text`, `formula_json`, `alpha_eq` and `cli._json_text`.  Per class:
+# the JSON tag key and tag, the text pieces in order, and the scalar fields by
+# JSON key.  A piece is literal text or a field.  A scalar field prints its
+# value; a child prints in parentheses when its class is listed with the
+# field, or, with _OPEN, when its text is right-open.  Of an atom's `args`,
+# each prints after a space, but a selection is glued on in parentheses.
 _FORMS = {
     Top: _form("node", "top", "top"),
     Bot: _form("node", "bot", "bot"),
@@ -320,7 +322,7 @@ def _open(f: Formula) -> Formula:
     if type(f) is not Shifted or type(f.body) is Atom or type(f.body) is Exists:
         return f
     g, shifts, sites = f.body, f.shifts, f.sites
-    kids = [_shifted(get(g), shifts, sites) for _, get in _FORMS[type(g)][3]]
+    kids = [_shifted(get(g), shifts, sites) for _, get, _ in _FORMS[type(g)][3]]
     return type(g)(*kids)
 
 
@@ -396,7 +398,7 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
             if a.name != b.name:
                 return False
         else:                           # children only: site ids are ignored
-            stack += [(get(a), get(b)) for _, get in _FORMS[type(a)][3]]
+            stack += [(get(a), get(b)) for _, get, _ in _FORMS[type(a)][3]]
     return True
 
 
@@ -592,11 +594,11 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
         node, doc = nodes.pop(), docs.pop()
         if type(node) is Shifted:       # a copy: the formula written out instead
             return formula_json(expand(x))
-        tag_key, tag, scalars, children, _ = _FORMS[type(node)]
+        tag_key, tag, scalars, children, *_ = _FORMS[type(node)]
         doc[tag_key] = tag
-        for key, get in scalars:
+        for key, get, _ in scalars:
             doc[key] = get(node)
-        for key, get in children:
+        for key, get, _ in children:
             child = get(node)
             if type(child) is tuple:                # an atom's arguments
                 doc[key] = args = [{} for _ in child]

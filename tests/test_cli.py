@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,16 +12,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contsem import cli, discourse, syntax, terms as tm
+from contsem import cli, discourse, logic, syntax, terms as tm
 from contsem.cli import main
 from contsem.discourse import (
     PHI_B, InitialArgs, default_initial_args, interpret, parse_discourse, run_pipeline,
 )
 from contsem.lexicon import Profile, default_lexicon, load_word_file
-from contsem.logic import expand, formula_json, formula_text
-from contsem.resolver import report, report_line
+from contsem.logic import (
+    And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, Shifted, Top,
+    UnionE, expand, formula_json, formula_text,
+)
+from contsem.node import Node
+from contsem.resolver import report, report_line, resolve
 
-from gen import discourse_file, flat_discourse_text, pipeline_cases
+from gen import discourse_file, flat_discourse_text, pipeline_cases, random_formula
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 GOLDEN = SAMPLES / "golden"
@@ -282,13 +287,15 @@ def test_deeply_nested_discourse_is_pipeline_error(tmp_path, capsys):
 
 
 def _count_calls(monkeypatch, *names):
-    """Wrap each named function where `cli` looks it up; count the calls."""
+    """Wrap each named function where `cli` looks it up, or in `logic` if `cli`
+    does not; count the calls."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _fn=getattr(cli, name), _name=name):
+        home = cli if hasattr(cli, name) else logic
+        def counted(*args, _fn=getattr(home, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(home, name, counted)
     return calls
 
 
@@ -315,18 +322,26 @@ def test_text_mode_renders_each_artifact_once(flags, lines, formulas, monkeypatc
 ])
 def test_json_mode_renders_each_formula_once(flags, formulas, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, "pretty", "formula_text", "formula_json")
-    sample = str(SAMPLES / "doesnt_own_car.dsc")
-    assert main(["run", sample, "--format", "json", *flags]) == 0
+    sample = SAMPLES / "doesnt_own_car.dsc"
+    assert main(["run", str(sample), "--format", "json", *flags]) == 0
     doc = json.loads(capsys.readouterr().out)
-    # The sample's one access report renders its environment and its one
-    # candidate through `formula_json` too.
-    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": formulas + 2}
+    # The JSON writer reads the formula, environment and candidate nodes itself.
+    assert calls == {"pretty": 2, "formula_text": formulas, "formula_json": 0}
     golden = dict(line.split(": ", 1) for line in _GOLDEN_LINES if ": " in line)
     assert doc["composed_term"] == golden["composed"]
     assert doc["normal_form"] == golden["normal"]
     assert doc["raw_formula"]["text"] == golden["raw"]
     assert doc["simplified_formula"]["text"] == golden["simplified"]
     assert doc["raw_formula"]["tree"]["node"] == "not"
+    raw, simplified = interpret(parse_discourse(sample.read_text(), default_lexicon()).tree)
+    assert doc["raw_formula"]["tree"] == formula_json(raw)    # interpret expands it
+    assert doc["simplified_formula"]["tree"] == formula_json(simplified)
+    resolved = resolve(simplified, "recency") if "recency" in flags else None
+    assert doc["resolved_formula"] == (resolved and {
+        "text": formula_text(resolved), "tree": formula_json(resolved)})
+    assert doc["access_reports"] == [
+        {"site": r.site_id, "env": formula_json(r.env),
+         "candidates": [formula_json(c) for c in r.candidates]} for r in report(simplified)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -503,6 +518,63 @@ def test_json_text_renders_nesting_the_stdlib_cannot():
     text = cli._json_text(doc)
     assert text == ("".join(f"[\n{'  ' * (i + 1)}" for i in range(depth)) + "[]"
                     + "".join(f"\n{'  ' * i}]" for i in reversed(range(depth))))
+
+
+def _json_of_nodes(x) -> str:
+    """What the writer must print for a node: its `formula_json` in a document."""
+    return json.dumps({"t": [formula_json(x)]}, indent=2)
+
+
+def test_json_text_writes_a_node_as_its_formula_json():
+    """Random formulas, each entity term and environment in them, names
+    that need escaping and a large site id: each node, written by the
+    writer, reads as its `formula_json` does."""
+    rng = random.Random(23)
+    nodes, stack = [], [random_formula(rng) for _ in range(400)]
+    while stack:                    # every node in them, entity terms and environments too
+        node = stack.pop()
+        stack += [v for v in node._values() if isinstance(v, Node)]
+        stack += [a for v in node._values() if type(v) is tuple for a in v]
+        nodes.append(node)
+    assert {type(n) for n in nodes} == {Top, Bot, Not, And, Or, Exists, Atom, EntConst,
+                                        EntVar, SelOf, NilE, ConsE, UnionE}
+    odd = EntConst('\u00e9"\\\n')
+    nodes += [odd, Exists("y\u2028", Atom("p\udc80", (odd, EntVar("y\u2028")))),
+              SelOf(ConsE(odd, NilE()), 10 ** 30), Atom("r", ())]
+    for x in nodes:
+        assert cli._json_text({"t": [x]}) == _json_of_nodes(x)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_json_text_writes_shifted_copies_out(n):
+    """A flat profile-B discourse's raw formula holds `Shifted` copies under
+    its connectives; the writer writes each out as `formula_json` writes
+    out the formula, or the copy, it is given."""
+    lex = default_lexicon()
+    parsed = parse_discourse(flat_discourse_text(Profile.B, n), lex)
+    raw = run_pipeline(parsed.tree, lex, Profile.B, default_initial_args(Profile.B)).raw
+    seen, stack = {}, [raw]         # each distinct node, by id
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack += [v for v in g._values() if isinstance(v, Node)]
+    copies = [g for g in seen.values() if type(g) is Shifted]
+    assert type(raw) is Not and type(raw.body) is Exists and len(copies) >= (n - 1) // 2
+    for x in (raw, Shifted(raw.body, ((0, 1),), 1), *copies):   # the root a copy too
+        assert cli._json_text({"t": [x]}) == _json_of_nodes(x)
+
+
+def test_json_text_writes_a_formula_deeper_than_the_recursion_limit():
+    depth = 3 * sys.getrecursionlimit()
+    f = Top()
+    for _ in range(depth):
+        f = Not(f)
+    text = cli._json_text(f)
+    assert text == ("".join(f'{{\n{"  " * (i + 1)}"node": "not",\n{"  " * (i + 1)}"body": '
+                            for i in range(depth))
+                    + f'{{\n{"  " * (depth + 1)}"node": "top"\n{"  " * depth}}}'
+                    + "".join(f"\n{'  ' * i}}}" for i in reversed(range(depth))))
 
 
 # ---------------------------------------------------------------------------

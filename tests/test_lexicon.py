@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contsem import lexicon
-from contsem.discourse import Leaf, ProperN, Sentence, Verb, interpret
+from contsem.discourse import CopulaAdj, Det, Leaf, ProperN, Sentence, Verb, interpret
 from contsem.errors import ContsemError
 from contsem.lexicon import (
     CATEGORY_TYPES, Category, LexEntry, Lexicon, Profile, UnknownWord,
     UnsupportedCategory, content_type, default_lexicon, load_word_file, make_entry,
     negation_variant,
 )
+from contsem.logic import formula_text
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (
     App, Const, E, Lam, T, TypeMismatch, Var, arrow, typecheck,
@@ -297,6 +298,24 @@ def test_a_word_file_builds_a_known_word_over_its_registry_symbol():
                 lex.category(word), word, profile, lex.symbol(word)).term
     assert pretty(lex.entry("john", Profile.A)) == r"\x1:e>g>(g>t)>t. x1 j"
     assert lex.entry("loves", Profile.A) == LEX.entry("loves", Profile.A)
+
+
+def test_make_entry_builds_a_known_word_over_its_registry_symbol():
+    """With no symbol given, a new entry for `john` says its row's `j`, so
+    profile A, which reads the new entry, and profile C, which reads the
+    default one, agree on the name's constant; an unknown word names itself."""
+    lex = LEX.extended([make_entry(Category.PROPER_NOUN, "john", Profile.A)])
+    loves = Leaf(Sentence(ProperN("john"), Verb("loves", Det("a", "woman"))))
+    assert formula_text(interpret(loves, lex, Profile.A)[1]) == "Ex y. (woman y & love j y)"
+    red = Leaf(Sentence(ProperN("john"), CopulaAdj("red")))
+    assert formula_text(interpret(red, lex, Profile.C)[1]) == "red j"
+    assert lex.entry("john", Profile.A) == LEX.entry("john", Profile.A)
+    assert make_entry(Category.PROPER_NOUN, "John", Profile.B).term == \
+        make_entry(Category.PROPER_NOUN, "zed", Profile.B, "j").term
+    assert make_entry(Category.PROPER_NOUN, "zed", Profile.B).term == \
+        make_entry(Category.PROPER_NOUN, "zed", Profile.B, "zed").term
+    assert make_entry(Category.COMMON_NOUN, "a", Profile.B).term == \
+        make_entry(Category.COMMON_NOUN, "zed", Profile.B, "a").term   # a row with no symbol
 
 
 # ---------------------------------------------------------------------------
