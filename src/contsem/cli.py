@@ -30,7 +30,7 @@ from .discourse import (
     run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import _FORMS, Shifted, expand, formula_text
+from .logic import _FORMS, expand, formula_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, typecheck
@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 def run(ns) -> int:
     try:
         with open(ns.input, encoding="utf-8") as f:
-            text = f.read()
+            text = f.read().removeprefix("\ufeff")     # a byte-order mark some editors write
     except OSError as exc:
         reason = (f"no such file: {ns.input}" if isinstance(exc, FileNotFoundError)
                   else f"cannot read {ns.input}: {exc.strerror}")
@@ -143,8 +143,8 @@ def run(ns) -> int:
 
 
 def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, a node read as its `formula_json`, from an
-    explicit stack: json's encoder with `indent` is pure Python and recurses."""
+    """`json.dumps(doc, indent=2)`, a copy-free node read as its `formula_json`,
+    from an explicit stack: json's encoder with `indent` is pure Python and recurses."""
     import json     # here: a text run never loads it
     from json.encoder import encode_basestring_ascii as encode
     out, stack = [], [(doc, "\n")]    # pending text, or (value, its line start)
@@ -166,8 +166,6 @@ def _json_text(doc) -> str:
             stack.append(newline + "}")
             for _, get, key in reversed(kids):
                 stack += (get(value), inner), "," + inner + key
-        elif kind is Shifted:
-            stack.append((expand(value), newline))
         elif not value or not isinstance(value, (dict, list, tuple)):
             out.append(json.dumps(value))   # the same text with or without indent
         else:
@@ -217,19 +215,20 @@ def _run_discourse(ns, text: str) -> int:
     composed_text, normal_text = pretty(result.composed), pretty(result.normal)
     steps = _trace(result.composed if symbolic else result.applied, ns)
     simplified = result.simplified      # None in symbolic expansion
-    raw = result.raw if not symbolic and (ns.show_raw or json_out) else None
+    # Profile B's raw formula holds reify's copies: written out here, once for either mode.
+    raw = expand(result.raw) if profile == Profile.B and (ns.show_raw or json_out) else result.raw
     reports = () if symbolic else report(simplified)
     recency = not symbolic and ns.resolve_strategy == "recency"
     resolved = resolve(simplified, "recency") if recency else None
     if json_out:
-        def formula_doc(f):     # profile B's raw copies are written out once, for both
+        def formula_doc(f):
             return None if f is None else {"text": formula_text(f), "tree": f}
 
         print(_json_text({
             "profile": profile.value,
             "composed_term": composed_text,
             "normal_form": normal_text,
-            "raw_formula": formula_doc(expand(raw) if profile == Profile.B else raw),
+            "raw_formula": formula_doc(raw),
             "simplified_formula": formula_doc(simplified),
             "access_reports": [{"site": r.site_id, "env": r.env, "candidates": r.candidates}
                                for r in reports],

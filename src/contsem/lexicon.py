@@ -14,10 +14,10 @@ Entries are authored in the concrete term syntax and parsed once.  Content
 words follow category templates, so new nouns/verbs/names can be minted
 without touching the core entries.
 
-The registry row is the only source of a word's category: a Lexicon rejects
-an entry whose word has no row (UnknownWord) or whose category differs from
-its row, and `extended` adds rows for new words but never rewrites one.
-It also rejects a row or alias that no lookup reaches.
+The registry row is the only source of a word's category and content
+constant: a Lexicon rejects an entry whose word has no row (UnknownWord) or
+that differs from its row, and `extended` adds rows for new words but never
+rewrites one.  It also rejects a row or alias that no lookup reaches.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .errors import ContsemError
 from .node import Node
 from .syntax import parse_term
 from .terms import (
-    E, T, SemType, Term, TypeMismatch, arrow, typecheck,
+    E, T, App, Const, Lam, SemType, Term, TypeMismatch, arrow, typecheck,
     CONT_A, CONT_B, CONT_C, KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
 )
 
@@ -236,6 +236,15 @@ class Lexicon:
             if word != word.lower().replace("'", "") or target not in self._words:
                 raise ContsemError(f"no lookup reaches {word!r}: a lookup folds the spelling "
                                    "(lower case, no apostrophe), then follows one alias to a row")
+        for entry in self._entries.values():    # last: the diagnostics above come first
+            symbol, ty = self._words[entry.word][1], content_type(entry.category)
+            todo = [entry.term] if entry.category in _TEMPLATES[entry.profile] else []
+            while todo:                         # a content constant must be its row's symbol
+                t = todo.pop()
+                todo += (t.fn, t.arg) if type(t) is App else (t.body,) if type(t) is Lam else ()
+                if type(t) is Const and t.ty == ty and t.name != symbol:
+                    raise ContsemError(f"the profile {entry.profile.value} entry of {entry.word!r} "
+                                       f"names {t.name!r}, not its row's symbol {symbol!r}")
 
     def _check(self, entries: Collection[LexEntry], rows: Iterable[str] = ()) -> None:
         """Reject a row or an entry under an alias, and an entry without a row, of
@@ -376,10 +385,7 @@ def default_lexicon() -> Lexicon:
     return Lexicon(_DEFAULT_WORDS, {}, _ALIASES, _STORED_WORDS)
 
 
-_FILE_CATEGORIES = {c.value: c for c in Category
-                    if c in (Category.PROPER_NOUN, Category.COMMON_NOUN,
-                             Category.TRANSITIVE_VERB,
-                             Category.INTRANSITIVE_VERB, Category.ADJECTIVE)}
+_FILE_CATEGORIES = {c.value: c for c in _TEMPLATES[Profile.A]}
 
 
 def load_word_file(lines: Iterable[str], base: Lexicon | None = None) -> Lexicon:

@@ -233,6 +233,19 @@ def test_term_samples_match_committed_goldens(sample, capsys):
     assert capsys.readouterr() == (golden, "")
 
 
+@pytest.mark.parametrize("name", sorted(
+    str(p.relative_to(SAMPLES)) for p in [*SAMPLES.glob("*.dsc"), *TERMS.glob("*.lam")]))
+def test_a_leading_byte_order_mark_is_skipped(name, tmp_path, capsys):
+    """Some editors save UTF-8 with a byte-order mark; the file reads as without."""
+    sample = SAMPLES / name
+    f = tmp_path / sample.name
+    f.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    flags = ["--mode", "term-eval"] if sample.suffix == ".lam" else []
+    assert main(["run", str(f), *flags]) == 0
+    golden = sample.parent / "golden" / sample.with_suffix(".out").name
+    assert capsys.readouterr() == (golden.read_text(), "")
+
+
 @pytest.mark.parametrize("text,err", [
     ("love j $ mary", "unexpected character '$' (line 1, column 8)"),
     (r"\nil:g. nil", "'nil' is reserved and cannot be bound (line 1, column 2)"),
@@ -548,8 +561,9 @@ def test_json_text_writes_a_node_as_its_formula_json():
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_json_text_writes_shifted_copies_out(n):
     """A flat profile-B discourse's raw formula holds `Shifted` copies under
-    its connectives; the writer writes each out as `formula_json` writes
-    out the formula, or the copy, it is given."""
+    its connectives.  The CLI hands the writer such a formula, or copy, only
+    written out (`expand`), and the writer then prints what `formula_json`
+    gives for the formula or copy itself."""
     lex = default_lexicon()
     parsed = parse_discourse(flat_discourse_text(Profile.B, n), lex)
     raw = run_pipeline(parsed.tree, lex, Profile.B, default_initial_args(Profile.B)).raw
@@ -562,7 +576,7 @@ def test_json_text_writes_shifted_copies_out(n):
     copies = [g for g in seen.values() if type(g) is Shifted]
     assert type(raw) is Not and type(raw.body) is Exists and len(copies) >= (n - 1) // 2
     for x in (raw, Shifted(raw.body, ((0, 1),), 1), *copies):   # the root a copy too
-        assert cli._json_text({"t": [x]}) == _json_of_nodes(x)
+        assert cli._json_text(expand(x)) == json.dumps(formula_json(x), indent=2)
 
 
 def test_json_text_writes_a_formula_deeper_than_the_recursion_limit():

@@ -318,6 +318,25 @@ def test_make_entry_builds_a_known_word_over_its_registry_symbol():
         make_entry(Category.COMMON_NOUN, "zed", Profile.B, "a").term   # a row with no symbol
 
 
+def test_a_content_entry_names_its_rows_symbol():
+    """An entry whose content constant is not its row's symbol is refused:
+    profile C reads the row, so A or B would name another constant."""
+    zed = make_entry(Category.PROPER_NOUN, "zed", Profile.A).term
+    for entry, constant, symbol in (
+            (LexEntry("john", Category.PROPER_NOUN, Profile.A, zed), "zed", "j"),
+            (make_entry(Category.COMMON_NOUN, "cat", Profile.A, "felix"), "felix", "cat"),
+            (make_entry(Category.TRANSITIVE_VERB, "loves", Profile.B, "own"), "own", "love")):
+        with pytest.raises(ContsemError) as exc:
+            LEX.extended([entry])
+        assert str(exc.value) == (f"the profile {entry.profile.value} entry of "
+                                  f"{entry.word!r} names {constant!r}, not its row's "
+                                  f"symbol {symbol!r}")
+    LEX.entries()       # every profile read, so `extended` checks each default entry
+    lex = LEX.extended([make_entry(Category.COMMON_NOUN, "cat", Profile.A)])
+    lex = load_word_file(["pnoun john", "noun cat", "tverb sees"], lex.with_rejected_negation())
+    assert lex.symbol("cat") == "cat" and len(lex.entries()) == len(LEX.entries()) + 4
+
+
 # ---------------------------------------------------------------------------
 # A profile's entries are parsed and checked on its first read
 

@@ -4,7 +4,8 @@
 `Shifted` copy of its first reading, and `simplify` simplifies each copied
 body once.  Written out by `expand`, both must give exactly what the
 tree-walking references `gen.tree_reify` and `gen.tree_simplify` give, and
-the nodes they build must track the shared normal form, not the tree."""
+the nodes they build must track the shared normal form, not the tree.
+Profiles A and C make no copies; flat C grows linearly, flat A not yet."""
 import random
 import sys
 
@@ -309,3 +310,48 @@ def test_hash_visits_each_distinct_node_once(monkeypatch):
         monkeypatch.setattr(cls, "_values", counted)
     hash(result.normal)
     assert calls[0] <= 4 * distinct_nodes(result.normal)
+
+
+def test_profiles_a_and_c_raw_formulas_hold_no_copies():
+    """Only profile B's indefinite hands one continuation to both its
+    restrictor and its scope, so only B's raw formula holds copies, and the
+    CLI writes out B's alone before either output mode prints it."""
+    rng = random.Random(24)
+    cases = [(tree, profile) for tree, profile in pipeline_cases(LEX) if profile != Profile.B]
+    cases += [(random_discourse(rng, LEX, profile, n), profile)
+              for profile in (Profile.A, Profile.C) for n in [*range(3, 11)] * 4]
+    for tree, profile in cases:
+        raw = run_pipeline(tree, LEX, profile, default_initial_args(profile)).raw
+        assert expand(raw) is raw, (profile, formula_text(raw))
+
+
+def _nodes(f) -> int:
+    """The distinct nodes of a formula, atom arguments and environments too."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            for v in g._values():
+                stack += [v] if isinstance(v, Node) else v if type(v) is tuple else ()
+    return len(seen)
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param(Profile.A, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 7: quote re-reads a shared neutral at each occurrence, so "
+        "A's normal form grows about 3.5x per doubling"))),
+    Profile.C,
+])
+def test_flat_a_and_c_grow_linearly(profile):
+    """Flat discourses of 64, 128 and 256 sentences: each doubling at most
+    2.2x the normal form's distinct App/Lam objects and the distinct nodes of
+    the raw and the simplified formula."""
+    rows = []
+    for n in (64, 128, 256):
+        parsed = parse_discourse(flat_discourse_text(profile, n), LEX)
+        result = run_pipeline(parsed.tree, LEX, profile, default_initial_args(profile))
+        rows.append((distinct_nodes(result.normal), _nodes(result.raw),
+                     _nodes(result.simplified)))
+    for before, after in zip(rows, rows[1:]):
+        assert all(b <= 2.2 * a for a, b in zip(before, after)), rows
