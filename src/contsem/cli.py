@@ -13,7 +13,7 @@ term in the named lambda syntax and normalizes it.
 values, itself.  argparse, imported and built on first need, reads every other
 argv (help, usage errors, abbreviations, `--opt=value`, options before the
 file) and is the reference the plain reader is tested against; both read
-`_OPTIONS`.
+`_OPTIONS`.  `main` pauses the cyclic collector from argv to print.
 
 Exit status: 0 on success, 1 on any pipeline error, 2 on usage errors.
 """
@@ -106,16 +106,17 @@ def _plain_args(argv) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    ns = _plain_args(argv)
-    if ns is None:
-        try:
-            ns = _parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-    if ns.symbolic:
-        ns.mode = "symbolic-expand"
-    return run(ns)
+    with tm.paused_collector():     # argv to print: a plain run allocates no cycle
+        argv = sys.argv[1:] if argv is None else argv
+        ns = _plain_args(argv)
+        if ns is None:
+            try:
+                ns = _parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
+        if ns.symbolic:
+            ns.mode = "symbolic-expand"
+        return run(ns)
 
 
 def run(ns) -> int:

@@ -12,7 +12,6 @@ they replaced, `gen.staged_build_sentence` and `gen.substitution_compose`.
 """
 from __future__ import annotations
 
-import gc
 import re
 from functools import lru_cache
 
@@ -337,12 +336,10 @@ def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
     compose and normalize only (symbolic expansion).  The applied term has
     type t by construction: Lexicon typechecks its entries, build_sentence
     checks word categories and InitialArgs checks the initial arguments.  The
-    cyclic collector is paused: it scans nothing while the run allocates."""
+    cyclic collector is paused: reference counting frees all that the run allocates."""
     if init is not None and init.profile != profile:
         raise DiscourseError("initial arguments built for a different profile")
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with tm.paused_collector():
         composed = compose(tree, lexicon, profile)
         if init is None:
             return Interpretation(composed, None, normalize(composed, max_steps),
@@ -351,9 +348,6 @@ def run_pipeline(tree: DiscourseTree, lexicon: Lexicon, profile: Profile,
         normal = normalize(applied, max_steps)
         raw = reify(normal)
         return Interpretation(composed, applied, normal, raw, simplify(raw))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,

@@ -547,7 +547,7 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
     or environment: `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass
     over an explicit stack, so depth is not limited by the recursion limit."""
     out: list[str] = []
-    stack: list = [x]       # pending text, or a node
+    stack: list = [expand(x) if type(x) is Shifted else x]     # pending text, or a node
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -555,8 +555,6 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
             out.append(node)
         elif kind is EntConst or kind is EntVar:    # leaves: their one piece
             out.append(node.name)
-        elif kind is Shifted:           # a copy: the formula written out instead
-            return formula_text(expand(x))
         else:
             for piece in _FORMS[kind][4]:
                 if type(piece) is not tuple:        # literal text, or a scalar's
@@ -564,6 +562,8 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
                     continue
                 get, parens, open_ = piece
                 child = get(node)
+                if type(child) is Shifted:          # a copy: written out where it is read
+                    child = expand(child)
                 if type(child) is tuple:            # an atom's arguments
                     for a in reversed(child):
                         stack += (")", a, "(") if type(a) is SelOf else (a, " ")
@@ -575,10 +575,10 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
 
 
 def _right_open(f: Formula) -> bool:
-    # Whether the text ends in an existential's body.  Only left operands
-    # are asked, and a node is on the right spine of at most one of them.
-    while type(f) is Not or type(f) is And or type(f) is Or:
-        f = f.body if type(f) is Not else f.right
+    # Whether the text ends in an existential's body, a copy's as its body's.
+    # Only left operands are asked, and a node is on the right spine of at most one.
+    while type(f) is Not or type(f) is And or type(f) is Or or type(f) is Shifted:
+        f = f.right if type(f) is And or type(f) is Or else f.body
     return type(f) is Exists
 
 
@@ -592,8 +592,8 @@ def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
     nodes, docs = [x], [root]       # each pending node, and the dict it fills
     while nodes:
         node, doc = nodes.pop(), docs.pop()
-        if type(node) is Shifted:       # a copy: the formula written out instead
-            return formula_json(expand(x))
+        if type(node) is Shifted:       # a copy: written out where it is read
+            node = expand(node)
         tag_key, tag, scalars, children, *_ = _FORMS[type(node)]
         doc[tag_key] = tag
         for key, get, _ in scalars:

@@ -236,6 +236,23 @@ def typecheck(term: Term, ctx: tuple[SemType, ...] = ()) -> SemType:
 MAX_STEPS = 100_000     # the default step budget, of `--max-steps` and every reducer
 
 
+class paused_collector:
+    """A `with` block: the cyclic collector is off in it, and after it as the caller had it."""
+    def __new__(cls):
+        enabled = gc.isenabled()
+        gc.disable()                # first: making this object could start a collection
+        self = object.__new__(cls)
+        self.enabled = enabled
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.enabled:
+            gc.enable()
+
+
 def normalize(term: Term, max_steps: int = MAX_STEPS) -> Term:
     """Beta-normal form of a well-typed term, by normalization by evaluation.
 
@@ -251,8 +268,6 @@ def normalize(term: Term, max_steps: int = MAX_STEPS) -> Term:
     cyclic collector is paused during the call, and what the closures
     remember is dropped on return, so a call leaves it nothing to collect.
     """
-    enabled = gc.isenabled()
-    gc.disable()            # what is remembered stays alive: nothing to collect
     steps = 0
     neutrals: list = []     # neutrals[lvl]: the variable bound at level lvl
     remembered: list = []   # closures that hold an argument and its value
@@ -300,14 +315,13 @@ def normalize(term: Term, max_steps: int = MAX_STEPS) -> Term:
             steps += v[8]
         return v[7]
 
-    try:
-        normal = quote(ev(term, None), 0)
-    finally:    # cycles: a value can hold its own closure, ev and quote hold themselves
-        for c in remembered:
-            c[3] = c[4] = None
-        ev = quote = None
-        if enabled:
-            gc.enable()
+    with paused_collector():
+        try:
+            normal = quote(ev(term, None), 0)
+        finally:    # cycles: a value can hold its own closure, ev and quote hold themselves
+            for c in remembered:
+                c[3] = c[4] = None
+            ev = quote = None
     if steps > max_steps:   # reuse since the last step
         raise StepBudgetExceeded(max_steps)
     return normal

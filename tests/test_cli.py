@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -809,3 +810,70 @@ def test_the_package_holds_only_modules_a_run_loads():
     package = Path(cli.__file__).parent
     held = [f"contsem.{m.name}" for m in pkgutil.iter_modules([str(package)])]
     assert sorted(["contsem", *held]) == _loaded_after_run("--trace")
+
+
+# The cyclic collector during a run
+
+def _bench_like(tmp_path) -> list[list[str]]:
+    """Flat A24 and C24 as long-ac runs them, and flat B6 as branching-b does."""
+    argvs = []
+    for profile, n, flags in ((Profile.A, 24, []), (Profile.C, 24, []),
+                              (Profile.B, 6, ["--no-raw"])):
+        f = tmp_path / f"flat_{profile.value}{n}.dsc"
+        f.write_text(flat_discourse_text(profile, n))
+        argvs += [["run", str(f), *flags], ["run", str(f), "--format", "json", *flags]]
+    return argvs
+
+
+def test_no_collection_starts_inside_a_run(tmp_path, capsys):
+    """Reference counting frees what a run allocates, so `main` keeps the
+    collector off from argv to print: with the threshold as it is, no
+    collection starts inside a call (without the pause, a long-ac pass started 8)."""
+    argvs = [["run", str(SAMPLES / p.name), *flags] for p in sorted(SAMPLES.glob("*.dsc"))
+             for flags in ([], ["--format", "json", "--resolve", "recency"])]
+    argvs += [["run", str(p), "--mode", "term-eval", "--trace"]
+              for p in sorted(TERMS.glob("*.lam"))]
+    argvs += _bench_like(tmp_path)
+    inside, started = [None], []
+    watch = lambda phase, info: phase == "start" and started.append(inside[0])
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(watch)
+    try:
+        for _ in range(3):
+            for argv in argvs:
+                inside[0] = argv
+                assert main(argv) == 0, argv
+                inside[0] = None
+                capsys.readouterr()
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if enabled else gc.disable)()
+    assert started and [argv for argv in started if argv is not None] == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_plain_run_leaves_no_garbage_and_the_collector_as_found(enabled, tmp_path, capsys):
+    """After each exit, a result, a budget or depth failure and a usage error,
+    the collector is on or off as the caller had it and finds nothing to free."""
+    for profile, n in ((Profile.B, 16), (Profile.A, 600)):
+        (tmp_path / f"flat_{profile.value}{n}.dsc").write_text(flat_discourse_text(profile, n))
+    cases = [(_OWNS, 0, ""), (str(tmp_path / "flat_B16.dsc"), 1, "normalization exceeded"),
+             (str(tmp_path / "flat_A600.dsc"), 1, "input nested too deeply"),
+             (str(tmp_path / "missing.dsc"), 2, "no such file")]
+    flags, was = gc.get_debug(), gc.isenabled()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path, code, err in cases:
+            (gc.enable if enabled else gc.disable)()
+            gc.garbage.clear()
+            assert main(["run", path]) == code
+            assert gc.isenabled() is enabled
+            assert err in capsys.readouterr().err
+            gc.collect()
+            assert gc.garbage == [], path
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        (gc.enable if was else gc.disable)()

@@ -6,6 +6,7 @@ body once.  Written out by `expand`, both must give exactly what the
 tree-walking references `gen.tree_reify` and `gen.tree_simplify` give, and
 the nodes they build must track the shared normal form, not the tree.
 Profiles A and C make no copies; flat C grows linearly, flat A not yet."""
+import json
 import random
 import sys
 
@@ -151,6 +152,25 @@ def test_printers_read_a_copy_as_its_written_out_text():
     raw = _check_against_trees(app(AND, some_car, app(AND, App(NOT, some_car), p_c)))
     assert _copies(raw) == 1
     assert formula_text(raw) == "(Ex y. car y) & (~ Ex y1. car y1) & p c"
+
+
+def test_printers_write_a_copy_out_where_they_read_it(monkeypatch):
+    """`formula_text` and `formula_json` write each copy out where they read
+    it, as a child or at the root, and never start over on the whole formula:
+    they print what they print for `expand` of it, on flat B3, B6 and B9's raw
+    formulas, a copy at the root and left operands ending in a copy."""
+    copy = Shifted(Exists("y", Atom("car", (EntVar("y"),))), ((0, 1),), 0)
+    p_c, q_c = (Atom(name, (EntConst("c"),)) for name in "pq")
+    cases = [reify(_flat_b(n).normal) for n in (3, 6, 9)] + [
+        copy, Or(And(p_c, copy), q_c), Or(Not(copy), q_c), And(Not(And(p_c, copy)), q_c)]
+    written = [(formula_text(expand(f)), json.dumps(formula_json(expand(f)))) for f in cases]
+    expanded, expand_ = [], logic.expand
+    monkeypatch.setattr(logic, "expand", lambda f: expanded.append(f) or expand_(f))
+    assert [(formula_text(f), json.dumps(formula_json(f))) for f in cases] == written
+    assert expanded and all(type(f) is Shifted for f in expanded)
+    assert [text for text, _ in written[3:]] == [
+        "Ex y1. car y1", "(p c & Ex y1. car y1) | q c", "(~ Ex y1. car y1) | q c",
+        "(~ (p c & Ex y1. car y1)) & q c"]
 
 
 def test_copies_follow_identity_and_binders_not_equality():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -20,7 +21,7 @@ from contsem.terms import (
     App, Arrow, Base, Const, E, G, Lam, T, Var,
     KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
     StepBudgetExceeded, TypeMismatch, UnboundVariable,
-    app, arrow, normalize, typecheck,
+    app, arrow, normalize, paused_collector, typecheck,
 )
 from contsem.reduction import reduce_once, trace
 from contsem.syntax import parse_term, parse_type
@@ -423,3 +424,31 @@ def test_type_checks_compare_texts_not_nodes():
         sys.setprofile(None)
     assert len(entries) == 18
     assert seen == []
+
+
+def test_paused_collector_goes_off_before_it_allocates():
+    """At a threshold of 1 an allocation while the collector is on starts a
+    collection; none starts from the call to the block's end, nested or not,
+    and each block leaves the collector as it found it."""
+    window, started, threshold = [False], [], gc.get_threshold()
+    watch = lambda phase, info: phase == "start" and started.append(window[0])
+    gc.callbacks.append(watch)
+    gc.set_threshold(1)
+    try:
+        for _ in range(200):
+            window[0] = True
+            with paused_collector():
+                with paused_collector():
+                    pass
+                assert not gc.isenabled()
+            window[0] = False
+            assert gc.isenabled() and {frozenset({1})}     # sets have no free list: a collection
+        gc.disable()
+        with paused_collector():
+            pass
+        assert not gc.isenabled()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(watch)
+        gc.enable()
+    assert False in started and True not in started
