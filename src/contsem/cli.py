@@ -213,7 +213,8 @@ def _run_discourse(ns, text: str) -> int:
         init = InitialArgs(profile, (tm.OR,) + init.args[1:])
     result = run_pipeline(parsed.tree, lexicon, profile, init, ns.max_steps)
     json_out = ns.output == "json"
-    composed_text, normal_text = pretty(result.composed), pretty(result.normal)
+    composed_text = pretty(result.composed, lexicon.entry_templates(profile))
+    normal_text = pretty(result.normal)
     steps = _trace(result.composed if symbolic else result.applied, ns)
     simplified = result.simplified      # None in symbolic expansion
     # Profile B's raw formula holds reify's copies: written out here, once for either mode.

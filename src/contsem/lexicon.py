@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import ContsemError
 from .node import Node
-from .syntax import parse_term
+from .syntax import _render, parse_term
 from .terms import (
     E, T, App, Const, Lam, SemType, Term, TypeMismatch, arrow, typecheck,
     CONT_A, CONT_B, CONT_C, KAPPA_B, KAPPA_C, SENT_A, SENT_B, SENT_C,
@@ -230,6 +230,7 @@ class Lexicon:
         self._entries = dict(entries)
         self._aliases = dict(aliases or {})
         self._unread = frozenset(unread)
+        self._tables: dict[Profile, dict[int, tuple]] = {}    # see `entry_templates`
         self._check(self._entries.values(), self._words)
         self._known = {w: w for w in self._words} | self._aliases  # valid once checked below
         for word, target in self._known.items():    # as `canonical` reads a spelling
@@ -325,6 +326,18 @@ class Lexicon:
         out = [e for e in self._entries.values()
                if profile is None or e.profile == profile]
         return sorted(out, key=lambda e: (e.profile.value, e.word))
+
+    def entry_templates(self, profile: Profile) -> dict[int, tuple]:
+        """`pretty`'s table for a term composed from the profile's entries: by
+        id of each entry term, `syntax._render`'s template of it (its text, its
+        constants' printed forms, its number of binders) and the term, which
+        keeps the id its own.  Made on the profile's first request; empty in C."""
+        table = self._tables.get(profile)
+        if table is None:
+            table = {id(e.term): (*_render(e.term, (), None, True), e.term)
+                     for e in self.entries(profile)}
+            self._tables = {**self._tables, profile: table}    # rebound, as in _load
+        return table
 
     def signature(self) -> dict[str, SemType]:
         """Content constants of all registered words, for the term parser."""

@@ -155,8 +155,12 @@ def env_entries(env: EnvExpr) -> tuple[EntityTerm, ...]:
             stack.append(e.tail)
         elif isinstance(e, UnionE):
             stack += (e.left, e.right)
-    keep_last: dict[EntityTerm, None] = dict.fromkeys(reversed(entries))
-    return tuple(reversed(keep_last))
+    keep_last: dict = {}    # by class and name, not hashed as nodes; a selection by itself
+    for e in reversed(entries):
+        key = e if type(e) is SelOf else (type(e), e.name)
+        if key not in keep_last:
+            keep_last[key] = e
+    return tuple(reversed(keep_last.values()))
 
 
 def env_from_entries(entries) -> EnvExpr:
@@ -368,7 +372,10 @@ def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
 
 def alpha_eq(f1: Formula, f2: Formula) -> bool:
     """Equality up to renaming of bound variables and selection site ids: on
-    each side a bound name reads as its binder, a free name as itself."""
+    each side a bound name reads as its binder, a free name as itself.  A pair
+    that is one node (a copy read as its body) while each name reads alike on
+    both sides is equal without a walk: `simplify`'s tails are mostly copies
+    of one body."""
     left: dict[str, int | str] = {}     # a bound name -> its binder's exit on the stack,
     right: dict[str, int | str] = {}    # a place no other binder in scope holds
     stack: list = [(f1, f2)]
@@ -380,6 +387,8 @@ def alpha_eq(f1: Formula, f2: Formula) -> bool:
         elif type(a) is Shifted or type(b) is Shifted:     # it reads like its body
             stack.append((a.body if type(a) is Shifted else a,
                           b.body if type(b) is Shifted else b))
+        elif a is b and left == right:
+            continue
         elif type(a) is not type(b):
             return False
         elif isinstance(a, Exists):
@@ -529,7 +538,7 @@ def simplify(f: Formula) -> Formula:
             elif kind is zero or type(right) is zero:
                 done.append(zero())
             elif (op is And and kind is type(right) and (kind is And or kind is Or)
-                  and (left.right is right.right or alpha_eq(left.right, right.right))):
+                  and alpha_eq(left.right, right.right)):
                 # (A op K) and (B op K) == (A and B) op K when the two tails
                 # agree up to bound renaming and selection site ids.
                 work += ((kind, None), (_PUSH, left.right), (And, None),

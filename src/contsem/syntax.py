@@ -224,24 +224,32 @@ def parse_type(text: str) -> SemType:
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-def pretty(term: Term) -> str:
+def pretty(term: Term, templates: Mapping[int, tuple] | None = None) -> str:
     """Named rendering with canonical fresh names (x1, x2, ... in binder
     order, skipping constants' names).  Round-trips through parse_term for
     closed terms.
 
     One left-to-right pass, linear in the term's size and not limited by
-    Python's recursion limit.  A second pass runs only when a name the first
-    chose turns out to be a constant's.
+    Python's recursion limit.  A second pass, which reads no templates, runs
+    only when a name the first chose turns out to be a constant's.  Given
+    `templates`, a lexicon's table (`Lexicon.entry_templates`), the first pass
+    prints each entry it meets by identity from its template, as it would
+    print the entry itself.
     """
-    text, shown, count = _render(term, ())
+    text, shown, count = _render(term, (), templates)
     if any(chosen(name, "x", 1, count) for name in shown):
         text = _render(term, shown)[0]
     return text
 
 
-def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
+def _render(term: Term, avoid, templates=None,
+            fields: bool = False) -> tuple[str, dict[str, str], int]:
     """pretty's pass: the text, each constant's printed form by name, the names
-    tried.  Lambda chains, application spines and left operands are walked in place."""
+    tried.  Lambda chains, application spines and left operands are walked in place.
+    A Lam whose id `templates` holds, (template, constants' printed forms,
+    binders, the Lam), prints from it with the names due.  With `fields`, the
+    pass makes a template: binder k (from 0) is named by the format field x{k},
+    and braces in constants' printed forms are doubled."""
     shown: dict[str, str] = {}
     counter = 0
     names: list[str] = []   # names[d]: the binder at depth d, outermost first
@@ -280,7 +288,8 @@ def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
             if kind is Const:
                 if t.name not in shown:
                     shown[t.name] = t.name if _WORD.fullmatch(t.name) else f"({t.name})"
-                out.append(shown[t.name])
+                printed = shown[t.name]
+                out.append(printed.replace("{", "{{").replace("}", "}}") if fields else printed)
                 break
             body = t.body   # a Lam; Coord and Sub by class, index and name, without `==`
             inner = body.body if type(body) is Lam and t.ty.text == body.ty.text == "g" \
@@ -296,10 +305,16 @@ def _render(term: Term, avoid) -> tuple[str, dict[str, str], int]:
             if level > _LAM:
                 out.append("(")
                 stack.append(")")
+            if templates and (entry := templates.get(id(t))):   # a lexicon entry
+                fmt, consts, n, _ = entry
+                out.append(fmt.format(*range(counter + 1, counter + n + 1)))
+                counter += n
+                shown.update(consts)
+                break
             counter += 1
             while avoid and f"x{counter}" in avoid:     # the second pass
                 counter += 1
-            name = f"x{counter}"
+            name = f"x{{{counter - 1}}}" if fields else f"x{counter}"
             names[depth:] = (name,)
             out.append(f"\\{name}:{t.ty.text}. ")
             t, depth, level = body, depth + 1, _LAM

@@ -326,6 +326,37 @@ def test_env_entries_of_long_cons_chain():
     assert env_entries(env) == tuple(EntVar(f"y{i}") for i in reversed(range(20_000)))
 
 
+def test_env_entries_keeps_a_constant_and_a_variable_of_one_name_apart():
+    """Entries are told apart by class and name, a selection by its value; the
+    entries kept are the very objects the recursive flattening keeps."""
+    c, v = EntConst("y"), EntVar("y")
+    sel, sel2 = SelOf(ConsE(J, NilE()), 0), SelOf(ConsE(J, NilE()), 0)
+    env = ConsE(c, ConsE(v, ConsE(sel, ConsE(EntConst("y"), ConsE(EntVar("y"), ConsE(
+        sel2, ConsE(SelOf(ConsE(J, NilE()), 1), NilE())))))))
+    found = env_entries(env)
+    assert found == recursive_env_entries(env) == (c, v, sel, EntConst("y"), EntVar("y"), sel2,
+                                                   SelOf(ConsE(J, NilE()), 1))[3:]
+    assert all(a is b for a, b in zip(found, recursive_env_entries(env)))
+    assert env_entries(UnionE(ConsE(c, NilE()), ConsE(v, NilE()))) == (v, c)
+
+
+def test_env_entries_hashes_and_compares_no_entity(monkeypatch):
+    """Constants and variables are keyed by class and name, not hashed as nodes."""
+    rng = random.Random(32)
+    envs = [_random_env(rng) for _ in range(500)]
+    expected = [recursive_env_entries(env) for env in envs]
+
+    def forbidden(*_):
+        raise AssertionError("an entity hashed or compared")
+
+    for cls in (EntConst, EntVar):
+        monkeypatch.setattr(cls, "__hash__", forbidden)
+        monkeypatch.setattr(cls, "__eq__", forbidden)
+    found = [env_entries(env) for env in envs]
+    monkeypatch.undo()
+    assert found == expected
+
+
 def test_scope_shrinking_keeps_dependent_parts_inside():
     body = And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(Y, NilE()), 0),)))
     f = Exists("y", body)
@@ -374,6 +405,50 @@ def test_formula_alpha_eq_restores_a_shadowed_binder():
                         (shadowing("z", "w", "w"), False), (shadowing("z", "y", "y"), False)):
         assert alpha_eq(y, other) == recursive_alpha_eq(y, other) == same
         assert alpha_eq(other, y) == recursive_alpha_eq(other, y) == same
+
+
+class _CountedArgs(tuple):
+    """An atom's arguments that count how often a walk reads them."""
+    reads = 0
+
+    def __iter__(self):
+        _CountedArgs.reads += 1
+        return super().__iter__()
+
+
+def _atom_pairs_read(f1, f2) -> tuple[bool, int]:
+    """alpha_eq(f1, f2) and the number of atom pairs it walked into."""
+    _CountedArgs.reads = 0
+    same = alpha_eq(f1, f2)
+    return same, _CountedArgs.reads // 2
+
+
+def test_formula_alpha_eq_takes_one_node_as_equal_without_a_walk():
+    """A pair that is one node, a copy read as its body, under equal binder maps
+    is equal at once; a formula and an equal one that shares no node, or one
+    node under binders that read its names apart, are walked."""
+    def chain(names):       # p names[0] & (p names[1] & ...)
+        f = Atom("p", _CountedArgs((EntVar(names[-1]),)))
+        for name in reversed(names[:-1]):
+            f = And(Atom("p", _CountedArgs((EntVar(name),))), f)
+        return f
+
+    names = [f"y{i}" for i in range(1, 41)]
+    x = chain(names)
+    copy = Shifted(x, ((1, 50),), 3)
+    assert _atom_pairs_read(x, x) == (True, 0)
+    assert _atom_pairs_read(copy, x) == _atom_pairs_read(x, copy) == (True, 0)
+    assert _atom_pairs_read(copy, Shifted(x, ((2, 7),), 0)) == (True, 0)
+    assert _atom_pairs_read(Not(copy), Not(x)) == (True, 0)
+    assert _atom_pairs_read(Exists("y1", x), Exists("y1", copy)) == (True, 0)
+    assert _atom_pairs_read(x, chain(names)) == (True, 40)
+    # Ex y9. x against Ex z. x: y9 is bound on the left and free on the right.
+    same, walked = _atom_pairs_read(Exists("y9", x), Exists("z", x))
+    assert not same and walked > 0
+    # Leaving a binder of one name on both sides leaves the maps equal.
+    left = And(Exists("y1", Atom("q", (EntVar("y1"),))), x)
+    right = And(Exists("y1", Atom("q", (EntVar("y1"),))), copy)
+    assert _atom_pairs_read(left, right) == (True, 0)
 
 
 def _names_mapped(x, binder, var, bound=()):

@@ -14,10 +14,11 @@ from contsem.discourse import (
     Leaf, Seq, compose, default_initial_args, has_symbolic_leaves, parse_discourse,
     parse_sentence_words, run_pipeline,
 )
-from contsem.lexicon import Profile, default_lexicon, load_word_file
+from contsem import cli
+from contsem.lexicon import Category, LexEntry, Profile, default_lexicon, load_word_file
 from contsem.node import Node
 from contsem.reduction import trace
-from contsem.syntax import parse_term, parse_type, pretty
+from contsem.syntax import _render, parse_term, parse_type, pretty
 from contsem.terms import (
     AND, BUILTINS, NOT, TOP, App, Const, E, G, Lam, T, Var, app, arrow, normalize,
 )
@@ -294,3 +295,124 @@ def test_trace_terms_match_recursive(sample):
                           None if symbolic else default_initial_args(parsed.profile))
     for step in trace(result.composed if symbolic else result.applied):
         assert pretty(step.term) == recursive_pretty(step.term)
+
+
+# ---------------------------------------------------------------------------
+# Entry templates: `pretty` with a lexicon's table prints what it prints without
+
+def _marked(table: dict) -> dict:
+    """The table with each template replaced by `@`: shows where it is read."""
+    return {key: ("@", shown, n, term) for key, (_, shown, n, term) in table.items()}
+
+
+def _check_templates(term, lex, profile) -> int:
+    """Assert that `term` prints the same with and without the profile's
+    templates, and, unless a constant sends `pretty` to its second pass, that
+    each entry it holds prints from its template; return how many it holds."""
+    table = lex.entry_templates(profile)
+    assert pretty(term, table) == pretty(term)
+    held = sum(id(s) in table for s in subterms(term))
+    if not any(name.startswith("x") for name in constants(term)):
+        assert pretty(term, _marked(table)).count("@") == held
+    return held
+
+
+def test_each_template_is_its_entry_printed():
+    """A template filled with 1, 2, ... is the entry's text; its binder count and
+    constants are the entry's."""
+    for profile in Profile:
+        table = LEX.entry_templates(profile)
+        assert len(table) == len(LEX.entries(profile)) == {"C": 0, "A": 10, "B": 8}[profile.value]
+        for template, shown, n, term in table.values():
+            assert table[id(term)][3] is term
+            assert template.format(*range(1, n + 1)) == pretty(term) == recursive_pretty(term)
+            assert n == sum(type(s) is Lam for s in subterms(term))
+            assert shown == _render(term, ())[1]
+    assert LEX.entry_templates(Profile.B) is LEX.entry_templates(Profile.B)
+
+
+def test_templates_print_the_pipeline_cases_and_random_discourses():
+    """Composed terms of every pipeline case and of 1000 random discourses
+    print the same from their profile's templates; C has none to read."""
+    rng = random.Random(SEED + 7)
+    cases = list(pipeline_cases(LEX))
+    cases += [(random_discourse(rng, LEX, profile, rng.randint(1, 6)), profile)
+              for profile in rng.choices(list(Profile), k=1000)]
+    read = {profile: 0 for profile in Profile}
+    for tree, profile in cases:
+        read[profile] += _check_templates(compose(tree, LEX, profile), LEX, profile)
+    assert read[Profile.C] == 0 and read[Profile.A] > 1000 and read[Profile.B] > 1000
+
+
+@pytest.mark.parametrize("profile,lengths", [
+    (Profile.A, (64, 128, 256)), (Profile.B, range(8, 15))])
+def test_templates_print_flat_discourses(profile, lengths):
+    for n in lengths:
+        composed = compose(baseline_discourse(LEX, profile, n), LEX, profile)
+        assert _check_templates(composed, LEX, profile) >= 2 * n
+
+
+def test_templates_of_extended_lexicons():
+    """A word file's entries, the rejected negation and a constant named x3, which
+    sends `pretty` to its second pass, which reads no templates."""
+    lex = load_word_file(["noun cat", "tverb sees", "pnoun x3"])
+    rejected = LEX.with_rejected_negation()
+    for lexicon, profile, words in (
+            (lex, Profile.A, ("x3 sees (a cat)", "it is red", "john doesnt own (a cat)")),
+            (lex, Profile.B, ("x3 owns (a cat)", "it is red", "john doesnt own (a cat)")),
+            (rejected, Profile.A, ("john doesnt own (a car)", "it is red"))):
+        leaves = [Leaf(parse_sentence_words(w, lexicon)) for w in words]
+        tree = leaves[0]
+        for leaf in leaves[1:]:
+            tree = Seq(tree, leaf)
+        composed = compose(tree, lexicon, profile)
+        assert _check_templates(composed, lexicon, profile) >= len(words) * 2
+        text = pretty(composed, lexicon.entry_templates(profile))
+        assert text == recursive_pretty(composed)
+        if lexicon is lex:
+            assert "\\x3:" not in text and "\\x2:" in text
+    # An entry whose own third binder would be x3 prints without it too.
+    noun = load_word_file(["noun x3"])
+    for profile in (Profile.A, Profile.B):
+        term = noun.entry("x3", profile)
+        for t in (term, App(Const("f", E), term)):
+            text = pretty(t, noun.entry_templates(profile))
+            assert text == recursive_pretty(t) and "\\x4:" in text and "\\x3:" not in text
+    negation = rejected.entry("doesnt", Profile.A)
+    assert id(negation) in rejected.entry_templates(Profile.A)
+    assert id(negation) not in LEX.entry_templates(Profile.A)
+
+
+@pytest.mark.parametrize("word", ["a{b}", "}{", "x{0}", "{{1}}"])
+def test_a_constant_with_braces_prints_from_its_template(word):
+    """A template doubles the braces of a constant's printed form, so they
+    print as written, not as format fields."""
+    noun = LEX.entry("car", Profile.A)
+    term = subst_consts(noun, {"car": Const(word, arrow(E, T))})
+    lex = LEX.extended([LexEntry(word, Category.COMMON_NOUN, Profile.A, term)])
+    table = lex.entry_templates(Profile.A)
+    assert "{{" in table[id(term)][0]
+    f = Const("f", E)
+    det = LEX.entry("a", Profile.A)
+    for t in (term, App(term, f), App(f, term), app(det, term, noun), app(det, noun, term)):
+        assert _check_templates(t, lex, Profile.A) >= 1
+        assert pretty(t, table) == recursive_pretty(t)
+        assert f"({word})" in pretty(t, table)
+
+
+def test_the_command_line_prints_the_composed_term_from_templates(monkeypatch, capsys):
+    """`composed:` reads the run profile's table, `normal:` none."""
+    tables = []
+
+    def spy(term, templates=None):
+        tables.append(templates)
+        return pretty(term, templates)
+
+    monkeypatch.setattr(cli, "pretty", spy)
+    for sample, profile in (("loves_woman", Profile.A), ("doesnt_own_car", Profile.B),
+                            ("rfc_concrete_coord", Profile.C), ("rfc_sub_coord", Profile.C)):
+        tables.clear()
+        assert main(["run", str(SAMPLES / f"{sample}.dsc")]) == 0
+        assert capsys.readouterr().out == (SAMPLES / "golden" / f"{sample}.out").read_text()
+        assert tables[0] is LEX.entry_templates(profile) and tables[1:] == [None]
+    assert LEX.entry_templates(Profile.C) == {}
