@@ -13,9 +13,9 @@ from .terms import (
 )
 from .syntax import parse_term, parse_type, pretty
 from .logic import (
-    Formula, Top, Bot, Not, And, Or, Exists, Atom, Shifted,
+    Formula, Top, Bot, Not, And, Or, Exists, Atom,
     EntConst, EntVar, SelOf, NilE, ConsE, UnionE,
-    expand, formula_json, formula_text, reify, simplify,
+    formula_json, formula_text, json_text, reify, simplify,
 )
 from .lexicon import (
     Category, LexEntry, Lexicon, Profile,

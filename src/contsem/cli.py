@@ -15,10 +15,11 @@ argv (help, usage errors, abbreviations, `--opt=value`, options before the
 file) and is the reference the plain reader is tested against; both read
 `_OPTIONS`.  `main` pauses the cyclic collector from argv to print.
 
-Exit status: 0 on success, 1 on any pipeline error, 2 on usage errors.
+Exit status: 0 on success, 1 on any pipeline or write error, 2 on usage errors.
 """
 from __future__ import annotations
 
+import os
 import sys
 from functools import lru_cache
 from types import SimpleNamespace
@@ -30,7 +31,7 @@ from .discourse import (
     run_pipeline,
 )
 from .lexicon import Profile, default_lexicon
-from .logic import _FORMS, expand, formula_text
+from .logic import formula_text, json_text
 from .resolver import report, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, typecheck
@@ -136,48 +137,26 @@ def run(ns) -> int:
         if ns.mode == "term-eval":
             return _run_term(ns, text)
         return _run_discourse(ns, text)
-    except (ContsemError, RecursionError) as exc:
-        if isinstance(exc, RecursionError):
-            exc = DepthLimitExceeded()
+    except (ContsemError, RecursionError, MemoryError) as exc:
+        if not isinstance(exc, ContsemError):
+            exc = DepthLimitExceeded() if isinstance(exc, RecursionError) else "out of memory"
         print(f"contsem: {exc}", file=sys.stderr)
         return 1
 
 
-def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, a copy-free node read as its `formula_json`,
-    from an explicit stack: json's encoder with `indent` is pure Python and recurses."""
-    import json     # here: a text run never loads it
-    from json.encoder import encode_basestring_ascii as encode
-    out, stack = [], [(doc, "\n")]    # pending text, or (value, its line start)
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        value, newline = item
-        kind = type(value)
-        if kind is str:
-            out.append(encode(value))
-        elif kind in _FORMS:        # its row's tag, scalars, then children
-            _, _, scalars, kids, _, tag = _FORMS[kind]
-            inner = newline + "  "
-            out += "{", inner, tag
-            for _, get, key in scalars:
-                out += ",", inner, key, encode(v) if type(v := get(value)) is str else str(v)
-            stack.append(newline + "}")
-            for _, get, key in reversed(kids):
-                stack += (get(value), inner), "," + inner + key
-        elif not value or not isinstance(value, (dict, list, tuple)):
-            out.append(json.dumps(value))   # the same text with or without indent
-        else:
-            inner, brackets = newline + "  ", "{}" if kind is dict else "[]"
-            pairs = ([(f"{encode(k)}: ", v) for k, v in value.items()]
-                     if kind is dict else [("", v) for v in value])
-            out.append(brackets[0])
-            stack.append(newline + brackets[1])
-            for i in range(len(pairs) - 1, -1, -1):
-                stack += (pairs[i][1], inner), ("," if i else "") + inner + pairs[i][0]
-    return "".join(out)
+def _write(text: str) -> int:
+    """Print `text`.  A failed write exits 1, a closed pipe quietly, and points
+    stdout at devnull, where the flush at exit cannot fail (Python's SIGPIPE note)."""
+    try:
+        print(text, flush=True)
+        return 0
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"contsem: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 def _trace(term, ns) -> list:
@@ -212,42 +191,36 @@ def _run_discourse(ns, text: str) -> int:
     if profile == Profile.B and ns.connective == "or":
         init = InitialArgs(profile, (tm.OR,) + init.args[1:])
     result = run_pipeline(parsed.tree, lexicon, profile, init, ns.max_steps)
-    json_out = ns.output == "json"
     composed_text = pretty(result.composed, lexicon.entry_templates(profile))
     normal_text = pretty(result.normal)
     steps = _trace(result.composed if symbolic else result.applied, ns)
     simplified = result.simplified      # None in symbolic expansion
-    # Profile B's raw formula holds reify's copies: written out here, once for either mode.
-    raw = expand(result.raw) if profile == Profile.B and (ns.show_raw or json_out) else result.raw
     reports = () if symbolic else report(simplified)
     recency = not symbolic and ns.resolve_strategy == "recency"
     resolved = resolve(simplified, "recency") if recency else None
-    if json_out:
+    if ns.output == "json":
         def formula_doc(f):
             return None if f is None else {"text": formula_text(f), "tree": f}
 
-        print(_json_text({
+        return _write(json_text({
             "profile": profile.value,
             "composed_term": composed_text,
             "normal_form": normal_text,
-            "raw_formula": formula_doc(raw),
+            "raw_formula": formula_doc(result.raw),
             "simplified_formula": formula_doc(simplified),
-            "access_reports": [{"site": r.site_id, "env": r.env, "candidates": r.candidates}
-                               for r in reports],
+            "access_reports": reports,
             "resolved_formula": formula_doc(resolved),
         }))
-        return 0
     lines = [f"composed: {composed_text}", *_trace_lines(steps),
              f"{'expanded' if symbolic else 'normal'}: {normal_text}"]
     if not symbolic:
         if ns.show_raw:
-            lines.append(f"raw: {formula_text(raw)}")
+            lines.append(f"raw: {formula_text(result.raw)}")
         lines.append(f"simplified: {formula_text(simplified)}")
         lines += map(report_line, reports)
         if resolved is not None:
             lines.append(f"resolved: {formula_text(resolved)}")
-    print("\n".join(lines))
-    return 0
+    return _write("\n".join(lines))
 
 
 def _run_term(ns, text: str) -> int:
@@ -258,11 +231,9 @@ def _run_term(ns, text: str) -> int:
     doc = {"term": pretty(term), "type": ty.text,
            "normal_form": pretty(normalize(term, ns.max_steps))}
     if ns.output == "json":
-        print(_json_text(doc))
-    else:
-        print("\n".join([f"term: {doc['term']}", f"type: {doc['type']}",
-                         *_trace_lines(steps), f"normal: {doc['normal_form']}"]))
-    return 0
+        return _write(json_text(doc))
+    return _write("\n".join([f"term: {doc['term']}", f"type: {doc['type']}",
+                             *_trace_lines(steps), f"normal: {doc['normal_form']}"]))
 
 
 if __name__ == "__main__":

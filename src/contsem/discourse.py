@@ -18,7 +18,7 @@ from functools import lru_cache
 from .errors import ContsemError
 from .node import Node
 from . import terms as tm
-from .logic import Formula, expand, reify, simplify
+from .logic import Formula, reify, simplify
 from .lexicon import CATEGORY_TYPES, Category, Lexicon, Profile, content_type
 from .lexicon import default_lexicon
 from .terms import App, Const, Lam, Term, Var, app, normalize, typecheck
@@ -323,8 +323,8 @@ def default_initial_args(profile: Profile) -> InitialArgs:
 
 class Interpretation(Node):
     """Every artifact of one pipeline run; in symbolic expansion only
-    `composed` and its normal form `normal` are set.  `raw` keeps `reify`'s
-    shifted copies (`logic.expand` writes them out), `simplified` none."""
+    `composed` and its normal form `normal` are set.  `raw` shares what the
+    normal form shares."""
     __slots__ = {"composed": "Term", "applied": "Term | None", "normal": "Term",
                  "raw": "Formula | None", "simplified": "Formula | None"}
 
@@ -360,7 +360,7 @@ def interpret(tree: DiscourseTree, lexicon: Lexicon | None = None,
         raise DiscourseError("cannot interpret a discourse with symbolic leaves")
     result = run_pipeline(tree, lexicon or default_lexicon(), profile,
                           init or default_initial_args(profile), max_steps)
-    return expand(result.raw), result.simplified
+    return result.raw, result.simplified
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 from .errors import ContsemError
-from .logic import Atom, EntityTerm, Formula, SelOf, env_entries, formula_text, map_atoms
-from .node import Node
+from .logic import (
+    AccessReport, Atom, EntityTerm, Formula, SelOf, _render, _rendered, env_entries, map_atoms,
+)
 
 
 class EmptyEnvironment(ContsemError):
@@ -12,22 +13,11 @@ class EmptyEnvironment(ContsemError):
         super().__init__(f"selection site #{site_id} has no accessible referents")
 
 
-class AccessReport(Node):
-    __slots__ = {"site_id": "int", "env": "EnvExpr",
-                 "candidates": "tuple[EntityTerm, ...]"}
-
-
 def report(f: Formula) -> list[AccessReport]:
-    """One AccessReport per selection site, in site id order."""
-    sites: list[SelOf] = []
-
-    def note(g: Atom) -> Atom:      # each atom, copies written out, left to right
-        sites.extend(a for a in g.args if isinstance(a, SelOf))
-        return g
-
-    map_atoms(f, note)
-    sites.sort(key=lambda s: s.site_id)
-    return [AccessReport(s.site_id, s.env, env_entries(s.env)) for s in sites]
+    """One AccessReport per selection site, in textual order, which numbers
+    the sites; each names its binders in scope as `formula_text` does."""
+    return [AccessReport(i, env, env_entries(env), names)
+            for i, (env, names) in enumerate(_rendered(f)[1])]
 
 
 def resolve(f: Formula, strategy: str) -> Formula:
@@ -42,19 +32,21 @@ def resolve(f: Formula, strategy: str) -> Formula:
         raise ContsemError(f"unknown strategy {strategy!r}")
 
     # Sites are picked left to right, so an empty environment is reported
-    # at the first one in reading order.
-    return map_atoms(f, lambda g: Atom(g.pred, tuple(_pick(a) for a in g.args)))
+    # at the first one in reading order, numbered as `report` numbers it.
+    sites = [0]
 
-
-def _pick(a: EntityTerm) -> EntityTerm:
-    if isinstance(a, SelOf):
+    def pick(a: EntityTerm) -> EntityTerm:
+        if type(a) is not SelOf:
+            return a
         candidates = env_entries(a.env)
         if not candidates:
-            raise EmptyEnvironment(a.site_id)
+            raise EmptyEnvironment(sites[0])
+        sites[0] += 1
         return candidates[0]
-    return a
+
+    return map_atoms(f, lambda g: Atom(g.pred, tuple(pick(a) for a in g.args)))
 
 
 def report_line(r: AccessReport) -> str:
-    names = ", ".join(formula_text(c) for c in r.candidates)
-    return f"sel#{r.site_id} env={formula_text(r.env)} candidates=[{names}]"
+    names = ", ".join(_render(c, None, r.names)[0] for c in r.candidates)
+    return f"sel#{r.site_id} env={_render(r.env, None, r.names)[0]} candidates=[{names}]"

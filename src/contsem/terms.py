@@ -183,8 +183,8 @@ def path_steps(path) -> tuple[str, ...]:
 
 def chosen(name: str, prefix: str, first: int, count: int) -> bool:
     """Whether `name` is one of `count` fresh names prefix<k> from k = `first` on,
-    prefix alone for k = 0 (`pretty`'s x1, x2, ...; `reify`'s y, y1, ...): read
-    off the name, so the test costs the same whatever `count` is."""
+    prefix alone for k = 0 (`pretty`'s x1, x2, ...; the formula printers' y, y1,
+    ...): read off the name, so the test costs the same whatever `count` is."""
     k, end = name[len(prefix):], first + count
     if not name.startswith(prefix) or len(k) > len(str(end)):  # int() refuses 4301 digits
         return False

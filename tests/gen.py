@@ -10,13 +10,13 @@ recursive-descent parser for `syntax.parse_term` and
 recursive environment flattener for `logic.env_entries`, the recursive
 formula renderers `recursive_formula_text`/`recursive_formula_json` (with
 their entity and environment helpers) for `logic.formula_text` and
-`logic.formula_json`, the fixed-point simplifier and recursive formula
-`alpha_eq` for `logic.simplify` and `logic.alpha_eq`, and
+`logic.json_text`, the fixed-point simplifier for `logic.simplify`, and
 `recursive_reify` (three mutually recursive readers) and
 `recursive_typecheck` for `logic.reify` and `terms.typecheck`, with their
 random inputs `random_reify_term` and `random_typecheck_case`,
 `tree_reify` and `tree_simplify` (which walk a shared normal form as a
-tree) for `logic.reify` and `logic.simplify` after `logic.expand`, and
+tree) for `logic.reify` and `logic.simplify`, `named_report_lines` and
+`named_resolve` for `resolver.report` and `resolve`, and
 `substitution_compose`, which substitutes into each connective's named
 template (`connective_template`) with `subst_consts`, for
 `discourse.compose`, the staged walks
@@ -26,8 +26,13 @@ template (`connective_template`) with `subst_consts`, for
 `four_call_parse_sentence_words` for `discourse.parse_sentence_words`.
 `is_closed` and `size` are recursive term measures, `distinct_nodes` counts
 the objects of a term that shares subterms, and `constants` and
-`subst_consts` term helpers, only the tests use.  The model checker the
-tests compare formulas with, `logically_equiv`, is in `oracle.py`."""
+`subst_consts` term helpers, only the tests use.  The formula references
+read and write named formulas (`NamedExists`, `NamedVar`, `NamedSel`), the
+form formulas had before they became nameless; `nameless` turns one into
+`logic`'s form, `named` a nameless one into named form as the printers
+name it, and `reference_json` and `reference_report_json` give the
+references' JSON for a nameless formula and an access report.  The model checker the tests compare formulas with,
+`logically_equiv`, is in `oracle.py`."""
 from __future__ import annotations
 
 import itertools
@@ -47,8 +52,10 @@ from contsem.lexicon import CATEGORY_TYPES, TYPE_NAMES, Category, Lexicon, Profi
 from contsem.logic import (
     _NOT_A, _READINGS, And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar,
     EnvExpr, Exists, Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE,
-    _atom_vars, alpha_eq, env_entries, env_from_entries,
+    env_entries, env_from_entries,
 )
+from contsem.node import Node
+from contsem.resolver import EmptyEnvironment
 from contsem.reduction import beta
 from contsem.syntax import (
     _APP, _APPLY, _ATOM, _COMBINATORS, _CONJ, _CONS, _DISJ, _LAM, _NEG, _OPS,
@@ -986,7 +993,138 @@ def recursive_env_entries(env: EnvExpr) -> tuple:
     return tuple(reversed(keep_last))
 
 
-# `logic.formula_text` and `logic.formula_json` as they were before they
+# ---------------------------------------------------------------------------
+# Named formulas
+
+class NamedExists(Node):
+    __slots__ = {"var": "str", "body": "Formula"}
+
+
+class NamedVar(Node):
+    __slots__ = {"name": "str"}
+
+
+class NamedSel(Node):
+    __slots__ = {"env": "EnvExpr", "site_id": "int"}
+
+
+def nameless(f):
+    """A named formula, entity term or environment in `logic`'s form: each
+    bound name read as its binder's level, site ids dropped; a node met
+    again under the same names is read once.  A free name raises
+    ValueError.  Recursive."""
+    seen: dict = {}     # (id of a node, names bound) -> (it, its reading)
+
+    def go(g, bound):
+        if (id(g), bound) in seen:
+            return seen[id(g), bound][1]
+        if isinstance(g, NamedExists):
+            out = Exists(go(g.body, bound + (g.var,)))
+        elif isinstance(g, NamedVar):
+            out = EntVar(len(bound) - 1 - bound[::-1].index(g.name))
+        elif isinstance(g, NamedSel):
+            out = SelOf(go(g.env, bound))
+        elif isinstance(g, Atom):
+            out = Atom(g.pred, tuple(go(a, bound) for a in g.args))
+        elif isinstance(g, (Not, And, Or, ConsE, UnionE)):
+            out = type(g)(*(go(x, bound) for x in g._values()))
+        else:
+            out = g
+        seen[id(g), bound] = (g, out)
+        return out
+
+    return go(f, ())
+
+
+def named(f, scope=()):
+    """A nameless formula, entity term or environment in named form as the
+    printers name it: binders y, y1, y2, ... and sites 0, 1, 2, ... in
+    textual order, a variable bound outside `f` named by `scope`, by level,
+    or else `#` and its level.  If a name chosen is a constant's, the names
+    skip every constant's name.  Recursive."""
+    def go(g, scope, state):
+        if isinstance(g, Exists):
+            name = f"y{state[0]}" if state[0] else "y"
+            while name in state[2]:
+                state[0] += 1
+                name = f"y{state[0]}"
+            state[0] += 1
+            state[3].append(name)
+            return NamedExists(name, go(g.body, scope + (name,), state))
+        if isinstance(g, EntVar):
+            return NamedVar(scope[g.level] if g.level < len(scope) else f"#{g.level}")
+        if isinstance(g, SelOf):
+            site, state[1] = state[1], state[1] + 1
+            return NamedSel(go(g.env, scope, state), site)
+        if isinstance(g, (Atom, EntConst)):
+            state[4].add(g.pred if isinstance(g, Atom) else g.name)
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(go(a, scope, state) for a in g.args))
+        if isinstance(g, (Not, And, Or, ConsE, UnionE)):
+            return type(g)(*(go(x, scope, state) for x in g._values()))
+        return g
+
+    state = [0, 0, frozenset(), [], set()]    # names, sites, names skipped, chosen, constants
+    out = go(f, tuple(scope), state)
+    if state[4].isdisjoint(state[3]):
+        return out
+    return go(f, tuple(scope), [0, 0, frozenset(state[4]), [], set()])
+
+
+def reference_json(x, scope=()):
+    """The JSON tree of a nameless formula, entity term or environment, by
+    the recursive references on its named form (`named`)."""
+    x = named(x, scope)
+    return (recursive_env_json(x) if isinstance(x, (NilE, ConsE, UnionE)) else
+            recursive_entity_json(x) if isinstance(x, (EntConst, NamedVar, NamedSel)) else
+            recursive_formula_json(x))
+
+
+def reference_report_json(r) -> dict:
+    """An access report's JSON, by the recursive references."""
+    return {"site": r.site_id, "env": reference_json(r.env, r.names),
+            "candidates": [reference_json(c, r.names) for c in r.candidates]}
+
+
+def named_map_atoms(f, fn):
+    """`logic.map_atoms` on a named formula: fn called on each atom in
+    textual order; recursive."""
+    if isinstance(f, Atom):
+        return fn(f)
+    if isinstance(f, (And, Or)):
+        return type(f)(named_map_atoms(f.left, fn), named_map_atoms(f.right, fn))
+    if isinstance(f, Not):
+        return Not(named_map_atoms(f.body, fn))
+    if isinstance(f, NamedExists):
+        return NamedExists(f.var, named_map_atoms(f.body, fn))
+    return f
+
+
+def named_report_lines(f) -> list[str]:
+    """The `sel#` lines `resolver.report` and `report_line` printed for a
+    named formula, in site id order."""
+    sites = []
+    named_map_atoms(f, lambda g: sites.extend(a for a in g.args if isinstance(a, NamedSel)) or g)
+    return [f"sel#{s.site_id} env={recursive_env_text(s.env)} candidates=["
+            f"{', '.join(recursive_entity_text(c) for c in env_entries(s.env))}]"
+            for s in sorted(sites, key=lambda s: s.site_id)]
+
+
+def named_resolve(f):
+    """`resolver.resolve(f, "recency")` on a named formula: EmptyEnvironment
+    at the first empty site in reading order, with its site id."""
+    def pick(a):
+        if isinstance(a, NamedSel):
+            candidates = env_entries(a.env)
+            if not candidates:
+                raise EmptyEnvironment(a.site_id)
+            return candidates[0]
+        return a
+
+    return named_map_atoms(f, lambda g: Atom(g.pred, tuple(pick(a) for a in g.args)))
+
+
+# `logic.formula_text` and the JSON writer as they were before they
 # became two loops over one table: one recursive function per syntactic
 # class (formula, entity term, environment).  Limited by the recursion
 # limit; kept as the references the loops must match byte for byte.
@@ -999,7 +1137,7 @@ def recursive_formula_text(f: Formula) -> str:
 def _right_open(f: Formula) -> bool:
     # Renders with an unbounded right edge (an existential body), so it needs
     # parentheses anywhere more input follows on the same level.
-    if isinstance(f, Exists):
+    if isinstance(f, NamedExists):
         return True
     if isinstance(f, Not):
         return _right_open(f.body)
@@ -1016,7 +1154,7 @@ def _ftext(f: Formula) -> str:
     if isinstance(f, Atom):
         parts = [f.pred]
         for a in f.args:
-            if isinstance(a, SelOf):
+            if isinstance(a, NamedSel):
                 parts[-1] = parts[-1] + f"({recursive_entity_text(a)})"
             else:
                 parts.append(recursive_entity_text(a))
@@ -1026,7 +1164,7 @@ def _ftext(f: Formula) -> str:
         if isinstance(f.body, (And, Or)):
             body = f"({body})"
         return f"~ {body}"
-    if isinstance(f, Exists):
+    if isinstance(f, NamedExists):
         body = _ftext(f.body)
         if isinstance(f.body, (And, Or)):
             body = f"({body})"
@@ -1042,7 +1180,7 @@ def _ftext(f: Formula) -> str:
 
 
 def recursive_entity_text(e: EntityTerm) -> str:
-    if isinstance(e, EntConst) or isinstance(e, EntVar):
+    if isinstance(e, EntConst) or isinstance(e, NamedVar):
         return e.name
     return f"sel({recursive_env_text(e.env)})"
 
@@ -1073,7 +1211,7 @@ def recursive_formula_json(f: Formula) -> dict:
         tag = "and" if isinstance(f, And) else "or"
         return {"node": tag, "left": recursive_formula_json(f.left),
                 "right": recursive_formula_json(f.right)}
-    if isinstance(f, Exists):
+    if isinstance(f, NamedExists):
         return {"node": "exists", "var": f.var, "body": recursive_formula_json(f.body)}
     return {"node": "atom", "pred": f.pred,
             "args": [recursive_entity_json(a) for a in f.args]}
@@ -1082,7 +1220,7 @@ def recursive_formula_json(f: Formula) -> dict:
 def recursive_entity_json(e: EntityTerm) -> dict:
     if isinstance(e, EntConst):
         return {"entity": "const", "name": e.name}
-    if isinstance(e, EntVar):
+    if isinstance(e, NamedVar):
         return {"entity": "var", "name": e.name}
     return {"entity": "sel", "site": e.site_id, "env": recursive_env_json(e.env)}
 
@@ -1297,16 +1435,17 @@ def recursive_parse_type(text: str) -> SemType:
 # Random formulas: at most 4 atoms and 2 quantifiers, unary/nullary
 # predicates so the exhaustive oracle stays small at domain 3.  An atom's
 # argument is a constant, a variable in scope, or a selection over a small
-# `::`/`++` environment of those.
+# `::`/`++` environment of those.  Both generators build a named formula and
+# return it nameless.
 
 def random_formula(rng: random.Random) -> Formula:
     state = {"atoms": 0, "quants": 0}
     sites = itertools.count()
 
     def ent(vars_):
-        pool = [EntConst("a")] + [EntVar(v) for v in vars_]
+        pool = [EntConst("a")] + [NamedVar(v) for v in vars_]
         if rng.random() < 0.25:
-            return SelOf(env(pool, 2), next(sites))
+            return NamedSel(env(pool, 2), next(sites))
         return rng.choice(pool)
 
     def env(pool, depth):
@@ -1335,10 +1474,10 @@ def random_formula(rng: random.Random) -> Formula:
         if roll < 0.7 and state["quants"] < 2:
             state["quants"] += 1
             v = f"v{state['quants']}"
-            return Exists(v, go(depth - 1, vars_ + (v,)))
+            return NamedExists(v, go(depth - 1, vars_ + (v,)))
         return atom(vars_)
 
-    return go(4, ())
+    return nameless(go(4, ()))
 
 
 def stacked_negation_formula(rng: random.Random) -> Formula:
@@ -1351,7 +1490,7 @@ def stacked_negation_formula(rng: random.Random) -> Formula:
     sites = itertools.count()
 
     def entity(vars_):
-        return rng.choice([EntConst("a"), EntConst("b")] + [EntVar(v) for v in vars_])
+        return rng.choice([EntConst("a"), EntConst("b")] + [NamedVar(v) for v in vars_])
 
     def env(vars_, depth):
         roll = rng.random()
@@ -1366,7 +1505,7 @@ def stacked_negation_formula(rng: random.Random) -> Formula:
         if roll < 0.15:
             return Atom("r", ())
         if roll < 0.3:
-            return Atom("s", (entity(vars_), SelOf(env(vars_, 3), next(sites))))
+            return Atom("s", (entity(vars_), NamedSel(env(vars_, 3), next(sites))))
         return Atom(rng.choice(("p", "q")), (entity(vars_),))
 
     def go(depth, vars_):
@@ -1378,7 +1517,7 @@ def stacked_negation_formula(rng: random.Random) -> Formula:
             f = rng.choice(reusable)
         elif roll < 0.45:
             v = f"v{len(vars_) + 1}"
-            f = Exists(v, go(depth - 1, vars_ + (v,)))
+            f = NamedExists(v, go(depth - 1, vars_ + (v,)))
         else:
             f = rng.choice((And, Or))(go(depth - 1, vars_), go(depth - 1, vars_))
         for _ in range(rng.choice((0, 0, 1, 2, 3))):
@@ -1386,7 +1525,7 @@ def stacked_negation_formula(rng: random.Random) -> Formula:
         made.append((f, vars_))
         return f
 
-    return go(5, ())
+    return nameless(go(5, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -1446,7 +1585,7 @@ def recursive_reify(term: Term) -> Formula:
             if type(body) is not Lam or body.ty.text != "e":
                 raise fail(path, "quantifier not applied to an entity property")
             name = fresh_var()
-            return Exists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
+            return NamedExists(name, go(body.body, (name,) + bound, ((path, "arg"), "body")))
         if type(head) is Const and head.name not in BUILTINS:
             ent_args = tuple(entity(a, bound, arg_path(path, i, len(args)))
                              for i, a in enumerate(args))
@@ -1459,7 +1598,7 @@ def recursive_reify(term: Term) -> Formula:
         if type(t) is Var:
             if t.index >= len(bound):
                 raise fail(path, "entity variable escapes its quantifier")
-            return EntVar(bound[t.index])
+            return NamedVar(bound[t.index])
         if type(t) is Const and t.ty.text == "e" and t.name not in BUILTINS:
             used.add(t.name)
             return EntConst(t.name)
@@ -1467,7 +1606,7 @@ def recursive_reify(term: Term) -> Formula:
         if builtin is SEL and len(args) == 1:
             site = site_counter[0]
             site_counter[0] += 1
-            return SelOf(environment(args[0], bound, (path, "arg")), site)
+            return NamedSel(environment(args[0], bound, (path, "arg")), site)
         raise fail(path, "not an entity term")
 
     def environment(t, bound, path) -> EnvExpr:
@@ -1476,7 +1615,7 @@ def recursive_reify(term: Term) -> Formula:
             return NilE()
         if builtin is CONS and len(args) == 2:
             h = entity(args[0], bound, ((path, "fn"), "arg"))
-            if isinstance(h, SelOf):
+            if isinstance(h, NamedSel):
                 raise fail(path, "selection result used as an environment entry")
             return ConsE(h, environment(args[1], bound, (path, "arg")))
         if builtin is UNION and len(args) == 2:
@@ -1570,15 +1709,15 @@ def _simplify_pass(f: Formula) -> Formula:
         if isinstance(left, Top) or isinstance(right, Top):
             return Top()
         return Or(left, right)
-    if isinstance(f, Exists):
+    if isinstance(f, NamedExists):
         body = _simplify_pass(f.body)
         if isinstance(body, (And, Or)):
             ctor = type(body)
             if f.var not in free_vars(body.right):
-                return ctor(Exists(f.var, body.left), body.right)
+                return ctor(NamedExists(f.var, body.left), body.right)
             if f.var not in free_vars(body.left):
-                return ctor(body.left, Exists(f.var, body.right))
-        return Exists(f.var, body)
+                return ctor(body.left, NamedExists(f.var, body.right))
+        return NamedExists(f.var, body)
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(_simplify_entity(a) for a in f.args))
     return f
@@ -1595,9 +1734,9 @@ def _fuse(left: Formula, right: Formula) -> Optional[Formula]:
 
 
 def _simplify_entity(e: EntityTerm) -> EntityTerm:
-    if isinstance(e, SelOf):
+    if isinstance(e, NamedSel):
         canonical = env_from_entries(env_entries(e.env))
-        return SelOf(canonical, e.site_id)
+        return NamedSel(canonical, e.site_id)
     return e
 
 
@@ -1608,15 +1747,15 @@ def free_vars(f: Formula) -> frozenset[str]:
         return free_vars(f.body)
     if isinstance(f, (And, Or)):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Exists):
+    if isinstance(f, NamedExists):
         return free_vars(f.body) - {f.var}
     return frozenset(itertools.chain.from_iterable(_ent_vars(a) for a in f.args))
 
 
 def _ent_vars(e: EntityTerm):
-    if isinstance(e, EntVar):
+    if isinstance(e, NamedVar):
         yield e.name
-    elif isinstance(e, SelOf):
+    elif isinstance(e, NamedSel):
         yield from _env_vars(e.env)
 
 
@@ -1645,7 +1784,7 @@ def _aeq(f1, f2, ren):
         return _aeq(f1.body, f2.body, ren)
     if isinstance(f1, (And, Or)):
         return _aeq(f1.left, f2.left, ren) and _aeq(f1.right, f2.right, ren)
-    if isinstance(f1, Exists):
+    if isinstance(f1, NamedExists):
         binder = object()
         return _aeq(f1.body, f2.body, ({**ren[0], f1.var: binder}, {**ren[1], f2.var: binder}))
     return f1.pred == f2.pred and len(f1.args) == len(f2.args) and all(
@@ -1658,7 +1797,7 @@ def _ent_aeq(a, b, ren):
         return False
     if isinstance(a, EntConst):
         return a.name == b.name
-    if isinstance(a, EntVar):
+    if isinstance(a, NamedVar):
         return ren[0].get(a.name, a.name) == ren[1].get(b.name, b.name)
     return _env_aeq(a.env, b.env, ren)
 
@@ -1685,12 +1824,61 @@ def formula_preorder(f: Formula) -> list:
         if isinstance(g, (And, Or)):
             out.append(type(g))
             stack += (g.right, g.left)
-        elif isinstance(g, (Not, Exists)):
+        elif isinstance(g, (Not, Exists, NamedExists)):
             out.append((type(g), getattr(g, "var", None)))
             stack.append(g.body)
         else:
             out.append(g)
     return out
+
+
+def named_alpha_eq(f1: Formula, f2: Formula) -> bool:
+    """Equality of named formulas up to renaming of bound variables and
+    selection site ids, as `logic.alpha_eq` decided it for fusion before
+    formulas became nameless: on each side a bound name reads as its binder,
+    a free name as itself, over an explicit stack."""
+    left: dict = {}     # a bound name -> its binder's exit on the stack,
+    right: dict = {}    # a place no other binder in scope holds
+    stack: list = [(f1, f2)]
+    while stack:
+        a, b = stack.pop()
+        if a is None:           # leaving a binder: b is each side's (var, earlier reading)
+            (var1, before1), (var2, before2) = b
+            left[var1], right[var2] = before1, before2
+        elif a is b and left == right:
+            continue
+        elif type(a) is not type(b):
+            return False
+        elif isinstance(a, NamedExists):
+            stack.append((None, ((a.var, left.get(a.var, a.var)),
+                                 (b.var, right.get(b.var, b.var)))))
+            left[a.var] = right[b.var] = len(stack)
+            stack.append((a.body, b.body))
+        elif isinstance(a, Atom):
+            if a.pred != b.pred or len(a.args) != len(b.args):
+                return False
+            stack += zip(a.args, b.args)
+        elif isinstance(a, NamedVar):
+            if left.get(a.name, a.name) != right.get(b.name, b.name):
+                return False
+        elif isinstance(a, EntConst):
+            if a.name != b.name:
+                return False
+        else:                           # children only: site ids are ignored
+            stack += [(x, y) for x, y in zip(a._values(), b._values()) if isinstance(x, Node)]
+    return True
+
+
+def _named_atom_vars(f: Atom) -> frozenset[str]:
+    names = []
+    stack: list = list(f.args)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, NamedVar):
+            names.append(e.name)
+        elif isinstance(e, NamedSel):
+            stack += env_entries(e.env)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -1699,7 +1887,7 @@ def formula_preorder(f: Formula) -> list:
 def _tree_entity(t: Term, names: list[str], depth: int, used: set[str]) -> EntityTerm | None:
     """A bound variable's or an entity constant's reading; None for other terms."""
     if type(t) is Var:
-        return EntVar(names[depth - 1 - t.index]) if 0 <= t.index < depth else None
+        return NamedVar(names[depth - 1 - t.index]) if 0 <= t.index < depth else None
     if type(t) is Const and t.ty.text == "e" and t.name not in _READINGS:
         used.add(t.name)
         return EntConst(t.name)
@@ -1708,10 +1896,11 @@ def _tree_entity(t: Term, names: list[str], depth: int, used: set[str]) -> Entit
 
 def tree_reify(term: Term) -> Formula:
     """`logic.reify` as it was before it read a shared Lam once per binder
-    context: the normal form's DAG is walked as a tree.  Kept, unchanged, as
-    the reference reify must match after `expand`.
+    context and before formulas became nameless: the normal form's DAG is
+    walked as a tree into a named formula.  Kept as the reference whose
+    printed text, JSON and sites the nameless path must match.
 
-    Read a closed beta-normal term of type t as a Formula.
+    Read a closed beta-normal term of type t as a named formula.
 
     Quantified variables get fresh names (y, y1, y2, ... in textual order,
     skipping constants' names) and every occurrence of the selection operator
@@ -1783,7 +1972,7 @@ def tree_reify(term: Term) -> Formula:
                     work.append((arg_sort, arg, depth, (path, "arg")))
                     path = (path, "fn")
             elif sort is Not or sort is SelOf:
-                done[-1] = Not(done[-1]) if sort is Not else SelOf(done[-1], t)
+                done[-1] = Not(done[-1]) if sort is Not else NamedSel(done[-1], t)
             elif sort is Atom and t.ty.text == "e>" * depth + "t":  # an `e` per argument
                 used.add(t.name)
                 k = len(done) - depth
@@ -1792,7 +1981,7 @@ def tree_reify(term: Term) -> Formula:
                 raise NotReifiable(tm.path_steps(path), _NOT_A["t"] if sort is Atom else t)
             else:                                           # And, Or, Exists, ConsE, UnionE
                 right = done.pop()
-                done[-1] = sort(done[-1], right)
+                done[-1] = (NamedExists if sort is Exists else sort)(done[-1], right)
         if avoid or used.isdisjoint(f"y{i}" if i else "y" for i in range(fresh)):
             return done[0]
         avoid = used
@@ -1804,9 +1993,9 @@ _VISIT, _PUSH = object(), object()
 
 
 def tree_simplify(f: Formula) -> Formula:
-    """`logic.simplify` as it was before it kept shifted copies: a plain
-    formula walked as a tree.  Kept, unchanged, as the reference simplify
-    must match after `expand`.
+    """`logic.simplify` as it was before formulas became nameless: a named
+    formula walked as a tree, tails fused when `named_alpha_eq`.  Kept as the
+    reference whose printed output the nameless `simplify` must match.
 
     Apply the cleanup rewrites in one bottom-up pass.
 
@@ -1829,7 +2018,7 @@ def tree_simplify(f: Formula) -> Formula:
             h = stack.pop()
             if id(h) not in free:
                 todo.append(h)
-                if isinstance(h, (Not, Exists)):
+                if isinstance(h, (Not, NamedExists)):
                     stack.append(h.body)
                 elif isinstance(h, (And, Or)):
                     stack += (h.left, h.right)
@@ -1838,10 +2027,10 @@ def tree_simplify(f: Formula) -> Formula:
                 names = free[id(h.left)][1] | free[id(h.right)][1]
             elif isinstance(h, Not):
                 names = free[id(h.body)][1]
-            elif isinstance(h, Exists):
+            elif isinstance(h, NamedExists):
                 names = free[id(h.body)][1] - {h.var}
             else:
-                names = _atom_vars(h) if isinstance(h, Atom) else frozenset()
+                names = _named_atom_vars(h) if isinstance(h, Atom) else frozenset()
             free[id(h)] = (h, names)
         return free[id(g)][1]
 
@@ -1858,12 +2047,12 @@ def tree_simplify(f: Formula) -> Formula:
                     work += ((Not, None), (_VISIT, arg.body))
             elif kind is And or kind is Or:
                 work += ((kind, None), (_VISIT, arg.right), (_VISIT, arg.left))
-            elif kind is Exists:
-                work += ((Exists, arg.var), (_VISIT, arg.body))
-            elif kind is Atom and any(type(a) is SelOf for a in arg.args):
+            elif kind is NamedExists:
+                work += ((NamedExists, arg.var), (_VISIT, arg.body))
+            elif kind is Atom and any(type(a) is NamedSel for a in arg.args):
                 done.append(Atom(arg.pred, tuple(
-                    SelOf(env_from_entries(env_entries(a.env)), a.site_id)
-                    if type(a) is SelOf else a for a in arg.args)))
+                    NamedSel(env_from_entries(env_entries(a.env)), a.site_id)
+                    if type(a) is NamedSel else a for a in arg.args)))
             else:
                 done.append(arg)
         elif op is _PUSH:
@@ -1878,19 +2067,19 @@ def tree_simplify(f: Formula) -> Formula:
             else:
                 done.append(Bot() if kind is Top else Top() if kind is Bot
                             else body.body if kind is Not else Not(body))
-        elif op is Exists:
+        elif op is NamedExists:
             body = done.pop()
             kind = type(body)
             if kind is not And and kind is not Or:
-                done.append(Exists(arg, body))
+                done.append(NamedExists(arg, body))
             elif arg not in free_vars(body.right):
                 work += ((kind, None), (_PUSH, body.right),
-                         (Exists, arg), (_PUSH, body.left))
+                         (NamedExists, arg), (_PUSH, body.left))
             elif arg not in free_vars(body.left):
-                work += ((kind, None), (Exists, arg),
+                work += ((kind, None), (NamedExists, arg),
                          (_PUSH, body.right), (_PUSH, body.left))
             else:
-                done.append(Exists(arg, body))
+                done.append(NamedExists(arg, body))
         else:                                       # And or Or
             right = done.pop()
             left = done.pop()
@@ -1903,7 +2092,7 @@ def tree_simplify(f: Formula) -> Formula:
             elif kind is zero or type(right) is zero:
                 done.append(zero())
             elif (op is And and kind is type(right) and (kind is And or kind is Or)
-                  and alpha_eq(left.right, right.right)):
+                  and named_alpha_eq(left.right, right.right)):
                 # (A op K) and (B op K) == (A and B) op K when the two tails
                 # agree up to bound renaming and selection site ids.
                 work += ((kind, None), (_PUSH, left.right), (And, None),

@@ -9,7 +9,8 @@ from collections.abc import Callable
 
 from contsem.errors import ContsemError
 from contsem.logic import (And, Atom, Bot, EntConst, EntVar, Exists, Formula, Not, Or,
-                           SelOf, Top, env_entries, map_atoms)
+                           SelOf, Top, map_atoms)
+from contsem.resolver import report
 
 
 class SignatureTooLarge(ContsemError):
@@ -28,7 +29,8 @@ def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
     the two formulas.
 
     Selection sites are frozen to entity constants first; sites whose
-    environments evaluate to the same referent sequence share a constant.
+    environments evaluate to the same referent sequence, a variable read as
+    the name the printers give its binder, share a constant.
     All interpretations are enumerated when every predicate has arity <= 2
     and the formulas mention at most 6 distinct atoms (and the model space is
     small enough to walk); otherwise `samples` random interpretations are
@@ -73,8 +75,8 @@ def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
 
     const_index = {c: i for i, c in enumerate(const_names)}
     pred_index = {p: i for i, p in enumerate(pred_names)}
-    eval1 = _compile(f1, const_index, pred_index, preds, {}, n)
-    eval2 = _compile(f2, const_index, pred_index, preds, {}, n)
+    eval1 = _compile(f1, const_index, pred_index, preds, 0, n)
+    eval2 = _compile(f2, const_index, pred_index, preds, 0, n)
 
     if exhaustive:
         factors = [range(n)] * len(const_names) + [range(2 ** c) for c in cells]
@@ -95,9 +97,15 @@ def logically_equiv(f1: Formula, f2: Formula, domain_size: int,
 
 
 def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
+    # A site's key is its referents, a variable by the name the printers give
+    # its binder; `map_atoms` meets the sites in the order `report` lists them.
+    reports = iter(report(f))
+
     def ent(a):
         if isinstance(a, SelOf):
-            key = env_entries(a.env)
+            r = next(reports)
+            key = tuple((type(c), r.names[c.level] if isinstance(c, EntVar) else c.name)
+                        for c in r.candidates)
             if key not in frozen:
                 frozen[key] = f"_sel{len(frozen)}"
             return EntConst(frozen[key])
@@ -107,7 +115,7 @@ def _freeze_sels(f: Formula, frozen: dict[tuple, str]) -> Formula:
 
 
 def _signature(f, preds, consts, atoms):
-    def note(g: Atom) -> Atom:      # each atom of f, its copies written out
+    def note(g: Atom) -> Atom:      # each atom occurrence of f
         arity = len(g.args)
         if preds.setdefault(g.pred, arity) != arity:
             raise ContsemError(f"predicate {g.pred!r} used at inconsistent arities")
@@ -120,28 +128,27 @@ def _signature(f, preds, consts, atoms):
     map_atoms(f, note)
 
 
-def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
+def _compile(f, const_index, pred_index, preds, depth, n) -> Callable:
     """Compile a formula into a closure over (const values, pred masks, var
-    values).  Predicate tables are bitmasks over domain tuples."""
+    values, by level) at binder depth `depth`.  Predicate tables are bitmasks
+    over domain tuples."""
     if isinstance(f, Top):
         return lambda C, M, V: True
     if isinstance(f, Bot):
         return lambda C, M, V: False
     if isinstance(f, Not):
-        body = _compile(f.body, const_index, pred_index, preds, venv, n)
+        body = _compile(f.body, const_index, pred_index, preds, depth, n)
         return lambda C, M, V: not body(C, M, V)
     if isinstance(f, And):
-        left = _compile(f.left, const_index, pred_index, preds, venv, n)
-        right = _compile(f.right, const_index, pred_index, preds, venv, n)
+        left = _compile(f.left, const_index, pred_index, preds, depth, n)
+        right = _compile(f.right, const_index, pred_index, preds, depth, n)
         return lambda C, M, V: left(C, M, V) and right(C, M, V)
     if isinstance(f, Or):
-        left = _compile(f.left, const_index, pred_index, preds, venv, n)
-        right = _compile(f.right, const_index, pred_index, preds, venv, n)
+        left = _compile(f.left, const_index, pred_index, preds, depth, n)
+        right = _compile(f.right, const_index, pred_index, preds, depth, n)
         return lambda C, M, V: left(C, M, V) or right(C, M, V)
     if isinstance(f, Exists):
-        inner = dict(venv)
-        inner[f.var] = len(venv)
-        body = _compile(f.body, const_index, pred_index, preds, inner, n)
+        body = _compile(f.body, const_index, pred_index, preds, depth + 1, n)
         return lambda C, M, V: any(body(C, M, V + (d,)) for d in range(n))
     pi = pred_index[f.pred]
     arg_fns = []
@@ -150,10 +157,9 @@ def _compile(f, const_index, pred_index, preds, venv, n) -> Callable:
             ci = const_index[a.name]
             arg_fns.append(lambda C, V, ci=ci: C[ci])
         elif isinstance(a, EntVar):
-            if a.name not in venv:
-                raise ContsemError(f"free entity variable {a.name!r}")
-            slot = venv[a.name]
-            arg_fns.append(lambda C, V, slot=slot: V[slot])
+            if a.level >= depth:
+                raise ContsemError(f"free entity variable at level {a.level}")
+            arg_fns.append(lambda C, V, slot=a.level: V[slot])
 
     def atom(C, M, V):
         idx = 0

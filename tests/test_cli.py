@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -20,13 +21,16 @@ from contsem.discourse import (
 )
 from contsem.lexicon import Profile, default_lexicon, load_word_file
 from contsem.logic import (
-    And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, Shifted, Top,
-    UnionE, expand, formula_json, formula_text,
+    And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, Top,
+    UnionE, formula_json, formula_text, json_text,
 )
 from contsem.node import Node
 from contsem.resolver import report, report_line, resolve
 
-from gen import discourse_file, flat_discourse_text, pipeline_cases, random_formula
+from gen import (
+    discourse_file, flat_discourse_text, pipeline_cases, random_formula, reference_json,
+    reference_report_json,
+)
 
 SAMPLES = Path(__file__).parent.parent / "samples"
 GOLDEN = SAMPLES / "golden"
@@ -79,6 +83,51 @@ def test_non_utf8_input_is_pipeline_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"contsem: {f} is not UTF-8 text\n")
 
 
+class _Unwritable:
+    """A standard output whose writes fail with `error`; its descriptor is a
+    file of the test's, which a failed run points at the null device."""
+    def __init__(self, error, fd):
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("error,err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),     # quiet, as Python's SIGPIPE note asks
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "contsem: cannot write the output: No space left on device\n"),
+], ids=["closed-pipe", "full-device"])
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--mode", "term-eval"]])
+def test_a_failed_write_exits_1_with_stdout_on_the_null_device(
+        error, err, flags, tmp_path, monkeypatch, capsys):
+    """A closed pipe or a full device ends the run with exit status 1, no
+    traceback, and standard output pointed at the null device, so that the
+    interpreter's flush at exit fails no more."""
+    sample = SAMPLES / ("terms/quantifier.lam" if flags == ["--mode", "term-eval"]
+                        else "doesnt_own_car.dsc")
+    with open(tmp_path / "stdout", "w") as held:
+        monkeypatch.setattr(sys, "stdout", _Unwritable(error, held.fileno()))
+        assert main(["run", str(sample), *flags]) == 1
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr() == ("", err)
+
+
+def test_running_out_of_memory_in_the_json_writer_exits_1(monkeypatch, capsys):
+    def exhausted(text):
+        raise MemoryError
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", exhausted)
+    assert main(["run", str(SAMPLES / "doesnt_own_car.dsc"), "--format", "json"]) == 1
+    assert capsys.readouterr() == ("", "contsem: out of memory\n")
+
+
 def test_symbolic_requires_profile_c(capsys):
     code = main(["run", str(SAMPLES / "doesnt_own_car.dsc"), "--symbolic"])
     assert code == 2
@@ -114,15 +163,13 @@ def test_connective_or_starts_profile_b_from_disjunction(capsys):
     assert formula_text(result.simplified) == "(~ Ex y. (car y & own j y)) | red(sel(j::nil))"
     assert main(["run", str(sample), "--connective", "or", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    formulas = {"raw_formula": expand(result.raw), "simplified_formula": result.simplified}
+    formulas = {"raw_formula": result.raw, "simplified_formula": result.simplified}
     assert doc == {
         "profile": "B", "composed_term": syntax.pretty(result.composed),
         "normal_form": syntax.pretty(result.normal),
-        **{key: {"text": formula_text(f), "tree": formula_json(f)}
+        **{key: {"text": formula_text(f), "tree": reference_json(f)}
            for key, f in formulas.items()},
-        "access_reports": [{"site": r.site_id, "env": formula_json(r.env),
-                            "candidates": [formula_json(c) for c in r.candidates]}
-                           for r in reports],
+        "access_reports": list(map(reference_report_json, reports)),
         "resolved_formula": None}
     for name in ("loves_woman", "rfc_concrete_sub"):      # profiles A and C
         assert main(["run", str(SAMPLES / f"{name}.dsc"), "--connective", "or"]) == 0
@@ -348,14 +395,12 @@ def test_json_mode_renders_each_formula_once(flags, formulas, monkeypatch, capsy
     assert doc["simplified_formula"]["text"] == golden["simplified"]
     assert doc["raw_formula"]["tree"]["node"] == "not"
     raw, simplified = interpret(parse_discourse(sample.read_text(), default_lexicon()).tree)
-    assert doc["raw_formula"]["tree"] == formula_json(raw)    # interpret expands it
-    assert doc["simplified_formula"]["tree"] == formula_json(simplified)
+    assert doc["raw_formula"]["tree"] == reference_json(raw) == formula_json(raw)
+    assert doc["simplified_formula"]["tree"] == reference_json(simplified)
     resolved = resolve(simplified, "recency") if "recency" in flags else None
     assert doc["resolved_formula"] == (resolved and {
-        "text": formula_text(resolved), "tree": formula_json(resolved)})
-    assert doc["access_reports"] == [
-        {"site": r.site_id, "env": formula_json(r.env),
-         "candidates": [formula_json(c) for c in r.candidates]} for r in report(simplified)]
+        "text": formula_text(resolved), "tree": reference_json(resolved)})
+    assert doc["access_reports"] == list(map(reference_report_json, report(simplified)))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -516,7 +561,7 @@ _JSON = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_JSON, max_size=3) | st.dictionaries(_TEXT, _JSON, max_size=3))
 def test_json_text_is_json_dumps_with_indent(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    assert json_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_json_text_renders_nesting_the_stdlib_cannot():
@@ -529,20 +574,21 @@ def test_json_text_renders_nesting_the_stdlib_cannot():
         doc = [doc]
     with pytest.raises(RecursionError):
         json.dumps(doc, indent=2)
-    text = cli._json_text(doc)
+    text = json_text(doc)
     assert text == ("".join(f"[\n{'  ' * (i + 1)}" for i in range(depth)) + "[]"
                     + "".join(f"\n{'  ' * i}]" for i in reversed(range(depth))))
 
 
 def _json_of_nodes(x) -> str:
-    """What the writer must print for a node: its `formula_json` in a document."""
-    return json.dumps({"t": [formula_json(x)]}, indent=2)
+    """What the writer must print for a node: the recursive references' JSON
+    tree of its named form, in a document."""
+    return json.dumps({"t": [reference_json(x)]}, indent=2)
 
 
 def test_json_text_writes_a_node_as_its_formula_json():
-    """Random formulas, each entity term and environment in them, names
-    that need escaping and a large site id: each node, written by the
-    writer, reads as its `formula_json` does."""
+    """Random formulas, each entity term and environment in them, and names
+    that need escaping: each node, written by the writer, reads as the
+    recursive references write it, and `formula_json` reads that text."""
     rng = random.Random(23)
     nodes, stack = [], [random_formula(rng) for _ in range(400)]
     while stack:                    # every node in them, entity terms and environments too
@@ -553,31 +599,35 @@ def test_json_text_writes_a_node_as_its_formula_json():
     assert {type(n) for n in nodes} == {Top, Bot, Not, And, Or, Exists, Atom, EntConst,
                                         EntVar, SelOf, NilE, ConsE, UnionE}
     odd = EntConst('\u00e9"\\\n')
-    nodes += [odd, Exists("y\u2028", Atom("p\udc80", (odd, EntVar("y\u2028")))),
-              SelOf(ConsE(odd, NilE()), 10 ** 30), Atom("r", ())]
+    nodes += [odd, Exists(Atom("p\udc80", (odd, EntVar(0)))),
+              SelOf(ConsE(odd, NilE())), Atom("r", ())]
     for x in nodes:
-        assert cli._json_text({"t": [x]}) == _json_of_nodes(x)
+        assert json_text({"t": [x]}) == _json_of_nodes(x)
+        assert formula_json(x) == reference_json(x)
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_json_text_writes_shifted_copies_out(n):
-    """A flat profile-B discourse's raw formula holds `Shifted` copies under
-    its connectives.  The CLI hands the writer such a formula, or copy, only
-    written out (`expand`), and the writer then prints what `formula_json`
-    gives for the formula or copy itself."""
+    """A flat profile-B discourse's raw formula reads each existential it
+    meets again at one depth as one shared node, where it once held a
+    `Shifted` copy.  The writer writes each occurrence out, each binder
+    named afresh, as the recursive references write the named form, for
+    the formula and for each shared existential."""
     lex = default_lexicon()
     parsed = parse_discourse(flat_discourse_text(Profile.B, n), lex)
     raw = run_pipeline(parsed.tree, lex, Profile.B, default_initial_args(Profile.B)).raw
-    seen, stack = {}, [raw]         # each distinct node, by id
+    seen, shared, stack = set(), {}, [raw]     # ids seen; existentials met again, by id
     while stack:
         g = stack.pop()
-        if id(g) not in seen:
-            seen[id(g)] = g
-            stack += [v for v in g._values() if isinstance(v, Node)]
-    copies = [g for g in seen.values() if type(g) is Shifted]
-    assert type(raw) is Not and type(raw.body) is Exists and len(copies) >= (n - 1) // 2
-    for x in (raw, Shifted(raw.body, ((0, 1),), 1), *copies):   # the root a copy too
-        assert cli._json_text(expand(x)) == json.dumps(formula_json(x), indent=2)
+        if id(g) in seen:
+            if type(g) is Exists:
+                shared[id(g)] = g
+            continue
+        seen.add(id(g))
+        stack += [v for v in g._values() if isinstance(v, Node)]
+    assert type(raw) is Not and type(raw.body) is Exists and len(shared) >= (n - 1) // 2
+    for x in (raw, *shared.values()):
+        assert json_text(x) == json.dumps(reference_json(x), indent=2)
 
 
 def test_json_text_writes_a_formula_deeper_than_the_recursion_limit():
@@ -585,7 +635,7 @@ def test_json_text_writes_a_formula_deeper_than_the_recursion_limit():
     f = Top()
     for _ in range(depth):
         f = Not(f)
-    text = cli._json_text(f)
+    text = json_text(f)
     assert text == ("".join(f'{{\n{"  " * (i + 1)}"node": "not",\n{"  " * (i + 1)}"body": '
                             for i in range(depth))
                     + f'{{\n{"  " * (depth + 1)}"node": "top"\n{"  " * depth}}}'

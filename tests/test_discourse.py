@@ -15,7 +15,7 @@ from contsem.discourse import (
 )
 from contsem import lexicon
 from contsem.lexicon import Category, Lexicon, Profile, UnknownWord, default_lexicon
-from contsem.logic import formula_text
+from contsem.logic import EntVar, formula_text
 from contsem.resolver import report
 from contsem.syntax import parse_term, pretty
 from contsem.terms import (
@@ -389,11 +389,16 @@ def test_expand_symbolic_requires_profile_c_and_symbolic_leaves():
 # ---------------------------------------------------------------------------
 # interpret
 
+def _names(r) -> list[str]:
+    """A report's candidates as printed: a variable by its binder's name."""
+    return [r.names[c.level] if isinstance(c, EntVar) else c.name for c in r.candidates]
+
+
 def test_interpret_negated_discourse_golden():
     raw, simp = interpret(Seq(Leaf(S_NEG), Leaf(S_RED)), LEX, Profile.B)
     assert formula_text(simp) == "(~ Ex y. (car y & own j y)) & red(sel(j::nil))"
     (r,) = report(simp)
-    assert [c.name for c in r.candidates] == ["j"]
+    assert _names(r) == ["j"]
 
 
 def test_interpret_single_positive_sentence():
@@ -502,12 +507,12 @@ def test_repeated_pipeline_runs_leave_nothing_for_the_collector():
 def test_b_threading_positive_vs_negated():
     _, simp_pos = interpret(Seq(Leaf(S_POS), Leaf(S_RED)), LEX, Profile.B)
     (r_pos,) = report(simp_pos)
-    names = [c.name for c in r_pos.candidates]
+    names = _names(r_pos)
     assert names == ["y", "j"]
 
     _, simp_neg = interpret(Seq(Leaf(S_NEG), Leaf(S_RED)), LEX, Profile.B)
     (r_neg,) = report(simp_neg)
-    assert [c.name for c in r_neg.candidates] == ["j"]
+    assert _names(r_neg) == ["j"]
 
 
 def test_interpret_raw_equiv_simplified_on_shipped_discourses():
@@ -536,7 +541,7 @@ def test_rfc_coordination_closes_first_unit():
     tree = CoordN(Leaf(S_C1), CoordN(Leaf(S_C2), Leaf(S_RED)))
     _, simp = interpret(tree, LEX, Profile.C)
     (r,) = report(simp)
-    names = [c.name for c in r.candidates]
+    names = _names(r)
     assert names == ["y1", "mary"]
     assert "j" not in names and "y" not in names
 
@@ -545,7 +550,7 @@ def test_rfc_subordination_keeps_first_unit_open():
     tree = SubN(Leaf(S_C1), CoordN(Leaf(S_C2), Leaf(S_RED)))
     _, simp = interpret(tree, LEX, Profile.C)
     (r,) = report(simp)
-    assert [c.name for c in r.candidates] == ["y1", "mary", "y", "j"]
+    assert _names(r) == ["y1", "mary", "y", "j"]
 
 
 def test_second_unit_sees_first_in_coordination():
@@ -555,7 +560,7 @@ def test_second_unit_sees_first_in_coordination():
     tree = CoordN(Leaf(S_C1), Leaf(s2))
     _, simp = interpret(tree, LEX, Profile.C)
     (r,) = report(simp)
-    assert [c.name for c in r.candidates] == ["y", "j"]
+    assert _names(r) == ["y", "j"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from contsem.errors import ContsemError
 from contsem.lexicon import default_lexicon
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, NotReifiable,
-    Or, SelOf, Shifted, Top, UnionE,
-    alpha_eq, env_entries, expand, formula_json, formula_text, reify, simplify,
+    Or, SelOf, Top, UnionE,
+    env_entries, formula_json, formula_text, json_text, reify, simplify,
 )
 from contsem.node import Node
-from contsem.resolver import EmptyEnvironment, resolve
+from contsem.resolver import EmptyEnvironment, report, resolve
 from contsem.syntax import parse_type
 from contsem.terms import (
     AND, BOT, BUILTINS, CONS, EXISTS, NIL, NOT, OR, SEL, TOP, UNION,
@@ -20,6 +20,7 @@ from contsem.terms import (
 )
 
 from gen import (
+    NamedExists, NamedSel, NamedVar, named, named_alpha_eq, nameless,
     pipeline_cases, random_formula, random_reify_term, recursive_entity_json,
     recursive_entity_text, recursive_env_entries, recursive_env_json,
     recursive_env_text, recursive_formula_json, recursive_formula_text,
@@ -28,7 +29,7 @@ from gen import (
 from oracle import SignatureTooLarge, logically_equiv
 
 J = EntConst("j")
-Y = EntVar("y")
+Y = EntVar(0)
 CAR = Const("car", arrow(E, T))
 JC = Const("j", E)
 
@@ -49,16 +50,19 @@ def test_reify_quantifier_and_sel():
                                App(CAR, Var(0)),
                                App(CAR, App(SEL, app(CONS, Var(0), NIL))))))
     f = reify(t)
-    assert f == Exists("y", And(Atom("car", (EntVar("y"),)),
-                                Atom("car", (SelOf(ConsE(EntVar("y"), NilE()), 0),))))
+    assert f == Exists(And(Atom("car", (EntVar(0),)),
+                           Atom("car", (SelOf(ConsE(EntVar(0), NilE())),))))
+    assert formula_text(f) == "Ex y. (car y & car(sel(y::nil)))"
 
 
 def test_reify_site_ids_left_to_right():
-    sel_nil = App(SEL, NIL)
-    t = app(AND, App(CAR, sel_nil), App(CAR, sel_nil))
-    f = reify(t)
-    assert f.left.args[0].site_id == 0
-    assert f.right.args[0].site_id == 1
+    """A site holds no id: the printers and `report` number the sites left
+    to right."""
+    sel_nil, sel_j = App(SEL, NIL), App(SEL, app(CONS, JC, NIL))
+    f = reify(app(AND, App(CAR, sel_j), App(CAR, sel_nil)))
+    doc = formula_json(f)
+    assert [doc["left"]["args"][0]["site"], doc["right"]["args"][0]["site"]] == [0, 1]
+    assert [(r.site_id, r.env) for r in report(f)] == [(0, ConsE(J, NilE())), (1, NilE())]
 
 
 def test_reify_rejects_foreign_heads():
@@ -112,9 +116,9 @@ def test_reify_recognises_builtins_by_structure():
     copy = subst_consts(t, fresh)
     assert copy == t
     assert not any(s is b for s in subterms(copy) for b in BUILTINS.values())
-    assert reify(copy) == reify(t) == Or(Not(Bot()), Exists("y", And(
+    assert reify(copy) == reify(t) == Or(Not(Bot()), Exists(And(
         Atom("car", (Y,)),
-        Atom("car", (SelOf(UnionE(ConsE(Y, NilE()), ConsE(J, NilE())), 0),)))))
+        Atom("car", (SelOf(UnionE(ConsE(Y, NilE()), ConsE(J, NilE()))),)))))
 
 
 @pytest.mark.parametrize("term", [
@@ -134,22 +138,23 @@ def test_reify_rejects_a_builtin_name_at_another_type(term):
 
 
 def test_reify_names_sibling_quantifiers_apart():
-    """The quantifier is one subterm read twice: the second reading is a
-    copy of the first, its bound name shifted by one."""
+    """The quantifier is one subterm read twice at one depth: the second
+    reading is the first's node, which the printers name apart."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
     f = reify(app(AND, some_car, App(NOT, some_car)))
-    assert f.right.body == Shifted(f.left, ((0, 1),), 0)
-    assert expand(f) == And(
-        Exists("y", Atom("car", (Y,))), Not(Exists("y1", Atom("car", (EntVar("y1"),)))))
+    assert f.right.body is f.left == Exists(Atom("car", (Y,)))
+    assert formula_text(f) == "(Ex y. car y) & ~ Ex y1. car y1"
 
 
 def test_quantified_names_skip_constants_met_after_the_binder():
-    """`reify` learns the constants' names during its walk; a quantified
-    name that turns out to be one of them is chosen again."""
+    """The printers learn the constants' names during their walk; a
+    quantified name that turns out to be one of them is chosen again."""
     y, y1 = Const("y", arrow(E, T)), Const("y1", E)
     t = app(AND, App(EXISTS, Lam(E, App(CAR, Var(0)))), App(y, y1))
-    assert reify(t) == And(Exists("y2", Atom("car", (EntVar("y2"),))),
-                           Atom("y", (EntConst("y1"),)))
+    f = reify(t)
+    assert f == And(Exists(Atom("car", (Y,))), Atom("y", (EntConst("y1"),)))
+    assert formula_text(f) == "(Ex y2. car y2) & y y1"
+    assert formula_json(f)["left"]["var"] == "y2"
 
 
 def _reify_outcome(reader, term):
@@ -163,7 +168,8 @@ def test_reify_matches_recursive_reference_on_random_terms():
     rng = random.Random(12)
     terms = [random_reify_term(rng) for _ in range(20_000)]
     outcomes = [_reify_outcome(reify, t) for t in terms]
-    assert [o for t, o in zip(terms, outcomes) if o != _reify_outcome(recursive_reify, t)] == []
+    assert [o for t, o in zip(terms, outcomes)
+            if o != _reify_outcome(lambda t: nameless(recursive_reify(t)), t)] == []
     assert {o[0].split(": ", 1)[1] for o in outcomes if type(o) is tuple} == {
         "not in the reifiable fragment", "not an entity term", "not an environment expression",
         "entity variable escapes its quantifier", "quantifier not applied to an entity property",
@@ -176,7 +182,7 @@ def test_reify_matches_recursive_reference_on_pipeline_normal_forms():
     normals = [run_pipeline(tree, lex, profile, default_initial_args(profile)).normal
                for tree, profile in pipeline_cases(lex)]
     assert len(normals) == 33
-    assert [t for t in normals if reify(t) != recursive_reify(t)] == []
+    assert [t for t in normals if reify(t) != nameless(recursive_reify(t))] == []
 
 
 def test_reify_leaves_no_cyclic_garbage():
@@ -272,7 +278,7 @@ def test_double_negation():
 
 
 def test_de_morgan_stops_at_quantifiers():
-    inner = Exists("v", And(Atom("p", (EntVar("v"),)), Atom("q", (EntVar("v"),))))
+    inner = Exists(And(Atom("p", (EntVar(0),)), Atom("q", (EntVar(0),))))
     assert simplify(Not(inner)) == Not(inner)
 
 
@@ -289,14 +295,19 @@ def test_shared_tail_fusion_and():
 
 
 def test_fusion_ignores_site_ids():
-    k1 = Atom("red", (SelOf(ConsE(J, NilE()), 0),))
-    k2 = Atom("red", (SelOf(ConsE(J, NilE()), 1),))
-    assert simplify(And(Or(P, k1), Or(Q, k2))) == Or(And(P, Q), k1)
+    """Two tails whose sites sit at two places, sites 1 and 2 of the input,
+    are equal nodes and fuse; the one left is numbered 1."""
+    k1 = Atom("red", (SelOf(ConsE(J, NilE())),))
+    k2 = Atom("red", (SelOf(ConsE(J, NilE())),))
+    f = And(Atom("red", (SelOf(NilE()),)), And(Or(P, k1), Or(Q, k2)))
+    assert simplify(f) == And(f.left, Or(And(P, Q), k1))
+    assert [r.site_id for r in report(f)] == [0, 1, 2]
+    assert formula_json(simplify(f))["right"]["right"]["args"][0]["site"] == 1
 
 
 def test_env_normalization_inside_sel():
-    f = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE()), 0),))
-    assert simplify(f) == Atom("red", (SelOf(ConsE(J, NilE()), 0),))
+    f = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE())),))
+    assert simplify(f) == Atom("red", (SelOf(ConsE(J, NilE())),))
 
 
 def _random_env(rng, depth=5):
@@ -304,7 +315,7 @@ def _random_env(rng, depth=5):
     if depth == 0 or roll < 0.2:
         return NilE()
     if roll < 0.65:
-        head = rng.choice((J, EntConst("m"), Y, EntVar("y1"), EntVar("y2")))
+        head = rng.choice((J, EntConst("m"), Y, EntVar(1), EntVar(2)))
         return ConsE(head, _random_env(rng, depth - 1))
     return UnionE(_random_env(rng, depth - 1), _random_env(rng, depth - 1))
 
@@ -322,26 +333,26 @@ def test_env_entries_match_recursive_flattening():
 def test_env_entries_of_long_cons_chain():
     env = NilE()
     for i in range(20_000):
-        env = ConsE(EntVar(f"y{i}"), env)
-    assert env_entries(env) == tuple(EntVar(f"y{i}") for i in reversed(range(20_000)))
+        env = ConsE(EntVar(i), env)
+    assert env_entries(env) == tuple(EntVar(i) for i in reversed(range(20_000)))
 
 
 def test_env_entries_keeps_a_constant_and_a_variable_of_one_name_apart():
-    """Entries are told apart by class and name, a selection by its value; the
-    entries kept are the very objects the recursive flattening keeps."""
-    c, v = EntConst("y"), EntVar("y")
-    sel, sel2 = SelOf(ConsE(J, NilE()), 0), SelOf(ConsE(J, NilE()), 0)
-    env = ConsE(c, ConsE(v, ConsE(sel, ConsE(EntConst("y"), ConsE(EntVar("y"), ConsE(
-        sel2, ConsE(SelOf(ConsE(J, NilE()), 1), NilE())))))))
+    """Entries are told apart by class and level or name, a selection by its
+    value; the entries kept are the very objects the recursive flattening keeps."""
+    c, v = EntConst("y"), EntVar(0)
+    sel, sel2 = SelOf(ConsE(J, NilE())), SelOf(ConsE(J, NilE()))
+    env = ConsE(c, ConsE(v, ConsE(sel, ConsE(EntConst("y"), ConsE(EntVar(0), ConsE(
+        sel2, ConsE(SelOf(ConsE(J, NilE())), NilE())))))))
     found = env_entries(env)
-    assert found == recursive_env_entries(env) == (c, v, sel, EntConst("y"), EntVar("y"), sel2,
-                                                   SelOf(ConsE(J, NilE()), 1))[3:]
+    assert found == recursive_env_entries(env) == (c, v, sel, EntConst("y"), EntVar(0),
+                                                   SelOf(ConsE(J, NilE())))[3:]
     assert all(a is b for a, b in zip(found, recursive_env_entries(env)))
     assert env_entries(UnionE(ConsE(c, NilE()), ConsE(v, NilE()))) == (v, c)
 
 
 def test_env_entries_hashes_and_compares_no_entity(monkeypatch):
-    """Constants and variables are keyed by class and name, not hashed as nodes."""
+    """Constants and variables are keyed by name and level, not hashed as nodes."""
     rng = random.Random(32)
     envs = [_random_env(rng) for _ in range(500)]
     expected = [recursive_env_entries(env) for env in envs]
@@ -358,14 +369,14 @@ def test_env_entries_hashes_and_compares_no_entity(monkeypatch):
 
 
 def test_scope_shrinking_keeps_dependent_parts_inside():
-    body = And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(Y, NilE()), 0),)))
-    f = Exists("y", body)
+    body = And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(Y, NilE())),)))
+    f = Exists(body)
     assert simplify(f) == f
 
 
 def test_scope_shrinking_extracts_independent_disjunct():
-    f = Not(Exists("y", Or(And(Atom("car", (Y,)), Atom("own", (J, Y))), Not(K))))
-    expected = And(Not(Exists("y", And(Atom("car", (Y,)), Atom("own", (J, Y))))), K)
+    f = Not(Exists(Or(And(Atom("car", (Y,)), Atom("own", (J, Y))), Not(K))))
+    expected = And(Not(Exists(And(Atom("car", (Y,)), Atom("own", (J, Y))))), K)
     assert simplify(f) == expected
 
 
@@ -385,87 +396,101 @@ def test_simplify_preserves_equivalence_sample():
 
 
 # ---------------------------------------------------------------------------
-# alpha_eq on formulas
+# alpha_eq on formulas: nameless formulas decide it by `==`
+
+def _closed(f, names=("w", "y", "y1", "z")):
+    """Named `f` under binders of `names`, so its free names read as levels."""
+    for name in reversed(names):
+        f = NamedExists(name, f)
+    return f
+
+
+def _nameless_eq(f, g) -> bool:
+    return nameless(_closed(f)) == nameless(_closed(g))
+
 
 def test_formula_alpha_eq_renames_bound_vars():
-    a = Exists("y", Atom("p", (EntVar("y"),)))
-    b = Exists("z", Atom("p", (EntVar("z"),)))
-    assert alpha_eq(a, b)
-    assert not alpha_eq(a, Exists("z", Atom("p", (EntConst("z"),))))
+    """Named formulas equal up to their bound names are one nameless formula,
+    as `gen.named_alpha_eq` and `gen.recursive_alpha_eq` find them equal."""
+    a = NamedExists("y", Atom("p", (NamedVar("y"),)))
+    b = NamedExists("z", Atom("p", (NamedVar("z"),)))
+    c = NamedExists("z", Atom("p", (EntConst("z"),)))
+    assert nameless(a) == nameless(b) == Exists(Atom("p", (EntVar(0),)))
+    assert named_alpha_eq(a, b) and recursive_alpha_eq(a, b)
+    assert nameless(a) != nameless(c)
+    assert not named_alpha_eq(a, c) and not recursive_alpha_eq(a, c)
 
 
 def test_formula_alpha_eq_restores_a_shadowed_binder():
     """Leaving an inner `Ex y` that shadows an outer `Ex y` gives `y` back
-    its outer renaming, as the recursive reference's scoped renaming does."""
+    its outer binder, in the nameless reading as in the references'."""
     def shadowing(outer, inner, last):      # Ex outer. (Ex inner. p inner) & p last
-        return Exists(outer, And(Exists(inner, Atom("p", (EntVar(inner),))),
-                                 Atom("p", (EntVar(last),))))
+        return NamedExists(outer, And(NamedExists(inner, Atom("p", (NamedVar(inner),))),
+                                      Atom("p", (NamedVar(last),))))
     y = shadowing("y", "y", "y")
+    assert nameless(y) == Exists(And(Exists(Atom("p", (EntVar(1),))), Atom("p", (EntVar(0),))))
     for other, same in ((shadowing("z", "w", "z"), True), (shadowing("z", "z", "z"), True),
                         (shadowing("z", "w", "w"), False), (shadowing("z", "y", "y"), False)):
-        assert alpha_eq(y, other) == recursive_alpha_eq(y, other) == same
-        assert alpha_eq(other, y) == recursive_alpha_eq(other, y) == same
+        for a, b in ((y, other), (other, y)):
+            assert _nameless_eq(a, b) == named_alpha_eq(a, b) == recursive_alpha_eq(a, b) == same
 
 
 class _CountedArgs(tuple):
-    """An atom's arguments that count how often a walk reads them."""
+    """An atom's arguments that count how often `==` compares them."""
     reads = 0
 
-    def __iter__(self):
+    def __ne__(self, other):
         _CountedArgs.reads += 1
-        return super().__iter__()
+        return tuple.__ne__(self, other)
 
 
 def _atom_pairs_read(f1, f2) -> tuple[bool, int]:
-    """alpha_eq(f1, f2) and the number of atom pairs it walked into."""
+    """f1 == f2 and the number of atom argument pairs it compared."""
     _CountedArgs.reads = 0
-    same = alpha_eq(f1, f2)
-    return same, _CountedArgs.reads // 2
+    same = f1 == f2
+    return same, _CountedArgs.reads
 
 
 def test_formula_alpha_eq_takes_one_node_as_equal_without_a_walk():
-    """A pair that is one node, a copy read as its body, under equal binder maps
-    is equal at once; a formula and an equal one that shares no node, or one
-    node under binders that read its names apart, are walked."""
-    def chain(names):       # p names[0] & (p names[1] & ...)
-        f = Atom("p", _CountedArgs((EntVar(names[-1]),)))
-        for name in reversed(names[:-1]):
-            f = And(Atom("p", _CountedArgs((EntVar(name),))), f)
+    """A pair that is one node, as `reify` makes of a revisited existential,
+    is equal at once; a formula and an equal one that shares no node are
+    walked, and so is one that differs in a level."""
+    def chain(levels):       # p levels[0] & (p levels[1] & ...)
+        f = Atom("p", _CountedArgs((EntVar(levels[-1]),)))
+        for level in reversed(levels[:-1]):
+            f = And(Atom("p", _CountedArgs((EntVar(level),))), f)
         return f
 
-    names = [f"y{i}" for i in range(1, 41)]
-    x = chain(names)
-    copy = Shifted(x, ((1, 50),), 3)
+    x = chain(range(40))
     assert _atom_pairs_read(x, x) == (True, 0)
-    assert _atom_pairs_read(copy, x) == _atom_pairs_read(x, copy) == (True, 0)
-    assert _atom_pairs_read(copy, Shifted(x, ((2, 7),), 0)) == (True, 0)
-    assert _atom_pairs_read(Not(copy), Not(x)) == (True, 0)
-    assert _atom_pairs_read(Exists("y1", x), Exists("y1", copy)) == (True, 0)
-    assert _atom_pairs_read(x, chain(names)) == (True, 40)
-    # Ex y9. x against Ex z. x: y9 is bound on the left and free on the right.
-    same, walked = _atom_pairs_read(Exists("y9", x), Exists("z", x))
+    assert _atom_pairs_read(Not(x), Not(x)) == (True, 0)
+    assert _atom_pairs_read(Exists(x), Exists(x)) == (True, 0)
+    assert _atom_pairs_read(x, chain(range(40))) == (True, 40)
+    same, walked = _atom_pairs_read(x, chain([*range(39), 0]))
     assert not same and walked > 0
-    # Leaving a binder of one name on both sides leaves the maps equal.
-    left = And(Exists("y1", Atom("q", (EntVar("y1"),))), x)
-    right = And(Exists("y1", Atom("q", (EntVar("y1"),))), copy)
-    assert _atom_pairs_read(left, right) == (True, 0)
+    ex = Exists(Atom("q", _CountedArgs((EntVar(0),))))
+    assert _atom_pairs_read(And(ex, x), And(ex, x)) == (True, 0)
+    some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
+    f = reify(app(AND, some_car, some_car))
+    assert f.left is f.right
 
 
 def _names_mapped(x, binder, var, bound=()):
-    """`x` with each binder's name replaced by binder(name, enclosing binders'
-    names) and each variable's by var(name, enclosing binders' names)."""
+    """Named `x` with each binder's name replaced by binder(name, enclosing
+    binders' names) and each variable's by var(name, enclosing binders' names)."""
     kind = type(x)
-    if kind is Exists:
-        return Exists(binder(x.var, bound), _names_mapped(x.body, binder, var, (*bound, x.var)))
-    if kind is EntVar:
-        return EntVar(var(x.name, bound))
+    if kind is NamedExists:
+        return NamedExists(binder(x.var, bound),
+                           _names_mapped(x.body, binder, var, (*bound, x.var)))
+    if kind is NamedVar:
+        return NamedVar(var(x.name, bound))
     return kind(*[tuple(_names_mapped(a, binder, var, bound) for a in v) if type(v) is tuple
                   else _names_mapped(v, binder, var, bound) if isinstance(v, Node) else v
                   for v in x._values()])
 
 
 def _by_depth(x):
-    """`x` with each bound name written as its binder's depth, `#0` outermost."""
+    """Named `x` with each bound name written as its binder's depth, `#0` outermost."""
     def var(name, bound):
         depths = [i for i, v in enumerate(bound) if v == name]
         return f"#{depths[-1]}" if depths else name
@@ -473,24 +498,26 @@ def _by_depth(x):
 
 
 def test_formula_alpha_eq_is_symmetric_and_agrees_with_binder_depths():
-    """Random formulas and variants of them whose binders and variables are
-    renamed by two maps, the same one or not: some stay alpha-equal, some
-    capture a variable and some free one.  A variant keeps its formula's site
-    ids, so writing bound names as binder depths decides alpha-equality."""
+    """Random formulas, named, and variants of them whose binders and
+    variables are renamed by two maps, the same one or not: some stay
+    alpha-equal, some capture a variable and some free one.  Writing bound
+    names as binder depths decides alpha-equality, and so do the nameless
+    readings (free names bound outside) and the references."""
     rng = random.Random(21)
-    names = ("v1", "v2", "w")
+    names = ("y", "y1", "w")
     answers = []
     for _ in range(1500):
-        f = random_formula(rng)
+        f = named(random_formula(rng))
         variants = [f]
         for _ in range(3):
-            b = {"v1": rng.choice(names), "v2": rng.choice(names)}
-            v = b if rng.random() < 0.5 else {"v1": rng.choice(names), "v2": rng.choice(names)}
+            b = {"y": rng.choice(names), "y1": rng.choice(names)}
+            v = b if rng.random() < 0.5 else {"y": rng.choice(names), "y1": rng.choice(names)}
             variants.append(_names_mapped(f, lambda n, _: b[n], lambda n, _: v[n]))
         for g in variants:
             for h in variants:
                 same = _by_depth(g) == _by_depth(h)
-                assert alpha_eq(g, h) == alpha_eq(h, g) == recursive_alpha_eq(g, h) == same
+                assert (_nameless_eq(g, h) == _nameless_eq(h, g) == named_alpha_eq(g, h)
+                        == named_alpha_eq(h, g) == recursive_alpha_eq(g, h) == same)
                 answers.append(same)
     assert answers.count(False) > 500     # of 24 000
 
@@ -498,31 +525,45 @@ def test_formula_alpha_eq_is_symmetric_and_agrees_with_binder_depths():
 def test_formula_alpha_eq_compares_environments_and_ignores_site_ids():
     def red(var, left, right, site):
         env = UnionE(ConsE(left, NilE()), ConsE(right, NilE()))
-        return Exists(var, Atom("red", (SelOf(env, site),)))
-    z = EntVar("z")
-    assert alpha_eq(red("y", Y, J, 0), red("z", z, J, 5))
-    assert not alpha_eq(red("y", Y, J, 0), red("z", J, z, 0))
-    assert not alpha_eq(red("y", Y, J, 0), red("z", z, EntConst("m"), 0))
+        return NamedExists(var, Atom("red", (NamedSel(env, site),)))
+    y, z = NamedVar("y"), NamedVar("z")
+    for other, same in ((red("z", z, J, 5), True), (red("z", J, z, 0), False),
+                        (red("z", z, EntConst("m"), 0), False)):
+        mine = red("y", y, J, 0)
+        assert (nameless(mine) == nameless(other)) == named_alpha_eq(mine, other) == same
+    assert nameless(red("z", z, J, 5)) == Exists(Atom("red", (
+        SelOf(UnionE(ConsE(EntVar(0), NilE()), ConsE(J, NilE()))),)))
 
 
 def _binder_chain(names, depth, last_ref=None):
-    """Ex n0. (q n0 & Ex n1. (q2 n1 n0 & ...)), built without recursing; the
-    innermost atom refers to `last_ref` (default: the enclosing binder)."""
+    """Ex n0. (q n0 & Ex n1. (q2 n1 n0 & ...)), named, built without recursing;
+    the innermost atom refers to `last_ref` (default: the enclosing binder)."""
     ref = names[depth - 2] if last_ref is None else last_ref
-    f = Exists(names[depth - 1], Atom("q2", (EntVar(names[depth - 1]), EntVar(ref))))
+    f = NamedExists(names[depth - 1], Atom("q2", (NamedVar(names[depth - 1]), NamedVar(ref))))
     for i in reversed(range(1, depth - 1)):
-        f = Exists(names[i], And(Atom("q2", (EntVar(names[i]), EntVar(names[i - 1]))), f))
-    return Exists(names[0], And(Atom("q", (EntVar(names[0]),)), f))
+        f = NamedExists(names[i], And(Atom("q2", (NamedVar(names[i]), NamedVar(names[i - 1]))), f))
+    return NamedExists(names[0], And(Atom("q", (NamedVar(names[0]),)), f))
+
+
+def _level_chain(depth, last_ref=None):
+    """`_binder_chain` nameless: the innermost atom refers to level `last_ref`."""
+    ref = depth - 2 if last_ref is None else last_ref
+    f = Exists(Atom("q2", (EntVar(depth - 1), EntVar(ref))))
+    for i in reversed(range(1, depth - 1)):
+        f = Exists(And(Atom("q2", (EntVar(i), EntVar(i - 1))), f))
+    return Exists(And(Atom("q", (EntVar(0),)), f))
 
 
 def test_formula_alpha_eq_on_deep_chains():
     depth = 10_000
     xs = [f"x{i}" for i in range(depth)]
     ys = [f"y{i}" for i in range(depth)]
-    assert alpha_eq(_binder_chain(xs, depth), _binder_chain(ys, depth))
+    assert named_alpha_eq(_binder_chain(xs, depth), _binder_chain(ys, depth))
+    assert _level_chain(depth) == _level_chain(depth)
     # The innermost reference skips a binder on one side only.
-    assert not alpha_eq(_binder_chain(xs, depth),
-                        _binder_chain(ys, depth, last_ref=ys[depth - 3]))
+    assert not named_alpha_eq(_binder_chain(xs, depth),
+                              _binder_chain(ys, depth, last_ref=ys[depth - 3]))
+    assert _level_chain(depth) != _level_chain(depth, last_ref=depth - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +580,8 @@ def test_countermodel_found():
 
 
 def test_inequivalent_under_quantifier():
-    f1 = Exists("v", Atom("p", (EntVar("v"),)))
-    f2 = Not(Exists("v", Atom("p", (EntVar("v"),))))
+    f1 = Exists(Atom("p", (EntVar(0),)))
+    f2 = Not(Exists(Atom("p", (EntVar(0),))))
     assert not logically_equiv(f1, f2, 2)
 
 
@@ -557,7 +598,7 @@ def test_exhaustive_bound_raises():
     (P, P, {"domain_size": 2, "method": "guess"}, "unknown method 'guess'"),
     (Atom("p", (J,)), Atom("p", (J, J)), {"domain_size": 2},
      "predicate 'p' used at inconsistent arities"),
-    (Atom("q", (Y,)), P, {"domain_size": 2}, "free entity variable 'y'"),
+    (Atom("q", (Y,)), P, {"domain_size": 2}, "free entity variable at level 0"),
 ], ids=["domain-0", "domain-5", "method", "arity", "free-variable"])
 def test_logically_equiv_rejects_bad_arguments(f1, f2, kwargs, message):
     with pytest.raises(ContsemError) as exc:
@@ -572,14 +613,14 @@ def test_sampled_mode_on_large_signature():
 
 
 def test_sel_sites_freeze_by_evaluated_env():
-    site_a = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE()), 0),))
-    site_b = Atom("red", (SelOf(ConsE(J, NilE()), 5),))
+    site_a = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE())),))
+    site_b = Atom("red", (SelOf(ConsE(J, NilE())),))
     assert logically_equiv(site_a, site_b, 2)
 
 
 def test_distinct_envs_freeze_apart():
-    site_a = Atom("red", (SelOf(ConsE(J, NilE()), 0),))
-    site_b = Atom("red", (SelOf(ConsE(EntConst("m"), NilE()), 1),))
+    site_a = Atom("red", (SelOf(ConsE(J, NilE())),))
+    site_b = Atom("red", (SelOf(ConsE(EntConst("m"), NilE())),))
     assert not logically_equiv(site_a, site_b, 2)
 
 
@@ -587,30 +628,30 @@ def test_distinct_envs_freeze_apart():
 # rendering
 
 def test_formula_text_negated_quantifier_display():
-    f = And(Not(Exists("y", And(Atom("car", (Y,)), Atom("own", (J, Y))))),
-            Atom("red", (SelOf(ConsE(J, NilE()), 0),)))
+    f = And(Not(Exists(And(Atom("car", (Y,)), Atom("own", (J, Y))))),
+            Atom("red", (SelOf(ConsE(J, NilE())),)))
     assert formula_text(f) == "(~ Ex y. (car y & own j y)) & red(sel(j::nil))"
 
 
 def test_formula_text_union_parens():
-    f = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE()), 0),))
+    f = Atom("red", (SelOf(UnionE(ConsE(J, NilE()), NilE())),))
     assert formula_text(f) == "red(sel((j::nil)++nil))"
 
 
 def test_formula_json_tags():
-    f = Exists("y", Atom("red", (SelOf(ConsE(EntVar("y"), NilE()), 3),)))
+    f = Exists(Atom("red", (SelOf(ConsE(EntVar(0), NilE())),)))
     doc = formula_json(f)
     assert doc["node"] == "exists"
     atom = doc["body"]
     assert atom["node"] == "atom"
     assert atom["args"][0]["entity"] == "sel"
-    assert atom["args"][0]["site"] == 3
+    assert atom["args"][0]["site"] == 0
     assert atom["args"][0]["env"]["env"] == "cons"
-    f = Exists("y", Atom("own", (J, SelOf(UnionE(ConsE(Y, NilE()), NilE()), 3))))
+    f = Exists(Atom("own", (J, SelOf(UnionE(ConsE(Y, NilE()), NilE())))))
     assert formula_json(f) == {"node": "exists", "var": "y", "body": {
         "node": "atom", "pred": "own", "args": [
             {"entity": "const", "name": "j"},
-            {"entity": "sel", "site": 3, "env": {
+            {"entity": "sel", "site": 0, "env": {
                 "env": "union",
                 "left": {"env": "cons", "head": {"entity": "var", "name": "y"},
                          "tail": {"env": "nil"}},
@@ -621,17 +662,17 @@ def test_formula_json_tags():
 
 
 def test_left_operand_with_an_open_right_edge_is_parenthesized():
-    ex = Exists("y", Atom("car", (Y,)))
+    ex = Exists(Atom("car", (Y,)))
     assert formula_text(Or(Not(And(P, ex)), Q)) == "(~ (p & Ex y. car y)) | q"
     assert formula_text(And(Or(P, Not(ex)), Q)) == "(p | ~ Ex y. car y) & q"
     assert formula_text(Or(And(P, Q), ex)) == "p & q | Ex y. car y"
-    assert formula_text(And(ex, Or(P, ex))) == "(Ex y. car y) & (p | Ex y. car y)"
+    assert formula_text(And(ex, Or(P, ex))) == "(Ex y. car y) & (p | Ex y1. car y1)"
 
 
 def test_atom_glues_selections_to_the_piece_before():
-    sel = SelOf(ConsE(J, NilE()), 0)
+    sel = SelOf(ConsE(J, NilE()))
     assert formula_text(Atom("own", (J, sel))) == "own j(sel(j::nil))"
-    assert formula_text(Atom("own", (sel, Y))) == "own(sel(j::nil)) y"
+    assert formula_text(Exists(Atom("own", (sel, Y)))) == "Ex y. own(sel(j::nil)) y"
     assert formula_text(Atom("own", (sel, sel))) == "own(sel(j::nil))(sel(j::nil))"
 
 
@@ -660,8 +701,10 @@ def _same_json(a, b) -> bool:
 
 
 def _differences(items, text_ref, json_ref) -> list:
-    return [x for x in items
-            if formula_text(x) != text_ref(x) or not _same_json(formula_json(x), json_ref(x))]
+    """The items whose text or JSON differ from the references' for the
+    named form `gen.named` gives them."""
+    return [x for x in items if formula_text(x) != text_ref(named(x))
+            or not _same_json(formula_json(x), json_ref(named(x)))]
 
 
 def test_rendering_matches_recursive_references_on_random_formulas():
@@ -674,8 +717,8 @@ def test_rendering_matches_recursive_references_on_random_formulas():
 def test_rendering_matches_recursive_references_on_entities_and_environments():
     rng = random.Random(42)
     envs = [_random_env(rng) for _ in range(2_000)]
-    envs += [ConsE(SelOf(e, i), e) for i, e in enumerate(envs[:200])]
-    entities = [J, Y] + [SelOf(e, i) for i, e in enumerate(envs)]
+    envs += [ConsE(SelOf(e), e) for e in envs[:200]]
+    entities = [J, Y] + [SelOf(e) for e in envs]
     assert _differences(envs, recursive_env_text, recursive_env_json) == []
     assert _differences(entities, recursive_entity_text, recursive_entity_json) == []
 
@@ -706,8 +749,10 @@ def _p_json(i):
 
 
 def _check_render(f, text, doc):
+    """`f` prints `text` and writes `doc`, compared as the JSON writer's text:
+    `formula_json` reads that text back with `json.loads`, which recurses."""
     assert formula_text(f) == text
-    assert _same_json(formula_json(f), doc)
+    assert json_text(f) == json_text(doc)
 
 
 def test_deep_negation_renders():
@@ -734,7 +779,7 @@ def test_long_connective_chains_render(ctor, op, tag):
 
 def test_long_spine_ending_in_a_quantifier_is_parenthesized_as_a_left_operand():
     n = 5_000
-    f = Exists("y", Atom("car", (Y,)))
+    f = Exists(Atom("car", (Y,)))
     for i in reversed(range(n)):
         f = And(_p(i), f)
     text = " & ".join(f"p c{i}" for i in range(n)) + " & Ex y. car y"
@@ -743,11 +788,12 @@ def test_long_spine_ending_in_a_quantifier_is_parenthesized_as_a_left_operand():
 
 def test_nested_quantifiers_render():
     n = 5_000
-    f = Atom("q", (EntVar(f"v{n - 1}"),))
-    doc = {"node": "atom", "pred": "q", "args": [{"entity": "var", "name": f"v{n - 1}"}]}
+    names = ["y"] + [f"y{i}" for i in range(1, n)]
+    f = Atom("q", (EntVar(n - 1),))
+    doc = {"node": "atom", "pred": "q", "args": [{"entity": "var", "name": names[-1]}]}
     for i in reversed(range(n)):
-        f, doc = Exists(f"v{i}", f), {"node": "exists", "var": f"v{i}", "body": doc}
-    _check_render(f, "".join(f"Ex v{i}. " for i in range(n)) + f"q v{n - 1}", doc)
+        f, doc = Exists(f), {"node": "exists", "var": names[i], "body": doc}
+    _check_render(f, "".join(f"Ex {v}. " for v in names) + f"q {names[-1]}", doc)
 
 
 def test_long_environment_renders():
@@ -756,9 +802,9 @@ def test_long_environment_renders():
     for i in reversed(range(n)):
         env, env_doc = ConsE(EntConst(f"c{i}"), env), {
             "env": "cons", "head": {"entity": "const", "name": f"c{i}"}, "tail": env_doc}
-    f = Atom("red", (SelOf(env, 7),))
+    f = Atom("red", (SelOf(env),))
     doc = {"node": "atom", "pred": "red",
-           "args": [{"entity": "sel", "site": 7, "env": env_doc}]}
+           "args": [{"entity": "sel", "site": 0, "env": env_doc}]}
     _check_render(f, "red(sel(" + "".join(f"c{i}::" for i in range(n)) + "nil))", doc)
 
 
@@ -769,7 +815,7 @@ def test_deep_union_nest_renders():
         env = UnionE(env, ConsE(EntConst(f"c{i}"), NilE()))
         env_doc = {"env": "union", "left": env_doc, "right": {
             "env": "cons", "head": {"entity": "const", "name": f"c{i}"}, "tail": {"env": "nil"}}}
-    f = Atom("red", (SelOf(env, 0),))
+    f = Atom("red", (SelOf(env),))
     doc = {"node": "atom", "pred": "red",
            "args": [{"entity": "sel", "site": 0, "env": env_doc}]}
     text = ("(" * (n - 1) + "nil++(c1::nil)"
@@ -792,7 +838,7 @@ def test_formula_fields_cannot_be_assigned_or_deleted():
 def test_formula_nodes_of_different_classes_differ():
     assert And(Top(), Bot()) != Or(Top(), Bot())
     assert NilE() != Top() and NilE() != Bot() and Top() != Bot()
-    assert EntConst("y") != EntVar("y")
+    assert EntConst("y") != EntVar(0)
     assert ConsE(J, NilE()) != UnionE(J, NilE())
     assert Top() == Top() and NilE() == NilE()
 
@@ -800,7 +846,7 @@ def test_formula_nodes_of_different_classes_differ():
 def test_equal_formulas_hash_equally():
     def build():
         env = UnionE(ConsE(J, NilE()), ConsE(Y, NilE()))
-        return Exists("y", Or(Atom("red", (SelOf(env, 0),)), Not(Bot())))
+        return Exists(Or(Atom("red", (SelOf(env),)), Not(Bot())))
     a, b = build(), build()
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b, Top(), Top(), Bot()}) == 3
@@ -808,15 +854,15 @@ def test_equal_formulas_hash_equally():
 
 def test_formula_nodes_take_keywords_and_defaults():
     assert Atom(pred="p") == Atom("p", ()) and Atom("p").args == ()
-    assert SelOf(site_id=2, env=NilE()) == SelOf(NilE(), 2)
+    assert SelOf(env=NilE()) == SelOf(NilE()) and EntVar(level=2) == EntVar(2)
     with pytest.raises(TypeError):
         Top(1)
 
 
 def test_formula_repr_keeps_its_text():
-    f = Exists("y", And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(J, NilE()), 0),))))
+    f = Exists(And(Atom("car", (Y,)), Atom("red", (SelOf(ConsE(J, NilE())),))))
     assert repr(f) == (
-        "Exists(var='y', body=And(left=Atom(pred='car', args=(EntVar(name='y'),)), "
+        "Exists(body=And(left=Atom(pred='car', args=(EntVar(level=0),)), "
         "right=Atom(pred='red', args=(SelOf(env=ConsE(head=EntConst(name='j'), "
-        "tail=NilE()), site_id=0),))))")
+        "tail=NilE())),))))")
     assert repr(Or(Not(Top()), Bot())) == "Or(left=Not(body=Top()), right=Bot())"

@@ -14,7 +14,7 @@ from contsem.resolver import (
 from gen import formula_preorder
 
 J = EntConst("j")
-Y = EntVar("y")
+Y = EntVar(0)
 
 
 def cons(*entries):
@@ -26,12 +26,12 @@ def cons(*entries):
 
 def _deep_formula(n, empty=()):
     """n atoms `red(sel(...))` nested in turn under `&`, `| ~` and two
-    `Ex`, site ids counting down in reading order; the sites at the reading
-    positions in `empty` have no referents.  Returns the formula and, when
-    nothing is empty, its recency resolution; both built without recursing."""
+    `Ex`; the sites at the reading positions in `empty` have no referents.
+    Returns the formula and, when nothing is empty, its recency resolution;
+    both built without recursing."""
     def atoms(i):
         env = NilE() if i in empty else cons(J)
-        return Atom("red", (SelOf(env, n - 1 - i),)), Atom("red", (J,))
+        return Atom("red", (SelOf(env),)), Atom("red", (J,))
 
     f, g = atoms(n - 1)
     for i in reversed(range(n - 1)):
@@ -42,7 +42,7 @@ def _deep_formula(n, empty=()):
         elif step == 1:
             f, g = Or(a, Not(f)), Or(b, Not(g))
         else:
-            f, g = Exists("y", And(a, f)), Exists("y", And(b, g))
+            f, g = Exists(And(a, f)), Exists(And(b, g))
     return f, g
 
 
@@ -60,7 +60,7 @@ def test_resolve_reports_first_empty_site_in_reading_order():
     f, _ = _deep_formula(n, empty=(5000, 7000))
     with pytest.raises(EmptyEnvironment) as info:
         resolve(f, "recency")
-    assert info.value.site_id == n - 1 - 5000
+    assert info.value.site_id == 5000
 
 
 def test_eval_union_with_nil():
@@ -89,50 +89,53 @@ def test_eval_idempotent_under_rewrapping():
 
 
 def test_report_orders_by_site_id():
-    f = And(Atom("red", (SelOf(cons(J), 1),)),
-            Atom("red", (SelOf(cons(Y, J), 0),)))
+    """Sites are numbered, and reported, in textual order, each with the
+    names of the binders in scope."""
+    f = And(Atom("red", (SelOf(cons(J)),)),
+            Exists(Atom("red", (SelOf(cons(Y, J)),))))
     rs = report(f)
-    assert [r.site_id for r in rs] == [0, 1]
-    assert rs[0].candidates == (Y, J)
-    assert rs[1].candidates == (J,)
+    assert [(r.site_id, r.candidates, r.names) for r in rs] == [(0, (J,), ()),
+                                                                (1, (Y, J), ("y",))]
+    assert list(map(report_line, rs)) == ["sel#0 env=j::nil candidates=[j]",
+                                          "sel#1 env=y::j::nil candidates=[y, j]"]
 
 
 def test_report_on_formula_without_sel_is_empty():
-    assert report(Exists("y", Atom("car", (Y,)))) == []
+    assert report(Exists(Atom("car", (Y,)))) == []
 
 
 def test_report_candidates_occur_in_env_without_duplicates():
     env = UnionE(cons(J, Y), cons(J))
-    (r,) = report(Atom("red", (SelOf(env, 0),)))
+    (r,) = report(Atom("red", (SelOf(env),)))
     entries = set(env_entries(env))
     assert len(set(r.candidates)) == len(r.candidates)
     assert all(c in entries for c in r.candidates)
 
 
 def test_resolve_symbolic_is_identity():
-    f = Atom("red", (SelOf(cons(J), 0),))
+    f = Atom("red", (SelOf(cons(J)),))
     assert resolve(f, "symbolic") == f
 
 
 def test_resolve_recency_substitutes_most_recent():
-    f = And(Not(Exists("y", Atom("own", (J, Y)))),
-            Atom("red", (SelOf(cons(J), 0),)))
+    f = And(Not(Exists(Atom("own", (J, Y)))),
+            Atom("red", (SelOf(cons(J)),)))
     resolved = resolve(f, "recency")
-    assert resolved == And(Not(Exists("y", Atom("own", (J, Y)))),
+    assert resolved == And(Not(Exists(Atom("own", (J, Y)))),
                            Atom("red", (J,)))
 
 
 def test_resolve_empty_environment():
-    f = Atom("red", (SelOf(NilE(), 7),))
+    f = And(Atom("red", (SelOf(cons(J)),)), Atom("red", (SelOf(NilE()),)))
     with pytest.raises(EmptyEnvironment) as exc:
         resolve(f, "recency")
-    assert exc.value.site_id == 7
+    assert exc.value.site_id == 1
 
 
 def test_report_line_format():
-    r = AccessReport(0, cons(J), (J,))
+    r = AccessReport(0, cons(J), (J,), ())
     assert report_line(r) == "sel#0 env=j::nil candidates=[j]"
-    r2 = AccessReport(2, cons(Y, J), (Y, J))
+    r2 = AccessReport(2, cons(Y, J), (Y, J), ("y",))
     assert report_line(r2) == "sel#2 env=y::j::nil candidates=[y, j]"
 
 

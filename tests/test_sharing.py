@@ -1,13 +1,15 @@
 """Reify and simplify on a shared normal form.
 
-`logic.reify` reads a Lam it meets again under the same binders as a
-`Shifted` copy of its first reading, and `simplify` simplifies each copied
-body once.  Written out by `expand`, both must give exactly what the
-tree-walking references `gen.tree_reify` and `gen.tree_simplify` give, and
-the nodes they build must track the shared normal form, not the tree.
-Profiles A and C make no copies; flat C grows linearly, flat A not yet."""
+`logic.reify` reads a Lam it meets again at the same binder depth as the
+node of its first reading, and `simplify` simplifies each input node once.
+Printed, both must give exactly what the tree-walking references
+`gen.tree_reify` and `gen.tree_simplify` give on the named form, and the
+nodes they build must track the shared normal form, not the tree.
+Profiles A and C share no existential; flat C grows linearly, flat A not
+yet."""
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -20,22 +22,22 @@ from contsem.discourse import (
 from contsem.lexicon import Profile, default_lexicon
 from contsem.logic import (
     And, Atom, Bot, ConsE, EntConst, EntVar, Exists, NilE, Not, NotReifiable, Or,
-    SelOf, Shifted, Top, UnionE, alpha_eq, expand, formula_json, formula_text,
-    reify, simplify,
+    SelOf, Top, UnionE, formula_text, json_text, reify, simplify,
 )
 from contsem.node import Node
-from contsem.resolver import report
+from contsem.resolver import report, report_line
 from contsem.terms import (
     AND, EXISTS, NOT, OR, App, Const, E, Lam, T, Var, app, arrow, normalize,
 )
 
 from gen import (
-    distinct_nodes, flat_discourse_text, pipeline_cases, random_discourse,
-    random_reify_term, tree_reify, tree_simplify, uncached_normalize,
+    distinct_nodes, flat_discourse_text, named, named_report_lines, nameless, pipeline_cases,
+    random_discourse, random_reify_term, recursive_formula_json, recursive_formula_text,
+    reference_json, tree_reify, tree_simplify, uncached_normalize,
 )
 
 LEX = default_lexicon()
-FORMULA_CLASSES = (Top, Bot, Not, And, Or, Exists, Atom, Shifted,
+FORMULA_CLASSES = (Top, Bot, Not, And, Or, Exists, Atom,
                    EntConst, EntVar, NilE, ConsE, UnionE, SelOf)
 CAR = Const("car", arrow(E, T))
 OWN = Const("own", arrow(E, E, T))
@@ -47,29 +49,35 @@ def _flat_b(n: int):
 
 
 def _written(f):
-    return formula_text(f), formula_json(f)
+    """A nameless formula's text, JSON and `sel#` lines."""
+    return formula_text(f), json_text(f), list(map(report_line, report(f)))
 
 
-def _copies(f) -> int:
-    """The distinct shifted copies in a formula."""
-    seen, stack, copies = set(), [f], 0
+def _reference(f):
+    """A named formula's text, JSON and `sel#` lines, by the references."""
+    return (recursive_formula_text(f), json.dumps(recursive_formula_json(f), indent=2),
+            named_report_lines(f))
+
+
+def _shared(f) -> int:
+    """The distinct existentials a formula reaches more than once."""
+    seen, stack, shared = set(), [f], set()
     while stack:
         g = stack.pop()
-        if id(g) not in seen:
-            seen.add(id(g))
-            copies += type(g) is Shifted
-            stack += [v for v in g._values() if isinstance(v, Node)]
-    return copies
+        if id(g) in seen:
+            if type(g) is Exists:
+                shared.add(id(g))
+            continue
+        seen.add(id(g))
+        stack += [v for v in g._values() if isinstance(v, Node)]
+    return len(shared)
 
 
 def _check_against_trees(normal):
-    """Reify's and simplify's results, written out, against the tree walks;
-    the printers and `report` also read the raw formula's copies as written
-    out."""
+    """Reify's and simplify's results, printed, against the tree walks'."""
     raw, ref_raw = reify(normal), tree_reify(normal)
-    assert _written(expand(raw)) == _written(ref_raw) == _written(raw)
-    assert report(raw) == report(ref_raw)
-    assert _written(expand(simplify(raw))) == _written(tree_simplify(ref_raw))
+    assert _written(raw) == _reference(ref_raw)
+    assert _written(simplify(raw)) == _reference(tree_simplify(ref_raw))
     return raw
 
 
@@ -88,32 +96,35 @@ def _cases():
 
 
 def test_written_out_formulas_match_the_tree_walks():
-    copied = 0
+    shared = 0
     for tree, profile, init in _cases():
         raw = _check_against_trees(run_pipeline(tree, LEX, profile, init).normal)
-        copied += _copies(raw) > 0
-    assert copied >= 10         # cases read with copies
+        shared += _shared(raw) > 0
+    assert shared >= 10         # cases read with a shared existential
 
 
 def test_flat_b_matches_the_tree_walks_with_one_copy_per_revisited_lam():
+    """Flat B reads each Lam it meets again at one depth as one node, where
+    it once made a `Shifted` copy."""
     for n in (4, 8, 12):
         raw = _check_against_trees(_flat_b(n).normal)
-        assert 0 < _copies(raw) <= n
+        assert 0 < _shared(raw) <= n
 
 
 def _outcome(reader, term):
     try:
         f = reader(term)
-        return _written(f), _written(expand(f)), report(f)
     except NotReifiable as exc:
         return str(exc), exc.position
+    return _written(f) if reader is reify else _reference(f)
 
 
 def test_rejections_and_second_walks_match_the_tree_walk():
     """A random formula term under a quantifier, next to its negation: the
-    quantifier's Lam is met twice.  Rejections come at the same path, and a
-    constant named like a quantified variable sends both readers to their
-    second walk, which makes no copies."""
+    quantifier's Lam is met twice and read as one node.  Rejections come at
+    the same path, and a constant named like a quantified variable sends the
+    printers to their second render, as it sent the tree walk to its second
+    walk."""
     rng = random.Random(1016)
     pairs = []
     for _ in range(1500):
@@ -121,125 +132,138 @@ def test_rejections_and_second_walks_match_the_tree_walk():
         pairs.append(app(AND, some, App(NOT, some)))
     outcomes = [_outcome(reify, t) for t in pairs]
     assert outcomes == [_outcome(tree_reify, t) for t in pairs]
-    copies = [_copies(reify(t)) for t, o in zip(pairs, outcomes) if type(o[0]) is tuple]
-    assert len(pairs) - len(copies) > 500                       # rejected
-    assert len(copies) - copies.count(0) > 400 and copies.count(0) > 5
+    read = [(reify(t), o[0]) for t, o in zip(pairs, outcomes) if type(o[1]) is not tuple]
+    assert len(pairs) - len(read) > 500                         # rejected
+    assert all(f.right.body is f.left for f, _ in read)
+    assert sum(not text.startswith("(Ex y. ") for _, text in read) > 5    # names skipped
 
 
 def test_a_constant_named_like_a_bound_variable_reads_without_copies():
+    """The reading is the same whatever the constants are called; the
+    printers skip a name that is a constant's."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
     t = app(AND, some_car, app(AND, App(NOT, some_car), App(Const("y", arrow(E, T)),
                                                             Const("y1", E))))
     f = reify(t)
-    assert _copies(f) == 0 and f == tree_reify(t)
+    assert _shared(f) == 1 and _written(f) == _reference(tree_reify(t))
     assert formula_text(f) == "(Ex y2. car y2) & (~ Ex y3. car y3) & y y1"
-    # Eleven readings of one existential choose y, y1, ..., y10: a constant
-    # clashes exactly when it is one of those, and only then are the copies gone.
+    # Eleven occurrences of one existential are named y, y1, ..., y10: a
+    # constant clashes exactly when it is one of those names.
     for name, clashes in (("y", True), ("y1", True), ("y10", True),
                           ("y0", False), ("y01", False), ("yy", False)):
         t = App(Const(name, arrow(E, T)), Const("c", E))
         for i in range(11):
             t = app(AND, App(NOT, some_car) if i % 2 else some_car, t)
         f = reify(t)
-        assert (_copies(f) == 0) == clashes and _written(expand(f)) == _written(tree_reify(t))
+        assert _shared(f) == 1 and _written(f) == _reference(tree_reify(t))
+        chosen = re.findall(r"Ex (\w+)\.", formula_text(f))
+        assert (chosen != ["y"] + [f"y{i}" for i in range(1, 11)]) == clashes
 
 
 def test_printers_read_a_copy_as_its_written_out_text():
-    """A copy ending a left operand's right spine keeps the parentheses that
-    close the existential's scope, as the written-out tree does."""
+    """A shared existential ending a left operand's right spine keeps the
+    parentheses that close its scope, as the tree does."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
     p_c = App(Const("p", arrow(E, T)), Const("c", E))
     raw = _check_against_trees(app(AND, some_car, app(AND, App(NOT, some_car), p_c)))
-    assert _copies(raw) == 1
+    assert _shared(raw) == 1
     assert formula_text(raw) == "(Ex y. car y) & (~ Ex y1. car y1) & p c"
 
 
-def test_printers_write_a_copy_out_where_they_read_it(monkeypatch):
-    """`formula_text` and `formula_json` write each copy out where they read
-    it, as a child or at the root, and never start over on the whole formula:
-    they print what they print for `expand` of it, on flat B3, B6 and B9's raw
-    formulas, a copy at the root and left operands ending in a copy."""
-    copy = Shifted(Exists("y", Atom("car", (EntVar("y"),))), ((0, 1),), 0)
+def test_printers_write_a_copy_out_where_they_read_it():
+    """`formula_text` and the JSON writer write a shared existential out
+    where they read it, as a child or at the root, naming its binder there:
+    they print what the references print for the named form, on flat B3,
+    B6 and B9's raw formulas, the existential at the root and left operands
+    ending in it."""
+    ex = Exists(Atom("car", (EntVar(0),)))
     p_c, q_c = (Atom(name, (EntConst("c"),)) for name in "pq")
     cases = [reify(_flat_b(n).normal) for n in (3, 6, 9)] + [
-        copy, Or(And(p_c, copy), q_c), Or(Not(copy), q_c), And(Not(And(p_c, copy)), q_c)]
-    written = [(formula_text(expand(f)), json.dumps(formula_json(expand(f)))) for f in cases]
-    expanded, expand_ = [], logic.expand
-    monkeypatch.setattr(logic, "expand", lambda f: expanded.append(f) or expand_(f))
-    assert [(formula_text(f), json.dumps(formula_json(f))) for f in cases] == written
-    assert expanded and all(type(f) is Shifted for f in expanded)
-    assert [text for text, _ in written[3:]] == [
-        "Ex y1. car y1", "(p c & Ex y1. car y1) | q c", "(~ Ex y1. car y1) | q c",
-        "(~ (p c & Ex y1. car y1)) & q c"]
+        ex, Or(And(p_c, ex), q_c), Or(Not(ex), q_c), And(Not(And(p_c, ex)), q_c), And(ex, Not(ex))]
+    assert [(formula_text(f), json_text(f)) for f in cases] == [
+        (recursive_formula_text(named(f)), json.dumps(reference_json(f), indent=2))
+        for f in cases]
+    assert [formula_text(f) for f in cases[3:]] == [
+        "Ex y. car y", "(p c & Ex y. car y) | q c", "(~ Ex y. car y) | q c",
+        "(~ (p c & Ex y. car y)) & q c", "(Ex y. car y) & ~ Ex y1. car y1"]
 
 
 def test_copies_follow_identity_and_binders_not_equality():
+    """Sharing follows the Lam's identity and its binder depth, not equality:
+    an equal Lam is read apart, and one Lam under two binders at one depth
+    is one node, its free variable a level."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
     twin = App(EXISTS, Lam(E, App(CAR, Var(0))))                # equal, not the same
-    assert _copies(reify(app(AND, some_car, App(NOT, some_car)))) == 1
-    assert _copies(reify(app(AND, some_car, App(NOT, twin)))) == 0
-    # The same Lam, at the same depth, under two binders: its free variable
-    # names the first binder, then the second, so it is read twice.
+    assert _shared(reify(app(AND, some_car, App(NOT, some_car)))) == 1
+    assert _shared(reify(app(AND, some_car, App(NOT, twin)))) == 0
     owned = App(EXISTS, Lam(E, app(OWN, Var(1), Var(0))))
     outer = App(EXISTS, Lam(E, owned))
     t = app(AND, outer, App(EXISTS, Lam(E, owned)))
     f = _check_against_trees(t)
-    assert _copies(f) == 0 and formula_text(f) == (
-        "(Ex y. Ex y1. own y y1) & Ex y2. Ex y3. own y2 y3")
+    assert f.left.body is f.right.body == Exists(Atom("own", (EntVar(0), EntVar(1))))
+    assert formula_text(f) == "(Ex y. Ex y1. own y y1) & Ex y2. Ex y3. own y2 y3"
 
 
 def test_simplify_looks_through_copies():
     """A quantifier over a conjunct that mentions its variable only inside a
-    copy keeps the conjunct (extraction reads the copy's free variables), a
-    copy is alpha-equal to its first reading from either side, and
-    `simplify` returns no copies."""
+    shared existential keeps the conjunct, and `simplify` simplifies the
+    shared existential once: its result is one node too."""
     owned = App(EXISTS, Lam(E, app(OWN, Var(1), Var(0))))       # own x z, x bound outside
     t = App(EXISTS, Lam(E, app(AND, owned, App(NOT, owned))))
     raw = _check_against_trees(t)
-    first, copy = raw.body.left, raw.body.right.body
-    assert type(copy) is Shifted and copy.body is first
-    assert alpha_eq(copy, first) and alpha_eq(first, copy)
-    other = Exists("y1", Atom("own", (EntVar("y1"), EntVar("y"))))
-    assert not alpha_eq(copy, other) and not alpha_eq(other, copy)
+    assert raw.body.right.body is raw.body.left
     simplified = simplify(raw)
-    assert _copies(simplified) == 0
+    assert simplified.body.right.body is simplified.body.left
     assert formula_text(simplified) == "Ex y. ((Ex y1. own y y1) & ~ Ex y2. own y y2)"
-    for n in (4, 8, 12):
-        raw = reify(_flat_b(n).normal)
-        assert _copies(raw) > 0 and _copies(simplify(raw)) == 0
 
 
-def test_a_copy_in_an_opened_copy_is_one_copy(monkeypatch):
-    """A copied existential whose simplified body is a conjunction holding a
-    copy: opening the outer copy (De Morgan under `~`) makes a copy of the
-    inner copy, which `_shifted` merges into one, and the result written out
-    is the tree walk's."""
-    merged, shifted = [], logic._shifted
-    monkeypatch.setattr(logic, "_shifted",
-                        lambda f, *a: merged.append(type(f) is Shifted) or shifted(f, *a))
+def test_a_copy_in_an_opened_copy_is_one_copy():
+    """A shared existential whose simplified body is a conjunction holding
+    another shared existential, opened by De Morgan under `~`: the result is
+    the tree walk's.  Extraction moves the left conjuncts, with their
+    binders, ahead of `Ex y. p y`; the tree walk's names kept reify's order,
+    y1 y2 y, where the printers now name binders in textual order."""
     some_car = App(EXISTS, Lam(E, App(CAR, Var(0))))
     p = Const("p", arrow(E, T))
     body = App(EXISTS, Lam(E, app(AND, some_car, app(AND, App(NOT, some_car), App(p, Var(0))))))
-    raw = _check_against_trees(app(AND, body, App(NOT, body)))
-    assert _copies(raw) == 2 and any(merged)
-    assert formula_text(simplify(raw)) == (
+    t = app(AND, body, App(NOT, body))
+    raw, ref_raw = reify(t), tree_reify(t)
+    assert _written(raw) == _reference(ref_raw) and _shared(raw) == 2
+    simplified, ref_simplified = simplify(raw), tree_simplify(ref_raw)
+    assert simplified == nameless(ref_simplified)
+    assert recursive_formula_text(ref_simplified) == (
         "((Ex y1. car y1) & (~ Ex y2. car y2) & Ex y. p y)"
         " & ((~ Ex y4. car y4) | (Ex y5. car y5) | ~ Ex y3. p y3)")
+    assert formula_text(simplified) == (
+        "((Ex y. car y) & (~ Ex y1. car y1) & Ex y2. p y2)"
+        " & ((~ Ex y3. car y3) | (Ex y4. car y4) | ~ Ex y5. p y5)")
 
 
 def test_reify_and_simplify_never_hash_or_compare_terms_and_formulas(monkeypatch):
+    """Neither hashes a term or a formula, nor compares terms.  `simplify`
+    compares formulas only as fusion's tails, by `==` once `is` fails, and
+    on flat B12 those comparisons read fewer formula nodes than the normal
+    form has distinct nodes."""
     normal = _flat_b(12).normal
-    expected = _written(expand(simplify(reify(normal))))
+    expected = _written(simplify(reify(normal)))
 
     def forbidden(*_):
         raise AssertionError("structural hash or == on a shared value")
 
-    for cls in (terms.App, terms.Lam, Not, And, Or, Exists, Atom, Shifted):
+    for cls in (terms.App, terms.Lam, Not, And, Or, Exists, Atom):
         monkeypatch.setattr(cls, "__hash__", forbidden)
+    for cls in (terms.App, terms.Lam):
         monkeypatch.setattr(cls, "__eq__", forbidden)
+    read = [0]
+    for cls in (Not, And, Or, Exists, Atom):    # `==` reads both sides through `_values`
+        def counted(self, _values=cls._values):
+            read[0] += 1
+            return _values(self)
+        monkeypatch.setattr(cls, "_values", counted)
     simplified = simplify(reify(normal))
     monkeypatch.undo()
-    assert _written(expand(simplified)) == expected
+    assert _written(simplified) == expected
+    assert 0 < read[0] <= distinct_nodes(normal), read
 
 
 @pytest.fixture
@@ -301,7 +325,7 @@ def test_flat_b40_reifies_in_lines_linear_in_the_shared_form():
         raw = reify(normal)
     finally:
         sys.settrace(previous)
-    assert _copies(raw) > 0 and lines[0] <= budget
+    assert _shared(raw) > 0 and lines[0] <= budget
 
 
 def test_text_mode_without_raw_never_writes_out_the_raw_formula(tmp_path, capsys, built):
@@ -334,15 +358,15 @@ def test_hash_visits_each_distinct_node_once(monkeypatch):
 
 def test_profiles_a_and_c_raw_formulas_hold_no_copies():
     """Only profile B's indefinite hands one continuation to both its
-    restrictor and its scope, so only B's raw formula holds copies, and the
-    CLI writes out B's alone before either output mode prints it."""
+    restrictor and its scope, so only B's raw formula reaches an existential
+    twice."""
     rng = random.Random(24)
     cases = [(tree, profile) for tree, profile in pipeline_cases(LEX) if profile != Profile.B]
     cases += [(random_discourse(rng, LEX, profile, n), profile)
               for profile in (Profile.A, Profile.C) for n in [*range(3, 11)] * 4]
     for tree, profile in cases:
         raw = run_pipeline(tree, LEX, profile, default_initial_args(profile)).raw
-        assert expand(raw) is raw, (profile, formula_text(raw))
+        assert _shared(raw) == 0, (profile, formula_text(raw))
 
 
 def _nodes(f) -> int:

@@ -1,10 +1,10 @@
 """The one-pass `simplify` against the fixed-point simplifier it replaced.
 
 `gen.fixpoint_simplify` repeats a recursive rewriting pass until nothing
-changes; `simplify` rebuilds each node once from simplified children.  Both
-apply the same rule set, so on the formulas the pipeline produces they must
-give the same formula, and `simplify` must keep working where the recursive
-one runs out of Python's recursion limit."""
+changes, on named formulas; `simplify` rebuilds each node once from
+simplified children.  Both apply the same rule set, so on the formulas the
+pipeline produces they must give the same formula, and `simplify` must keep
+working where the recursive one runs out of Python's recursion limit."""
 import random
 import sys
 from pathlib import Path
@@ -16,14 +16,13 @@ from contsem.discourse import (
 )
 from contsem.lexicon import Profile, default_lexicon
 from contsem.logic import (
-    And, Atom, Bot, EntConst, EntVar, Exists, Not, Or, Top, alpha_eq,
-    expand, reify, simplify,
+    And, Atom, Bot, EntConst, EntVar, Exists, Not, Or, Top, formula_text, reify, simplify,
 )
 from contsem.terms import app, normalize
 
 from gen import (
-    baseline_discourse, fixpoint_simplify, formula_preorder, random_discourse,
-    random_formula, recursive_alpha_eq,
+    baseline_discourse, fixpoint_simplify, formula_preorder, named, named_alpha_eq, nameless,
+    random_discourse, random_formula, recursive_alpha_eq,
 )
 from oracle import logically_equiv
 
@@ -43,20 +42,22 @@ def _same(a, b):
 
 
 def _reference(f):
+    """`fixpoint_simplify` of `f`'s named form, read back nameless."""
     # The reference recurses per node, and so does `==` on formulas inside
-    # its loop; a flat 128-sentence A formula comes within a few dozen frames
-    # of the default limit, so the reference alone gets headroom.
+    # its loop, and so do `named` and `nameless`; a flat 128-sentence A
+    # formula comes within a few dozen frames of the default limit, so the
+    # reference alone gets headroom.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4000))
     try:
-        return fixpoint_simplify(f)
+        return nameless(fixpoint_simplify(named(f)))
     finally:
         sys.setrecursionlimit(limit)
 
 
 def _check(f):
-    s = expand(simplify(f))
-    _same(s, _reference(expand(f)))
+    s = simplify(f)
+    _same(s, _reference(f))
     _same(simplify(s), s)
 
 
@@ -100,13 +101,28 @@ def test_different_rule_orders_reach_equivalent_normal_forms():
     # other simplifier, and the two agree on every model.
     sa, r = Atom("s", (EntConst("a"),)), Atom("r", ())
     body = And(Or(And(sa, r), And(r, r)), Or(r, Not(Bot())))
-    f = Not(Exists("v1", Not(Not(Not(body)))))
-    neg = Not(Exists("v1", Not(sa)))
-    one_pass, fixpoint = simplify(f), fixpoint_simplify(f)
+    f = Not(Exists(Not(Not(Not(body)))))
+    neg = Not(Exists(Not(sa)))
+    one_pass, fixpoint = simplify(f), _reference(f)
     assert one_pass == And(Or(neg, r), r)
     assert fixpoint == Or(And(neg, r), And(r, r))
-    assert simplify(fixpoint) == fixpoint and fixpoint_simplify(one_pass) == one_pass
+    assert simplify(fixpoint) == fixpoint and _reference(one_pass) == one_pass
     assert logically_equiv(one_pass, fixpoint, 3)
+
+
+def test_a_node_shared_at_two_depths_is_simplified_at_each():
+    """`Ex y. q` sits at depth 0 and, the same node, at depth 1, before an
+    extraction moves a binder and variables are renumbered: each place keeps
+    its own binder's level, so the last atom's variable stays bound."""
+    shared = Exists(Atom("q", ()))
+    moved = Exists(And(Atom("u", ()), Exists(Atom("s", (EntVar(2),)))))
+    f = And(shared, Exists(And(Atom("r", (EntVar(0),)),
+                               And(shared, And(moved, Atom("p", (EntVar(0),)))))))
+    s = simplify(f)
+    _same(s, _reference(f))
+    assert formula_text(s) == (
+        "(Ex y. q) & Ex y1. (r y1 & (Ex y2. q) & ((Ex y3. u) & Ex y4. s y4) & p y1)")
+    assert logically_equiv(f, s, 2)
 
 
 def test_idempotent_on_random_formulas():
@@ -117,12 +133,15 @@ def test_idempotent_on_random_formulas():
 
 
 def test_alpha_eq_matches_recursive():
+    """`==` on nameless formulas decides what the references' alpha-equality
+    decides on their named forms."""
     rng = random.Random(SEED + 2)
     prev = Top()
     for _ in range(1000):
         f = random_formula(rng)
         for other in (f, prev, simplify(f)):
-            assert alpha_eq(f, other) == recursive_alpha_eq(f, other)
+            g, h = named(f), named(other)
+            assert (f == other) == named_alpha_eq(g, h) == recursive_alpha_eq(g, h)
         prev = f
 
 
@@ -154,16 +173,15 @@ def test_deep_disjunction_chain():
 
 def test_deep_existential_chain():
     # Ex x0. (p x0 & Ex x1. (p x1 & ...)): every conjunct after the first
-    # is free of the outer variable, so each quantifier moves inward.
+    # is free of the outer variable, so each quantifier moves inward, and
+    # each moved binder ends at depth 0.
     def atom(i):
-        return Atom("p", (EntVar(f"x{i}"),))
+        return Atom("p", (EntVar(i),))
 
-    f = Exists(f"x{DEEP - 1}", atom(DEEP - 1))
-    expected = f
+    f = Exists(atom(DEEP - 1))
     for i in reversed(range(DEEP - 1)):
-        f = Exists(f"x{i}", And(atom(i), f))
-        expected = And(Exists(f"x{i}", atom(i)), expected)
-    _same(simplify(f), expected)
+        f = Exists(And(atom(i), f))
+    _same(simplify(f), _chain(And, [Exists(atom(0))] * DEEP))
 
 
 def test_deep_negated_conjunction_chain():

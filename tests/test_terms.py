@@ -277,7 +277,7 @@ def test_deep_values_compare_and_hash_at_the_default_limit():
     assert Seq(SymLeaf("a"), SymLeaf("b")) != CoordN(SymLeaf("a"), SymLeaf("b"))
     assert NilE() != Top() and Not(Top()) != Not(Bot()) and Not(Top()) == Not(Top())
     assert Verb("own", None) != Verb("own", Det("a", "car")) != Verb("own", Det("a", "dog"))
-    assert Atom("p", (EntConst("x"),)) != Atom("p", (EntVar("x"),))
+    assert Atom("p", (EntConst("x"),)) != Atom("p", (EntVar(0),))
 
 
 def test_equality_and_hash_agree_with_preorders():
