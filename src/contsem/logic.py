@@ -341,7 +341,9 @@ def simplify(f: Formula) -> Formula:
     builds go back on the work stack: the result is a fixed point of the
     rules, and deep formulas do not recurse.  Each input node is simplified
     once per depth, so fusion's tails, which sit at one depth, compare by
-    identity, then by `==`.  Variables keep their input levels until a last walk
+    identity, then by `==`.  `f` is read as a root: its outermost binders
+    have level 0, and a variable whose level no binder on its path has is
+    rejected.  Variables keep their input levels until a last walk
     renumbers them, if extraction moved a binder out from under another;
     input levels rise along every path, so a level names one binder there.
     """
@@ -400,6 +402,9 @@ def simplify(f: Formula) -> Formula:
                     canonical(a.env) if type(a) is SelOf else a for a in arg.args)))
             else:
                 done.append(arg)
+            if kind is Atom and (free := levels(done[-1]) >> depth):
+                raise ContsemError(f"entity variable at level {depth + free.bit_length() - 1} "
+                                   "has no binder: simplify reads a root formula")
         elif op is _PUSH:
             done.append(arg)
         elif op is _KEEP:
@@ -456,38 +461,25 @@ def simplify(f: Formula) -> Formula:
         if type(a) is SelOf else renumbered(a, depth_of) for a in g.args)), binders)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
 def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
-    """Concrete rendering of a formula, entity term or environment: `~`,
-    `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass over an explicit
-    stack (`_render`), so depth is not limited by the recursion limit."""
-    return _rendered(x)[0]
-
-
-_LAST: list = [(None, None)]    # (what `_rendered` rendered last, its render)
-
-
-def _rendered(x) -> tuple[str, list]:
-    """`_render` of `x` as text, kept for the last `x`: the CLI prints a
-    formula and reports its sites, and renders it once for both."""
-    last, result = _LAST[0]
-    if last is not x:
-        result = _render(x, None, ())
-        _LAST[0] = x, result
-    return result
+    """Concrete rendering of a root formula, entity term or environment:
+    `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass over an
+    explicit stack (`_render`), so depth is not limited by the recursion limit."""
+    return _render(x, None, ())[0]
 
 
 def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[str, list]:
     """The text of `x` (`newline` None) or its JSON from line `newline`, under
     binders named `scope` by level, and its sites' environments and names in
     scope.  Binders are named y, y1, y2, ... and sites numbered 0, 1, 2, ...
-    in textual order; a variable bound outside `x` prints as `#` and its
-    level.  If a name chosen is a constant's, `x` is rendered again skipping
-    all its constants' names, as `syntax.pretty` does."""
+    in textual order.  `x` is read as a root: its outermost binders have
+    level len(scope), and a variable whose level no binder on its path has,
+    a free one, prints as `#` and its level.  If a name chosen is a
+    constant's, `x` is rendered again skipping all its constants' names, as
+    `syntax.pretty` does."""
     if newline is not None:     # here: a text run never loads json
         from json.encoder import encode_basestring_ascii as encode
     out, sites, consts, count, names = [], [], set(), 0, list(scope)   # names: in scope
@@ -519,9 +511,7 @@ def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[s
                     stack += (node[i], line + "  "), ("," if i else "") + line + "  "
                 continue
         tag, key, kids, pieces = _FORMS[kind]
-        if key is None:
-            pass
-        elif kind is Exists:                    # the scalar
+        if kind is Exists:                      # the scalar, if any
             name, count = f"y{count}" if count else "y", count + 1
             while name in avoid:
                 name, count = f"y{count}", count + 1
@@ -532,7 +522,7 @@ def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[s
             sites.append((node.env, tuple(names)))
         elif kind is EntVar:
             name = names[node.level] if node.level < len(names) else f"#{node.level}"
-        else:
+        elif kind is Atom or kind is EntConst:
             name = node.pred if kind is Atom else node.name
             consts.add(name)
         if line is not None:                    # JSON: tag, scalar, children
@@ -572,7 +562,7 @@ def _right_open(f: Formula) -> bool:
 
 def json_text(doc) -> str:
     """`json.dumps(doc, indent=2)`, a formula node, entity term or environment
-    read as its JSON tree (`_render`), an access report as its `site`, `env` and
+    read as its JSON tree (`_render`, as a root), an access report as its `site`, `env` and
     `candidates` under its `names`.  From an explicit stack: json's encoder
     with `indent` is pure Python and recurses."""
     import json     # here: a text run never loads it
@@ -604,6 +594,22 @@ def json_text(doc) -> str:
 
 
 def formula_json(x: Formula | EntityTerm | EnvExpr) -> dict:
-    """The document `json_text` writes for a formula, entity term or environment."""
+    """The document `json_text` writes for a root formula, entity term or
+    environment, read back over an explicit stack: `json.loads` recurses."""
     import json
-    return json.loads(json_text(x))
+    from json.decoder import WHITESPACE
+    text, scalar = json_text(x), json.JSONDecoder().raw_decode
+    stack, i = [[]], 0      # each open container's mark and items so far, innermost last
+    while (i := WHITESPACE.match(text, i).end()) < len(text):
+        c = text[i]
+        if c not in "{[,:}]":
+            value, i = scalar(text, i)
+            stack[-1].append(value)
+            continue
+        i += 1
+        if c in "{[":
+            stack.append([c])
+        elif c in "}]":
+            items = stack.pop()[1:]
+            stack[-1].append(dict(zip(items[::2], items[1::2])) if c == "}" else items)
+    return stack[0][0]

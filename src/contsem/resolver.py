@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .errors import ContsemError
 from .logic import (
-    AccessReport, Atom, EntityTerm, Formula, SelOf, _render, _rendered, env_entries, map_atoms,
+    AccessReport, Atom, EntityTerm, Formula, SelOf, _render, env_entries, map_atoms,
 )
 
 
@@ -14,10 +14,11 @@ class EmptyEnvironment(ContsemError):
 
 
 def report(f: Formula) -> list[AccessReport]:
-    """One AccessReport per selection site, in textual order, which numbers
-    the sites; each names its binders in scope as `formula_text` does."""
+    """One AccessReport per selection site of the root formula `f`, in textual
+    order, which numbers the sites; each names its binders in scope as
+    `formula_text` does."""
     return [AccessReport(i, env, env_entries(env), names)
-            for i, (env, names) in enumerate(_rendered(f)[1])]
+            for i, (env, names) in enumerate(_render(f, None, ())[1])]
 
 
 def resolve(f: Formula, strategy: str) -> Formula:

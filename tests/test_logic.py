@@ -283,10 +283,27 @@ def test_de_morgan_stops_at_quantifiers():
 
 
 def test_shared_tail_fusion_or():
+    """Fused under its binder, the shared tail then leaves the binder's scope."""
     car_y = Atom("car", (Y,))
     own_xy = Atom("own", (EntConst("x"), Y))
-    fused = simplify(And(Or(car_y, K), Or(own_xy, K)))
-    assert fused == Or(And(car_y, own_xy), K)
+    fused = simplify(Exists(And(Or(car_y, K), Or(own_xy, K))))
+    assert fused == Or(Exists(And(car_y, own_xy)), K)
+
+
+def test_a_formula_is_read_as_a_root():
+    """Levels count from the root of the formula given.  The body of
+    `Ex y. Ex y1. p y1 & q y`, given alone, binds `q`'s variable and leaves
+    `p`'s free: the printers show it as `#1`, and `simplify` rejects it."""
+    whole = Exists(Exists(And(Atom("p", (EntVar(1),)), Atom("q", (EntVar(0),)))))
+    sub = whole.body
+    assert formula_text(whole) == "Ex y. Ex y1. (p y1 & q y)"
+    assert formula_text(simplify(whole)) == "(Ex y. p y) & Ex y1. q y1"
+    assert formula_text(sub) == "Ex y. (p #1 & q y)"
+    assert formula_json(sub)["body"]["left"]["args"] == [{"entity": "var", "name": "#1"}]
+    for free, level in ((sub, 1), (Atom("p", (Y,)), 0),
+                        (Exists(Not(Atom("p", (EntVar(0), EntVar(2))))), 2)):
+        with pytest.raises(ContsemError, match=f"entity variable at level {level} has no binder"):
+            simplify(free)
 
 
 def test_shared_tail_fusion_and():
@@ -638,6 +655,18 @@ def test_formula_text_union_parens():
     assert formula_text(f) == "red(sel((j::nil)++nil))"
 
 
+def test_formula_json_reads_back_what_json_text_writes():
+    """Names holding JSON's own punctuation, escapes and non-ASCII text read
+    back as `json.loads` reads them."""
+    import json
+    odd = ('a"}],: b', "[{\\x", "caf\u00e9 \U0001f600", "", "0", "null")
+    f = Exists(Or(Atom(odd[0], (EntConst(odd[1]), Y)), Not(Atom(odd[2], tuple(
+        SelOf(ConsE(EntConst(n), NilE())) for n in odd[3:])))))
+    assert formula_json(f) == json.loads(json_text(f))
+    assert formula_json(f)["body"]["left"]["pred"] == odd[0]
+    assert formula_json(NilE()) == {"env": "nil"} and formula_json(Top()) == {"node": "top"}
+
+
 def test_formula_json_tags():
     f = Exists(Atom("red", (SelOf(ConsE(EntVar(0), NilE())),)))
     doc = formula_json(f)
@@ -749,9 +778,8 @@ def _p_json(i):
 
 
 def _check_render(f, text, doc):
-    """`f` prints `text` and writes `doc`, compared as the JSON writer's text:
-    `formula_json` reads that text back with `json.loads`, which recurses."""
     assert formula_text(f) == text
+    assert _same_json(formula_json(f), doc)
     assert json_text(f) == json_text(doc)
 
 
