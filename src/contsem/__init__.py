@@ -27,6 +27,6 @@ from .discourse import (
     build_sentence, compose, default_initial_args, expand_symbolic,
     interpret, parse_discourse, parse_sentence_words, run_pipeline,
 )
-from .resolver import AccessReport, report, report_line, resolve
+from .resolver import AccessReport, rendered, report, report_line, resolve
 
 __version__ = "0.1.0"

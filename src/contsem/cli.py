@@ -32,7 +32,7 @@ from .discourse import (
 )
 from .lexicon import Profile, default_lexicon
 from .logic import formula_text, json_text
-from .resolver import report, report_line, resolve
+from .resolver import rendered, report_line, resolve
 from .syntax import parse_term, pretty
 from .terms import normalize, typecheck
 
@@ -195,31 +195,30 @@ def _run_discourse(ns, text: str) -> int:
     normal_text = pretty(result.normal)
     steps = _trace(result.composed if symbolic else result.applied, ns)
     simplified = result.simplified      # None in symbolic expansion
-    reports = () if symbolic else report(simplified)
-    recency = not symbolic and ns.resolve_strategy == "recency"
-    resolved = resolve(simplified, "recency") if recency else None
-    if ns.output == "json":
-        def formula_doc(f):
-            return None if f is None else {"text": formula_text(f), "tree": f}
-
+    recency = ns.resolve_strategy == "recency"
+    simplified_text, reports, resolved_text = (
+        (None, (), None) if symbolic else rendered(simplified, recency))
+    if ns.output == "json":     # each formula None, or its text and its tree
+        raw = result.raw
+        resolved = resolved_text and resolve(simplified, "recency")     # for its tree
         return _write(json_text({
             "profile": profile.value,
             "composed_term": composed_text,
             "normal_form": normal_text,
-            "raw_formula": formula_doc(result.raw),
-            "simplified_formula": formula_doc(simplified),
+            "raw_formula": raw and {"text": formula_text(raw), "tree": raw},
+            "simplified_formula": simplified and {"text": simplified_text, "tree": simplified},
             "access_reports": reports,
-            "resolved_formula": formula_doc(resolved),
+            "resolved_formula": resolved and {"text": resolved_text, "tree": resolved},
         }))
     lines = [f"composed: {composed_text}", *_trace_lines(steps),
              f"{'expanded' if symbolic else 'normal'}: {normal_text}"]
     if not symbolic:
         if ns.show_raw:
             lines.append(f"raw: {formula_text(result.raw)}")
-        lines.append(f"simplified: {formula_text(simplified)}")
+        lines.append(f"simplified: {simplified_text}")
         lines += map(report_line, reports)
-        if resolved is not None:
-            lines.append(f"resolved: {formula_text(resolved)}")
+        if resolved_text is not None:
+            lines.append(f"resolved: {resolved_text}")
     return _write("\n".join(lines))
 
 

@@ -87,9 +87,10 @@ NIL_E = NilE()
 
 class AccessReport(Node):
     """A selection site, numbered in textual order: its environment, the referents
-    that evaluates to, and the names the printers give the binders in scope, by level."""
-    __slots__ = {"site_id": "int", "env": "EnvExpr",
-                 "candidates": "tuple[EntityTerm, ...]", "names": "tuple[str, ...]"}
+    that evaluates to, the names the printers give the binders in scope, by level,
+    and the environment's text under those names."""
+    __slots__ = {"site_id": "int", "env": "EnvExpr", "candidates": "tuple[EntityTerm, ...]",
+                 "names": "tuple[str, ...]", "env_text": "str"}
 
 
 _OPEN, _LEAVE = object(), object()     # see `_FORMS` and `_render`
@@ -468,18 +469,21 @@ def formula_text(x: Formula | EntityTerm | EnvExpr) -> str:
     """Concrete rendering of a root formula, entity term or environment:
     `~`, `&`, `|`, `Ex y.`, `sel(...)`, `::`, `++`.  One pass over an
     explicit stack (`_render`), so depth is not limited by the recursion limit."""
-    return _render(x, None, ())[0]
+    return "".join(_render(x, None, ())[0])
 
 
-def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[str, list]:
-    """The text of `x` (`newline` None) or its JSON from line `newline`, under
-    binders named `scope` by level, and its sites' environments and names in
-    scope.  Binders are named y, y1, y2, ... and sites numbered 0, 1, 2, ...
-    in textual order.  `x` is read as a root: its outermost binders have
-    level len(scope), and a variable whose level no binder on its path has,
-    a free one, prints as `#` and its level.  If a name chosen is a
-    constant's, `x` is rendered again skipping all its constants' names, as
-    `syntax.pretty` does."""
+def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[list, list, bool]:
+    """The text of `x` (`newline` None) or its JSON from line `newline`, as
+    pieces to join, under binders named `scope` by level; its sites; and
+    whether it skipped constants' names.  Binders are named y, y1, y2, ...
+    and sites numbered 0, 1, 2, ... in textual order.  `x` is read as a root:
+    its outermost binders have level len(scope), and a variable whose level
+    no binder on its path has, a free one, prints as `#` and its level.  If
+    a name chosen is a constant's, `x` is rendered again skipping all its
+    constants' names, as `syntax.pretty` does.  A text site is (environment,
+    names in scope, the environment's text, s, e): pieces[s:e] write its
+    `sel(...)`, between the parentheses that glue it to its atom (s - 1, e)
+    when it is an argument."""
     if newline is not None:     # here: a text run never loads json
         from json.encoder import encode_basestring_ascii as encode
     out, sites, consts, count, names = [], [], set(), 0, list(scope)   # names: in scope
@@ -500,6 +504,9 @@ def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[s
         if node is _LEAVE:
             names.pop()
             continue
+        if kind is int:                         # a site's `sel(...)` ends
+            sites[node][3] = len(out)
+            continue
         line = None
         if kind is tuple:                       # JSON: (node, its line start)
             node, line = node
@@ -519,7 +526,9 @@ def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[s
             stack.append(_LEAVE)
         elif kind is SelOf:
             name = str(len(sites))
-            sites.append((node.env, tuple(names)))
+            sites.append([node.env, tuple(names), len(out), None])
+            if line is None:
+                stack.append(len(sites) - 1)
         elif kind is EntVar:
             name = names[node.level] if node.level < len(names) else f"#{node.level}"
         elif kind is Atom or kind is EntConst:
@@ -548,8 +557,10 @@ def _render(x, newline: str | None, scope: tuple[str, ...], avoid=()) -> tuple[s
             else:
                 stack.append(child)
     if not avoid and count and any(tm.chosen(name, "y", 0, count) for name in consts):
-        return _render(x, newline, scope, consts)
-    return "".join(out), sites
+        return *_render(x, newline, scope, consts)[:2], True
+    if newline is None:
+        sites = [(env, names, "".join(out[s + 1:e - 1]), s, e) for env, names, s, e in sites]
+    return out, sites, False
 
 
 def _right_open(f: Formula) -> bool:
@@ -576,7 +587,7 @@ def json_text(doc) -> str:
         value, newline, scope = item
         kind = type(value)
         if kind in _FORMS:
-            out.append(_render(value, newline, scope)[0])
+            out += _render(value, newline, scope)[0]
         elif kind is AccessReport:
             stack.append(({"site": value.site_id, "env": value.env,
                            "candidates": value.candidates}, newline, value.names))

@@ -16,7 +16,9 @@ their entity and environment helpers) for `logic.formula_text` and
 random inputs `random_reify_term` and `random_typecheck_case`,
 `tree_reify` and `tree_simplify` (which walk a shared normal form as a
 tree) for `logic.reify` and `logic.simplify`, `named_report_lines` and
-`named_resolve` for `resolver.report` and `resolve`, and
+`named_resolve` for `resolver.report` and `resolve`, `separate_walk_reports`
+(a walk for the sites, one more per environment and candidate) for
+`resolver.rendered`'s reports and `sel#` lines, and
 `substitution_compose`, which substitutes into each connective's named
 template (`connective_template`) with `subst_consts`, for
 `discourse.compose`, the staged walks
@@ -50,9 +52,9 @@ from contsem.discourse import (
 )
 from contsem.lexicon import CATEGORY_TYPES, TYPE_NAMES, Category, Lexicon, Profile, content_type
 from contsem.logic import (
-    _NOT_A, _READINGS, And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar,
+    _NOT_A, _READINGS, AccessReport, And, Atom, Bot, ConsE, EntConst, EntityTerm, EntVar,
     EnvExpr, Exists, Formula, NilE, Not, NotReifiable, Or, SelOf, Top, UnionE,
-    env_entries, env_from_entries,
+    _render, env_entries, env_from_entries,
 )
 from contsem.node import Node
 from contsem.resolver import EmptyEnvironment
@@ -1122,6 +1124,21 @@ def named_resolve(f):
         return a
 
     return named_map_atoms(f, lambda g: Atom(g.pred, tuple(pick(a) for a in g.args)))
+
+
+def separate_walk_reports(f: Formula) -> tuple[list[AccessReport], list[str]]:
+    """`resolver.report` and `report_line` on a root formula as they were
+    before one text walk gave its text, reports and resolved text: a walk
+    of its own for the sites, and one more for each environment's text and
+    each candidate's name."""
+    reports, lines = [], []
+    for i, (env, names, *_) in enumerate(_render(f, None, ())[1]):
+        def text(x):
+            return "".join(_render(x, None, names)[0])
+        reports.append(AccessReport(i, env, env_entries(env), names, text(env)))
+        lines.append(f"sel#{i} env={text(env)} candidates="
+                     f"[{', '.join(text(c) for c in reports[-1].candidates)}]")
+    return reports, lines
 
 
 # `logic.formula_text` and the JSON writer as they were before they

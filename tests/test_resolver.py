@@ -1,17 +1,23 @@
+import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contsem.errors import ContsemError
-from contsem.discourse import Det, Leaf, ProperN, Pron, Sentence, Seq, Verb, CopulaAdj, interpret
+from contsem.discourse import (
+    Det, Leaf, ProperN, Pron, Sentence, Seq, Verb, CopulaAdj, interpret, parse_sentence_words,
+)
 from contsem.lexicon import Category, Profile, default_lexicon, make_entry
 from contsem.logic import (
     And, Atom, ConsE, EntConst, EntVar, Exists, NilE, Not, Or, SelOf, UnionE, env_entries,
+    formula_text,
 )
 from contsem.resolver import (
-    AccessReport, EmptyEnvironment, report, report_line, resolve,
+    AccessReport, EmptyEnvironment, rendered, report, report_line, resolve,
 )
 
-from gen import formula_preorder
+from gen import (
+    formula_preorder, pipeline_cases, random_discourse, random_formula, separate_walk_reports,
+)
 
 J = EntConst("j")
 Y = EntVar(0)
@@ -133,9 +139,9 @@ def test_resolve_empty_environment():
 
 
 def test_report_line_format():
-    r = AccessReport(0, cons(J), (J,), ())
+    r = AccessReport(0, cons(J), (J,), (), "j::nil")
     assert report_line(r) == "sel#0 env=j::nil candidates=[j]"
-    r2 = AccessReport(2, cons(Y, J), (Y, J), ("y",))
+    r2 = AccessReport(2, cons(Y, J), (Y, J), ("y",), "y::j::nil")
     assert report_line(r2) == "sel#2 env=y::j::nil candidates=[y, j]"
 
 
@@ -170,3 +176,70 @@ def test_resolve_rejects_unknown_strategy():
     with pytest.raises(ContsemError) as exc:
         resolve(Atom("red", (J,)), "nearest")
     assert str(exc.value) == "unknown strategy 'nearest'"
+
+
+def _one_walk_differences(f) -> list:
+    """Where `rendered(f, True)` differs from the separate walks: the text
+    from `formula_text`, the reports and `sel#` lines from
+    `separate_walk_reports`, the resolved text from printing
+    `resolve(f, "recency")` (or the EmptyEnvironment it raises)."""
+    reports, lines = separate_walk_reports(f)
+    try:
+        resolved = formula_text(resolve(f, "recency"))
+    except EmptyEnvironment as exc:
+        resolved = exc.site_id
+    try:
+        got = rendered(f, recency=True)
+    except EmptyEnvironment as exc:
+        got = rendered(f)[:2] + (exc.site_id,)
+    want = (formula_text(f), reports, resolved)
+    return [] if got == want and list(map(report_line, got[1])) == lines else [(f, got, want)]
+
+
+def test_one_walk_matches_separate_walks():
+    """`pipeline_cases` (every sample with a formula, then random
+    discourses), 200 random A, B and C discourses, some of them B with a
+    pronoun before any name (an empty environment): their raw and
+    simplified formulas; and random formulas."""
+    lex = default_lexicon()
+    trees = list(pipeline_cases(lex))
+    rng = random.Random(28)
+    pronoun_first = Leaf(parse_sentence_words("it is red", lex))
+    for i in range(200):
+        profile = (Profile.A, Profile.B, Profile.C)[i % 3]
+        tree = random_discourse(rng, lex, profile, rng.randint(1, 4 if profile is Profile.B else 10))
+        trees.append((Seq(pronoun_first, tree) if i % 6 == 1 else tree, profile))
+    formulas, empty = [random_formula(rng) for _ in range(300)], 0
+    for tree, profile in trees:
+        formulas += interpret(tree, lex, profile)
+    for f in formulas:
+        assert _one_walk_differences(f) == []
+        empty += any(not r.candidates for r in report(f))
+    assert empty >= 50
+
+
+def test_resolved_text_falls_back_when_constants_names_were_skipped():
+    """`y1` is a constant here, so the walk names the binders y and y2; the
+    resolved formula drops `y1`, a non-first candidate, and names them y and
+    y1, so its text is printed itself, not taken from the walk."""
+    f = Exists(Exists(Atom("p", (EntVar(0), SelOf(cons(EntVar(1), EntConst("y1")))))))
+    text, (r,), resolved = rendered(f, recency=True)
+    assert text == "Ex y. Ex y2. p y(sel(y2::y1::nil))"
+    assert report_line(r) == "sel#0 env=y2::y1::nil candidates=[y2, y1]"
+    assert resolved == formula_text(resolve(f, "recency")) == "Ex y. Ex y1. p y y1"
+    assert _one_walk_differences(f) == []
+
+
+def test_resolved_text_falls_back_when_a_site_sits_in_an_environment():
+    """A hand-built environment can hold a selection, which `resolve` leaves
+    as its site's candidate; the resolved formula is printed itself."""
+    f = And(Atom("p", (SelOf(cons(SelOf(cons(J)), J)),)), Atom("q", (SelOf(NilE()),)))
+    text, reports, _ = rendered(f)
+    assert text == "p(sel(sel(j::nil)::j::nil)) & q(sel(nil))"
+    assert list(map(report_line, reports)) == [
+        "sel#0 env=sel(j::nil)::j::nil candidates=[sel(j::nil), j]",
+        "sel#1 env=j::nil candidates=[j]", "sel#2 env=nil candidates=[]"]
+    with pytest.raises(EmptyEnvironment) as info:
+        rendered(f, recency=True)
+    assert info.value.site_id == 1      # `resolve` numbers the atoms' sites only
+    assert _one_walk_differences(f) == []
