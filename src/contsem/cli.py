@@ -43,7 +43,8 @@ _OPTIONS = (
     ("--mode", "mode", "interpret", ("interpret", "symbolic-expand", "term-eval"), None),
     ("--symbolic", "symbolic", False, None, "shorthand for --mode symbolic-expand"),
     ("--resolve", "resolve_strategy", "symbolic", ("symbolic", "recency"), None),
-    ("--raw", "show_raw", True, None, "print the unsimplified formula (default on)"),
+    ("--raw", "show_raw", True, None, "print the unsimplified formula's `raw:` line in text "
+     "output; JSON always has it (default on)"),
     ("--trace", "trace", False, None,
      "print the whole term at every reduction step; meant for small inputs"),
     ("--max-steps", "max_steps", tm.MAX_STEPS, int, "fail after N beta contractions, each a "

@@ -294,7 +294,7 @@ def map_atoms(f: Formula, fn: Callable[[Atom], Formula]) -> Formula:
 
 def _mapped(f: Formula, fn: Callable, levels: dict) -> Formula:
     """`map_atoms` calling fn(atom, depth_of): depth_of maps the level that
-    `levels` gives an existential (by id: (it, level)) to its depth, for
+    `levels` gives an existential (by id: (it, _, level)) to its depth, for
     those on the path from the root to the atom."""
     depth_of: dict[int, int] = {}
     done: list[Formula] = []
@@ -311,7 +311,7 @@ def _mapped(f: Formula, fn: Callable, levels: dict) -> Formula:
                 done.append(g if right is g.body else kind(right))
         elif kind is Not or kind is Exists:
             if levels and kind is Exists:
-                depth_of[levels[id(g)][1]] = depth
+                depth_of[levels[id(g)][2]] = depth
             work += ((g, depth, True), (g.body, depth + (kind is Exists), False))
         elif kind is And or kind is Or:
             work += ((g, depth, True), (g.right, depth, False), (g.left, depth, False))
@@ -342,43 +342,32 @@ def simplify(f: Formula) -> Formula:
     builds go back on the work stack: the result is a fixed point of the
     rules, and deep formulas do not recurse.  Each input node is simplified
     once per depth, so fusion's tails, which sit at one depth, compare by
-    identity, then by `==`.  `f` is read as a root: its outermost binders
-    have level 0, and a variable whose level no binder on its path has is
-    rejected.  Variables keep their input levels until a last walk
+    identity, then by `==`.  Each node built is recorded with the binder
+    levels it mentions, as a bit mask, for extraction; each input
+    environment is evaluated once.  `f` is read as a root: its outermost
+    binders have level 0, and a variable whose level no binder on its path
+    has is rejected.  Variables keep their input levels until a last walk
     renumbers them, if extraction moved a binder out from under another;
     input levels rise along every path, so a level names one binder there.
     """
     kept: dict = {}     # (id of an input node, depth), or id of an environment -> its result
-    mentions: dict[int, tuple[Formula, int]] = {}  # id -> (node, its levels' bit mask)
-    binders: dict[int, tuple[Formula, int]] = {}   # id -> (existential built, input level)
+    made: dict = {}     # id of a node built -> (it, its levels' bit mask[, its input level])
     moved = False                   # whether a binder left another's scope
+    done: list[Formula] = []
+
+    def push(g: Formula, mask: int, level: int | None = None) -> None:
+        made.setdefault(id(g), (g, mask, level))    # a node met again keeps its record
+        done.append(g)
 
     def levels(g: Formula) -> int:
-        todo, stack = [], [g]
-        while stack:                        # nodes not yet known, parents first
-            h = stack.pop()
-            if id(h) not in mentions:
-                todo.append(h)
-                if isinstance(h, (Not, Exists)):
-                    stack.append(h.body)
-                elif isinstance(h, (And, Or)):
-                    stack += (h.left, h.right)
-        for h in reversed(todo):
-            mask = 0
-            for a in h.args if isinstance(h, Atom) else ():  # its variables, its sites' entries
-                for e in env_entries(a.env) if type(a) is SelOf else (a,):
-                    mask |= 1 << e.level if type(e) is EntVar else 0
-            mentions[id(h)] = (h, mentions[id(h.left)][1] | mentions[id(h.right)][1]
-                               if isinstance(h, (And, Or)) else mentions[id(h.body)][1]
-                               if isinstance(h, (Not, Exists)) else mask)
-        return mentions[id(g)][1]
+        return made[id(g)][1]
 
     def canonical(env: EnvExpr) -> SelOf:
-        if id(env) not in kept:
-            kept[id(env)] = SelOf(env_from_entries(env_entries(env)))
+        if id(env) not in kept:         # once per environment: its entries, and their levels
+            sel = kept[id(env)] = SelOf(env_from_entries(entries := env_entries(env)))
+            made[id(sel)] = (sel, sum(1 << e.level for e in entries if type(e) is EntVar))
         return kept[id(env)]
 
-    done: list[Formula] = []
     work: list = [(_VISIT, f, 0)]       # (instruction, argument, binder depth of a visit)
     while work:
         op, arg, depth = work.pop()
@@ -398,14 +387,20 @@ def simplify(f: Formula) -> Formula:
                          (_VISIT, arg.left, depth))
             elif kind is Exists:
                 work += ((Exists, depth, None), (_VISIT, arg.body, depth + 1))
-            elif kind is Atom and any(type(a) is SelOf for a in arg.args):
-                done.append(Atom(arg.pred, tuple(
-                    canonical(a.env) if type(a) is SelOf else a for a in arg.args)))
+            elif kind is Atom:
+                if any(type(a) is SelOf for a in arg.args):
+                    arg = Atom(arg.pred, tuple(
+                        canonical(a.env) if type(a) is SelOf else a for a in arg.args))
+                mask = 0                            # its variables, its sites' entries
+                for a in arg.args:
+                    mask |= (levels(a) if type(a) is SelOf
+                             else 1 << a.level if type(a) is EntVar else 0)
+                if free := mask >> depth:
+                    raise ContsemError(f"entity variable at level {depth + free.bit_length() - 1} "
+                                       "has no binder: simplify reads a root formula")
+                push(arg, mask)
             else:
-                done.append(arg)
-            if kind is Atom and (free := levels(done[-1]) >> depth):
-                raise ContsemError(f"entity variable at level {depth + free.bit_length() - 1} "
-                                   "has no binder: simplify reads a root formula")
+                push(arg, 0)                        # top or bot
         elif op is _PUSH:
             done.append(arg)
         elif op is _KEEP:
@@ -418,8 +413,8 @@ def simplify(f: Formula) -> Formula:
                          (Not, None, None), (_PUSH, body.right, None),
                          (Not, None, None), (_PUSH, body.left, None))
             else:
-                done.append(Bot() if kind is Top else Top() if kind is Bot
-                            else body.body if kind is Not else Not(body))
+                push(Bot() if kind is Top else Top() if kind is Bot
+                     else body.body if kind is Not else Not(body), levels(body))
         elif op is Exists:                          # arg: the binder's input level
             body = done.pop()
             kind = type(body)
@@ -432,8 +427,7 @@ def simplify(f: Formula) -> Formula:
                 work += ((kind, None, None), (Exists, arg, None),
                          (_PUSH, body.right, None), (_PUSH, body.left, None))
             else:
-                done.append(Exists(body))
-                binders[id(done[-1])] = (done[-1], arg)
+                push(Exists(body), levels(body), arg)
         else:                                       # And or Or
             right = done.pop()
             left = done.pop()
@@ -444,14 +438,14 @@ def simplify(f: Formula) -> Formula:
             elif type(right) is unit:
                 done.append(left)
             elif kind is zero or type(right) is zero:
-                done.append(zero())
+                push(zero(), 0)
             elif (op is And and kind is type(right) and (kind is And or kind is Or)
                   and (left.right is right.right or left.right == right.right)):
                 # (A op K) and (B op K) == (A and B) op K
                 work += ((kind, None, None), (_PUSH, left.right, None), (And, None, None),
                          (_PUSH, right.left, None), (_PUSH, left.left, None))
             else:
-                done.append(op(left, right))
+                push(op(left, right), levels(left) | levels(right))
     if not moved:
         return done[0]
 
@@ -459,7 +453,7 @@ def simplify(f: Formula) -> Formula:
         return EntVar(depth_of[e.level]) if type(e) is EntVar else e
     return _mapped(done[0], lambda g, depth_of: Atom(g.pred, tuple(
         SelOf(env_from_entries([renumbered(e, depth_of) for e in env_entries(a.env)]))
-        if type(a) is SelOf else renumbered(a, depth_of) for a in g.args)), binders)
+        if type(a) is SelOf else renumbered(a, depth_of) for a in g.args)), made)
 
 
 # ---------------------------------------------------------------------------

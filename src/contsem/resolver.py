@@ -73,7 +73,11 @@ def resolve(f: Formula, strategy: str) -> Formula:
         candidates = env_entries(a.env)
         if not candidates:
             raise EmptyEnvironment(sites[0])
-        sites[0] += 1
+        stack = [a]
+        while stack:        # past `a` and each site a hand-built environment of it holds
+            x = stack.pop()
+            sites[0] += type(x) is SelOf
+            stack += x._values() if type(x) is not EntConst and type(x) is not EntVar else ()
         return candidates[0]
 
     return map_atoms(f, lambda g: Atom(g.pred, tuple(pick(a) for a in g.args)))

@@ -730,7 +730,8 @@ options:
   --mode {interpret,symbolic-expand,term-eval}
   --symbolic            shorthand for --mode symbolic-expand
   --resolve {symbolic,recency}
-  --raw, --no-raw       print the unsimplified formula (default on)
+  --raw, --no-raw       print the unsimplified formula's `raw:` line in text
+                        output; JSON always has it (default on)
   --trace               print the whole term at every reduction step; meant
                         for small inputs
   --max-steps N         fail after N beta contractions, each a closure

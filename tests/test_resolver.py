@@ -241,5 +241,23 @@ def test_resolved_text_falls_back_when_a_site_sits_in_an_environment():
         "sel#1 env=j::nil candidates=[j]", "sel#2 env=nil candidates=[]"]
     with pytest.raises(EmptyEnvironment) as info:
         rendered(f, recency=True)
-    assert info.value.site_id == 1      # `resolve` numbers the atoms' sites only
+    assert info.value.site_id == 2      # q's, as `report` numbers it
     assert _one_walk_differences(f) == []
+
+
+_SHARED = SelOf(cons(J))
+
+
+@pytest.mark.parametrize("env", [
+    cons(SelOf(cons(J)), J),
+    UnionE(cons(_SHARED), cons(_SHARED, J)),                # one node, two sites
+    UnionE(cons(SelOf(cons(J))), cons(SelOf(cons(SelOf(NilE()))), J)),     # nested, one empty
+])
+def test_resolve_numbers_an_empty_site_past_those_in_environments(env):
+    """`resolve` numbers an empty site as `report` does: after each site a
+    hand-built environment before it holds, written out each time it occurs."""
+    f = And(Atom("p", (SelOf(env), J)), Exists(Atom("q", (EntVar(0), SelOf(NilE())))))
+    last_empty = [r.site_id for r in report(f) if not r.candidates][-1]
+    with pytest.raises(EmptyEnvironment) as info:
+        resolve(f, "recency")
+    assert info.value.site_id == last_empty == len(report(f)) - 1

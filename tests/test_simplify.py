@@ -15,14 +15,15 @@ from contsem.discourse import (
     compose, default_initial_args, has_symbolic_leaves, parse_discourse,
 )
 from contsem.lexicon import Profile, default_lexicon
+from contsem import logic
 from contsem.logic import (
-    And, Atom, Bot, EntConst, EntVar, Exists, Not, Or, Top, formula_text, reify, simplify,
+    And, Atom, Bot, EntConst, EntVar, Exists, Not, Or, SelOf, Top, formula_text, reify, simplify,
 )
 from contsem.terms import app, normalize
 
 from gen import (
-    baseline_discourse, fixpoint_simplify, formula_preorder, named, named_alpha_eq, nameless,
-    random_discourse, random_formula, recursive_alpha_eq,
+    baseline_discourse, fixpoint_simplify, flat_discourse_text, formula_preorder, named,
+    named_alpha_eq, nameless, random_discourse, random_formula, recursive_alpha_eq,
 )
 from oracle import logically_equiv
 
@@ -91,6 +92,19 @@ def test_random_discourses_match_fixpoint(profile, longest):
 @pytest.mark.parametrize("profile", [Profile.A, Profile.C])
 def test_flat_128_sentence_discourses_match_fixpoint(profile):
     _check(_raw(baseline_discourse(LEX, profile, 128), profile))
+
+
+@pytest.mark.parametrize("profile", [Profile.A, Profile.C])
+def test_each_environment_is_evaluated_once(profile, monkeypatch):
+    """Flat A16 and C16: `simplify` calls `env_entries` once per distinct
+    input environment (8 of them), not again to read what an atom mentions."""
+    raw = _raw(parse_discourse(flat_discourse_text(profile, 16), LEX).tree, profile)
+    envs = {id(a.env) for g in formula_preorder(raw) if type(g) is Atom
+            for a in g.args if type(a) is SelOf}
+    calls, env_entries = [], logic.env_entries
+    monkeypatch.setattr(logic, "env_entries", lambda env: calls.append(id(env)) or env_entries(env))
+    simplify(raw)
+    assert sorted(calls) == sorted(envs) and len(envs) == 8
 
 
 def test_different_rule_orders_reach_equivalent_normal_forms():
